@@ -199,7 +199,9 @@ pub struct ServiceMetrics {
     /// Mean wave fill: polynomials per wave relative to the serving
     /// engine's `lanes_total` capacity, capped at 1 per wave.
     pub wave_occupancy: f64,
-    /// Wall-clock seconds the dispatcher spent inside engine calls.
+    /// Wall-clock seconds the dispatcher spent inside engine calls,
+    /// counted once per concurrent round of tenant groups (so it never
+    /// exceeds wall time).
     pub busy_secs: f64,
     /// Results per second of dispatcher busy time (`wave_polys /
     /// busy_secs`).
@@ -253,8 +255,8 @@ pub struct ServiceMetrics {
     pub rns_requests: u64,
     /// Limb sub-requests those RNS groups expanded to.
     pub rns_limbs: u64,
-    /// Concurrent RNS fan-out rounds the dispatcher executed (each round
-    /// runs several limb engines in one wall-clock window).
+    /// Concurrent fan-out rounds holding at least one RNS limb group
+    /// (each round runs several limb engines in one wall-clock window).
     pub rns_fanout_waves: u64,
     /// Mean occupancy of those rounds: busy lanes across every engine of
     /// the round over the round's total lane capacity.

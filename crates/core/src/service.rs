@@ -23,13 +23,18 @@
 //!   canned specs ([`PipelineSpec::forward_ntt`] /
 //!   [`PipelineSpec::polymul`]) over the same path.
 //! * **Wave coalescing** — a dispatcher thread drains the queue in
-//!   batches: it waits (up to `coalesce_window`) for enough requests to
-//!   fill every lane of every shard, then executes one
+//!   batches: it waits for enough requests to fill every lane of every
+//!   shard, but never past `coalesce_window` after the oldest queued
+//!   request was admitted (or, while the requesters the last wave just
+//!   answered are not yet back, one window from now), then executes one
 //!   [`ShardedBpNtt::run_pipeline_batch`] call per
 //!   `(tenant, spec, mode)` group — the whole op-graph runs per lane
-//!   with no intermediate load/read round-trips. Inside the engine the
-//!   chunks are **work-stolen** across shards, so a slow shard claims
-//!   fewer chunks instead of stalling the wave.
+//!   with no intermediate load/read round-trips. Groups of distinct
+//!   tenants own disjoint engines, so they run **concurrently**: one on
+//!   the dispatcher thread, the rest on scoped threads; a tenant's own
+//!   groups run one after another in submission order. Inside the
+//!   engine the chunks are **work-stolen** across shards, so a slow
+//!   shard claims fewer chunks instead of stalling the wave.
 //! * **Backpressure** — the queue is bounded; when it is full,
 //!   submission fails fast with [`BpNttError::Overloaded`] instead of
 //!   buffering without limit.
@@ -681,9 +686,12 @@ struct Request {
     /// Deficit-round-robin cost: operand payload bytes (8 per
     /// coefficient, floored so even tiny requests spend deficit).
     cost: u64,
-    /// Part of an RNS limb group ([`NttService::submit_rns`]): the
-    /// dispatcher fans the wave's RNS groups out concurrently (one
-    /// engine per limb tenant) instead of running them back to back.
+    /// When the request entered the queue: the coalescing window runs
+    /// from the oldest queued admission
+    /// ([`FairQueue::coalesce_deadline`]).
+    admitted: Instant,
+    /// Part of an RNS limb group ([`NttService::submit_rns`]); only the
+    /// `rns_fanout_*` counters read it — scheduling does not.
     rns: bool,
 }
 
@@ -763,6 +771,32 @@ impl FairQueue {
 
     fn earliest_deadline(&self) -> Option<Instant> {
         self.sub.values().flatten().filter_map(|r| r.deadline).min()
+    }
+
+    /// When the dispatcher, coalescing since `started`, stops waiting for
+    /// company: one `window` after the oldest queued admission, so a
+    /// request that already waited behind a wave does not wait a second
+    /// window. The exception is the requesters the last wave answered
+    /// (`last_wave`: requests per tenant): closed-loop clients about to
+    /// resubmit are awaited for up to one window from `started`, so they
+    /// share a concurrent round instead of alternating rounds.
+    fn coalesce_deadline(
+        &self,
+        last_wave: &HashMap<TenantId, usize>,
+        started: Instant,
+        window: Duration,
+    ) -> Instant {
+        if !last_wave.iter().all(|(t, &n)| self.depth_of(*t) >= n) {
+            return started + window;
+        }
+        // Sub-queues are FIFO: the oldest admission is at some head.
+        let oldest = self
+            .sub
+            .values()
+            .filter_map(VecDeque::front)
+            .map(|r| r.admitted)
+            .min();
+        oldest.unwrap_or(started) + window
     }
 
     /// Per-tenant queued depths, for the metrics snapshot.
@@ -939,7 +973,7 @@ struct MetricsState {
     rns_requests: u64,
     /// Limb sub-requests those RNS groups expanded to.
     rns_limbs: u64,
-    /// Concurrent RNS fan-out rounds the dispatcher executed.
+    /// Concurrent fan-out rounds holding at least one RNS limb group.
     rns_fanout_waves: u64,
     /// Occupancy accumulator over those rounds: busy lanes across every
     /// engine of the round / the round's total lane capacity.
@@ -1007,6 +1041,20 @@ struct Shared {
     /// order — what a respawned dispatcher needs to rebuild each engine
     /// under its original id.
     registry: Mutex<Vec<(TenantId, BpNttConfig, BackendKind)>>,
+    /// Test-only: a barrier every group reaches before its engine call,
+    /// proving groups of one round overlap.
+    #[cfg(test)]
+    group_hook: Mutex<Option<Arc<std::sync::Barrier>>>,
+}
+
+#[cfg(test)]
+impl Shared {
+    fn reach_group_hook(&self) {
+        let hook = self.group_hook.lock().expect("group hook poisoned").clone();
+        if let Some(barrier) = hook {
+            barrier.wait();
+        }
+    }
 }
 
 /// Cross-tenant compiled-program cache key: two tenants share programs
@@ -1118,6 +1166,8 @@ impl NttService {
             dispatcher: Mutex::new(None),
             scrubber: Mutex::new(None),
             registry: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            group_hook: Mutex::new(None),
         });
         *shared
             .dispatcher
@@ -1314,6 +1364,7 @@ impl NttService {
             reply,
             deadline,
             cost,
+            admitted: Instant::now(),
             rns: false,
         })?;
         Ok(ticket)
@@ -1451,6 +1502,7 @@ impl NttService {
                 reply,
                 deadline,
                 cost,
+                admitted: Instant::now(),
                 rns: true,
             });
             tickets.push(ticket);
@@ -1849,8 +1901,8 @@ struct WaveGroup {
     mode: ExecMode,
     slots: Vec<Vec<Vec<u64>>>,
     replies: Vec<TicketSender>,
-    /// Any member request was an RNS limb: the group joins the wave's
-    /// concurrent RNS fan-out rounds instead of the serial pass.
+    /// Any member request was an RNS limb: a round holding such a group
+    /// counts toward the `rns_fanout_*` metrics.
     rns: bool,
 }
 
@@ -2095,6 +2147,8 @@ fn dispatcher_loop(shared: &Shared) {
             engines.insert(*id, te);
         }
     }
+    // Requests per tenant in the last executed wave.
+    let mut last_wave: HashMap<TenantId, usize> = HashMap::new();
     loop {
         enum Action {
             Control(Control),
@@ -2166,9 +2220,12 @@ fn dispatcher_loop(shared: &Shared) {
                     // Shed dead work (expired deadlines, cancelled
                     // tickets) from the whole queue first, so it neither
                     // joins this wave nor blocks live requests behind it.
-                    let dead = st.queue.remove_dead(Instant::now());
-                    let deadline = Instant::now() + shared.coalesce_window;
+                    let started = Instant::now();
+                    let dead = st.queue.remove_dead(started);
                     while !st.shutdown && st.control.is_empty() && st.queue.len() < target {
+                        let deadline =
+                            st.queue
+                                .coalesce_deadline(&last_wave, started, shared.coalesce_window);
                         // Never coalesce past the earliest per-request
                         // deadline: a tight-deadline request would expire
                         // while the dispatcher idles waiting for company.
@@ -2194,6 +2251,10 @@ fn dispatcher_loop(shared: &Shared) {
                 };
                 resolve_dead(shared, dead);
                 if !drained.is_empty() {
+                    last_wave.clear();
+                    for r in &drained {
+                        *last_wave.entry(r.tenant).or_default() += 1;
+                    }
                     execute_wave(shared, &mut engines, &mut cache, drained);
                 }
             }
@@ -2328,8 +2389,9 @@ fn build_engine(
 /// Executes one drained wave: requests are grouped by
 /// `(tenant, spec, mode)` preserving submission order inside each group,
 /// each group runs as **one** sharded pipeline call (the whole op-graph
-/// per lane, operands loaded once, one read-back), and every ticket
-/// receives its own result (or the group's error). Novel specs resolve
+/// per lane, operands loaded once, one read-back), groups of distinct
+/// tenants run concurrently, and every ticket receives its own result
+/// (or the group's error). Novel specs resolve
 /// through the cross-tenant `(params, layout, spec)` pipeline cache —
 /// import on a hit, compile-and-publish on a miss.
 fn execute_wave(
@@ -2350,6 +2412,7 @@ fn execute_wave(
             reply,
             deadline,
             cost: _,
+            admitted: _,
             rns,
         } = req;
         if let Some(d) = deadline {
@@ -2402,29 +2465,14 @@ fn execute_wave(
         }
         g.replies.push(reply);
     }
-    // Partition: plain groups run back to back (the historical serial
-    // pass); RNS limb groups fan out concurrently in rounds of distinct
-    // tenants — the limbs of one big-modulus request live on independent
-    // engines, so they can share the wall-clock window instead of
-    // queueing behind each other.
-    let (rns_groups, serial): (Vec<WaveGroup>, Vec<WaveGroup>) =
-        groups.into_iter().partition(|g| g.rns);
-    for group in serial {
-        let Some(te) = engines.get_mut(&group.tenant) else {
-            fail_unknown_tenant(shared, group);
-            continue;
-        };
-        match resolve_pipeline(shared, te, cache, &group.spec) {
-            Ok(()) => run_group(shared, &mut te.engine, group),
-            Err(e) => fail_group(shared, group, &e),
-        }
-    }
-    // RNS fan-out: resolve every group's pipeline first (the cache needs
-    // exclusive access), then execute rounds of groups with pairwise
-    // distinct tenants — scoped threads over disjoint engines. Two
-    // groups on the same limb tenant land in different rounds.
+    // Resolve every group's pipeline first (the cache needs exclusive
+    // access), then execute rounds of groups with pairwise distinct
+    // tenants: distinct tenants own disjoint engines, so one group runs
+    // on this thread and the rest on scoped threads, sharing the
+    // wall-clock window instead of queueing behind each other. A
+    // tenant's later groups land in later rounds, in submission order.
     let mut ready: Vec<WaveGroup> = Vec::new();
-    for group in rns_groups {
+    for group in groups {
         let Some(te) = engines.get_mut(&group.tenant) else {
             fail_unknown_tenant(shared, group);
             continue;
@@ -2460,26 +2508,34 @@ fn execute_wave(
                 (te, g)
             })
             .collect();
-        // Fan-out accounting before the spawn: how full this concurrent
-        // window is across every participating engine's lanes.
-        let cap_sum: usize = pairs
-            .iter()
-            .map(|(te, _)| te.engine.lanes_total().max(1))
-            .sum();
-        let busy_sum: usize = pairs
-            .iter()
-            .map(|(te, g)| g.replies.len().min(te.engine.lanes_total().max(1)))
-            .sum();
-        {
+        if pairs.iter().any(|(_, g)| g.rns) {
+            // RNS fan-out accounting: how full this concurrent window is
+            // across every participating engine's lanes.
+            let cap_sum: usize = pairs
+                .iter()
+                .map(|(te, _)| te.engine.lanes_total().max(1))
+                .sum();
+            let busy_sum: usize = pairs
+                .iter()
+                .map(|(te, g)| g.replies.len().min(te.engine.lanes_total().max(1)))
+                .sum();
             let mut m = shared.metrics.lock().expect("metrics poisoned");
             m.rns_fanout_waves += 1;
             m.rns_fanout_occupancy_sum += (busy_sum as f64 / cap_sum.max(1) as f64).min(1.0);
         }
+        let polys: usize = pairs.iter().map(|(_, g)| g.replies.len()).sum();
+        let t = Instant::now();
         std::thread::scope(|scope| {
+            let mut pairs = pairs.into_iter();
+            let inline = pairs.next();
             for (te, group) in pairs {
                 scope.spawn(move || run_group(shared, &mut te.engine, group));
             }
+            if let Some((te, group)) = inline {
+                run_group(shared, &mut te.engine, group);
+            }
         });
+        record_round(shared, polys, t.elapsed().as_secs_f64());
     }
     // Waves move the health machine too (faults scored, quarantines,
     // canary credit): refresh the published counters and shard states.
@@ -2549,11 +2605,29 @@ fn resolve_pipeline(
     Ok(())
 }
 
+/// Books one fan-out round: its wall-clock time counts toward
+/// `busy_secs` once, however many groups overlapped in it (so busy time
+/// never exceeds wall time), and its `polys` feed one drain-rate EWMA
+/// sample — the basis of the `retry_after_ms` hints handed to shed
+/// clients.
+fn record_round(shared: &Shared, polys: usize, secs: f64) {
+    let mut m = shared.metrics.lock().expect("metrics poisoned");
+    m.busy_secs += secs;
+    let rate = polys as f64 / secs.max(1e-6);
+    m.drain_rate = if m.drain_rate == 0.0 {
+        rate
+    } else {
+        0.2 * rate + 0.8 * m.drain_rate
+    };
+}
+
 /// Runs one resolved group as a single sharded pipeline call and
-/// resolves every ticket — the timed leg of both the serial pass and
-/// the concurrent RNS rounds (engines are disjoint there, so this runs
-/// on scoped threads; all counters live behind the metrics lock).
+/// resolves every ticket — one leg of a fan-out round (engines are
+/// disjoint across a round, so legs run on scoped threads; all counters
+/// live behind the metrics lock).
 fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) {
+    #[cfg(test)]
+    shared.reach_group_hook();
     let capacity = engine.lanes_total().max(1);
     let batch = group.replies.len();
     let slot_refs: Vec<&[Vec<u64>]> = group.slots.iter().map(Vec::as_slice).collect();
@@ -2561,24 +2635,13 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) {
     // workers stop claiming chunks and the call returns `Cancelled`.
     let replies = &group.replies;
     let all_cancelled = move || replies.iter().all(TicketSender::is_cancelled);
-    let t = Instant::now();
     let result =
         engine.run_pipeline_batch_cancellable(&group.spec, group.mode, &slot_refs, &all_cancelled);
-    let elapsed = t.elapsed().as_secs_f64();
     {
         let mut m = shared.metrics.lock().expect("metrics poisoned");
         m.waves += 1;
         m.wave_polys += batch as u64;
         m.occupancy_sum += (batch as f64 / capacity as f64).min(1.0);
-        m.busy_secs += elapsed;
-        // Drain-rate EWMA: the basis of retry_after_ms hints handed
-        // to shed clients.
-        let rate = batch as f64 / elapsed.max(1e-6);
-        m.drain_rate = if m.drain_rate == 0.0 {
-            rate
-        } else {
-            0.2 * rate + 0.8 * m.drain_rate
-        };
         for &s in engine.last_wave_shard_secs() {
             if m.shard_secs.len() == SHARD_SAMPLE_WINDOW {
                 m.shard_secs.pop_front();
@@ -2840,6 +2903,7 @@ mod tests {
                 reply,
                 deadline: None,
                 cost: 64,
+                admitted: Instant::now(),
                 rns: false,
             }
         };
@@ -3195,6 +3259,7 @@ mod tests {
                 reply,
                 deadline: None,
                 cost: 64,
+                admitted: Instant::now(),
                 rns: false,
             });
             st.control.push_back(Control::Crash);
@@ -3264,6 +3329,222 @@ mod tests {
             std::thread::yield_now();
         };
         assert_eq!(result.unwrap().len(), 8);
+    }
+
+    /// Runs one round of two single-poly groups on two tenants, each
+    /// group parked at a shared `Barrier(2)` until the other arrives —
+    /// which only happens when the round runs them concurrently. Returns
+    /// the wall time from first submission to both results.
+    fn two_tenant_round(service: &NttService) -> Duration {
+        let other = service.add_tenant(&config8()).unwrap();
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        *service.shared.group_hook.lock().unwrap() = Some(Arc::clone(&barrier));
+        let t0 = Instant::now();
+        let a = service.submit_forward(pseudo(8, 97, 1)).unwrap();
+        let b = service.submit_forward_as(other, pseudo(8, 97, 2)).unwrap();
+        let timeout = Duration::from_secs(30);
+        let (ra, rb) = (a.wait_timeout(timeout), b.wait_timeout(timeout));
+        let wall = t0.elapsed();
+        *service.shared.group_hook.lock().unwrap() = None;
+        if ra.is_none() || rb.is_none() {
+            // Serialized: one group is parked alone. Release it (the hook
+            // is disarmed) so the service can still shut down.
+            barrier.wait();
+            panic!("the two tenants' groups never overlapped");
+        }
+        assert_eq!(ra.unwrap().unwrap(), reference_forward(&pseudo(8, 97, 1)));
+        assert_eq!(rb.unwrap().unwrap(), reference_forward(&pseudo(8, 97, 2)));
+        wall
+    }
+
+    /// Both requests land in one wave: the queue cap makes two the
+    /// coalescing target, and the window outlasts any submission gap.
+    fn one_wave_options() -> ServiceOptions {
+        ServiceOptions {
+            max_queue: 2,
+            coalesce_window: Duration::from_secs(30),
+            ..ServiceOptions::default()
+        }
+    }
+
+    fn reference_forward(p: &[u64]) -> Vec<u64> {
+        let params = NttParams::new(8, 97).unwrap();
+        let mut v = p.to_vec();
+        ntt_in_place(&params, &TwiddleTable::new(&params), &mut v).unwrap();
+        v
+    }
+
+    #[test]
+    fn distinct_tenant_groups_run_concurrently() {
+        let service = NttService::start(&config8(), one_wave_options()).unwrap();
+        two_tenant_round(&service);
+        let m = service.shutdown();
+        assert_eq!((m.waves, m.completed), (2, 2));
+    }
+
+    #[test]
+    fn concurrent_groups_count_busy_time_once_per_round() {
+        let service = NttService::start(&config8(), one_wave_options()).unwrap();
+        let wall = two_tenant_round(&service);
+        // Tickets resolve inside the round; its books close after it, so
+        // read them once the dispatcher has exited.
+        let shared = Arc::clone(&service.shared);
+        let polys_per_sec = service.shutdown().polys_per_sec;
+        let (busy, drain_rate) = {
+            let m = shared.metrics.lock().unwrap();
+            (m.busy_secs, m.drain_rate)
+        };
+        // One round of wall-clock time, never the sum of its overlapped
+        // groups: busy time fits inside the window that contained it.
+        assert!(
+            busy > 0.0 && busy <= wall.as_secs_f64(),
+            "busy {busy}s, wall {wall:?}"
+        );
+        // One drain-rate sample for the round: both polys over its time.
+        assert!(
+            (drain_rate - 2.0 / busy).abs() <= 1e-9 * drain_rate,
+            "drain rate {drain_rate} is not one round sample (busy {busy}s)"
+        );
+        assert!(polys_per_sec >= 2.0 / wall.as_secs_f64());
+    }
+
+    #[test]
+    fn coalescing_window_runs_from_oldest_admission() {
+        let window = Duration::from_secs(60);
+        let service = NttService::start(
+            &config8(),
+            ServiceOptions {
+                coalesce_window: window,
+                ..ServiceOptions::default()
+            },
+        )
+        .unwrap();
+        // A lone request that has already been queued for a full window
+        // (as if it waited behind a long wave) dispatches at once instead
+        // of waiting another window for company.
+        let ticket = {
+            let (ticket, reply) = Ticket::channel(None);
+            let mut st = service.shared.state.lock().unwrap();
+            st.queue.push(Request {
+                tenant: service.default_tenant,
+                spec: PipelineSpec::forward_ntt(),
+                mode: ExecMode::Replay,
+                inputs: vec![pseudo(8, 97, 5)],
+                reply,
+                deadline: None,
+                cost: 64,
+                admitted: Instant::now()
+                    .checked_sub(window)
+                    .expect("monotonic clock is older than the window"),
+                rns: false,
+            });
+            drop(st);
+            service.shared.cv.notify_all();
+            ticket
+        };
+        let got = ticket.wait_timeout(window / 3);
+        assert_eq!(
+            got.expect("the window restarted instead of running from admission")
+                .unwrap(),
+            reference_forward(&pseudo(8, 97, 5))
+        );
+    }
+
+    #[test]
+    fn coalescing_awaits_the_last_waves_requesters_for_one_window() {
+        let window = Duration::from_millis(500);
+        let started = Instant::now();
+        let admitted = started
+            .checked_sub(3 * window)
+            .expect("clock older than 1.5 s");
+        let (a, b) = (TenantId(0), TenantId(1));
+        let mk = |tenant| {
+            let (_t, reply) = Ticket::channel(None);
+            Request {
+                tenant,
+                spec: PipelineSpec::forward_ntt(),
+                mode: ExecMode::Replay,
+                inputs: vec![pseudo(8, 97, 1)],
+                reply,
+                deadline: None,
+                cost: 64,
+                admitted,
+                rns: false,
+            }
+        };
+        let mut q = FairQueue::new(64);
+        q.push(mk(a));
+        // No wave yet: the window runs from the oldest admission, which
+        // already lies in the past — dispatch at once.
+        let fresh = HashMap::new();
+        assert_eq!(
+            q.coalesce_deadline(&fresh, started, window),
+            admitted + window
+        );
+        // The last wave answered A and B; only A is back, so B gets one
+        // window from now to resubmit and share the round.
+        let last_wave = HashMap::from([(a, 1), (b, 1)]);
+        assert_eq!(
+            q.coalesce_deadline(&last_wave, started, window),
+            started + window
+        );
+        // B is back: the oldest admission rules again.
+        q.push(mk(b));
+        assert_eq!(
+            q.coalesce_deadline(&last_wave, started, window),
+            admitted + window
+        );
+    }
+
+    #[test]
+    fn three_tenants_two_specs_keep_ticket_mapping_and_order() {
+        // Three tenants on different primes, each submitting interleaved
+        // forward and polymul requests; the whole set coalesces into one
+        // wave of six groups (two concurrent rounds of three tenants).
+        // Every ticket must get its own request's answer.
+        let primes = [97u64, 113, 17];
+        let per_spec = 2;
+        let total = primes.len() * 2 * per_spec;
+        let cfg = |q: u64| BpNttConfig::new(32, 32, 8, NttParams::new(8, q).unwrap()).unwrap();
+        let service = NttService::start(
+            &cfg(primes[0]),
+            ServiceOptions {
+                shards: 4,
+                max_queue: total,
+                coalesce_window: Duration::from_secs(30),
+                ..ServiceOptions::default()
+            },
+        )
+        .unwrap();
+        let mut tenants = vec![service.default_tenant()];
+        for &q in &primes[1..] {
+            tenants.push(service.add_tenant(&cfg(q)).unwrap());
+        }
+        let mut pending = Vec::new();
+        for r in 0..per_spec as u64 {
+            for (t, (&tenant, &q)) in tenants.iter().zip(&primes).enumerate() {
+                let seed = 100 * t as u64 + 10 * r;
+                let params = NttParams::new(8, q).unwrap();
+                let a = pseudo(8, q, seed + 1);
+                let b = pseudo(8, q, seed + 2);
+                let mut spectrum = a.clone();
+                ntt_in_place(&params, &TwiddleTable::new(&params), &mut spectrum).unwrap();
+                let product = bpntt_ntt::polymul::polymul_schoolbook(&params, &a, &b).unwrap();
+                let fwd = service.submit_forward_as(tenant, a.clone()).unwrap();
+                let mul = service.submit_polymul_as(tenant, a, b).unwrap();
+                pending.push((t, r, "forward", fwd, spectrum));
+                pending.push((t, r, "polymul", mul, product));
+            }
+        }
+        for (t, r, what, ticket, expect) in pending {
+            assert_eq!(ticket.wait().unwrap(), expect, "tenant {t} {what} #{r}");
+        }
+        let m = service.shutdown();
+        assert_eq!(m.completed, total as u64);
+        assert_eq!(m.waves, 6, "one wave of six (tenant, spec) groups");
+        for pt in &m.per_tenant {
+            assert_eq!(pt.completed, 2 * per_spec as u64);
+        }
     }
 
     /// 14-bit NTT-friendly primes valid for n up to 512.

@@ -10,7 +10,8 @@
 //! compiled program across every shard behind an `Arc`, and replays it on
 //! all shards in parallel (one OS thread per shard, via
 //! `std::thread::scope` — the dependency-free equivalent of a rayon
-//! fan-out). Batches larger than `K × lanes` are processed in waves.
+//! fan-out; a wave that occupies one shard runs on the caller's thread).
+//! Batches larger than `K × lanes` are processed in waves.
 //!
 //! This mirrors the paper's scaling argument: BP-NTT's area is small
 //! enough (0.063 mm² per 256×256 array) that a memory chip hosts hundreds
@@ -600,7 +601,7 @@ impl ShardedBpNtt {
     /// the same timed [`run_wave`](Self::run_wave) path, so these numbers
     /// always describe the last call, never a stale earlier wave. One
     /// entry per participating shard (`min(shards, chunks)` workers
-    /// spawn; work-stealing may let a fast shard claim several chunks).
+    /// run; work-stealing may let a fast shard claim several chunks).
     /// Empty batches clear the slice. On a single-core host the sum
     /// approximates the wave's wall-clock — the threads serialize — so
     /// flat `polys_per_sec` scaling is expected there; on real multi-core
@@ -644,7 +645,9 @@ impl ShardedBpNtt {
     /// **the** single timed execution path of every batch operation. The
     /// batch is cut into chunks of `lanes_per_shard` polynomials, one
     /// worker thread spawns per participating shard
-    /// (`min(shards, chunks)`), and workers **steal** the next unclaimed
+    /// (`min(shards, chunks)`; a lone worker runs on the calling thread
+    /// instead, under the same panic containment), and workers **steal**
+    /// the next unclaimed
     /// chunk from a shared counter — a slow shard never stalls the wave,
     /// it just claims fewer chunks. Each claimed chunk runs the *whole*
     /// op-graph on-array (operands loaded once, one read-back at the
@@ -673,59 +676,72 @@ impl ShardedBpNtt {
         let wave_policy = self.recovery.verify;
         let next = AtomicUsize::new(0);
         let requeue: Requeue = Mutex::new(Vec::new());
-        let mut outcomes: Vec<(usize, ShardOutcome)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (sid, shard) in self.shards.iter_mut().enumerate() {
-                if benched[sid] || handles.len() == n_chunks {
-                    continue;
-                }
-                if canary[sid] {
-                    // Canary leash: every chunk this shard touches is
-                    // fully verified, whatever the wave's policy.
-                    shard.set_verify_policy(VerifyPolicy::Full);
-                }
-                let (next, requeue, pipe) = (&next, &requeue, Arc::clone(pipe));
-                let shard: &mut dyn NttBackend = shard.as_mut();
-                handles.push((
+        let mut workers: Vec<(usize, WorkerCtx<'_, '_>)> = Vec::new();
+        for (sid, shard) in self.shards.iter_mut().enumerate() {
+            if benched[sid] || workers.len() == n_chunks {
+                continue;
+            }
+            if canary[sid] {
+                // Canary leash: every chunk this shard touches is
+                // fully verified, whatever the wave's policy.
+                shard.set_verify_policy(VerifyPolicy::Full);
+            }
+            workers.push((
+                sid,
+                WorkerCtx {
+                    shard: shard.as_mut(),
                     sid,
-                    scope.spawn(move || {
-                        run_worker(WorkerCtx {
-                            shard,
-                            sid,
-                            pipe: &pipe,
-                            mode,
-                            inputs,
-                            batch,
-                            lanes,
-                            n_chunks,
-                            next,
-                            requeue,
-                            ladder,
-                            retry_budget,
-                            cancel,
-                        })
-                    }),
-                ));
-            }
-            for (sid, h) in handles {
-                // A panic that escaped the per-chunk catch_unwind (e.g. in
-                // the claim loop itself) loses the worker's chunks but not
-                // the wave's type-safety: it surfaces as WorkerPanicked.
-                let outcome = h.join().unwrap_or_else(|_| ShardOutcome {
-                    done: Vec::new(),
-                    err: Some(BpNttError::WorkerPanicked { shard: sid }),
-                    secs: 0.0,
-                    quarantined: ladder,
-                    report: RecoveryReport {
-                        faults_detected: 1,
-                        worker_panics: 1,
-                        ..RecoveryReport::default()
-                    },
-                });
-                outcomes.push((sid, outcome));
-            }
-        });
+                    pipe,
+                    mode,
+                    inputs,
+                    batch,
+                    lanes,
+                    n_chunks,
+                    next: &next,
+                    requeue: &requeue,
+                    ladder,
+                    retry_budget,
+                    cancel,
+                },
+            ));
+        }
+        // A panic that escaped the per-chunk catch_unwind (e.g. in the
+        // claim loop itself) loses the worker's chunks but not the wave's
+        // type-safety: it surfaces as WorkerPanicked.
+        let contain = |sid: usize, joined: std::thread::Result<ShardOutcome>| {
+            let outcome = joined.unwrap_or_else(|_| ShardOutcome {
+                done: Vec::new(),
+                err: Some(BpNttError::WorkerPanicked { shard: sid }),
+                secs: 0.0,
+                quarantined: ladder,
+                report: RecoveryReport {
+                    faults_detected: 1,
+                    worker_panics: 1,
+                    ..RecoveryReport::default()
+                },
+            });
+            (sid, outcome)
+        };
+        let mut outcomes: Vec<(usize, ShardOutcome)> = Vec::new();
+        if workers.len() == 1 {
+            // One worker (e.g. a one-chunk wave): run it on the calling
+            // thread instead of paying a spawn, contained the same way.
+            let (sid, ctx) = workers.pop().expect("exactly one worker");
+            outcomes.push(contain(
+                sid,
+                catch_unwind(AssertUnwindSafe(|| run_worker(ctx))),
+            ));
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = workers
+                    .into_iter()
+                    .map(|(sid, ctx)| (sid, scope.spawn(move || run_worker(ctx))))
+                    .collect();
+                for (sid, h) in handles {
+                    outcomes.push(contain(sid, h.join()));
+                }
+            });
+        }
         // Restore the wave policy on canary shards before any early
         // return (the leash is per-wave, the policy field is persistent).
         for (sid, shard) in self.shards.iter_mut().enumerate() {

@@ -11,8 +11,8 @@
 //!    reference-exact result or fails with a typed error.
 
 use bpntt_core::{
-    BpNtt, BpNttConfig, BpNttError, ExecMode, FaultPlan, Layout, PipelineSpec, RecoveryOptions,
-    ShardedBpNtt, VerifyPolicy,
+    BpNtt, BpNttConfig, BpNttError, ExecMode, FaultPlan, Layout, NttService, PipelineSpec,
+    RecoveryOptions, ServiceOptions, ShardedBpNtt, VerifyPolicy,
 };
 use bpntt_modmath::ModMathError;
 use bpntt_ntt::forward::ntt_in_place;
@@ -385,6 +385,60 @@ fn fault_drill_hard_fault_is_contained_and_typed() {
         laddered.recovery_totals().worker_panics > 0,
         "panic not contained in-ladder"
     );
+}
+
+/// The same hard fault through the service, on one-poly waves: a
+/// one-chunk wave runs its lone worker on the dispatcher thread, so the
+/// containment must hold there too. Ladder off, the request fails typed
+/// with `WorkerPanicked`; ladder armed, the retry absorbs it. Either
+/// way the dispatcher survives (no respawn, nothing else failed) and
+/// answers the next request.
+#[test]
+fn fault_drill_hard_fault_on_inline_service_wave_is_contained() {
+    let plan = FaultPlan::seeded(41).hard_fault_at(40);
+    let poly = pseudo(50);
+    let expect = forward_reference(&poly);
+
+    let bare = NttService::start(
+        &drill_config(),
+        ServiceOptions {
+            fault_plan: Some(plan.clone()),
+            ..ServiceOptions::default()
+        },
+    )
+    .unwrap();
+    let r = bare.submit_forward(poly.clone()).unwrap().wait();
+    assert!(
+        matches!(r, Err(BpNttError::WorkerPanicked { .. })),
+        "expected WorkerPanicked, got {r:?}"
+    );
+    assert_eq!(
+        bare.submit_forward(poly.clone()).unwrap().wait().unwrap(),
+        expect
+    );
+    let m = bare.shutdown();
+    assert_eq!((m.completed, m.failed, m.respawns), (1, 1, 0));
+
+    let armed = NttService::start(
+        &drill_config(),
+        ServiceOptions {
+            verify: VerifyPolicy::Full,
+            retry_budget: 2,
+            fault_plan: Some(plan),
+            ..ServiceOptions::default()
+        },
+    )
+    .unwrap();
+    for _ in 0..2 {
+        assert_eq!(
+            armed.submit_forward(poly.clone()).unwrap().wait().unwrap(),
+            expect
+        );
+    }
+    let m = armed.shutdown();
+    assert_eq!((m.completed, m.failed, m.respawns), (2, 0, 0));
+    assert!(m.faults_detected > 0, "the hard fault never fired");
+    assert_eq!(m.fallback_polys, 0, "a retry, not the fallback, absorbs it");
 }
 
 proptest! {
