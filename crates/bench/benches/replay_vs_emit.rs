@@ -1,13 +1,12 @@
-//! The compile-once/replay-many win: per-call emission vs cached-program
-//! replay vs sharded replay, on 256-point Dilithium forward NTTs
-//! (24-bit tiles, modulus 8 380 417).
+//! The compile-once/replay-many win: per-call generic emission
+//! (`ExecMode::Generic`) vs cached-program replay vs sharded replay, on
+//! 256-point Dilithium forward NTTs (24-bit tiles, modulus 8 380 417).
 //!
-//! The array-width sweep shows the structural behaviour: emission pays a
-//! fixed per-instruction cost (code generation, cost-model evaluation,
-//! validation) on top of the shared word-level row arithmetic, so the
-//! replay advantage is largest on narrow arrays and tapers as the row
-//! width (and with it the shared arithmetic) grows: ≳4× at 2 lanes,
-//! ≳3× through 6 lanes, ~2.5× at the paper's full 256-column geometry.
+//! Emission pays a per-instruction cost (code generation, cost-model
+//! evaluation, validation) and runs every instruction generically;
+//! replay runs the same stream as fused word-engine superops. The
+//! `bench_replay` bin records the resulting ratio per geometry in
+//! `BENCH_replay.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -47,7 +46,7 @@ fn bench_replay_vs_emit(c: &mut Criterion) {
         let mut emit = BpNtt::new(cfg.clone()).unwrap();
         emit.load_batch(&batch).unwrap();
         g.bench_function(format!("emit_per_call/{cols}cols_{lanes}lanes"), |b| {
-            b.iter(|| emit.forward_mode(ExecMode::FusedEmit).unwrap());
+            b.iter(|| emit.forward_mode(ExecMode::Generic).unwrap());
         });
 
         let mut replay = BpNtt::new(cfg.clone()).unwrap();

@@ -17,14 +17,12 @@
 //!   `BENCH_replay.json`).
 //!
 //! Measurements are best-of-N interleaved wall-clock times on whatever
-//! machine runs this (the container is a single-core VM; treat absolute
-//! numbers as indicative and the emit/replay ratios as the signal).
-//! `emit_ms` is strictly per-instruction emission
+//! machine runs this (the JSON records its `available_parallelism`;
+//! treat absolute numbers as indicative and the emit/replay ratios as
+//! the signal). `emit_ms` is strictly per-instruction emission
 //! (`forward_mode(ExecMode::Generic)`) — the same baseline every prior
-//! PR's trajectory used — and `speedup` keeps its historical meaning of
-//! replay vs that baseline; `emit_fused_ms` is the fused emission path
-//! (`ExecMode::FusedEmit`, which routes the generated stream through
-//! the replay executors). Each config also reports the compiled forward
+//! trajectory used — and `speedup` is replay vs that baseline. Each
+//! config also reports the compiled forward
 //! program's fused epilogue-superop count and the replay run's
 //! fast-path coverage counters, so "the fast path silently stopped
 //! firing" is visible in the JSON rather than a bench-regression
@@ -158,21 +156,16 @@ fn main() {
         let fused_epilogue = replay.compiled_forward().unwrap().fused_epilogues();
 
         // Interleaved best-of to suppress machine noise: generic
-        // emission (the trajectory baseline), fused emission, replay.
+        // emission (the trajectory baseline) vs replay.
         let mut be = f64::MAX;
-        let mut bf = f64::MAX;
         let mut br = f64::MAX;
         for _ in 0..8 {
             be = be.min(best_of(1, 3, || {
                 emit.forward_mode(ExecMode::Generic).unwrap();
             }));
-            bf = bf.min(best_of(1, 3, || {
-                emit.forward_mode(ExecMode::FusedEmit).unwrap();
-            }));
             br = br.min(best_of(1, 3, || replay.forward().unwrap()));
         }
-        // Fast-path coverage of one replay call (the counters replay and
-        // fused emission produce are asserted equal by the test suite).
+        // Fast-path coverage of one replay call.
         replay.reset_stats();
         replay.forward().unwrap();
         let fp = *replay.fastpath_stats();
@@ -182,12 +175,10 @@ fn main() {
         first = false;
         let _ = write!(
             json,
-            "    {{\"cols\": {cols}, \"lanes\": {lanes}, \"emit_ms\": {:.3}, \"emit_fused_ms\": {:.3}, \"replay_ms\": {:.3}, \"speedup\": {:.2}, \"fused_emit_speedup\": {:.2}, \"fused_epilogue\": {fused_epilogue}, \"fastpath\": {{\"chains_resident\": {}, \"chains_per_step\": {}, \"resolve_loops_resident\": {}, \"borrow_loops_resident\": {}, \"superops_fused\": {}, \"fallbacks\": {}}}}}",
+            "    {{\"cols\": {cols}, \"lanes\": {lanes}, \"emit_ms\": {:.3}, \"replay_ms\": {:.3}, \"speedup\": {:.2}, \"fused_epilogue\": {fused_epilogue}, \"fastpath\": {{\"chains_resident\": {}, \"chains_per_step\": {}, \"resolve_loops_resident\": {}, \"borrow_loops_resident\": {}, \"superops_fused\": {}, \"fallbacks\": {}}}}}",
             be * 1e3,
-            bf * 1e3,
             br * 1e3,
             be / br,
-            be / bf,
             fp.chains_resident,
             fp.chains_per_step,
             fp.resolve_loops_resident,
@@ -196,19 +187,17 @@ fn main() {
             fp.fallbacks
         );
         println!(
-            "cols={cols} lanes={lanes}: emit {:.2} ms, fused-emit {:.2} ms, replay {:.2} ms, speedup {:.2}x (fused emit {:.2}x), {fused_epilogue} fused epilogues, fastpath[{fp}]",
+            "cols={cols} lanes={lanes}: emit {:.2} ms, replay {:.2} ms, speedup {:.2}x, {fused_epilogue} fused epilogues, fastpath[{fp}]",
             be * 1e3,
-            bf * 1e3,
             br * 1e3,
             be / br,
-            be / bf,
         );
     }
     json.push_str("\n  ],\n");
 
     // ---- pipeline A/B: the op-graph API vs the retained fixed-shape
     // polymul, interleaved in-process (the only trustworthy signal on a
-    // noisy single-core box), on a polymul-capable geometry.
+    // noisy shared machine), on a polymul-capable geometry.
     {
         let params = NttParams::new(256, 8_380_417).unwrap();
         let cfg = BpNttConfig::new(518, 256, 24, params.clone()).unwrap();
@@ -523,7 +512,7 @@ fn main() {
 
     let _ = write!(
         json,
-        "  \"note\": \"wall-clock best-of on the build machine; emit_ms is strictly per-instruction emission (the historical baseline), emit_fused_ms routes emission through the fused replay executors; available_parallelism={parallelism}, so shard threads serialize when 1 and flat polys_per_sec scaling is expected\",\n  \"available_parallelism\": {parallelism},\n  \"simd_active\": {}\n}}\n",
+        "  \"note\": \"wall-clock best-of on the build machine; emit_ms is strictly per-instruction emission (the historical baseline); available_parallelism={parallelism}, so shard threads serialize when 1 and flat polys_per_sec scaling is expected\",\n  \"available_parallelism\": {parallelism},\n  \"simd_active\": {}\n}}\n",
         bpntt_sram::simd_active()
     );
     std::fs::write(&opts.json_out, &json).expect("write benchmark JSON");

@@ -359,8 +359,8 @@ fn slowloris(addr: std::net::SocketAddr, hold: Duration) {
 
 fn main() {
     let mut opts = parse_args();
-    // Same 64-point Kyber-class workload as bench_service: 134 rows,
-    // 14-bit tiles in 256 columns → 18 lanes per shard.
+    // 64-point Kyber-class workload: 134 rows, 14-bit tiles in 256
+    // columns → 18 lanes per shard.
     let params = NttParams::new(64, 7681).unwrap();
     let cfg = BpNttConfig::new(134, 256, 14, params.clone()).unwrap();
     let twiddles = TwiddleTable::new(&params);

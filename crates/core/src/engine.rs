@@ -19,7 +19,7 @@
 //! conversions, per-instruction validation, and cost-model evaluation,
 //! while producing bit-identical array contents and bit-identical
 //! [`Stats`] to direct emission
-//! (see [`BpNtt::forward_mode`] with [`ExecMode::FusedEmit`]). The
+//! (see [`BpNtt::forward_mode`] with [`ExecMode::Generic`]). The
 //! compiled stream runs almost entirely as fused word-engine superops —
 //! multiplier chains, resolution loops, and the butterfly epilogues
 //! (`CompiledProgram::fused_epilogues` counts the latter) — which the
@@ -30,11 +30,10 @@
 //! shards behind an `Arc`.
 //!
 //! Every schedule executes under an explicit [`ExecMode`]: `Replay`
-//! (compiled programs, the production path), `FusedEmit` (per-call code
-//! generation streamed through a [`FusedSink`] into the same fused
-//! word-engine executors), or `Generic` (strictly per-instruction
-//! emission — the ground truth the equivalence proptests pin the other
-//! two against, and the denominator of the replay-speedup trajectory).
+//! (compiled programs, the production path) or `Generic` (strictly
+//! per-instruction emission — the oracle the equivalence proptests pin
+//! replay against, and the denominator of the replay-speedup
+//! trajectory).
 //! The former `forward`/`forward_uncached`/`forward_uncached_generic`
 //! triplicate collapsed into [`BpNtt::forward_mode`] /
 //! [`BpNtt::inverse_mode`]; the deprecated `*_uncached` shim names were
@@ -78,8 +77,8 @@ use bpntt_modmath::montgomery::MontCtx;
 use bpntt_modmath::zq::mul_mod;
 use bpntt_ntt::TwiddleTable;
 use bpntt_sram::{
-    BitRow, CompiledProgram, Controller, FastPathStats, FaultPlan, FaultStats, FusedSink,
-    InstrSink, Instruction, PredMode, Recorder, RowAddr, ShiftDir, SramArray, Stats, UnaryKind,
+    BitRow, CompiledProgram, Controller, FastPathStats, FaultPlan, FaultStats, InstrSink,
+    Instruction, PredMode, Recorder, RowAddr, ShiftDir, SramArray, Stats, UnaryKind,
 };
 
 /// Cache key for one compiled schedule. Public because the
@@ -947,20 +946,12 @@ impl BpNtt {
     }
 
     /// Runs one schedule under an execution mode: replay the cached
-    /// compiled program, emit through the fused executors, or emit
-    /// strictly per-instruction.
+    /// compiled program, or emit strictly per-instruction.
     fn run_key(&mut self, key: ProgramKey, mode: ExecMode) -> Result<(), BpNttError> {
         match mode {
             ExecMode::Replay => {
                 let prog = self.program(key)?;
                 self.ctl.run_compiled(&prog)?;
-                Ok(())
-            }
-            ExecMode::FusedEmit => {
-                let em = Emitter::of(&self.kernels, &self.config, &self.twiddles, &self.mont);
-                let mut sink = FusedSink::new(&mut self.ctl);
-                em.emit_key(&mut sink, key)?;
-                sink.finish()?;
                 Ok(())
             }
             ExecMode::Generic => {
@@ -1098,7 +1089,7 @@ impl BpNtt {
     /// Forward NTT under an explicit [`ExecMode`] — the single
     /// implementation behind the former `forward` /
     /// `forward_uncached` / `forward_uncached_generic` triplicate.
-    /// All three modes produce bit-identical rows and bit-identical
+    /// Both modes produce bit-identical rows and bit-identical
     /// [`Stats`] (enforced by the equivalence proptests); they differ
     /// only in how the instruction stream is produced and executed.
     ///
@@ -1370,10 +1361,9 @@ mod tests {
 
     #[test]
     fn cached_replay_matches_uncached_emission() {
-        // Same data, three engines: replay, fused emission, and strictly
-        // per-instruction emission — bit-identical outputs and
-        // bit-identical statistics (including the f64 energy) across all
-        // three.
+        // Same data, two engines: replay and strictly per-instruction
+        // emission — bit-identical outputs and bit-identical statistics
+        // (including the f64 energy).
         for (n, q, rows, cols, bw) in [
             (8usize, 97u64, 16usize, 32usize, 8usize),
             (16, 97, 16, 32, 8),
@@ -1390,12 +1380,6 @@ mod tests {
             replayed.forward().unwrap();
             replayed.inverse().unwrap();
 
-            let mut emitted = mk();
-            emitted.load_batch(&polys).unwrap();
-            emitted.reset_stats();
-            emitted.forward_mode(ExecMode::FusedEmit).unwrap();
-            emitted.inverse_mode(ExecMode::FusedEmit).unwrap();
-
             let mut generic = mk();
             generic.load_batch(&polys).unwrap();
             generic.reset_stats();
@@ -1403,23 +1387,18 @@ mod tests {
             generic.inverse_mode(ExecMode::Generic).unwrap();
 
             // Snapshot stats before read_batch (reads are costed).
-            let (rs, es, gs) = (*replayed.stats(), *emitted.stats(), *generic.stats());
-            let out_e = emitted.read_batch(lanes).unwrap();
-            assert_eq!(replayed.read_batch(lanes).unwrap(), out_e, "n={n}");
-            assert_eq!(out_e, generic.read_batch(lanes).unwrap(), "n={n} (generic)");
-            assert_eq!(rs.cycles, es.cycles, "n={n}");
-            assert_eq!(rs.counts, es.counts, "n={n}");
-            assert_eq!(rs.row_loads, es.row_loads, "n={n}");
-            assert_eq!(rs.energy_pj.to_bits(), es.energy_pj.to_bits(), "n={n}");
-            assert_eq!(es.cycles, gs.cycles, "n={n} (generic)");
-            assert_eq!(es.counts, gs.counts, "n={n} (generic)");
+            let (rs, gs) = (*replayed.stats(), *generic.stats());
             assert_eq!(
-                es.energy_pj.to_bits(),
-                gs.energy_pj.to_bits(),
-                "n={n} (generic)"
+                replayed.read_batch(lanes).unwrap(),
+                generic.read_batch(lanes).unwrap(),
+                "n={n}"
             );
-            // The fused paths fired, the generic baseline never does.
-            assert!(emitted.fastpath_stats().hits() > 0, "n={n}");
+            assert_eq!(rs.cycles, gs.cycles, "n={n}");
+            assert_eq!(rs.counts, gs.counts, "n={n}");
+            assert_eq!(rs.row_loads, gs.row_loads, "n={n}");
+            assert_eq!(rs.energy_pj.to_bits(), gs.energy_pj.to_bits(), "n={n}");
+            // Replay's fast paths fired, the generic baseline never does.
+            assert!(replayed.fastpath_stats().hits() > 0, "n={n}");
             assert_eq!(generic.fastpath_stats().hits(), 0, "n={n}");
         }
     }

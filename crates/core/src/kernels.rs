@@ -37,14 +37,10 @@
 //! resolution-round bodies, and the butterfly epilogues (the carry-save
 //! and borrow-save initiators, `cond_sub_q`'s conditional copy,
 //! `add_mod`'s conditional select, `sub_mod`'s sign-fix) — and lowers
-//! each to a single-pass word-engine superop. The *emit path is bound by
-//! the same contract*: `ExecMode::FusedEmit` streams these emissions
-//! through `bpntt_sram::FusedSink`, which runs the identical matchers
-//! online (same shapes, same order, same chain accumulation) and
-//! executes matched groups through the fused executors. Reordering or
-//! reshaping an emission here silently degrades *both* replay and fused
-//! emission to the generic path (it stays correct — equivalence
-//! proptests still pass — but the benchmarks regress and the fast-path
+//! each to a single-pass word-engine superop. Reordering or reshaping an
+//! emission here silently degrades replay to the generic path (it stays
+//! correct — the replay ≡ `ExecMode::Generic` equivalence proptests
+//! still pass — but the benchmarks regress and the fast-path
 //! coverage counters `FastPathStats` drop to zero, which the CI
 //! coverage assertion catches); update the matchers alongside any
 //! change. Pipeline segments (`bpntt_core::pipeline`) compile each op

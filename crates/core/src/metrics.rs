@@ -173,7 +173,7 @@ impl TenantMetrics {
 /// ([`NttService`](crate::NttService)): queue pressure, wave coalescing
 /// efficiency, throughput, per-shard wall-clock percentiles, and the
 /// cross-tenant compiled-program cache. Exportable as JSON for scrapers
-/// and the `bench_service` trajectory file, and as Prometheus text
+/// and the `loadgen` trajectory file, and as Prometheus text
 /// format ([`Self::to_prometheus`]) for pull-based monitoring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceMetrics {

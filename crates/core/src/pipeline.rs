@@ -62,18 +62,13 @@
 //! # Execution modes
 //!
 //! Every pipeline (and every legacy entry point) executes under one of
-//! three [`ExecMode`]s — the former `forward`/`forward_uncached`/
-//! `forward_uncached_generic` triplicate collapsed into a parameter:
+//! two [`ExecMode`]s:
 //!
 //! * [`ExecMode::Replay`] — replay the cached compiled segments (the
 //!   production path: no codegen, no validation, no per-instruction cost
 //!   evaluation).
-//! * [`ExecMode::FusedEmit`] — per-call code generation streamed through
-//!   the online [`FusedSink`](bpntt_sram::FusedSink) matchers into the
-//!   same fused word-engine executors replay uses.
 //! * [`ExecMode::Generic`] — strictly per-instruction emission, the
-//!   ground-truth baseline the equivalence proptests pin the other two
-//!   against.
+//!   oracle the equivalence proptests pin replay against.
 //!
 //! # Backends
 //!
@@ -114,17 +109,14 @@ pub enum ExecMode {
     /// Replay the cached compiled program(s) — the production path.
     #[default]
     Replay,
-    /// Per-call code generation through the fused word-engine executors
-    /// ([`FusedSink`](bpntt_sram::FusedSink)).
-    FusedEmit,
     /// Per-call code generation with strictly per-instruction execution —
     /// the equivalence ground truth and historical bench baseline.
     Generic,
 }
 
 impl ExecMode {
-    /// All three modes, for equivalence sweeps.
-    pub const ALL: [ExecMode; 3] = [ExecMode::Replay, ExecMode::FusedEmit, ExecMode::Generic];
+    /// Both modes, for equivalence sweeps.
+    pub const ALL: [ExecMode; 2] = [ExecMode::Replay, ExecMode::Generic];
 }
 
 /// One node of a pipeline op-graph. Slots are on-array operand regions:

@@ -484,7 +484,7 @@ pub struct PipelineRequest {
     /// request's result *is* the output read-back.
     pub spec: PipelineSpec,
     /// Execution mode (defaults to [`ExecMode::Replay`], the production
-    /// path; the emit modes exist for equivalence auditing).
+    /// path; [`ExecMode::Generic`] exists for equivalence auditing).
     pub mode: ExecMode,
     /// One polynomial per input slot the spec declares.
     pub inputs: Vec<Vec<u64>>,

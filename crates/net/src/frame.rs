@@ -16,7 +16,7 @@
 //!
 //! | kind | name      | body |
 //! |------|-----------|------|
-//! | 1    | `Submit`  | tenant `u32` (`0xFFFF_FFFF` = default) · mode `u8` · deadline `u32` ms (0 = none) · op count `u16` + tagged ops · input count `u8` + slots · output flag `u8` (+ slot) · n `u32` · one `n × u64` polynomial per input |
+//! | 1    | `Submit`  | tenant `u32` (`0xFFFF_FFFF` = default) · mode `u8` (0 replay, 2 generic) · deadline `u32` ms (0 = none) · op count `u16` + tagged ops · input count `u8` + slots · output flag `u8` (+ slot) · n `u32` · one `n × u64` polynomial per input |
 //! | 2    | `MetricsJson` | empty |
 //! | 3    | `MetricsProm` | empty |
 //! | 4    | `Ping`    | empty |
@@ -388,7 +388,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             out.extend_from_slice(&sub.tenant.unwrap_or(TENANT_DEFAULT).to_le_bytes());
             out.push(match sub.mode {
                 ExecMode::Replay => 0,
-                ExecMode::FusedEmit => 1,
                 ExecMode::Generic => 2,
             });
             out.extend_from_slice(&sub.deadline_ms.to_le_bytes());
@@ -439,7 +438,6 @@ pub fn decode_request(payload: &[u8], limits: &FrameLimits) -> Result<Request, F
             };
             let mode = match cur.u8()? {
                 0 => ExecMode::Replay,
-                1 => ExecMode::FusedEmit,
                 2 => ExecMode::Generic,
                 mode => return Err(FrameError::BadMode { mode }),
             };

@@ -183,8 +183,8 @@ impl Controller {
     }
 
     /// Installs a [`FaultPlan`], replacing any existing one. Faults are
-    /// applied at instruction-batch boundaries on every execution path
-    /// (replay, fused emission, generic emission) and at every costed
+    /// applied at instruction-batch boundaries on both execution paths
+    /// (replay and generic emission) and at every costed
     /// data-row load/read; see the [`crate::fault`] module docs for the
     /// fault model and determinism guarantees. Installing an empty plan
     /// still routes execution through the hook, which is the cheap way
@@ -680,48 +680,6 @@ impl Controller {
             acc += e;
         }
         self.stats.energy_pj = acc;
-    }
-
-    /// Accounts one fused instruction group on the *emission* path: live
-    /// cost-model evaluation per instruction, energies added in emission
-    /// order, and the same per-class counters [`Self::apply_instr`] would
-    /// bump — so a fused-emitted group's [`Stats`] are bit-identical to
-    /// executing its instructions one at a time.
-    pub(crate) fn add_emit_group_cost(&mut self, instrs: &[Instruction]) {
-        if !self.costed {
-            // One primary-class count per instruction.
-            self.native_clock += instrs.len() as u64;
-            return;
-        }
-        let cols = self.array.cols();
-        let mut cycles = 0u64;
-        let mut e_acc = self.stats.energy_pj;
-        for i in instrs {
-            cycles += self.timing.cycles(i);
-            e_acc += self.energy.energy_pj(i, cols);
-            self.stats.counts.record(i);
-        }
-        self.stats.energy_pj = e_acc;
-        self.stats.cycles += cycles;
-    }
-
-    /// Builds one fused group's [`GroupCost`](crate::program::GroupCost)
-    /// under the live cost models (the emission-path counterpart of the
-    /// compiler's cost interning), reusing the caller's buffer.
-    pub(crate) fn fill_emit_group_cost(
-        &self,
-        instrs: &[Instruction],
-        gc: &mut crate::program::GroupCost,
-    ) {
-        let cols = self.array.cols();
-        gc.cycles = 0;
-        gc.counts = crate::stats::InstrCounts::default();
-        gc.energy.clear();
-        for i in instrs {
-            gc.cycles += self.timing.cycles(i);
-            gc.energy.push(self.energy.energy_pj(i, cols));
-            gc.counts.record(i);
-        }
     }
 
     // ---- fused superop executors ------------------------------------------

@@ -88,8 +88,6 @@ pub use exec::Controller;
 pub use fault::{FaultPlan, FaultStats};
 pub use geometry::{AreaBreakdown, AreaModel, ArrayGeometry, FrequencyModel};
 pub use isa::{BitOp, Instruction, PredMode, Program, RowAddr, ShiftDir, UnaryKind};
-pub use program::{
-    CompiledProgram, FusedSink, InstrSink, Recorder, ReplayOp, ReplayProgram, ZeroLoopSpec,
-};
+pub use program::{CompiledProgram, InstrSink, Recorder, ReplayOp, ReplayProgram, ZeroLoopSpec};
 pub use stats::{FastPathStats, InstrCounts, Stats};
 pub use wordkern::{force_scalar, simd_active, FastPathKind};

@@ -889,422 +889,6 @@ impl InstrSink for Recorder {
     }
 }
 
-// ---- fused emission -------------------------------------------------------
-
-/// The longest fusable instruction window (the Montgomery halve step).
-const MAX_PATTERN: usize = 7;
-
-/// The row set of a run of matched add-B/halve groups whose execution is
-/// deferred so the whole multiplier chain can run register-resident (the
-/// emission-path counterpart of the compiler's `chain_pass`). The step
-/// and instruction buffers live on the sink and are reused across
-/// chains — a 256-point call flushes ~1024 of them.
-struct PendingChain {
-    sum: u16,
-    carry: u16,
-    t_sum: u16,
-    t_carry: u16,
-    b: Option<u16>,
-    modulus: Option<u16>,
-}
-
-/// An [`InstrSink`] that *executes* like a [`Controller`] but routes the
-/// recorded-shape instruction groups through the same fused word-engine
-/// executors compiled-program replay uses.
-///
-/// Emission used to execute every instruction generically — ~15 generic
-/// instructions per butterfly epilogue plus hundreds per multiplier chain
-/// — while replay ran them as single-pass superops. This sink closes that
-/// gap: it buffers a [`MAX_PATTERN`]-instruction lookahead window, matches
-/// the same shapes the replay compiler's peephole pass matches (in the
-/// same order), accumulates consecutive add-B/halve groups into
-/// register-resident multiplier chains, and executes resolution
-/// [`ZeroLoopSpec`]s through the fused loop executors. Anything
-/// unrecognized — and every fused shape when a tile mask is active —
-/// executes per-instruction, exactly as before.
-///
-/// Rows, predicate latches, the zero flag, and [`crate::Stats`] (including
-/// the floating-point energy accumulation order) are bit-identical to
-/// per-instruction emission; the workspace's word-engine equivalence
-/// proptests pin replay ≡ fused emission ≡ generic emission.
-///
-/// Call [`FusedSink::finish`] when code generation completes — dropping
-/// the sink with instructions still buffered discards them.
-pub struct FusedSink<'c> {
-    ctl: &'c mut Controller,
-    window: Vec<Instruction>,
-    chain: Option<PendingChain>,
-    /// The pending chain's steps (reused buffer).
-    chain_steps: Vec<ChainStep>,
-    /// The pending chain's original instructions in emission order (4 per
-    /// add-B, 7 per halve) — the cost source, and the fallback when the
-    /// chain cannot run fused (reused buffer).
-    chain_instrs: Vec<Instruction>,
-    /// Reused live-model cost buffer for fused resolution loops.
-    round_cost: GroupCost,
-}
-
-impl<'c> FusedSink<'c> {
-    /// Wraps a controller for fused emission.
-    pub fn new(ctl: &'c mut Controller) -> Self {
-        FusedSink {
-            ctl,
-            window: Vec::with_capacity(2 * MAX_PATTERN),
-            chain: None,
-            chain_steps: Vec::new(),
-            chain_instrs: Vec::new(),
-            round_cost: GroupCost {
-                cycles: 0,
-                counts: crate::stats::InstrCounts::default(),
-                energy: Vec::new(),
-            },
-        }
-    }
-
-    /// Executes everything still buffered. Must be called once code
-    /// generation is complete; the controller is only guaranteed to
-    /// reflect the full emitted stream after this returns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults from the deferred instructions.
-    pub fn finish(mut self) -> Result<(), SramError> {
-        self.flush()
-    }
-
-    fn flush(&mut self) -> Result<(), SramError> {
-        while !self.window.is_empty() {
-            self.step()?;
-        }
-        self.flush_chain()
-    }
-
-    /// Consumes one fused group or one generic instruction from the front
-    /// of the window. Matcher order is identical to the replay compiler's
-    /// `lower_into`, so fused emission recognizes exactly the groups
-    /// replay fuses.
-    fn step(&mut self) -> Result<(), SramError> {
-        let w = self.window.as_slice();
-        if let Some(op) = match_halve(w) {
-            self.validate_window(7)?;
-            self.push_chain_halve(op)?;
-            self.window.drain(..7);
-            return Ok(());
-        }
-        if let Some(op) = match_signfix(w) {
-            self.flush_chain()?;
-            self.validate_window(4)?;
-            let fused = self.ctl.exec_signfix(&op);
-            return self.finish_group(4, fused);
-        }
-        if let Some(op) = match_condsel(w) {
-            self.flush_chain()?;
-            self.validate_window(3)?;
-            let fused = self.ctl.exec_condsel(&op);
-            return self.finish_group(3, fused);
-        }
-        if let Some(op) = match_condcopy(w) {
-            self.flush_chain()?;
-            self.validate_window(2)?;
-            let fused = self.ctl.exec_condcopy(&op);
-            return self.finish_group(2, fused);
-        }
-        if let Some(op) = match_addb(w) {
-            self.validate_window(4)?;
-            self.push_chain_addb(op)?;
-            self.window.drain(..4);
-            return Ok(());
-        }
-        if let Some(op) = match_subinit(w) {
-            self.flush_chain()?;
-            self.validate_window(2)?;
-            let fused = self.ctl.exec_subinit(&op);
-            return self.finish_group(2, fused);
-        }
-        if let Some(op) = match_borrow_round(w) {
-            self.flush_chain()?;
-            self.validate_window(3)?;
-            let fused = self.ctl.exec_borrow_round(&op);
-            return self.finish_group(3, fused);
-        }
-        if let Some(op) = match_resolve_round(w) {
-            self.flush_chain()?;
-            self.validate_window(2)?;
-            let fused = self.ctl.exec_resolve_round(&op);
-            return self.finish_group(2, fused);
-        }
-        if let Some(op) = match_csadd(w) {
-            self.flush_chain()?;
-            self.validate_window(1)?;
-            let fused = self.ctl.exec_csadd(&op);
-            return self.finish_group(1, fused);
-        }
-        // Generic: execute the front instruction as emission always has.
-        self.flush_chain()?;
-        let i = self.window.remove(0);
-        self.ctl.execute(&i)
-    }
-
-    fn validate_window(&self, len: usize) -> Result<(), SramError> {
-        for i in &self.window[..len] {
-            self.ctl.validate_instr(i)?;
-        }
-        Ok(())
-    }
-
-    /// Settles a matched group's statistics and window: fused execution
-    /// already happened (costs follow, in emission order); a declined
-    /// fusion (tile mask, aliasing) re-executes per-instruction.
-    fn finish_group(&mut self, len: usize, fused: bool) -> Result<(), SramError> {
-        if fused {
-            self.ctl.add_emit_group_cost(&self.window[..len]);
-        } else {
-            for i in &self.window[..len] {
-                self.ctl.execute(i)?;
-            }
-        }
-        self.window.drain(..len);
-        Ok(())
-    }
-
-    fn push_chain_addb(&mut self, op: AddBOp) -> Result<(), SramError> {
-        let rows = (op.sum, op.carry, op.t_sum, op.t_carry);
-        let extends = self.chain.as_ref().is_some_and(|ch| {
-            (ch.sum, ch.carry, ch.t_sum, ch.t_carry) == rows && ch.b.is_none_or(|x| x == op.b)
-        });
-        if !extends {
-            self.flush_chain()?;
-            self.chain = Some(PendingChain {
-                sum: op.sum,
-                carry: op.carry,
-                t_sum: op.t_sum,
-                t_carry: op.t_carry,
-                b: None,
-                modulus: None,
-            });
-        }
-        let ch = self.chain.as_mut().expect("chain just ensured");
-        ch.b = Some(op.b);
-        self.chain_steps.push(ChainStep::AddB(op.pred));
-        self.chain_instrs.extend_from_slice(&self.window[..4]);
-        Ok(())
-    }
-
-    fn push_chain_halve(&mut self, op: HalveOp) -> Result<(), SramError> {
-        let rows = (op.sum, op.carry, op.t_sum, op.t_carry);
-        let extends = self.chain.as_ref().is_some_and(|ch| {
-            (ch.sum, ch.carry, ch.t_sum, ch.t_carry) == rows
-                && ch.modulus.is_none_or(|x| x == op.modulus)
-        });
-        if !extends {
-            self.flush_chain()?;
-            self.chain = Some(PendingChain {
-                sum: op.sum,
-                carry: op.carry,
-                t_sum: op.t_sum,
-                t_carry: op.t_carry,
-                b: None,
-                modulus: None,
-            });
-        }
-        let ch = self.chain.as_mut().expect("chain just ensured");
-        ch.modulus = Some(op.modulus);
-        self.chain_steps.push(ChainStep::Halve);
-        self.chain_instrs.extend_from_slice(&self.window[..7]);
-        Ok(())
-    }
-
-    /// Executes the pending chain: whole-chain fused when it has both
-    /// operand rows and every row is distinct (the compiler's
-    /// `chain_pass` condition), per-group fused otherwise, with the
-    /// per-instruction fallback when an executor declines.
-    fn flush_chain(&mut self) -> Result<(), SramError> {
-        let Some(ch) = self.chain.take() else {
-            debug_assert!(self.chain_steps.is_empty() && self.chain_instrs.is_empty());
-            return Ok(());
-        };
-        let chainable = self.chain_steps.len() >= 2
-            && ch.b.is_some()
-            && ch.modulus.is_some()
-            && distinct(&[
-                ch.sum,
-                ch.carry,
-                ch.t_sum,
-                ch.t_carry,
-                ch.b.unwrap(),
-                ch.modulus.unwrap(),
-            ]);
-        if chainable
-            && self.ctl.exec_chain(
-                ch.sum,
-                ch.carry,
-                ch.t_sum,
-                ch.t_carry,
-                ch.b.unwrap(),
-                ch.modulus.unwrap(),
-                &self.chain_steps,
-            )
-        {
-            self.ctl.add_emit_group_cost(&self.chain_instrs);
-            self.chain_steps.clear();
-            self.chain_instrs.clear();
-            return Ok(());
-        }
-        // Per-group execution (lone steps, missing operand rows, aliased
-        // rows, or a declined whole-chain run under an active tile mask).
-        let mut off = 0usize;
-        for step in &self.chain_steps {
-            match *step {
-                ChainStep::AddB(pred) => {
-                    let group = &self.chain_instrs[off..off + 4];
-                    let fused = self.ctl.exec_addb(&AddBOp {
-                        sum: ch.sum,
-                        b: ch.b.expect("add-B step implies a b row"),
-                        carry: ch.carry,
-                        t_sum: ch.t_sum,
-                        t_carry: ch.t_carry,
-                        pred,
-                        fallback: (0, 0),
-                    });
-                    if fused {
-                        self.ctl.add_emit_group_cost(group);
-                    } else {
-                        for i in group {
-                            self.ctl.execute(i)?;
-                        }
-                    }
-                    off += 4;
-                }
-                ChainStep::Halve => {
-                    let group = &self.chain_instrs[off..off + 7];
-                    let fused = self.ctl.exec_halve(&HalveOp {
-                        sum: ch.sum,
-                        carry: ch.carry,
-                        t_sum: ch.t_sum,
-                        t_carry: ch.t_carry,
-                        modulus: ch.modulus.expect("halve step implies a modulus row"),
-                        fallback: (0, 0),
-                    });
-                    if fused {
-                        self.ctl.add_emit_group_cost(group);
-                    } else {
-                        for i in group {
-                            self.ctl.execute(i)?;
-                        }
-                    }
-                    off += 7;
-                }
-            }
-        }
-        debug_assert_eq!(off, self.chain_instrs.len());
-        self.chain_steps.clear();
-        self.chain_instrs.clear();
-        Ok(())
-    }
-}
-
-impl InstrSink for FusedSink<'_> {
-    fn emit(&mut self, i: Instruction) -> Result<(), SramError> {
-        self.ctl.fault_tick();
-        self.window.push(i);
-        // Keep a full lookahead window so a short prefix of a long
-        // pattern is never claimed by a shorter matcher (replay lowers
-        // whole segments and sees the same windows).
-        while self.window.len() >= MAX_PATTERN {
-            self.step()?;
-        }
-        Ok(())
-    }
-
-    fn zero_loop(&mut self, spec: ZeroLoopSpec<'_>) -> Result<(), SramError> {
-        self.flush()?;
-        self.ctl.fault_tick();
-        let check = Instruction::CheckZero { src: spec.src };
-        self.ctl.validate_instr(&check)?;
-        let check_cycles = self.ctl.timing_model().cycles(&check);
-        let check_energy = self.ctl.energy_model().energy_pj(&check, self.ctl.cols());
-        // A loop whose body is exactly one carry-resolution round (and no
-        // epilogue) runs fully fused — the same condition the replay
-        // compiler requires for its loop-level fusion.
-        if spec.even_body.len() == 2 && spec.odd_body.len() == 2 && spec.odd_epilogue.is_empty() {
-            if let (Some(re), Some(ro)) = (
-                match_resolve_round(spec.even_body),
-                match_resolve_round(spec.odd_body),
-            ) {
-                if re.s == ro.s && re.c == ro.c && re.c == spec.src.0 {
-                    self.validate_body(spec.even_body)?;
-                    self.ctl
-                        .fill_emit_group_cost(spec.even_body, &mut self.round_cost);
-                    if self
-                        .ctl
-                        .exec_resolve_loop(
-                            re.s,
-                            re.c,
-                            spec.max_checks,
-                            check_cycles,
-                            check_energy,
-                            &self.round_cost,
-                        )
-                        .is_some()
-                    {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        // Borrow-resolution loops: one round per parity, the live row
-        // ping-ponging, the odd-parity epilogue still generic.
-        if spec.even_body.len() == 3 && spec.odd_body.len() == 3 {
-            if let (Some(be), Some(bo)) = (
-                match_borrow_round(spec.even_body),
-                match_borrow_round(spec.odd_body),
-            ) {
-                if be.b == bo.b
-                    && be.b == spec.src.0
-                    && be.s_cur == bo.s_other
-                    && be.s_other == bo.s_cur
-                {
-                    self.validate_body(spec.even_body)?;
-                    self.validate_body(spec.odd_epilogue)?;
-                    self.ctl
-                        .fill_emit_group_cost(spec.even_body, &mut self.round_cost);
-                    if let Some(bodies) = self.ctl.exec_borrow_loop(
-                        be.s_cur,
-                        be.s_other,
-                        be.b,
-                        spec.max_checks,
-                        check_cycles,
-                        check_energy,
-                        &self.round_cost,
-                    ) {
-                        if bodies % 2 == 1 {
-                            for i in spec.odd_epilogue {
-                                self.ctl.execute(i)?;
-                            }
-                        }
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        self.ctl.zero_loop(spec)
-    }
-
-    fn load_row(&mut self, row: RowAddr, data: &BitRow) -> Result<(), SramError> {
-        self.flush()?;
-        self.ctl.load_row(row, data)
-    }
-}
-
-impl FusedSink<'_> {
-    fn validate_body(&self, instrs: &[Instruction]) -> Result<(), SramError> {
-        for i in instrs {
-            self.ctl.validate_instr(i)?;
-        }
-        Ok(())
-    }
-}
-
 /// Control-stream entry: one unit of replay execution.
 ///
 /// Beyond generic instruction runs, the compiler recognizes the four

@@ -42,8 +42,8 @@ impl InstrCounts {
 
     /// Tallies one instruction into its class counter — the single
     /// definition of how instructions map to counters, shared by live
-    /// execution, compiled-program cost interning, and fused emission
-    /// (so the three can never classify differently).
+    /// execution and compiled-program cost interning (so the two can
+    /// never classify differently).
     pub fn record(&mut self, i: &crate::isa::Instruction) {
         use crate::isa::Instruction as I;
         match i {

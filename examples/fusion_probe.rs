@@ -2,7 +2,7 @@
 //! configurations: how much of the compiled stream runs as superops vs
 //! generic instructions, the word-engine fast-path coverage counters
 //! (register-resident chains/loops vs per-step fallbacks), and a
-//! force_scalar A/B of replay and fused-emission wall-clock.
+//! force_scalar A/B of replay and generic-emission wall-clock.
 
 use std::time::Instant;
 
@@ -37,18 +37,14 @@ fn main() {
         acc.forward().unwrap();
         acc.reset_stats();
         acc.forward().unwrap();
-        println!("  replay coverage:     {}", acc.fastpath_stats());
-        acc.reset_stats();
-        acc.forward_mode(ExecMode::FusedEmit).unwrap();
-        println!("  fused-emit coverage: {}", acc.fastpath_stats());
+        println!("  replay coverage: {}", acc.fastpath_stats());
         // In-process A/B: same program, toggled kernel implementation,
-        // interleaved across the three execution paths to cancel
-        // machine drift.
+        // interleaved across both execution paths to cancel machine
+        // drift.
         for (name, scalar) in [("simd", false), ("scalar", true)] {
             bpntt_sram::force_scalar(scalar);
             acc.forward().unwrap();
             let mut best_r = f64::MAX;
-            let mut best_f = f64::MAX;
             let mut best_e = f64::MAX;
             for _ in 0..10 {
                 let t = Instant::now();
@@ -58,19 +54,13 @@ fn main() {
                 best_r = best_r.min(t.elapsed().as_secs_f64() / 3.0);
                 let t = Instant::now();
                 for _ in 0..3 {
-                    acc.forward_mode(ExecMode::FusedEmit).unwrap();
-                }
-                best_f = best_f.min(t.elapsed().as_secs_f64() / 3.0);
-                let t = Instant::now();
-                for _ in 0..3 {
                     acc.forward_mode(ExecMode::Generic).unwrap();
                 }
                 best_e = best_e.min(t.elapsed().as_secs_f64() / 3.0);
             }
             println!(
-                "  [{name}] generic emit = {:.3} ms, fused emit = {:.3} ms, replay = {:.3} ms, replay speedup = {:.2}x",
+                "  [{name}] generic emit = {:.3} ms, replay = {:.3} ms, replay speedup = {:.2}x",
                 best_e * 1e3,
-                best_f * 1e3,
                 best_r * 1e3,
                 best_e / best_r
             );

@@ -2,7 +2,7 @@
 //! backend must produce rows **bit-identical** to the cost-accounted
 //! simulator backend for the same compiled pipelines — across the
 //! Kyber-class (7681), Dilithium (8 380 417), and HE-level
-//! (1 073 738 753) parameter sets, under **all three** [`ExecMode`]s,
+//! (1 073 738 753) parameter sets, under **both** [`ExecMode`]s,
 //! for both canned graphs (polymul and the spectral NTT-domain-cached
 //! product). The native backend's `Stats` must stay frozen at zero (no
 //! cost accounting ran), its outputs must match the software reference,

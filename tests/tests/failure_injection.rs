@@ -186,8 +186,6 @@ fn errors_format_and_chain() {
 // Fault drills
 // ---------------------------------------------------------------------
 
-const MODES: [ExecMode; 3] = [ExecMode::Replay, ExecMode::FusedEmit, ExecMode::Generic];
-
 /// 8-point mod-97 config with polymul capacity.
 fn drill_config() -> BpNttConfig {
     BpNttConfig::new(32, 32, 8, NttParams::new(8, 97).unwrap()).unwrap()
@@ -219,7 +217,7 @@ fn fault_drill_no_corrupted_output_escapes_any_mode() {
     ];
     let polys: Vec<Vec<u64>> = (1u64..=4).map(pseudo).collect();
     let expect: Vec<Vec<u64>> = polys.iter().map(|p| forward_reference(p)).collect();
-    for mode in MODES {
+    for mode in ExecMode::ALL {
         for (name, plan) in &plans {
             let mut acc = BpNtt::new(drill_config()).unwrap();
             acc.set_verify_policy(VerifyPolicy::Full);
@@ -249,7 +247,7 @@ fn fault_drill_no_corrupted_output_escapes_any_mode() {
 fn fault_drill_ladder_recovers_transients_every_mode() {
     let polys: Vec<Vec<u64>> = (10u64..18).map(pseudo).collect();
     let expect: Vec<Vec<u64>> = polys.iter().map(|p| forward_reference(p)).collect();
-    for mode in MODES {
+    for mode in ExecMode::ALL {
         let mut eng = ShardedBpNtt::new(&drill_config(), 2).unwrap();
         eng.set_recovery(RecoveryOptions {
             verify: VerifyPolicy::Full,
@@ -283,7 +281,7 @@ fn fault_drill_ladder_recovers_transients_every_mode() {
 fn fault_drill_persistent_fault_quarantines_then_recovers() {
     let polys: Vec<Vec<u64>> = (20u64..28).map(pseudo).collect();
     let expect: Vec<Vec<u64>> = polys.iter().map(|p| forward_reference(p)).collect();
-    for mode in MODES {
+    for mode in ExecMode::ALL {
         let mut eng = ShardedBpNtt::new(&drill_config(), 2).unwrap();
         eng.set_recovery(RecoveryOptions {
             verify: VerifyPolicy::Full,

@@ -58,7 +58,6 @@ fn build_submit(
         },
         mode: match mode_sel {
             0 => ExecMode::Replay,
-            1 => ExecMode::FusedEmit,
             _ => ExecMode::Generic,
         },
         deadline_ms,
@@ -73,7 +72,7 @@ proptest! {
     /// Every structurally arbitrary submission round-trips exactly.
     #[test]
     fn submit_round_trip(
-        hdr in (0u8..3, 0u32..5, any::<u32>()),
+        hdr in (0u8..2, 0u32..5, any::<u32>()),
         ops in proptest::collection::vec((1u8..=4, 0u8..4, 0u8..4, any::<u64>()), 0..7),
         ins in proptest::collection::vec((0u8..4, any::<u64>()), 0..4),
         tail in ((0u8..2, 0u8..4), 0usize..17),
@@ -89,7 +88,7 @@ proptest! {
     /// silently accepted) — and never panics.
     #[test]
     fn truncation_is_typed(
-        hdr in (0u8..3, 0u32..5, any::<u32>()),
+        hdr in (0u8..2, 0u32..5, any::<u32>()),
         ops in proptest::collection::vec((1u8..=4, 0u8..4, 0u8..4, any::<u64>()), 0..5),
         ins in proptest::collection::vec((0u8..4, any::<u64>()), 1..4),
         tail in ((0u8..2, 0u8..4), 1usize..9),
@@ -170,13 +169,16 @@ fn adversarial_bytes_yield_typed_errors() {
         Err(FrameError::BadKind { kind: 200 })
     );
 
-    // Unknown execution mode (byte 10: after magic+ver+kind+tenant).
-    let mut bad = good.clone();
-    bad[10] = 7;
-    assert_eq!(
-        decode_request(&bad, &limits),
-        Err(FrameError::BadMode { mode: 7 })
-    );
+    // Unknown execution mode (byte 10: after magic+ver+kind+tenant);
+    // code 1 is retired and decodes as unknown.
+    for mode in [1, 7] {
+        let mut bad = good.clone();
+        bad[10] = mode;
+        assert_eq!(
+            decode_request(&bad, &limits),
+            Err(FrameError::BadMode { mode })
+        );
+    }
 
     // Unknown op tag (byte 17: first op after the u16 op count).
     let mut bad = good.clone();

@@ -3,8 +3,8 @@
 //! pre-pipeline `polymul` implementation — bit-identical array rows (all
 //! of them, scratch and constants included) and bit-identical
 //! [`Stats`](bpntt_sram::Stats) (cycles, counts, row I/O, and the
-//! floating-point energy total in its accumulation order) — under **all
-//! three** [`ExecMode`]s, across the Kyber-class (7681), Dilithium
+//! floating-point energy total in its accumulation order) — under
+//! **both** [`ExecMode`]s, across the Kyber-class (7681), Dilithium
 //! (8 380 417), and HE-level (1 073 738 753) parameter sets. A sharded
 //! wave running a compiled pipeline must agree with a single array
 //! processing the same chunks sequentially, and the spectral

@@ -1,9 +1,10 @@
 //! Property tests for the compile-once/replay-many pipeline: a cached
 //! compiled program must be *indistinguishable* from instruction-by-
-//! instruction emission — bit-identical array rows (all of them, scratch
-//! and constants included) and bit-identical [`Stats`] (cycles, counts,
-//! row I/O, and the floating-point energy total) — across random batches
-//! and three cryptographic parameter sets:
+//! instruction emission (`ExecMode::Generic`, the oracle) — bit-identical
+//! array rows (all of them, scratch and constants included) and
+//! bit-identical [`Stats`] (cycles, counts, row I/O, and the
+//! floating-point energy total) — across random batches and three
+//! cryptographic parameter sets:
 //!
 //! * Kyber-class: the original 13-bit Kyber prime 7681, 256 points;
 //! * Dilithium: the 23-bit prime 8 380 417, 256 points;
@@ -44,7 +45,8 @@ fn pseudo_batch(cfg: &BpNttConfig, lanes: usize, seed: u64) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Runs replay and emission side by side and asserts indistinguishability.
+/// Runs replay and generic emission side by side and asserts
+/// indistinguishability.
 fn assert_replay_equivalent(idx: usize, seed: u64, inverse_too: bool) {
     let cfg = config(idx);
     let lanes = cfg.layout().lanes();
@@ -59,11 +61,11 @@ fn assert_replay_equivalent(idx: usize, seed: u64, inverse_too: bool) {
         replayed.inverse().unwrap();
     }
 
-    let mut emitted = BpNtt::new(cfg.clone()).unwrap();
-    emitted.load_batch(&polys).unwrap();
-    emitted.forward_mode(ExecMode::FusedEmit).unwrap();
+    let mut generic = BpNtt::new(cfg.clone()).unwrap();
+    generic.load_batch(&polys).unwrap();
+    generic.forward_mode(ExecMode::Generic).unwrap();
     if inverse_too {
-        emitted.inverse_mode(ExecMode::FusedEmit).unwrap();
+        generic.inverse_mode(ExecMode::Generic).unwrap();
     }
 
     // Every physical row — coefficients, accumulator, temporaries,
@@ -71,7 +73,7 @@ fn assert_replay_equivalent(idx: usize, seed: u64, inverse_too: bool) {
     for r in 0..cfg.rows() {
         prop_assert_eq!(
             replayed.peek_row(r),
-            emitted.peek_row(r),
+            generic.peek_row(r),
             "row {} diverged (params {}, seed {})",
             r,
             idx,
@@ -80,12 +82,12 @@ fn assert_replay_equivalent(idx: usize, seed: u64, inverse_too: bool) {
     }
     // And the statistics must be indistinguishable, including the
     // floating-point energy accumulator (same values, same order).
-    let (rs, es) = (*replayed.stats(), *emitted.stats());
-    prop_assert_eq!(rs.cycles, es.cycles);
-    prop_assert_eq!(rs.counts, es.counts);
-    prop_assert_eq!(rs.row_loads, es.row_loads);
-    prop_assert_eq!(rs.row_stores, es.row_stores);
-    prop_assert_eq!(rs.energy_pj.to_bits(), es.energy_pj.to_bits());
+    let (rs, gs) = (*replayed.stats(), *generic.stats());
+    prop_assert_eq!(rs.cycles, gs.cycles);
+    prop_assert_eq!(rs.counts, gs.counts);
+    prop_assert_eq!(rs.row_loads, gs.row_loads);
+    prop_assert_eq!(rs.row_stores, gs.row_stores);
+    prop_assert_eq!(rs.energy_pj.to_bits(), gs.energy_pj.to_bits());
 }
 
 proptest! {
