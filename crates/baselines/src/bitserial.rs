@@ -269,7 +269,7 @@ impl BitSerialKernel {
 
     /// Simulator statistics so far.
     #[must_use]
-    pub fn stats(&self) -> &Stats {
+    pub fn stats(&self) -> Stats {
         self.ctl.stats()
     }
 

@@ -7,14 +7,14 @@
 //! ship today:
 //!
 //! * [`SimBackend`] — the paper's simulated accelerator: every
-//!   instruction is cost-accounted (cycles, energy, instruction mix) by
-//!   the SRAM controller, producing the bit-identical [`Stats`] the
-//!   equivalence proptests pin. This is the default everywhere and is
+//!   instruction is counted by class by the SRAM controller, which
+//!   prices the counts into the [`Stats`] (cycles, energy, instruction
+//!   mix) the equivalence proptests pin. This is the default everywhere and is
 //!   behaviorally identical to the pre-HAL `BpNtt` stack.
 //! * [`NativeBackend`] — direct execution: the *same* compiled programs
 //!   replay through the same fused word-engine executors with cost
 //!   accounting disabled in the controller, so the per-instruction
-//!   cost-table reads and energy accumulation vanish from the hot loop.
+//!   class counting vanishes from the hot loop.
 //!   No `Stats`, no energy model — the only honest metric is wall clock,
 //!   which is exactly the "fast as the hardware allows" number the
 //!   ROADMAP north-star asks for. Rows are bit-identical to the
@@ -397,7 +397,7 @@ macro_rules! delegate_backend {
     };
 }
 
-delegate_backend!(SimBackend, BackendKind::Sim, |e: &BpNtt| Some(*e.stats()));
+delegate_backend!(SimBackend, BackendKind::Sim, |e: &BpNtt| Some(e.stats()));
 delegate_backend!(NativeBackend, BackendKind::Native, |_: &BpNtt| None);
 
 #[cfg(test)]

@@ -150,7 +150,7 @@ impl Bank {
         for engine in &self.compute {
             let s = engine.stats();
             max_cycles = max_cycles.max(s.cycles);
-            total += *s;
+            total += s;
         }
         total.cycles = max_cycles;
         total

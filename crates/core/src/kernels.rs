@@ -22,7 +22,10 @@
 //! zero detector. That is the *only* data dependence in the instruction
 //! stream, and it is expressed as a structured
 //! [`ZeroLoopSpec`] so a recorded program replays the exact
-//! dynamic trace emission would produce.
+//! dynamic trace emission would produce. `Stats` are integer class
+//! counts; `cost.rs` prices cycles and energy from them on read — so
+//! replay and emission report identical `Stats` whenever they execute
+//! the same trace.
 //!
 //! The multiplier of a modular multiplication is either a compile-time
 //! constant (twiddle factors of a single-lane-per-tile schedule — the

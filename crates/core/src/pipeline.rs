@@ -43,9 +43,10 @@
 //! appended debt-compensation scale). Segment boundaries are exactly op
 //! boundaries — an op never spans two segments and no instruction
 //! reordering crosses an op boundary — so a pipeline execution is
-//! indistinguishable (rows *and* `Stats`, including the f64 energy
-//! accumulation order) from running the constituent fixed-shape entry
-//! points back to back on resident data. Segments are keyed by
+//! indistinguishable (rows *and* `Stats`) from running the constituent
+//! fixed-shape entry points back to back on resident data. `Stats` are
+//! integer class counts; `cost.rs` prices cycles and energy from them on
+//! read. Segments are keyed by
 //! `ProgramKey` in the engine's existing program cache and shared
 //! between pipelines, the legacy entry points, and (behind `Arc`s)
 //! across [`ShardedBpNtt`](crate::ShardedBpNtt) shards and

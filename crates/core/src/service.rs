@@ -2525,17 +2525,23 @@ fn execute_wave(
         }
         let polys: usize = pairs.iter().map(|(_, g)| g.replies.len()).sum();
         let t = Instant::now();
-        std::thread::scope(|scope| {
+        let done = std::thread::scope(|scope| {
             let mut pairs = pairs.into_iter();
             let inline = pairs.next();
-            for (te, group) in pairs {
-                scope.spawn(move || run_group(shared, &mut te.engine, group));
-            }
+            let legs: Vec<_> = pairs
+                .map(|(te, group)| scope.spawn(move || run_group(shared, &mut te.engine, group)))
+                .collect();
+            let mut done = t;
             if let Some((te, group)) = inline {
-                run_group(shared, &mut te.engine, group);
+                done = done.max(run_group(shared, &mut te.engine, group));
             }
+            for leg in legs {
+                let leg_done = leg.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                done = done.max(leg_done);
+            }
+            done
         });
-        record_round(shared, polys, t.elapsed().as_secs_f64());
+        record_round(shared, polys, done.duration_since(t).as_secs_f64());
     }
     // Waves move the health machine too (faults scored, quarantines,
     // canary credit): refresh the published counters and shard states.
@@ -2605,9 +2611,11 @@ fn resolve_pipeline(
     Ok(())
 }
 
-/// Books one fan-out round: its wall-clock time counts toward
-/// `busy_secs` once, however many groups overlapped in it (so busy time
-/// never exceeds wall time), and its `polys` feed one drain-rate EWMA
+/// Books one fan-out round: its wall-clock time, from dispatch until its
+/// last group's results were ready (before any reply went out), counts
+/// toward `busy_secs` once, however many groups overlapped in it. So busy
+/// time never exceeds the wall time a client saw, and its `polys` feed
+/// one drain-rate EWMA
 /// sample — the basis of the `retry_after_ms` hints handed to shed
 /// clients.
 fn record_round(shared: &Shared, polys: usize, secs: f64) {
@@ -2624,8 +2632,9 @@ fn record_round(shared: &Shared, polys: usize, secs: f64) {
 /// Runs one resolved group as a single sharded pipeline call and
 /// resolves every ticket — one leg of a fan-out round (engines are
 /// disjoint across a round, so legs run on scoped threads; all counters
-/// live behind the metrics lock).
-fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) {
+/// live behind the metrics lock). Returns when the group's results were
+/// ready, just before its replies went out.
+fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) -> Instant {
     #[cfg(test)]
     shared.reach_group_hook();
     let capacity = engine.lanes_total().max(1);
@@ -2672,6 +2681,7 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) {
             }
         }
     }
+    let done = Instant::now();
     match result {
         Ok(outs) => {
             debug_assert_eq!(outs.len(), group.replies.len());
@@ -2685,6 +2695,7 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) {
             }
         }
     }
+    done
 }
 
 #[cfg(test)]

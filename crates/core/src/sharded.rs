@@ -570,13 +570,13 @@ impl ShardedBpNtt {
     /// Aggregated simulator statistics over every shard.
     ///
     /// Integer fields (cycles, instruction counts, row loads) are exact
-    /// and independent of scheduling. The `f64` energy accumulator is
-    /// summed in shard order, but work-stealing makes the chunk→shard
-    /// assignment nondeterministic, so the aggregate's last-bit rounding
-    /// can differ run to run on multi-core hosts. The bit-identical
-    /// `Stats` discipline (replay ≡ emit, SIMD ≡ scalar) is a
-    /// *per-engine* invariant and is unaffected — don't compare sharded
-    /// aggregate energy bit-for-bit across runs.
+    /// and independent of scheduling. Each shard's `f64` energy is priced
+    /// from its own counts and summed in shard order, but work-stealing
+    /// makes the chunk→shard assignment nondeterministic, so the
+    /// aggregate's last-bit rounding can differ run to run on multi-core
+    /// hosts. The identical-`Stats` discipline (replay ≡ emit, SIMD ≡
+    /// scalar) is a *per-engine* invariant and is unaffected — don't
+    /// compare sharded aggregate energy bit-for-bit across runs.
     ///
     /// On the [`BackendKind::Native`] backend no shard models cost, so
     /// the aggregate is all zeros — wall clock

@@ -84,7 +84,7 @@ pub fn serial_vs_parallel(w: usize, q: u64) -> Result<SerialParallelComparison, 
     ctl.reset_stats();
     kernels.modmul_const(&mut ctl, bpntt_sram::RowAddr(0), q / 3)?;
     kernels.finish_modmul(&mut ctl)?;
-    let bp = *ctl.stats();
+    let bp = ctl.stats();
 
     // Bit-serial: same multiplication across 256 columns.
     let mut bs = BitSerialKernel::new(256, w, q)?;
@@ -92,7 +92,7 @@ pub fn serial_vs_parallel(w: usize, q: u64) -> Result<SerialParallelComparison, 
     bs.load_operands(&operands);
     bs.reset_stats();
     bs.modmul_const(q / 3)?;
-    let bss = *bs.stats();
+    let bss = bs.stats();
 
     Ok(SerialParallelComparison {
         width: w,

@@ -129,7 +129,7 @@ pub fn run_synthetic_forward(
         }
         len /= 2;
     }
-    let stats = *ctl.stats();
+    let stats = ctl.stats();
     Ok(SweepPoint {
         label: format!("{bitwidth}b/{n}pt"),
         bitwidth,
@@ -208,7 +208,7 @@ pub fn run_real_forward(
     acc.load_batch(&polys)?;
     acc.reset_stats();
     acc.forward()?;
-    let stats = *acc.stats();
+    let stats = acc.stats();
     Ok(SweepPoint {
         label: format!("{bitwidth}b/{n}pt"),
         bitwidth,

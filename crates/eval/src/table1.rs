@@ -46,7 +46,7 @@ pub fn measure_bp_ntt(
     acc.reset_stats(); // measure the transform, not the data loading
     acc.forward()?;
     let report = PerfReport::from_stats(
-        acc.stats(),
+        &acc.stats(),
         lanes,
         geometry,
         &AreaModel::cmos_45nm(),

@@ -7,8 +7,14 @@
 //! (256×256 array, 16-bit coefficients, 256-point NTT → 61.9 µs @ 3.8 GHz
 //! and 69.4 nJ per batch; see `EXPERIMENTS.md` for the calibration run) and
 //! derive every sweep and comparison from simulated instruction counts.
+//!
+//! `Stats` are integer class counts; [`TimingModel::price`] and
+//! [`EnergyModel::price`] price cycles and energy from them on read. The
+//! per-instruction [`TimingModel::cycles`] and [`EnergyModel::energy_pj`]
+//! state the same costs one instruction at a time.
 
 use crate::isa::Instruction;
+use crate::stats::InstrCounts;
 
 /// Cycles charged per instruction class.
 ///
@@ -90,6 +96,21 @@ impl TimingModel {
             }
         }
     }
+
+    /// Cycles for `counts` executed instructions plus `row_io` data-row
+    /// loads/stores: exactly the sum of [`Self::cycles`] over the
+    /// instructions plus `row_io × self.row_io`.
+    #[must_use]
+    pub fn price(&self, counts: &InstrCounts, row_io: u64) -> u64 {
+        counts.check * self.check
+            + counts.check_zero * self.check_zero
+            + counts.mask * self.mask
+            + counts.unary * self.unary
+            + counts.shift * self.shift
+            + counts.binary * self.binary
+            + counts.second_writebacks * self.second_writeback
+            + row_io * self.row_io
+    }
 }
 
 impl Default for TimingModel {
@@ -164,6 +185,30 @@ impl EnergyModel {
     #[must_use]
     pub fn row_io_pj(&self, cols: usize) -> f64 {
         self.row_io_fj_per_col * cols as f64 / 1000.0
+    }
+
+    /// Energy in picojoules for `counts` executed instructions plus
+    /// `row_io` data-row loads/stores on a `cols`-wide array. Each
+    /// instruction class is priced at the per-instruction
+    /// [`Self::energy_pj`] value of its kind, times its count, so the
+    /// result equals the sum of `energy_pj` over the instructions up to
+    /// floating-point rounding.
+    #[must_use]
+    pub fn price(&self, counts: &InstrCounts, row_io: u64, cols: usize) -> f64 {
+        let c = cols as f64;
+        let read1 = self.sense_single_fj_per_col * c;
+        let read2 = self.sense_fj_per_col * c;
+        let write = self.write_fj_per_col * c;
+        let ctl = self.control_fj;
+        let n = |k: u64| k as f64;
+        let fj = n(counts.check + counts.check_zero) * (read1 + ctl)
+            + n(counts.mask) * ctl
+            + n(counts.unary - counts.unary_zero) * (read1 + write + ctl)
+            + n(counts.unary_zero) * (write + ctl)
+            + n(counts.shift) * (read1 + write + ctl)
+            + n(counts.binary - counts.second_writebacks) * (read2 + write + ctl)
+            + n(counts.second_writebacks) * (read2 + 2.0 * write + ctl);
+        fj / 1000.0 + n(row_io) * self.row_io_pj(cols)
     }
 }
 

@@ -1,5 +1,7 @@
 //! The controller: executes BP-NTT instructions against an [`SramArray`],
 //! maintaining per-tile predicates, the tile write mask, and run statistics.
+//! `Stats` are integer class counts; `cost.rs` prices cycles and energy
+//! from them on read.
 
 use crate::array::SramArray;
 use crate::bitrow::BitRow;
@@ -7,15 +9,16 @@ use crate::cost::{EnergyModel, TimingModel};
 use crate::error::SramError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::isa::{BitOp, Instruction, PredMode, Program, ShiftDir, UnaryKind};
-use crate::stats::{FastPathStats, Stats};
+use crate::stats::{FastPathStats, InstrCounts, Stats};
 use crate::wordkern::FastPathKind;
 
 /// Executes instructions against one SRAM subarray.
 ///
 /// The controller models the CTRL/CMD subarray of Fig. 4(b): it decodes
 /// instruction words, drives the two wordline decoders, latches per-tile
-/// predicates from `Check`, holds the tile write mask, and accounts cycles
-/// and energy per the configured models.
+/// predicates from `Check`, holds the tile write mask, and counts executed
+/// instructions by class; [`Self::stats`] prices the counts into cycles and
+/// energy under the configured models.
 ///
 /// # Example
 ///
@@ -55,10 +58,16 @@ pub struct Controller {
     zero_flag: bool,
     timing: TimingModel,
     energy: EnergyModel,
-    stats: Stats,
+    /// Executed instructions by class (the costed instruction clock is
+    /// `counts.total()`).
+    counts: InstrCounts,
+    /// Data rows loaded through the normal SRAM port.
+    row_loads: u64,
+    /// Data rows read out through the normal SRAM port.
+    row_stores: u64,
     /// Fast-path coverage telemetry (see [`FastPathStats`]); deliberately
     /// outside [`Stats`] so execution strategy never enters the
-    /// replay≡emission bit-identity contract.
+    /// replay≡emission identity contract.
     fastpath: FastPathStats,
     /// How this geometry executes fused chains and resolution loops —
     /// decided once from the padded row width (compiled programs record
@@ -89,13 +98,13 @@ pub struct Controller {
     /// Installed fault-injection state ([`crate::fault`]); `None` in
     /// normal operation, where the per-batch hook is one pointer test.
     fault: Option<Box<FaultState>>,
-    /// When `false` every cost primitive — cycles, energy, instruction
-    /// counts, row-I/O stats — is skipped and [`Self::native_clock`]
+    /// When `false` every cost primitive — instruction counts and row-I/O
+    /// stats — is skipped and [`Self::native_clock`]
     /// advances instead. This is the native direct-execution backend's
     /// mode: same rows, same fault hooks, no cost model. Default `true`.
     costed: bool,
     /// The uncosted instruction clock: advanced by exactly the amounts
-    /// `Stats::counts.total()` would grow under cost accounting, so an
+    /// `counts.total()` would grow under cost accounting, so an
     /// installed [`FaultPlan`] fires at identical instruction clocks in
     /// both modes (the clock the fault module addresses campaigns by).
     native_clock: u64,
@@ -144,7 +153,9 @@ impl Controller {
             zero_flag: false,
             timing: TimingModel::paper(),
             energy: EnergyModel::cmos_45nm(),
-            stats: Stats::default(),
+            counts: InstrCounts::default(),
+            row_loads: 0,
+            row_stores: 0,
             fastpath: FastPathStats::default(),
             fast_path: FastPathKind::for_words(n_words),
             scratch_a: BitRow::zero(cols),
@@ -225,7 +236,7 @@ impl Controller {
     fn fault_tick_slow(&mut self) {
         // Exactly one addend is ever nonzero: the two clocks advance by
         // the same increments, but only the active mode's clock moves.
-        let now = self.stats.counts.total() + self.native_clock;
+        let now = self.counts.total() + self.native_clock;
         let rows = self.array.rows();
         let cols = self.array.cols();
         let Some(state) = self.fault.as_mut() else {
@@ -275,11 +286,13 @@ impl Controller {
     }
 
     /// Replaces the timing model (e.g. [`TimingModel::conservative`]).
+    /// Statistics are priced on read, so every count accumulated so far
+    /// is priced under the new model too.
     pub fn set_timing_model(&mut self, timing: TimingModel) {
         self.timing = timing;
     }
 
-    /// Replaces the energy model.
+    /// Replaces the energy model (priced on read, like the timing model).
     pub fn set_energy_model(&mut self, energy: EnergyModel) {
         self.energy = energy;
     }
@@ -326,17 +339,27 @@ impl Controller {
         self.pred_mask.bit(t * self.tile_width)
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics: the class counts and row I/O, with cycles
+    /// and energy priced from them under the active models.
     #[must_use]
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    pub fn stats(&self) -> Stats {
+        let row_io = self.row_loads + self.row_stores;
+        Stats {
+            cycles: self.timing.price(&self.counts, row_io),
+            energy_pj: self.energy.price(&self.counts, row_io, self.cols()),
+            counts: self.counts,
+            row_loads: self.row_loads,
+            row_stores: self.row_stores,
+        }
     }
 
     /// Resets the statistics to zero (array contents are untouched). Also
     /// clears the fast-path coverage counters and rewinds the uncosted
     /// instruction clock (mirroring the costed clock's reset).
     pub fn reset_stats(&mut self) {
-        self.stats = Stats::default();
+        self.counts = InstrCounts::default();
+        self.row_loads = 0;
+        self.row_stores = 0;
         self.fastpath = FastPathStats::default();
         self.native_clock = 0;
     }
@@ -372,9 +395,7 @@ impl Controller {
     pub fn load_data_row(&mut self, r: usize, data: BitRow) {
         self.array.write_row(r, data);
         if self.costed {
-            self.stats.row_loads += 1;
-            self.stats.cycles += self.timing.row_io;
-            self.stats.energy_pj += self.energy.row_io_pj(self.array.cols());
+            self.row_loads += 1;
         }
         self.fault_tick();
     }
@@ -387,9 +408,7 @@ impl Controller {
     #[must_use]
     pub fn read_data_row(&mut self, r: usize) -> BitRow {
         if self.costed {
-            self.stats.row_stores += 1;
-            self.stats.cycles += self.timing.row_io;
-            self.stats.energy_pj += self.energy.row_io_pj(self.array.cols());
+            self.row_stores += 1;
         }
         self.fault_tick();
         self.array.row(r).clone()
@@ -499,13 +518,12 @@ impl Controller {
     }
 
     /// Applies one *validated* instruction: the semantic work and the
-    /// instruction-class counters, but no cycle/energy accounting and no
-    /// address validation. Shared by [`Self::execute`] (which validates and
-    /// costs per call) and compiled-program replay (which validated at
-    /// compile time and replays precomputed costs).
+    /// instruction-class counters, but no address validation. Shared by
+    /// [`Self::execute`] (which validates per call) and compiled-program
+    /// replay (which validated at compile time).
     pub(crate) fn apply_instr(&mut self, instr: &Instruction) {
         if self.costed {
-            self.stats.counts.record(instr);
+            self.counts.record(instr);
         } else {
             // Every instruction records exactly one primary class, so
             // the costed clock (`counts.total()`) grows by one here.
@@ -617,69 +635,15 @@ impl Controller {
         }
     }
 
-    /// Adds precomputed instruction costs (compiled-program replay path).
-    /// Pure cost, no instruction semantics — an uncosted controller
-    /// drops it entirely (the paired `add_counts`/`apply_instr` call
-    /// advances the native clock).
+    /// Adds a fused group's instruction-class counts, or advances the
+    /// native clock by their total when cost accounting is off.
     #[inline]
-    pub(crate) fn add_cost(&mut self, cycles: u64, energy_pj: f64) {
+    pub(crate) fn add_counts(&mut self, counts: &InstrCounts) {
         if self.costed {
-            self.stats.cycles += cycles;
-            self.stats.energy_pj += energy_pj;
-        }
-    }
-
-    /// Adds a fused group's pre-aggregated costs. Cycle and count sums are
-    /// exact; energies are added value by value in emission order so the
-    /// floating-point accumulator matches per-instruction execution bit
-    /// for bit.
-    pub(crate) fn apply_group_cost(&mut self, gc: &crate::program::GroupCost) {
-        if !self.costed {
-            self.native_clock += gc.counts.total();
-            return;
-        }
-        self.stats.cycles += gc.cycles;
-        self.stats.counts += gc.counts;
-        for &e in &gc.energy {
-            self.stats.energy_pj += e;
-        }
-    }
-
-    /// The current energy accumulator (replay-internal).
-    #[inline]
-    pub(crate) fn stats_energy(&self) -> f64 {
-        self.stats.energy_pj
-    }
-
-    /// Stores the energy accumulator back (replay-internal).
-    #[inline]
-    pub(crate) fn set_stats_energy(&mut self, e: f64) {
-        self.stats.energy_pj = e;
-    }
-
-    /// Adds batched instruction-class counts.
-    #[inline]
-    pub(crate) fn add_counts(&mut self, counts: crate::stats::InstrCounts) {
-        if self.costed {
-            self.stats.counts += counts;
+            self.counts += *counts;
         } else {
             self.native_clock += counts.total();
         }
-    }
-
-    /// Adds a sequence of per-instruction energies in order (the
-    /// accumulator stays in a register for the duration — same add
-    /// sequence, so the result is bit-identical to one-at-a-time adds).
-    #[inline]
-    pub(crate) fn add_energy_seq(&mut self, energies: &[f64]) {
-        if !self.costed {
-            return;
-        }
-        let mut acc = self.stats.energy_pj;
-        for &e in energies {
-            acc += e;
-        }
-        self.stats.energy_pj = acc;
     }
 
     // ---- fused superop executors ------------------------------------------
@@ -760,8 +724,8 @@ impl Controller {
     /// accumulator row set (the inner loop of Algorithm 2), with the rows
     /// borrowed once and every step executed word-level. Rows of up to
     /// four chunks run the whole chain register-resident; wider rows run
-    /// the per-step kernels under the single borrow. The per-step
-    /// statistics are applied by the caller in emission order.
+    /// the per-step kernels under the single borrow. The chain's class
+    /// counts are added by the caller.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_chain(
         &mut self,
@@ -854,9 +818,7 @@ impl Controller {
         s: u16,
         c: u16,
         max_checks: usize,
-        check_cycles: u64,
-        check_energy: f64,
-        round_cost: &crate::program::GroupCost,
+        round: &InstrCounts,
     ) -> Option<usize> {
         if self.n_masked_off != 0 {
             self.fastpath.fallbacks += 1;
@@ -876,14 +838,7 @@ impl Controller {
             crate::wordkern::resolve_loop_resident(self.fast_path, sw, cw, shl, max_checks)
         {
             self.fastpath.resolve_loops_resident += 1;
-            self.finish_fused_loop(
-                bodies,
-                checks,
-                converged,
-                check_cycles,
-                check_energy,
-                round_cost,
-            );
+            self.finish_fused_loop(bodies, checks, converged, round);
             return Some(bodies);
         }
         let mut bodies = 0usize;
@@ -899,54 +854,26 @@ impl Controller {
             bodies += 1;
         }
         self.fastpath.resolve_loops_per_step += 1;
-        self.finish_fused_loop(
-            bodies,
-            checks,
-            converged,
-            check_cycles,
-            check_energy,
-            round_cost,
-        );
+        self.finish_fused_loop(bodies, checks, converged, round);
         Some(bodies)
     }
 
-    /// Applies a fused resolution loop's outcome: the zero flag and the
-    /// statistics, with the energy values added in exactly the order
-    /// per-instruction execution interleaves them (one check per
-    /// iteration, round energies per body, final check iff converged), so
-    /// the floating-point accumulator stays bit-identical. Shared by the
-    /// register-resident fast paths and the per-round fallback loops —
-    /// this sequence is the replay/emit Stats contract; keep it in one
-    /// place.
+    /// Applies a fused resolution loop's outcome: the zero flag, one
+    /// `CheckZero` per check and `round`'s counts per executed body.
+    /// Shared by the register-resident fast paths and the per-round
+    /// fallback loops.
     fn finish_fused_loop(
         &mut self,
         bodies: usize,
         checks: u64,
         converged: bool,
-        check_cycles: u64,
-        check_energy: f64,
-        round_cost: &crate::program::GroupCost,
+        round: &InstrCounts,
     ) {
         self.zero_flag = converged;
         debug_assert!(converged, "resolution loop must converge within max_checks");
-        if !self.costed {
-            self.native_clock += checks + bodies as u64 * round_cost.counts.total();
-            return;
-        }
-        let mut e_acc = self.stats.energy_pj;
-        for _ in 0..bodies {
-            e_acc += check_energy;
-            for &e in &round_cost.energy {
-                e_acc += e;
-            }
-        }
-        if converged {
-            e_acc += check_energy;
-        }
-        self.stats.energy_pj = e_acc;
-        self.stats.cycles += checks * check_cycles + bodies as u64 * round_cost.cycles;
-        self.stats.counts.check_zero += checks;
-        self.stats.counts += round_cost.counts.scaled(bodies as u64);
+        let mut counts = round.scaled(bodies as u64);
+        counts.check_zero += checks;
+        self.add_counts(&counts);
     }
 
     /// Fully fused borrow-resolution loop: the three rows borrowed once,
@@ -961,9 +888,7 @@ impl Controller {
         other: u16,
         t: u16,
         max_checks: usize,
-        check_cycles: u64,
-        check_energy: f64,
-        round_cost: &crate::program::GroupCost,
+        round: &InstrCounts,
     ) -> Option<usize> {
         if self.n_masked_off != 0 {
             self.fastpath.fallbacks += 1;
@@ -984,14 +909,7 @@ impl Controller {
             crate::wordkern::borrow_loop_resident(self.fast_path, cur, nxt, tw, shl, max_checks)
         {
             self.fastpath.borrow_loops_resident += 1;
-            self.finish_fused_loop(
-                bodies,
-                checks,
-                converged,
-                check_cycles,
-                check_energy,
-                round_cost,
-            );
+            self.finish_fused_loop(bodies, checks, converged, round);
             return Some(bodies);
         }
         let mut bodies = 0usize;
@@ -1008,14 +926,7 @@ impl Controller {
             bodies += 1;
         }
         self.fastpath.borrow_loops_per_step += 1;
-        self.finish_fused_loop(
-            bodies,
-            checks,
-            converged,
-            check_cycles,
-            check_energy,
-            round_cost,
-        );
+        self.finish_fused_loop(bodies, checks, converged, round);
         Some(bodies)
     }
 
@@ -1199,18 +1110,6 @@ impl Controller {
         true
     }
 
-    /// The active timing model.
-    #[must_use]
-    pub fn timing_model(&self) -> &TimingModel {
-        &self.timing
-    }
-
-    /// The active energy model.
-    #[must_use]
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.energy
-    }
-
     /// True when every tile's write-back is currently enabled.
     #[must_use]
     pub fn all_tiles_enabled(&self) -> bool {
@@ -1222,9 +1121,7 @@ impl Controller {
     pub(crate) fn load_data_row_ref(&mut self, r: usize, data: &BitRow) {
         self.array.row_mut(r).copy_from(data);
         if self.costed {
-            self.stats.row_loads += 1;
-            self.stats.cycles += self.timing.row_io;
-            self.stats.energy_pj += self.energy.row_io_pj(self.array.cols());
+            self.row_loads += 1;
         }
     }
 
@@ -1235,10 +1132,6 @@ impl Controller {
     /// [`SramError::RowOutOfRange`] for bad row addresses and
     /// [`SramError::CheckBitOutOfRange`] for a `Check` outside the tile.
     pub fn execute(&mut self, instr: &Instruction) -> Result<(), SramError> {
-        if self.costed {
-            self.stats.cycles += self.timing.cycles(instr);
-            self.stats.energy_pj += self.energy.energy_pj(instr, self.array.cols());
-        }
         self.validate_instr(instr)?;
         self.apply_instr(instr);
         Ok(())

@@ -14,19 +14,21 @@
 //! * [`isa`] — the paper's `Check`/`Unary`/`Shift`/`Binary` instruction
 //!   classes (Fig. 4(d)) with a binary encoding, plus the predication /
 //!   zero-detect / tile-mask facilities its dataflow implies;
-//! * [`exec`] — the [`Controller`] that executes programs and accounts
-//!   costs;
+//! * [`exec`] — the [`Controller`] that executes programs and counts
+//!   instructions by class;
 //! * [`program`] — the compile-once/replay-many layer: record a kernel's
-//!   instruction stream once ([`Recorder`]), validate and cost it once
+//!   instruction stream once ([`Recorder`]), validate it once
 //!   ([`ReplayProgram::compile`], with superop fusion), replay it many
-//!   times ([`Controller::run_compiled`]) bit-identically to emission;
+//!   times ([`Controller::run_compiled`]) identically to emission;
 //! * [`wordkern`] — the vectorized word-engine behind both paths: chunked
 //!   storage kernels with runtime-dispatched AVX2 implementations and a
 //!   bit-identical scalar fallback (`BPNTT_FORCE_SCALAR=1` pins it);
-//! * [`cost`] — calibrated per-instruction timing and energy models;
+//! * [`cost`] — calibrated timing and energy models that price class
+//!   counts;
 //! * [`geometry`] — 45 nm area and frequency models reproducing Table I's
 //!   0.063 mm² / 3.8 GHz and the <2% overhead claim;
-//! * [`stats`] — cycle/energy/instruction statistics.
+//! * [`stats`] — cycle/energy/instruction statistics. `Stats` are integer
+//!   class counts; `cost.rs` prices cycles and energy from them on read.
 //!
 //! The accelerator logic itself (data layout, Algorithm 2 code generation,
 //! NTT scheduling) lives in `bpntt-core`; this crate knows nothing about

@@ -1,4 +1,7 @@
 //! Execution statistics: cycles, energy, and per-class instruction counts.
+//!
+//! `Stats` are integer class counts; `cost.rs` prices cycles and energy
+//! from them on read.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -20,13 +23,16 @@ pub struct InstrCounts {
     pub binary: u64,
     /// Second write-backs riding on `Binary` activations.
     pub second_writebacks: u64,
+    /// `Unary` zero-fills (no source read; a subset of `unary`).
+    pub unary_zero: u64,
     /// Shifts fused into `Binary` write-backs.
     pub fused_shifts: u64,
 }
 
 impl InstrCounts {
     /// Total instructions executed (second write-backs and fused shifts are
-    /// attributes of their `Binary`, not separate instructions).
+    /// attributes of their `Binary`, zero-fills of their `Unary`, not
+    /// separate instructions).
     #[must_use]
     pub fn total(&self) -> u64 {
         self.check + self.check_zero + self.mask + self.unary + self.shift + self.binary
@@ -42,15 +48,20 @@ impl InstrCounts {
 
     /// Tallies one instruction into its class counter — the single
     /// definition of how instructions map to counters, shared by live
-    /// execution and compiled-program cost interning (so the two can
-    /// never classify differently).
+    /// execution and program compilation (so the two can never classify
+    /// differently).
     pub fn record(&mut self, i: &crate::isa::Instruction) {
         use crate::isa::Instruction as I;
         match i {
             I::Check { .. } => self.check += 1,
             I::CheckZero { .. } => self.check_zero += 1,
             I::MaskTiles { .. } | I::MaskAll => self.mask += 1,
-            I::Unary { .. } => self.unary += 1,
+            I::Unary { kind, .. } => {
+                self.unary += 1;
+                if *kind == crate::isa::UnaryKind::Zero {
+                    self.unary_zero += 1;
+                }
+            }
             I::Shift { .. } => self.shift += 1,
             I::Binary { dst2, shift, .. } => {
                 self.binary += 1;
@@ -76,6 +87,7 @@ impl InstrCounts {
             shift: self.shift * k,
             binary: self.binary * k,
             second_writebacks: self.second_writebacks * k,
+            unary_zero: self.unary_zero * k,
             fused_shifts: self.fused_shifts * k,
         }
     }
@@ -92,6 +104,7 @@ impl Add for InstrCounts {
             shift: self.shift + o.shift,
             binary: self.binary + o.binary,
             second_writebacks: self.second_writebacks + o.second_writebacks,
+            unary_zero: self.unary_zero + o.unary_zero,
             fused_shifts: self.fused_shifts + o.fused_shifts,
         }
     }
@@ -199,9 +212,11 @@ impl fmt::Display for FastPathStats {
 /// Aggregate execution statistics of a controller run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Stats {
-    /// Elapsed compute cycles (per the active [`TimingModel`](crate::TimingModel)).
+    /// Elapsed compute cycles, priced from `counts` and row I/O by
+    /// [`TimingModel::price`](crate::TimingModel::price).
     pub cycles: u64,
-    /// Dynamic energy in picojoules (per the active [`EnergyModel`](crate::EnergyModel)).
+    /// Dynamic energy in picojoules, priced from `counts` and row I/O by
+    /// [`EnergyModel::price`](crate::EnergyModel::price).
     pub energy_pj: f64,
     /// Instruction counts by class.
     pub counts: InstrCounts,

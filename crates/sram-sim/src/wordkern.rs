@@ -555,9 +555,9 @@ pub(crate) fn chain_resident(
 }
 
 /// Runs a whole zero-terminated carry-resolution loop register-resident.
-/// Returns `Some((bodies, checks, converged))` — the caller replays the
-/// cost sequence (one check per iteration, round costs per body) in
-/// emission order and sets the zero flag to `converged` — or `None` when
+/// Returns `Some((bodies, checks, converged))` — the caller counts one
+/// check per iteration and one round per body and sets the zero flag to
+/// `converged` — or `None` when
 /// the geometry or dispatch demands the per-round path.
 pub(crate) fn resolve_loop_resident(
     kind: FastPathKind,

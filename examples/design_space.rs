@@ -22,7 +22,7 @@ fn measure(rows: usize, cols: usize, bw: usize, params: &NttParams) -> Option<Pe
     acc.reset_stats();
     acc.forward().ok()?;
     Some(PerfReport::from_stats(
-        acc.stats(),
+        &acc.stats(),
         lanes,
         geometry,
         &AreaModel::cmos_45nm(),

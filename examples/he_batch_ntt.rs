@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     acc.load_batch(&polys)?;
     acc.reset_stats();
     acc.forward()?;
-    let fwd_stats = *acc.stats();
+    let fwd_stats = acc.stats();
     acc.inverse()?;
     let roundtrip = acc.read_batch(lanes)?;
     assert_eq!(

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The performance report in the paper's units.
     let report = PerfReport::from_stats(
-        acc.stats(),
+        &acc.stats(),
         lanes,
         geometry,
         &AreaModel::cmos_45nm(),

@@ -2,9 +2,11 @@
 //! compiled program must be *indistinguishable* from instruction-by-
 //! instruction emission (`ExecMode::Generic`, the oracle) — bit-identical
 //! array rows (all of them, scratch and constants included) and
-//! bit-identical [`Stats`] (cycles, counts, row I/O, and the
-//! floating-point energy total) — across random batches and three
-//! cryptographic parameter sets:
+//! bit-identical [`Stats`] (cycles, counts, row I/O, and the energy
+//! bits) — across random batches and three cryptographic parameter sets.
+//! `Stats` are integer class counts; `cost.rs` prices cycles and energy
+//! from them on read.
+//!
 //!
 //! * Kyber-class: the original 13-bit Kyber prime 7681, 256 points;
 //! * Dilithium: the 23-bit prime 8 380 417, 256 points;
@@ -80,9 +82,9 @@ fn assert_replay_equivalent(idx: usize, seed: u64, inverse_too: bool) {
             seed
         );
     }
-    // And the statistics must be indistinguishable, including the
-    // floating-point energy accumulator (same values, same order).
-    let (rs, gs) = (*replayed.stats(), *generic.stats());
+    // And the statistics must be indistinguishable: the class counts
+    // and the cycles and energy priced from them.
+    let (rs, gs) = (replayed.stats(), generic.stats());
     prop_assert_eq!(rs.cycles, gs.cycles);
     prop_assert_eq!(rs.counts, gs.counts);
     prop_assert_eq!(rs.row_loads, gs.row_loads);

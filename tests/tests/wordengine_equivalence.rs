@@ -2,7 +2,9 @@
 //! fusion: replay through the fused superops — on the SIMD path *and* on
 //! the forced-scalar fallback — must be indistinguishable from strictly
 //! per-instruction emission (`ExecMode::Generic`, the oracle), and the
-//! two kernel paths must be bit-identical to each other. Coverage
+//! two kernel paths must be bit-identical to each other. `Stats` are
+//! integer class counts; `cost.rs` prices cycles and energy from them on
+//! read, so identical counts mean identical cycles and energy bits. Coverage
 //! spans the Kyber-class (7681), Dilithium (8 380 417), and HE-level
 //! (1 073 738 753) parameter sets, column counts whose storage word
 //! counts are *not* chunk-aligned (1, 2, 3, and 5 words before padding),
@@ -72,8 +74,8 @@ fn pseudo_batch(cfg: &BpNttConfig, lanes: usize, seed: u64) -> Vec<Vec<u64>> {
 
 /// Runs forward (+ optionally inverse) two ways on identical data —
 /// compiled-program replay and strictly per-instruction emission — and
-/// asserts every physical row and the full `Stats` (including the f64
-/// energy accumulator) match bit for bit.
+/// asserts every physical row and the full `Stats` (counts, cycles and
+/// energy bits) match.
 fn assert_replay_equivalent(cfg: &BpNttConfig, seed: u64, inverse_too: bool) {
     let lanes = cfg.layout().lanes();
     let batch = 1 + (seed as usize) % lanes;
@@ -101,14 +103,14 @@ fn assert_replay_equivalent(cfg: &BpNttConfig, seed: u64, inverse_too: bool) {
             cfg.layout().active_cols()
         );
     }
-    let (rs, gs) = (*replayed.stats(), *generic.stats());
+    let (rs, gs) = (replayed.stats(), generic.stats());
     assert_eq!(rs.cycles, gs.cycles, "replay cycles");
     assert_eq!(rs.counts, gs.counts, "replay counts");
     assert_eq!(rs.row_loads, gs.row_loads, "replay row loads");
     assert_eq!(
         rs.energy_pj.to_bits(),
         gs.energy_pj.to_bits(),
-        "replay energy accumulator"
+        "replay energy"
     );
 }
 
@@ -121,7 +123,7 @@ fn replay_snapshot(cfg: &BpNttConfig, seed: u64) -> (Vec<bpntt_sram::BitRow>, bp
     acc.forward().unwrap();
     acc.inverse().unwrap();
     let rows = (0..cfg.rows()).map(|r| acc.peek_row(r).clone()).collect();
-    (rows, *acc.stats())
+    (rows, acc.stats())
 }
 
 proptest! {
@@ -165,7 +167,7 @@ proptest! {
     /// Wide HE-batch geometries (2-/3-/4-chunk rows) stay equivalent on
     /// both kernel paths — the multi-chunk register-resident chains and
     /// loops against the per-step scalar reference, with `Stats`
-    /// (including the f64 energy order) pinned bit for bit.
+    /// (counts, cycles and energy bits) pinned.
     #[test]
     fn wide_cols_replay_equivalent(seed in any::<u64>()) {
         for scalar in [false, true] {
@@ -243,7 +245,7 @@ fn simd_and_scalar_paths_bit_identical() {
         assert_eq!(
             scalar.1.energy_pj.to_bits(),
             simd.1.energy_pj.to_bits(),
-            "energy accumulator diverged (config {i})"
+            "energy diverged (config {i})"
         );
     }
 }
