@@ -55,16 +55,18 @@
 //! (`occupancy_fanout` vs `occupancy_single_limb`) is the utilisation
 //! the fan-out recovers — and `bigint_reference_ms` is the hand-rolled
 //! bigint schoolbook product mod `Q` the reconstruction is verified
-//! against (`reconstruction_exact`). `plan_cache_hits` counts compiled
-//! plans a sibling context imported instead of recompiling.
+//! against (`reconstruction_exact`). `plan_cache_hits` counts the
+//! artifact-cache hits of one `compile` call on a sibling context that
+//! shares the first context's cache: one per limb when it compiles
+//! nothing.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bpntt_core::{
-    new_backend, BackendKind, BigUint, BpNtt, BpNttConfig, ExecMode, PipelineSpec, RnsBasis,
-    RnsContext, RnsPlanCache, ShardedBpNtt,
+    new_backend, ArtifactCache, BackendKind, BigUint, BpNtt, BpNttConfig, ExecMode, PipelineSpec,
+    RnsBasis, RnsContext, ShardedBpNtt,
 };
 use bpntt_ntt::forward::ntt_in_place;
 use bpntt_ntt::polymul::polymul_ntt_with;
@@ -305,7 +307,6 @@ fn main() {
             let mut sim = new_backend(BackendKind::Sim, &cfg).unwrap();
             let plan = sim.compile(&spec).unwrap();
             let mut native = new_backend(BackendKind::Native, &cfg).unwrap();
-            native.install_pipeline(&plan);
 
             // Interleaved best-of: sim backend, native backend, Shoup
             // software NTT (the per-lane batch does `lanes` products per
@@ -408,7 +409,7 @@ fn main() {
     // same engines, verified against the bigint reference product.
     {
         let basis = Arc::new(RnsBasis::new(256, &[12289, 13313, 15361]).unwrap());
-        let cache = RnsPlanCache::new();
+        let cache = Arc::new(ArtifactCache::default());
         let mut ctx = RnsContext::with_plan_cache(
             Arc::clone(&basis),
             518,
@@ -416,7 +417,7 @@ fn main() {
             16,
             basis.limbs(),
             BackendKind::Sim,
-            cache.clone(),
+            Arc::clone(&cache),
         )
         .unwrap();
         let spec = PipelineSpec::polymul();
@@ -467,8 +468,9 @@ fn main() {
         let expect = negacyclic_polymul_basis(&a, &b, &basis).unwrap();
         let exact = fanned_out[0] == expect;
 
-        // A sibling context over the same shared cache imports every
-        // limb's compiled plans instead of recompiling.
+        // A sibling context over the same shared cache finds every
+        // limb's compiled plan instead of recompiling: count the hits of
+        // its compile call alone (the runs above looked plans up too).
         let mut sibling = RnsContext::with_plan_cache(
             Arc::clone(&basis),
             518,
@@ -476,11 +478,12 @@ fn main() {
             16,
             basis.limbs(),
             BackendKind::Sim,
-            cache.clone(),
+            Arc::clone(&cache),
         )
         .unwrap();
+        let hits_before = cache.hits();
         sibling.compile(&spec).unwrap();
-        let plan_cache_hits = cache.hits();
+        let plan_cache_hits = cache.hits() - hits_before;
 
         let _ = writeln!(
             json,

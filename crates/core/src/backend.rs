@@ -26,15 +26,14 @@
 //!
 //! # What is shared, what is not
 //!
-//! Compiled artifacts ([`CompiledProgram`], [`CompiledPipeline`]) are
-//! backend-independent: both backends keep the default timing/energy
-//! models at compile time, so a program compiled on one replays
-//! bit-identically on the other (`export_programs` / `install_program`
-//! move them across the seam). The service layer still keys its
-//! cross-tenant artifact cache by [`BackendKind`] — deliberately, so a
-//! future backend whose compilation *does* diverge (a GPU lowering, a
-//! cost-model experiment) slots in without corrupting another backend's
-//! cache.
+//! Compiled artifacts ([`CompiledProgram`](bpntt_sram::CompiledProgram),
+//! [`CompiledPipeline`]) are backend-independent: programs carry no cost
+//! model, so a pipeline compiled on one backend executes bit-identically
+//! on the other, straight from its own segment `Arc`s. The one
+//! [`ArtifactCache`] an engine compiles through still keys every entry
+//! by [`BackendKind`] — deliberately, so a future backend whose
+//! compilation *does* diverge (a GPU lowering, a cost-model experiment)
+//! slots in without corrupting another backend's entries.
 //!
 //! # How a GPU backend would slot in
 //!
@@ -45,23 +44,25 @@
 //! The sharded and service layers need no changes — per-tenant backend
 //! selection ([`crate::ServiceOptions::backend`],
 //! [`crate::NttService::add_tenant_with_backend`]) and the
-//! backend-keyed pipeline cache already route around engine-specific
+//! backend-keyed artifact cache already route around engine-specific
 //! state, and the recovery ladder only needs `execute` to fail typed and
-//! the verifier hook to exist.
+//! the verifier hook to exist. Its engines compile through the cache
+//! they are built with; nothing is exported or installed by hand.
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::artifacts::ArtifactCache;
 use crate::config::BpNttConfig;
-use crate::engine::{BpNtt, ProgramKey};
+use crate::engine::BpNtt;
 use crate::error::BpNttError;
 use crate::pipeline::{CompiledPipeline, ExecMode, PipelineSpec};
 use crate::verify::{Verifier, VerifyPolicy};
-use bpntt_sram::{CompiledProgram, FastPathStats, FaultPlan, FaultStats, Stats};
+use bpntt_sram::{FastPathStats, FaultPlan, FaultStats, Stats};
 
-/// Which execution engine a backend is (the service's cache key
+/// Which execution engine a backend is (an artifact-cache key
 /// dimension and the bench/CI matrix axis).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BackendKind {
@@ -123,7 +124,7 @@ pub struct BackendStats {
 
 /// The execution seam: compile pipeline op-graphs once, execute them on
 /// batches, and expose the capability surfaces the upper layers need
-/// (artifact sharing, verification, fault injection, telemetry). All
+/// (verification, fault injection, telemetry). All
 /// methods are infallible passthroughs unless documented otherwise; see
 /// [`BpNtt`] for the semantics each default implementation inherits.
 ///
@@ -137,7 +138,8 @@ pub trait NttBackend: Send + fmt::Debug {
     /// The configuration the backend was provisioned with.
     fn config(&self) -> &BpNttConfig;
 
-    /// Compiles (and caches) the pipeline for `spec`.
+    /// Compiles the pipeline for `spec`, or fetches it from the artifact
+    /// cache the backend was built with.
     ///
     /// # Errors
     ///
@@ -157,26 +159,6 @@ pub trait NttBackend: Send + fmt::Debug {
         mode: ExecMode,
         inputs: &[&[Vec<u64>]],
     ) -> Result<(Vec<Vec<u64>>, BackendStats), BpNttError>;
-
-    /// Installs an externally compiled pipeline (and its segment
-    /// programs) into this backend's caches.
-    fn install_pipeline(&mut self, pipe: &Arc<CompiledPipeline>);
-
-    /// Whether `spec` is already compiled in this backend's cache.
-    fn has_pipeline(&self, spec: &PipelineSpec) -> bool;
-
-    /// Every compiled program this backend holds (the service layer's
-    /// cross-tenant share path).
-    fn export_programs(&self) -> Vec<(ProgramKey, Arc<CompiledProgram>)>;
-
-    /// Installs one externally compiled program.
-    fn install_program(&mut self, key: ProgramKey, prog: Arc<CompiledProgram>);
-
-    /// Number of compiled programs in the cache.
-    fn cached_programs(&self) -> usize;
-
-    /// Number of compiled pipelines in the cache.
-    fn cached_pipelines(&self) -> usize;
 
     /// Sets the output-verification policy (the ladder's detect rung).
     fn set_verify_policy(&mut self, policy: VerifyPolicy);
@@ -266,7 +248,7 @@ impl NativeBackend {
     /// See [`BpNtt::new`].
     pub fn new(config: BpNttConfig) -> Result<Self, BpNttError> {
         Ok(NativeBackend {
-            engine: BpNtt::new_native(config)?,
+            engine: BpNtt::with_artifacts(config, BackendKind::Native, Arc::default())?,
         })
     }
 
@@ -282,8 +264,8 @@ impl NativeBackend {
     }
 }
 
-/// Provisions a backend of the requested kind — the single construction
-/// seam the sharded and service layers use.
+/// Provisions a backend of the requested kind with a private artifact
+/// cache.
 ///
 /// # Errors
 ///
@@ -292,9 +274,20 @@ pub fn new_backend(
     kind: BackendKind,
     config: &BpNttConfig,
 ) -> Result<Box<dyn NttBackend>, BpNttError> {
+    new_backend_in(kind, config, &Arc::default())
+}
+
+/// Provisions a backend that compiles through `artifacts` — the single
+/// construction seam the sharded and service layers use.
+pub(crate) fn new_backend_in(
+    kind: BackendKind,
+    config: &BpNttConfig,
+    artifacts: &Arc<ArtifactCache>,
+) -> Result<Box<dyn NttBackend>, BpNttError> {
+    let engine = BpNtt::with_artifacts(config.clone(), kind, Arc::clone(artifacts))?;
     Ok(match kind {
-        BackendKind::Sim => Box::new(SimBackend::new(config.clone())?),
-        BackendKind::Native => Box::new(NativeBackend::new(config.clone())?),
+        BackendKind::Sim => Box::new(SimBackend { engine }),
+        BackendKind::Native => Box::new(NativeBackend { engine }),
     })
 }
 
@@ -332,30 +325,6 @@ macro_rules! delegate_backend {
                     sim: ($sim_stats)(&self.engine),
                 };
                 Ok((rows, stats))
-            }
-
-            fn install_pipeline(&mut self, pipe: &Arc<CompiledPipeline>) {
-                self.engine.install_pipeline(pipe);
-            }
-
-            fn has_pipeline(&self, spec: &PipelineSpec) -> bool {
-                self.engine.has_pipeline(spec)
-            }
-
-            fn export_programs(&self) -> Vec<(ProgramKey, Arc<CompiledProgram>)> {
-                self.engine.export_programs()
-            }
-
-            fn install_program(&mut self, key: ProgramKey, prog: Arc<CompiledProgram>) {
-                self.engine.install_program(key, prog);
-            }
-
-            fn cached_programs(&self) -> usize {
-                self.engine.cached_programs()
-            }
-
-            fn cached_pipelines(&self) -> usize {
-                self.engine.cached_pipelines()
             }
 
             fn set_verify_policy(&mut self, policy: VerifyPolicy) {
@@ -442,9 +411,7 @@ mod tests {
         assert!(sim.sim_stats().is_some());
 
         let mut native = NativeBackend::new(config()).unwrap();
-        // Compiled artifacts cross the seam unchanged.
-        native.install_pipeline(&pipe);
-        assert!(native.has_pipeline(&spec));
+        // Compiled artifacts cross the seam unchanged, uninstalled.
         let (native_rows, native_cost) =
             native.execute(&pipe, ExecMode::Replay, &[&a, &b]).unwrap();
         assert_eq!(native_rows, sim_rows);
@@ -458,9 +425,9 @@ mod tests {
 
     #[test]
     fn native_compiles_identical_artifacts() {
-        // Compiling on the native backend (instead of importing) yields
-        // the same programs: both keep default cost models at compile
-        // time.
+        // Compiling on the native backend (instead of reusing sim's
+        // plan) yields the same programs: both keep default cost models
+        // at compile time.
         let spec = PipelineSpec::roundtrip();
         let mut sim = SimBackend::new(config()).unwrap();
         let mut native = NativeBackend::new(config()).unwrap();

@@ -26,8 +26,9 @@
 //! `bpntt-sram` word-engine executes through runtime-dispatched AVX2
 //! kernels with a bit-identical scalar fallback, register-resident for
 //! rows up to four 256-bit chunks (1024 columns). The compiled programs
-//! are shared — [`ShardedBpNtt`](crate::ShardedBpNtt) clones them across
-//! shards behind an `Arc`.
+//! live in an [`ArtifactCache`] shared by `Arc`: private to a standalone
+//! engine, common to every shard of a [`ShardedBpNtt`](crate::ShardedBpNtt)
+//! and every tenant of an [`NttService`](crate::NttService).
 //!
 //! Every schedule executes under an explicit [`ExecMode`]: `Replay`
 //! (compiled programs, the production path) or `Generic` (strictly
@@ -62,9 +63,10 @@
 //! contract; [`BpNtt::polymul`] is a thin wrapper over the canned
 //! polymul spec.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::artifacts::ArtifactCache;
+use crate::backend::BackendKind;
 use crate::config::BpNttConfig;
 use crate::error::BpNttError;
 use crate::kernels::Kernels;
@@ -81,10 +83,8 @@ use bpntt_sram::{
     Instruction, PredMode, Recorder, RowAddr, ShiftDir, SramArray, Stats, UnaryKind,
 };
 
-/// Cache key for one compiled schedule. Public because the
-/// [`NttBackend`](crate::backend::NttBackend) trait moves compiled
-/// programs across the backend seam (`export_programs` /
-/// `install_program`); construct values only through engine compilation.
+/// Cache key for one compiled schedule within one configuration (the
+/// [`ArtifactCache`] adds the backend kind and configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramKey {
     /// Forward NTT over the coefficient region based at `base`.
@@ -143,8 +143,10 @@ pub struct BpNtt {
     mont: MontCtx,
     kernels: Kernels,
     ctl: Controller,
-    programs: HashMap<ProgramKey, Arc<CompiledProgram>>,
-    pipelines: HashMap<PipelineSpec, Arc<CompiledPipeline>>,
+    /// Which backend this engine serves (cost accounting on for
+    /// [`BackendKind::Sim`]); part of every artifact cache key.
+    kind: BackendKind,
+    artifacts: Arc<ArtifactCache>,
     /// How pipeline outputs are checked before being returned (the
     /// *detect* rung of the recovery ladder; default [`VerifyPolicy::Off`]).
     verify: VerifyPolicy,
@@ -502,25 +504,25 @@ impl BpNtt {
     ///
     /// Propagates configuration and simulator construction failures.
     pub fn new(config: BpNttConfig) -> Result<Self, BpNttError> {
-        Self::new_inner(config, true)
+        Self::with_artifacts(config, BackendKind::Sim, Arc::default())
     }
 
-    /// Builds the engine with cost accounting disabled in the controller:
-    /// the [`NativeBackend`](crate::backend::NativeBackend) constructor.
-    /// Rows, fault hooks, and verification behave identically; [`Stats`]
-    /// stays zero for the engine's whole lifetime (including the
-    /// constant-row setup below).
-    pub(crate) fn new_native(config: BpNttConfig) -> Result<Self, BpNttError> {
-        Self::new_inner(config, false)
-    }
-
-    fn new_inner(config: BpNttConfig, costed: bool) -> Result<Self, BpNttError> {
+    /// Builds an engine for one backend kind that compiles through
+    /// `artifacts`. [`BackendKind::Native`] disables cost accounting in
+    /// the controller: rows, fault hooks, and verification behave
+    /// identically, while [`Stats`] stays zero for the engine's whole
+    /// lifetime (including the constant-row setup below).
+    pub(crate) fn with_artifacts(
+        config: BpNttConfig,
+        kind: BackendKind,
+        artifacts: Arc<ArtifactCache>,
+    ) -> Result<Self, BpNttError> {
         let layout = config.layout().clone();
         let q = config.params().modulus();
         let bw = config.bitwidth();
         let array = SramArray::new(config.rows(), layout.active_cols())?;
         let mut ctl = Controller::new(array, bw)?;
-        ctl.set_cost_accounting(costed);
+        ctl.set_cost_accounting(kind == BackendKind::Sim);
         let mont = MontCtx::new(q, bw as u32)?;
         let kernels = Kernels::new(*layout.rowmap(), q, bw);
         let twiddles = TwiddleTable::new(config.params());
@@ -542,8 +544,8 @@ impl BpNtt {
             mont,
             kernels,
             ctl,
-            programs: HashMap::new(),
-            pipelines: HashMap::new(),
+            kind,
+            artifacts,
             verify: VerifyPolicy::Off,
             verifier: None,
             verify_nonce: 0,
@@ -641,22 +643,30 @@ impl BpNtt {
     }
 
     /// Replaces the timing model (for sensitivity studies). Compiled
-    /// programs carry no cost model, so both caches stay valid; the
+    /// programs carry no cost model, so cached artifacts stay valid; the
     /// statistics are priced under the new model on read.
     pub fn set_timing_model(&mut self, t: bpntt_sram::TimingModel) {
         self.ctl.set_timing_model(t);
     }
 
-    /// Number of schedules currently compiled and cached.
+    /// Number of schedules compiled and cached for this engine's backend
+    /// and configuration.
     #[must_use]
     pub fn cached_programs(&self) -> usize {
-        self.programs.len()
+        self.artifacts
+            .programs_of(self.kind, self.fingerprint())
+            .len()
     }
 
-    /// Number of pipelines currently compiled and cached.
+    /// Number of pipelines compiled and cached for this engine's backend
+    /// and configuration.
     #[must_use]
     pub fn cached_pipelines(&self) -> usize {
-        self.pipelines.len()
+        self.artifacts.pipelines_of(self.kind, self.fingerprint())
+    }
+
+    fn fingerprint(&self) -> ConfigFingerprint {
+        ConfigFingerprint::of(&self.config)
     }
 
     /// Uncosted debug view of one physical array row (delegates to the
@@ -680,24 +690,15 @@ impl BpNtt {
     }
 
     /// Returns the compiled program for `key`, tracing and compiling it on
-    /// first use.
-    pub(crate) fn program(&mut self, key: ProgramKey) -> Result<Arc<CompiledProgram>, BpNttError> {
-        if let Some(p) = self.programs.get(&key) {
-            return Ok(Arc::clone(p));
-        }
-        let mut rec = Recorder::new();
-        Emitter::of(&self.kernels, &self.config, &self.twiddles, &self.mont)
-            .emit_key(&mut rec, key)?;
-        let compiled = Arc::new(rec.finish().compile(&self.ctl)?);
-        self.programs.insert(key, Arc::clone(&compiled));
-        Ok(compiled)
-    }
-
-    /// Installs an externally compiled program (used by
-    /// [`ShardedBpNtt`](crate::ShardedBpNtt) to share one compilation
-    /// across identically configured shards).
-    pub(crate) fn install_program(&mut self, key: ProgramKey, prog: Arc<CompiledProgram>) {
-        self.programs.insert(key, prog);
+    /// first use by any engine sharing this one's artifact cache.
+    pub(crate) fn program(&self, key: ProgramKey) -> Result<Arc<CompiledProgram>, BpNttError> {
+        self.artifacts
+            .program(self.kind, self.fingerprint(), key, || {
+                let mut rec = Recorder::new();
+                Emitter::of(&self.kernels, &self.config, &self.twiddles, &self.mont)
+                    .emit_key(&mut rec, key)?;
+                Ok(rec.finish().compile(&self.ctl)?)
+            })
     }
 
     /// The key of the standalone forward-NTT program (coefficient region
@@ -708,15 +709,6 @@ impl BpNtt {
     /// hand-listed.)
     pub(crate) fn forward_program_key(&self) -> ProgramKey {
         ProgramKey::Forward { base: 0 }
-    }
-
-    /// Every compiled program currently cached, as `(key, Arc)` pairs (the
-    /// service layer harvests these into its cross-tenant program cache).
-    pub(crate) fn export_programs(&self) -> Vec<(ProgramKey, Arc<CompiledProgram>)> {
-        self.programs
-            .iter()
-            .map(|(k, p)| (*k, Arc::clone(p)))
-            .collect()
     }
 
     /// The compiled forward-NTT program for this configuration (compiling
@@ -847,11 +839,11 @@ impl BpNtt {
         acc
     }
 
-    /// Compiles (or fetches from the per-engine cache) the pipeline for
+    /// Compiles (or fetches from the artifact cache) the pipeline for
     /// `spec`: validates the op-graph against this configuration, folds
     /// the Montgomery-debt bookkeeping into the constant-scaling
     /// segments, and lowers each op to a compiled program shared through
-    /// the existing program cache. See the
+    /// the same cache. See the
     /// [`pipeline`](crate::pipeline) module docs for the cache-key and
     /// segment-boundary contract.
     ///
@@ -864,9 +856,13 @@ impl BpNtt {
         &mut self,
         spec: &PipelineSpec,
     ) -> Result<Arc<CompiledPipeline>, BpNttError> {
-        if let Some(p) = self.pipelines.get(spec) {
-            return Ok(Arc::clone(p));
-        }
+        self.artifacts
+            .pipeline(self.kind, self.fingerprint(), spec, || self.lower(spec))
+    }
+
+    /// Lowers `spec` to its compiled segments (the cache-miss half of
+    /// [`Self::compile_pipeline`]).
+    fn lower(&self, spec: &PipelineSpec) -> Result<CompiledPipeline, BpNttError> {
         spec.check(self.config.layout(), self.q())?;
         let n = self.n();
         let base = |slot: u8| (usize::from(slot) * n) as u16;
@@ -918,29 +914,11 @@ impl BpNtt {
                 program: self.program(key)?,
             });
         }
-        let pipe = Arc::new(CompiledPipeline {
+        Ok(CompiledPipeline {
             spec: spec.clone(),
             segments,
-            fingerprint: ConfigFingerprint::of(&self.config),
-        });
-        self.pipelines.insert(spec.clone(), Arc::clone(&pipe));
-        Ok(pipe)
-    }
-
-    /// Installs an externally compiled pipeline (and its segment
-    /// programs) into this engine's caches — the sharded/service share
-    /// path: one compilation, every shard and every identically
-    /// configured tenant replays it.
-    pub(crate) fn install_pipeline(&mut self, pipe: &Arc<CompiledPipeline>) {
-        for (key, prog) in pipe.export_segments() {
-            self.programs.insert(key, prog);
-        }
-        self.pipelines.insert(pipe.spec().clone(), Arc::clone(pipe));
-    }
-
-    /// Whether `spec` is already compiled in this engine's cache.
-    pub(crate) fn has_pipeline(&self, spec: &PipelineSpec) -> bool {
-        self.pipelines.contains_key(spec)
+            fingerprint: self.fingerprint(),
+        })
     }
 
     /// Runs one schedule under an execution mode: replay the cached
@@ -960,7 +938,7 @@ impl BpNtt {
     }
 
     /// Runs one compiled segment; replay uses the segment's own `Arc` so
-    /// the hot path never touches the cache map.
+    /// the hot path never touches the artifact cache.
     fn run_segment(&mut self, seg: &PipelineSegment, mode: ExecMode) -> Result<(), BpNttError> {
         if let ExecMode::Replay = mode {
             self.ctl.run_compiled(&seg.program)?;
@@ -1012,7 +990,7 @@ impl BpNtt {
         mode: ExecMode,
         inputs: &[&[Vec<u64>]],
     ) -> Result<Vec<Vec<u64>>, BpNttError> {
-        let fp = ConfigFingerprint::of(&self.config);
+        let fp = self.fingerprint();
         if pipe.fingerprint != fp {
             return Err(BpNttError::InvalidPipeline {
                 reason: format!(

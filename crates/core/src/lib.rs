@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifacts;
 pub mod backend;
 pub mod bank;
 pub mod config;
@@ -56,6 +57,7 @@ pub mod service;
 pub mod sharded;
 pub mod verify;
 
+pub use artifacts::ArtifactCache;
 pub use backend::{new_backend, BackendKind, BackendStats, NativeBackend, NttBackend, SimBackend};
 pub use config::BpNttConfig;
 pub use engine::BpNtt;
@@ -67,7 +69,7 @@ pub use kernels::Kernels;
 pub use layout::{Layout, RowMap};
 pub use metrics::{PerfReport, ServiceMetrics, TenantMetrics};
 pub use pipeline::{CompiledPipeline, ExecMode, PipeOp, PipelineSpec};
-pub use rns::{RnsContext, RnsPlanCache, RnsWaveReport};
+pub use rns::{RnsContext, RnsWaveReport};
 pub use service::{
     NttService, PipelineRequest, RateLimit, RnsHandle, RnsRequest, RnsResult, RnsTicket,
     ServiceOptions, TenantId, Ticket,

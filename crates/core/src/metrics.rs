@@ -172,7 +172,7 @@ impl TenantMetrics {
 /// A point-in-time snapshot of the request-queue service
 /// ([`NttService`](crate::NttService)): queue pressure, wave coalescing
 /// efficiency, throughput, per-shard wall-clock percentiles, and the
-/// cross-tenant compiled-program cache. Exportable as JSON for scrapers
+/// shared compiled-artifact cache. Exportable as JSON for scrapers
 /// and the `loadgen` trajectory file, and as Prometheus text
 /// format ([`Self::to_prometheus`]) for pull-based monitoring.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,17 +212,15 @@ pub struct ServiceMetrics {
     pub shard_secs_p90: f64,
     /// Maximum of the recent per-shard samples (seconds).
     pub shard_secs_max: f64,
-    /// Distinct `(params, layout)` entries in the compiled-program cache.
-    pub program_cache_entries: usize,
-    /// Tenant registrations served from the cache without recompiling.
-    pub program_cache_hits: u64,
-    /// Distinct `(params, layout, spec)` entries in the cross-tenant
-    /// compiled-pipeline cache.
+    /// Compiled pipelines in the service's artifact cache, one per
+    /// distinct `(backend, configuration, spec)`.
     pub pipeline_cache_entries: usize,
-    /// Pipeline resolutions served from the cache without recompiling
-    /// (tenant registrations with an identical configuration, plus novel
-    /// specs imported into a second tenant's engine).
+    /// Pipeline lookups the artifact cache served without compiling:
+    /// tenant registrations, per-wave resolutions and scrub probes.
     pub pipeline_cache_hits: u64,
+    /// Wall-clock milliseconds spent compiling programs on artifact
+    /// cache misses.
+    pub pipeline_compile_ms: f64,
     /// Chunk attempts the recovery ladder failed on detection
     /// (verification mismatch, simulator error, or contained panic),
     /// summed across tenant engines.
@@ -326,13 +324,9 @@ impl ServiceMetrics {
         );
         let _ = write!(
             s,
-            "\"program_cache_entries\": {}, \"program_cache_hits\": {}, ",
-            self.program_cache_entries, self.program_cache_hits
-        );
-        let _ = write!(
-            s,
-            "\"pipeline_cache_entries\": {}, \"pipeline_cache_hits\": {}, ",
-            self.pipeline_cache_entries, self.pipeline_cache_hits
+            "\"pipeline_cache_entries\": {}, \"pipeline_cache_hits\": {}, \
+             \"pipeline_compile_ms\": {:.4}, ",
+            self.pipeline_cache_entries, self.pipeline_cache_hits, self.pipeline_compile_ms
         );
         let _ = write!(
             s,
@@ -489,24 +483,19 @@ impl ServiceMetrics {
             self.shard_secs_max,
         );
         gauge(
-            "program_cache_entries",
-            "Distinct compiled-program cache entries",
-            self.program_cache_entries as f64,
-        );
-        gauge(
-            "program_cache_hits_total",
-            "Program cache hits",
-            self.program_cache_hits as f64,
-        );
-        gauge(
             "pipeline_cache_entries",
-            "Distinct compiled-pipeline cache entries",
+            "Compiled pipelines in the artifact cache",
             self.pipeline_cache_entries as f64,
         );
         gauge(
             "pipeline_cache_hits_total",
-            "Pipeline cache hits",
+            "Pipeline lookups served without compiling",
             self.pipeline_cache_hits as f64,
+        );
+        gauge(
+            "pipeline_compile_milliseconds_total",
+            "Wall-clock spent compiling on cache misses",
+            self.pipeline_compile_ms,
         );
         gauge(
             "faults_detected_total",
@@ -708,10 +697,9 @@ mod tests {
             shard_secs_p50: 0.001,
             shard_secs_p90: 0.002,
             shard_secs_max: 0.003,
-            program_cache_entries: 2,
-            program_cache_hits: 1,
             pipeline_cache_entries: 5,
             pipeline_cache_hits: 4,
+            pipeline_compile_ms: 2.5,
             faults_detected: 6,
             retries: 4,
             quarantined_shards: 1,
@@ -763,9 +751,9 @@ mod tests {
             "\"wave_occupancy\": 0.9500",
             "\"polys_per_sec\": 76.0",
             "\"shard_ms_p90\": 2.0000",
-            "\"program_cache_hits\": 1",
             "\"pipeline_cache_entries\": 5",
             "\"pipeline_cache_hits\": 4",
+            "\"pipeline_compile_ms\": 2.5000",
             "\"faults_detected\": 6",
             "\"retries\": 4",
             "\"quarantined_shards\": 1",
@@ -815,10 +803,9 @@ mod tests {
             shard_secs_p50: 0.002,
             shard_secs_p90: 0.004,
             shard_secs_max: 0.006,
-            program_cache_entries: 1,
-            program_cache_hits: 2,
             pipeline_cache_entries: 3,
             pipeline_cache_hits: 6,
+            pipeline_compile_ms: 4.0,
             faults_detected: 9,
             retries: 8,
             quarantined_shards: 1,
@@ -895,6 +882,8 @@ mod tests {
             ("failed", "bpntt_failed_total"),
             ("cancelled", "bpntt_cancelled_total"),
             ("waves", "bpntt_waves_total"),
+            ("pipeline_cache_entries", "bpntt_pipeline_cache_entries"),
+            ("pipeline_cache_hits", "bpntt_pipeline_cache_hits_total"),
             ("rns_requests", "bpntt_rns_requests_total"),
             ("rns_limbs", "bpntt_rns_limbs_total"),
             ("rns_fanout_waves", "bpntt_rns_fanout_waves_total"),

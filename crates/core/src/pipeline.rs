@@ -46,13 +46,13 @@
 //! indistinguishable (rows *and* `Stats`) from running the constituent
 //! fixed-shape entry points back to back on resident data. `Stats` are
 //! integer class counts; `cost.rs` prices cycles and energy from them on
-//! read. Segments are keyed by
-//! `ProgramKey` in the engine's existing program cache and shared
-//! between pipelines, the legacy entry points, and (behind `Arc`s)
-//! across [`ShardedBpNtt`](crate::ShardedBpNtt) shards and
-//! [`NttService`](crate::NttService) tenants; compiled pipelines are
-//! cached per engine keyed by the spec, and across tenants keyed by
-//! `(params, layout, spec)`.
+//! read. Segments and pipelines live in one
+//! [`ArtifactCache`](crate::ArtifactCache) keyed by
+//! `(backend, configuration, ProgramKey)` and
+//! `(backend, configuration, spec)`: segments are shared between
+//! pipelines and the legacy entry points, and the cache itself is shared
+//! by `Arc` across [`ShardedBpNtt`](crate::ShardedBpNtt) shards and
+//! [`NttService`](crate::NttService) tenants.
 //!
 //! In-SRAM data movement *between* segments is the point of the design:
 //! operands are loaded once before the first segment and results read
@@ -74,10 +74,10 @@
 //! # Backends
 //!
 //! Compiled pipelines are backend-independent: a [`CompiledPipeline`]
-//! produced on one [`NttBackend`](crate::backend::NttBackend) installs
-//! and executes unchanged on another (fingerprint-checked), so the
-//! cost-accounted simulator and the native direct-execution backend
-//! share plans. See the [`backend`](crate::backend) module.
+//! produced on one [`NttBackend`](crate::backend::NttBackend) executes
+//! unchanged on another (fingerprint-checked), so the cost-accounted
+//! simulator and the native direct-execution backend can replay one
+//! plan. See the [`backend`](crate::backend) module.
 //!
 //! # Example
 //!
@@ -168,8 +168,8 @@ impl PipeOp {
 
 /// A described computation: which slots are loaded from caller batches,
 /// the ordered op-graph, and which slot is read back. The spec is the
-/// cache key — engines cache one [`CompiledPipeline`] per distinct spec,
-/// and the service's cross-tenant cache keys on `(params, layout, spec)`.
+/// cache key: the [`ArtifactCache`](crate::ArtifactCache) holds one
+/// [`CompiledPipeline`] per `(backend, configuration, spec)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PipelineSpec {
     ops: Vec<PipeOp>,
@@ -368,8 +368,8 @@ impl PipelineSpec {
     }
 }
 
-/// One compiled segment: the program-cache key it was compiled under and
-/// the shared compiled program.
+/// One compiled segment: the program key it was compiled under and the
+/// shared compiled program.
 #[derive(Debug, Clone)]
 pub(crate) struct PipelineSegment {
     pub(crate) key: ProgramKey,
@@ -381,7 +381,7 @@ pub(crate) struct PipelineSegment {
 /// pipeline on a differently configured engine must be rejected with a
 /// typed error — not replayed onto rows that don't exist (panic) or
 /// silently land on the wrong data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ConfigFingerprint {
     pub(crate) rows: usize,
     pub(crate) cols: usize,
@@ -444,14 +444,6 @@ impl CompiledPipeline {
     #[must_use]
     pub fn n(&self) -> usize {
         self.fingerprint.n
-    }
-
-    /// The `(key, program)` pairs, for installing into engine caches.
-    pub(crate) fn export_segments(&self) -> Vec<(ProgramKey, Arc<CompiledProgram>)> {
-        self.segments
-            .iter()
-            .map(|s| (s.key, Arc::clone(&s.program)))
-            .collect()
     }
 }
 

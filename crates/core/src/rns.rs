@@ -22,72 +22,26 @@
 //!
 //! # Plan sharing
 //!
-//! Compiled pipelines are keyed by `(backend, geometry, q, spec)` in a
-//! shareable [`RnsPlanCache`]. Two contexts over the same basis (or
-//! overlapping bases) compile each limb's plan once; later contexts
-//! import the `Arc` and count a hit — the same discipline as the
-//! service's cross-tenant cache, usable without a service.
+//! Every limb engine of a context compiles through one
+//! [`ArtifactCache`], which keys each compiled pipeline by
+//! `(backend, configuration, spec)` — the limb prime is part of the
+//! configuration. Hand the same cache to sibling contexts
+//! ([`RnsContext::with_plan_cache`]) and a basis (or overlapping bases)
+//! compiles each limb's plan once; later contexts look the `Arc` up.
+//! It is the same cache type the service shares across its tenants.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use bpntt_rns::{BigUint, RnsBasis, RnsError};
 use bpntt_sram::FaultPlan;
 
+use crate::artifacts::ArtifactCache;
 use crate::backend::BackendKind;
 use crate::config::BpNttConfig;
 use crate::error::BpNttError;
-use crate::pipeline::{CompiledPipeline, ExecMode, PipelineSpec};
+use crate::pipeline::{ExecMode, PipelineSpec};
 use crate::sharded::{RecoveryOptions, RecoveryReport, ShardedBpNtt};
-
-/// Cache key: everything a compiled pipeline is specialized to.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PlanKey {
-    backend: BackendKind,
-    n: usize,
-    q: u64,
-    rows: usize,
-    cols: usize,
-    bitwidth: usize,
-    spec: PipelineSpec,
-}
-
-#[derive(Debug, Default)]
-struct PlanCacheInner {
-    plans: HashMap<PlanKey, Arc<CompiledPipeline>>,
-    hits: u64,
-}
-
-/// A shareable compiled-plan cache for RNS contexts.
-///
-/// Clones share storage: hand one cache to several [`RnsContext`]s and
-/// limbs with the same `(backend, geometry, prime, spec)` compile once.
-/// [`hits`](Self::hits) counts every import that avoided a compile.
-#[derive(Debug, Clone, Default)]
-pub struct RnsPlanCache {
-    inner: Arc<Mutex<PlanCacheInner>>,
-}
-
-impl RnsPlanCache {
-    /// A fresh, empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct compiled plans held.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.inner.lock().expect("plan cache poisoned").plans.len()
-    }
-
-    /// How many compiles were avoided by importing a cached plan.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.inner.lock().expect("plan cache poisoned").hits
-    }
-}
 
 /// What one RNS wave looked like: how full the shard budget was and
 /// where the time went.
@@ -117,15 +71,12 @@ pub struct RnsContext {
     basis: Arc<RnsBasis>,
     engines: Vec<ShardedBpNtt>,
     backend: BackendKind,
-    rows: usize,
-    cols: usize,
-    bitwidth: usize,
-    cache: RnsPlanCache,
+    cache: Arc<ArtifactCache>,
     last_wave: RnsWaveReport,
 }
 
 impl RnsContext {
-    /// Builds a context with a private plan cache. `shards_total` is the
+    /// Builds a context with a private artifact cache. `shards_total` is the
     /// whole budget; each of the `L` limbs gets `max(1, shards_total/L)`
     /// shards.
     ///
@@ -149,12 +100,17 @@ impl RnsContext {
             bitwidth,
             shards_total,
             backend,
-            RnsPlanCache::new(),
+            Arc::default(),
         )
     }
 
-    /// As [`new`](Self::new), but sharing `cache` with other contexts so
-    /// repeated limb primes import compiled plans instead of recompiling.
+    /// As [`new`](Self::new), but compiling through `cache`, shared with
+    /// other contexts so repeated limb primes reuse compiled plans
+    /// instead of recompiling.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
     pub fn with_plan_cache(
         basis: Arc<RnsBasis>,
         rows: usize,
@@ -162,7 +118,7 @@ impl RnsContext {
         bitwidth: usize,
         shards_total: usize,
         backend: BackendKind,
-        cache: RnsPlanCache,
+        cache: Arc<ArtifactCache>,
     ) -> Result<Self, BpNttError> {
         let limbs = basis.limbs();
         let shards_per_limb = (shards_total / limbs).max(1);
@@ -171,16 +127,13 @@ impl RnsContext {
             .iter()
             .map(|p| {
                 let cfg = BpNttConfig::new(rows, cols, bitwidth, p.clone())?;
-                ShardedBpNtt::with_backend(&cfg, shards_per_limb, backend)
+                ShardedBpNtt::with_artifacts(&cfg, shards_per_limb, backend, Arc::clone(&cache))
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(RnsContext {
             basis,
             engines,
             backend,
-            rows,
-            cols,
-            bitwidth,
             cache,
             last_wave: RnsWaveReport::default(),
         })
@@ -216,10 +169,11 @@ impl RnsContext {
         self.backend
     }
 
-    /// The shared plan cache (clone it into sibling contexts).
+    /// The artifact cache every limb engine compiles through (hand it to
+    /// sibling contexts).
     #[must_use]
-    pub fn plan_cache(&self) -> RnsPlanCache {
-        self.cache.clone()
+    pub fn plan_cache(&self) -> Arc<ArtifactCache> {
+        Arc::clone(&self.cache)
     }
 
     /// One limb's engine, for inspection (stats, recovery reports).
@@ -273,40 +227,16 @@ impl RnsContext {
         &self.last_wave
     }
 
-    /// Ensures every limb engine holds a compiled pipeline for `spec`,
-    /// importing from the shared cache where possible (hit) and
-    /// compiling + publishing otherwise (miss). Idempotent; called
-    /// automatically by the run methods.
+    /// Ensures the cache holds a compiled pipeline for `spec` on every
+    /// limb, compiling only the ones no engine sharing the cache has
+    /// compiled yet. Idempotent; called automatically by the run methods.
     ///
     /// # Errors
     ///
     /// Propagates pipeline validation/compilation failures.
     pub fn compile(&mut self, spec: &PipelineSpec) -> Result<(), BpNttError> {
-        for (engine, &q) in self.engines.iter_mut().zip(self.basis.primes()) {
-            if engine.has_pipeline(spec) {
-                continue;
-            }
-            let key = PlanKey {
-                backend: self.backend,
-                n: self.basis.n(),
-                q,
-                rows: self.rows,
-                cols: self.cols,
-                bitwidth: self.bitwidth,
-                spec: spec.clone(),
-            };
-            let mut cache = self.cache.inner.lock().expect("plan cache poisoned");
-            if let Some(pipe) = cache.plans.get(&key) {
-                let pipe = Arc::clone(pipe);
-                cache.hits += 1;
-                drop(cache);
-                engine.import_pipeline(&pipe);
-            } else {
-                drop(cache);
-                let pipe = engine.warm_pipeline(spec)?;
-                let mut cache = self.cache.inner.lock().expect("plan cache poisoned");
-                cache.plans.insert(key, pipe);
-            }
+        for engine in &mut self.engines {
+            engine.compile(spec)?;
         }
         Ok(())
     }
@@ -547,8 +477,10 @@ mod tests {
         let mut first = ctx(3);
         let spec = PipelineSpec::polymul();
         first.compile(&spec).unwrap();
-        assert_eq!(first.plan_cache().hits(), 0);
-        assert_eq!(first.plan_cache().entries(), 3);
+        let cache = first.plan_cache();
+        assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.entries(), 3);
+        let compile_secs = cache.compile_secs();
 
         let mut second = RnsContext::with_plan_cache(
             Arc::clone(first.basis()),
@@ -561,12 +493,15 @@ mod tests {
         )
         .unwrap();
         second.compile(&spec).unwrap();
-        // Every limb of the second context imported instead of compiling.
-        assert_eq!(first.plan_cache().hits(), 3);
-        assert_eq!(first.plan_cache().entries(), 3);
-        // Idempotent: recompiling is a no-op, not another round of hits.
+        // Every limb of the second context found its plan: no new entry,
+        // no compile time, one hit per limb.
+        assert_eq!(cache.entries(), 3);
+        assert_eq!(cache.compile_secs(), compile_secs);
+        assert_eq!(cache.hits(), 3);
+        // Idempotent: compiling again adds lookups, never entries.
         second.compile(&spec).unwrap();
-        assert_eq!(first.plan_cache().hits(), 3);
+        assert_eq!(cache.entries(), 3);
+        assert_eq!(cache.compile_secs(), compile_secs);
     }
 
     #[test]

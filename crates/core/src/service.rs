@@ -54,14 +54,14 @@
 //!   SRAM faults. Ladder activity surfaces in [`ServiceMetrics`]
 //!   (`faults_detected`, `retries`, `quarantined_shards`,
 //!   `fallback_polys`, `verify_ms`).
-//! * **Tenants and the caches** — each tenant registers a
-//!   [`BpNttConfig`]; the dispatcher keeps one sharded engine per tenant
-//!   plus two cross-tenant caches: compiled programs keyed by
-//!   `(params, layout)` and compiled pipelines keyed by
-//!   `(params, layout, spec)`, so a second tenant with an identical
-//!   configuration installs `Arc`-shared artifacts instead of
-//!   recompiling, and a novel spec compiles once per configuration, not
-//!   once per tenant.
+//! * **Tenants and the cache** — each tenant registers a
+//!   [`BpNttConfig`]; the dispatcher keeps one sharded engine per tenant,
+//!   and every engine compiles through the service's one
+//!   [`ArtifactCache`], keyed by `(backend, configuration, spec)`. A
+//!   second tenant with an identical configuration compiles nothing, a
+//!   novel spec compiles once per configuration, not once per tenant,
+//!   and a dispatcher the watchdog respawns rebuilds its engines without
+//!   recompiling.
 //! * **Metrics** — [`NttService::metrics`] snapshots queue depth, wave
 //!   occupancy, throughput, and per-shard wall-clock percentiles as a
 //!   [`ServiceMetrics`], exportable as JSON.
@@ -89,18 +89,18 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::artifacts::ArtifactCache;
 use crate::backend::BackendKind;
 use crate::config::BpNttConfig;
-use crate::engine::ProgramKey;
 use crate::error::BpNttError;
 use crate::health::{HealthCounters, HealthOptions};
 use crate::layout::Layout;
 use crate::metrics::{percentile, ServiceMetrics, TenantMetrics};
-use crate::pipeline::{CompiledPipeline, ExecMode, PipelineSpec};
+use crate::pipeline::{ExecMode, PipelineSpec};
 use crate::sharded::{RecoveryOptions, ShardedBpNtt};
 use crate::verify::VerifyPolicy;
 use bpntt_rns::{BigUint, RnsBasis};
-use bpntt_sram::{CompiledProgram, FaultPlan};
+use bpntt_sram::FaultPlan;
 
 /// How many recent per-shard wall-clock samples the percentile window
 /// keeps (a ring buffer; old samples fall off).
@@ -945,10 +945,6 @@ struct MetricsState {
     occupancy_sum: f64,
     busy_secs: f64,
     shard_secs: VecDeque<f64>,
-    program_cache_entries: usize,
-    program_cache_hits: u64,
-    pipeline_cache_entries: usize,
-    pipeline_cache_hits: u64,
     faults_detected: u64,
     retries: u64,
     quarantined_shards: u64,
@@ -1027,6 +1023,10 @@ struct Shared {
     shed_threshold: f64,
     /// Backend kind for tenants registered without an explicit one.
     backend: BackendKind,
+    /// The compiled-artifact cache every tenant engine compiles through.
+    /// It lives here, not on the dispatcher's stack, so a respawned
+    /// dispatcher rebuilds its engines without recompiling.
+    artifacts: Arc<ArtifactCache>,
     /// Self-healing knobs; `Some` arms the scrubber and watchdog.
     health: Option<HealthOptions>,
     /// Shards per tenant engine (the dispatcher needs it to rebuild
@@ -1053,43 +1053,6 @@ impl Shared {
         let hook = self.group_hook.lock().expect("group hook poisoned").clone();
         if let Some(barrier) = hook {
             barrier.wait();
-        }
-    }
-}
-
-/// Cross-tenant compiled-program cache key: two tenants share programs
-/// exactly when their `(backend, params, layout)` agree (the layout is
-/// fully determined by rows/cols/bitwidth/n, and every engine uses the
-/// default timing model, so equal keys imply bit-identical programs and
-/// costs). The pipeline cache extends this to
-/// `(backend, params, layout, spec)`: one [`ProgramCacheKey`] maps to
-/// the compiled pipelines of every spec seen for that configuration.
-///
-/// Today's two backends compile identical artifacts (both keep the
-/// default cost models), so the `backend` dimension costs one duplicate
-/// compile when the same configuration is registered on both kinds —
-/// paid deliberately, so a backend whose compilation diverges (a GPU
-/// lowering, a cost-model experiment) can never poison another backend's
-/// cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProgramCacheKey {
-    backend: BackendKind,
-    n: usize,
-    q: u64,
-    rows: usize,
-    cols: usize,
-    bitwidth: usize,
-}
-
-impl ProgramCacheKey {
-    fn of(config: &BpNttConfig, backend: BackendKind) -> Self {
-        ProgramCacheKey {
-            backend,
-            n: config.params().n(),
-            q: config.params().modulus(),
-            rows: config.rows(),
-            cols: config.cols(),
-            bitwidth: config.bitwidth(),
         }
     }
 }
@@ -1161,6 +1124,7 @@ impl NttService {
             rate_limit: opts.rate_limit,
             shed_threshold: opts.shed_threshold,
             backend: opts.backend,
+            artifacts: Arc::default(),
             health: opts.health,
             shards: opts.shards,
             dispatcher: Mutex::new(None),
@@ -1190,8 +1154,8 @@ impl NttService {
 
     /// Registers another tenant configuration on the service's default
     /// backend ([`ServiceOptions::backend`]), building its sharded
-    /// engine and warming its programs (from the cross-tenant cache when
-    /// an identical `(backend, params, layout)` is already registered).
+    /// engine and warming its canned pipelines (a cache lookup when an
+    /// identical `(backend, configuration)` is already registered).
     ///
     /// # Errors
     ///
@@ -1203,8 +1167,8 @@ impl NttService {
 
     /// Registers a tenant on an explicit execution backend — tenants on
     /// different backends coexist in one service (each tenant's sharded
-    /// engine is homogeneous; the compiled-artifact cache is keyed by
-    /// backend kind, so kinds never share cache entries).
+    /// engine is homogeneous; the artifact cache is keyed by backend
+    /// kind, so kinds never share cache entries).
     ///
     /// # Errors
     ///
@@ -1373,9 +1337,9 @@ impl NttService {
     /// Registers an RNS tenant group on the service's default backend:
     /// one limb tenant per residue prime of `basis`, all with the same
     /// array geometry (`rows × cols`, `bitwidth`-bit words). Limb
-    /// tenants share compiled artifacts through the ordinary
-    /// cross-tenant cache when their `(backend, params, layout)` keys
-    /// collide (e.g. two RNS groups over the same basis).
+    /// tenants share compiled artifacts through the service's artifact
+    /// cache when their `(backend, configuration)` keys collide (e.g.
+    /// two RNS groups over the same basis).
     ///
     /// # Errors
     ///
@@ -1527,6 +1491,7 @@ impl NttService {
             .lock()
             .expect("tenant map poisoned")
             .len();
+        let artifacts = &self.shared.artifacts;
         let m = self.shared.metrics.lock().expect("metrics poisoned");
         // Per-tenant slices: every tenant the counters have seen (a
         // registered tenant is seeded at registration), sorted by id.
@@ -1575,10 +1540,9 @@ impl NttService {
             shard_secs_p50: percentile(&sorted, 0.50),
             shard_secs_p90: percentile(&sorted, 0.90),
             shard_secs_max: sorted.last().copied().unwrap_or(0.0),
-            program_cache_entries: m.program_cache_entries,
-            program_cache_hits: m.program_cache_hits,
-            pipeline_cache_entries: m.pipeline_cache_entries,
-            pipeline_cache_hits: m.pipeline_cache_hits,
+            pipeline_cache_entries: artifacts.entries(),
+            pipeline_cache_hits: artifacts.hits(),
+            pipeline_compile_ms: artifacts.compile_secs() * 1e3,
             faults_detected: m.faults_detected,
             retries: m.retries,
             quarantined_shards: m.quarantined_shards,
@@ -1885,13 +1849,6 @@ fn tenant_info_of(config: &BpNttConfig) -> TenantInfo {
     }
 }
 
-/// One registered tenant's dispatcher-side state: the sharded engine and
-/// the `(params, layout)` key its artifacts are cached under.
-struct TenantEngine {
-    engine: ShardedBpNtt,
-    key: ProgramCacheKey,
-}
-
 /// One `(tenant, spec, mode)` group of a drained wave, executed as a
 /// single sharded pipeline call. `slots` is slot-major: one batch per
 /// input slot the spec declares.
@@ -1904,21 +1861,6 @@ struct WaveGroup {
     /// Any member request was an RNS limb: a round holding such a group
     /// counts toward the `rns_fanout_*` metrics.
     rns: bool,
-}
-
-/// Both cross-tenant caches: programs keyed by `(params, layout)` and
-/// compiled pipelines keyed by `(params, layout, spec)` (a nested map:
-/// configuration → spec → pipeline).
-#[derive(Default)]
-struct SharedArtifacts {
-    programs: HashMap<ProgramCacheKey, Vec<(ProgramKey, Arc<CompiledProgram>)>>,
-    pipelines: HashMap<ProgramCacheKey, HashMap<PipelineSpec, Arc<CompiledPipeline>>>,
-}
-
-impl SharedArtifacts {
-    fn pipeline_entries(&self) -> usize {
-        self.pipelines.values().map(HashMap::len).sum()
-    }
 }
 
 /// Dispatcher drop guard: however the dispatcher thread exits — normal
@@ -2103,10 +2045,10 @@ fn revive(
 /// Harvests every tenant engine's health counters (absolute sums) and
 /// the default tenant's per-shard health states into the metrics
 /// snapshot.
-fn harvest_health(shared: &Shared, engines: &HashMap<TenantId, TenantEngine>) {
+fn harvest_health(shared: &Shared, engines: &HashMap<TenantId, ShardedBpNtt>) {
     let mut totals = HealthCounters::default();
-    for te in engines.values() {
-        let c = te.engine.health_counters();
+    for engine in engines.values() {
+        let c = engine.health_counters();
         totals.probes_run += c.probes_run;
         totals.probes_passed += c.probes_passed;
         totals.reintegrations += c.reintegrations;
@@ -2116,13 +2058,7 @@ fn harvest_health(shared: &Shared, engines: &HashMap<TenantId, TenantEngine>) {
     }
     let shard_health: Vec<u8> = engines
         .get(&TenantId(0))
-        .map(|te| {
-            te.engine
-                .shard_health()
-                .iter()
-                .map(|s| s.as_code())
-                .collect()
-        })
+        .map(|engine| engine.shard_health().iter().map(|s| s.as_code()).collect())
         .unwrap_or_default();
     let mut m = shared.metrics.lock().expect("metrics poisoned");
     m.health = totals;
@@ -2130,21 +2066,21 @@ fn harvest_health(shared: &Shared, engines: &HashMap<TenantId, TenantEngine>) {
 }
 
 fn dispatcher_loop(shared: &Shared) {
-    let shards = shared.shards;
     let _guard = QueueDrainGuard(shared);
-    let mut engines: HashMap<TenantId, TenantEngine> = HashMap::new();
-    let mut cache = SharedArtifacts::default();
+    let mut engines: HashMap<TenantId, ShardedBpNtt> = HashMap::new();
     // Rebuild every registered tenant's engine under its original id —
     // a no-op on first spawn (empty registry), the recovery path after
-    // a watchdog respawn. A tenant whose engine fails to rebuild stays
-    // registered; its waves fail typed with `UnknownTenant`.
+    // a watchdog respawn (every artifact is already in the shared
+    // cache, so nothing recompiles). A tenant whose engine fails to
+    // rebuild stays registered; its waves fail typed with
+    // `UnknownTenant`.
     let mut next_tenant: u32 = 0;
     let registry: Vec<(TenantId, BpNttConfig, BackendKind)> =
         shared.registry.lock().expect("registry poisoned").clone();
     for (id, config, backend) in &registry {
         next_tenant = next_tenant.max(id.0 + 1);
-        if let Ok(te) = build_engine(shared, config, *backend, shards, &mut cache) {
-            engines.insert(*id, te);
+        if let Ok(engine) = build_engine(shared, config, *backend) {
+            engines.insert(*id, engine);
         }
     }
     // Requests per tenant in the last executed wave.
@@ -2182,20 +2118,13 @@ fn dispatcher_loop(shared: &Shared) {
                 backend,
                 reply,
             }) => {
-                let result = register_tenant(
-                    shared,
-                    &config,
-                    backend,
-                    shards,
-                    &mut engines,
-                    &mut cache,
-                    &mut next_tenant,
-                );
+                let result =
+                    register_tenant(shared, &config, backend, &mut engines, &mut next_tenant);
                 let _ = reply.send(result);
             }
             Action::Control(Control::Scrub) => {
-                for te in engines.values_mut() {
-                    let _ = te.engine.scrub_pass();
+                for engine in engines.values_mut() {
+                    let _ = engine.scrub_pass();
                 }
                 harvest_health(shared, &engines);
             }
@@ -2211,7 +2140,7 @@ fn dispatcher_loop(shared: &Shared) {
                 // hot-tenant backlog cannot monopolize the next wave.
                 let target = engines
                     .values()
-                    .map(|t| t.engine.lanes_total())
+                    .map(ShardedBpNtt::lanes_total)
                     .max()
                     .unwrap_or(1)
                     .min(shared.max_queue.max(1));
@@ -2255,7 +2184,7 @@ fn dispatcher_loop(shared: &Shared) {
                     for r in &drained {
                         *last_wave.entry(r.tenant).or_default() += 1;
                     }
-                    execute_wave(shared, &mut engines, &mut cache, drained);
+                    execute_wave(shared, &mut engines, drained);
                 }
             }
         }
@@ -2300,13 +2229,11 @@ fn register_tenant(
     shared: &Shared,
     config: &BpNttConfig,
     backend: BackendKind,
-    shards: usize,
-    engines: &mut HashMap<TenantId, TenantEngine>,
-    cache: &mut SharedArtifacts,
+    engines: &mut HashMap<TenantId, ShardedBpNtt>,
     next_tenant: &mut u32,
 ) -> Result<TenantId, BpNttError> {
     let info = tenant_info_of(config);
-    let te = build_engine(shared, config, backend, shards, cache)?;
+    let engine = build_engine(shared, config, backend)?;
     let id = TenantId(*next_tenant);
     *next_tenant += 1;
     shared
@@ -2324,21 +2251,24 @@ fn register_tenant(
     // Seed the per-tenant metrics slice so a registered-but-idle tenant
     // appears (zeroed) in every snapshot.
     let _ = shared.metrics.lock().expect("metrics poisoned").tenant(id);
-    engines.insert(id, te);
+    engines.insert(id, engine);
     Ok(id)
 }
 
-/// Builds one tenant's sharded engine: recovery ladder, fault plan, and
-/// health options applied, programs and pipelines imported from the
-/// cross-tenant cache (or compiled and published on a miss).
+/// Builds one tenant's sharded engine on the shared artifact cache:
+/// recovery ladder, fault plan, and health options applied, canned
+/// pipelines warmed.
 fn build_engine(
     shared: &Shared,
     config: &BpNttConfig,
     backend: BackendKind,
-    shards: usize,
-    cache: &mut SharedArtifacts,
-) -> Result<TenantEngine, BpNttError> {
-    let mut engine = ShardedBpNtt::with_backend(config, shards, backend)?;
+) -> Result<ShardedBpNtt, BpNttError> {
+    let mut engine = ShardedBpNtt::with_artifacts(
+        config,
+        shared.shards,
+        backend,
+        Arc::clone(&shared.artifacts),
+    )?;
     if shared.recovery.is_active() {
         engine.set_recovery(shared.recovery);
     }
@@ -2348,42 +2278,19 @@ fn build_engine(
     if let Some(h) = shared.health {
         engine.set_health_options(h);
     }
-    let key = ProgramCacheKey::of(config, backend);
-    if let Some(progs) = cache.programs.get(&key) {
-        engine.import_programs(progs);
-        // Identical configuration: every compiled pipeline of that
-        // configuration installs too.
-        if let Some(pipes) = cache.pipelines.get(&key) {
-            for pipe in pipes.values() {
-                engine.import_pipeline(pipe);
-            }
-        }
-        let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.program_cache_hits += 1;
-        m.pipeline_cache_hits += 1;
-    } else {
-        // Warm the canned specs every tenant is expected to run;
-        // polymul only when two operand slots fit the layout.
-        let mut warmed = vec![
-            engine.warm_pipeline(&PipelineSpec::forward_ntt())?,
-            engine.warm_pipeline(&PipelineSpec::roundtrip())?,
-        ];
-        if PipelineSpec::polymul()
-            .check(config.layout(), config.params().modulus())
-            .is_ok()
-        {
-            warmed.push(engine.warm_pipeline(&PipelineSpec::polymul())?);
-        }
-        cache.programs.insert(key, engine.export_programs());
-        let by_spec = cache.pipelines.entry(key).or_default();
-        for pipe in warmed {
-            by_spec.insert(pipe.spec().clone(), pipe);
-        }
-        let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.program_cache_entries = cache.programs.len();
-        m.pipeline_cache_entries = cache.pipeline_entries();
+    // Warm the canned specs every tenant is expected to run, so
+    // registration, not the first request, pays any compile; polymul
+    // only when two operand slots fit the layout. An identical
+    // configuration registered before makes these lookups.
+    engine.compile(&PipelineSpec::forward_ntt())?;
+    engine.compile(&PipelineSpec::roundtrip())?;
+    if PipelineSpec::polymul()
+        .check(config.layout(), config.params().modulus())
+        .is_ok()
+    {
+        engine.compile(&PipelineSpec::polymul())?;
     }
-    Ok(TenantEngine { engine, key })
+    Ok(engine)
 }
 
 /// Executes one drained wave: requests are grouped by
@@ -2391,13 +2298,12 @@ fn build_engine(
 /// each group runs as **one** sharded pipeline call (the whole op-graph
 /// per lane, operands loaded once, one read-back), groups of distinct
 /// tenants run concurrently, and every ticket receives its own result
-/// (or the group's error). Novel specs resolve
-/// through the cross-tenant `(params, layout, spec)` pipeline cache —
-/// import on a hit, compile-and-publish on a miss.
+/// (or the group's error). Every group's pipeline is resolved through
+/// the shared artifact cache before the timed rounds, so a novel spec's
+/// compile never counts toward `busy_secs`.
 fn execute_wave(
     shared: &Shared,
-    engines: &mut HashMap<TenantId, TenantEngine>,
-    cache: &mut SharedArtifacts,
+    engines: &mut HashMap<TenantId, ShardedBpNtt>,
     drained: Vec<Request>,
 ) {
     let mut groups: Vec<WaveGroup> = Vec::new();
@@ -2465,20 +2371,21 @@ fn execute_wave(
         }
         g.replies.push(reply);
     }
-    // Resolve every group's pipeline first (the cache needs exclusive
-    // access), then execute rounds of groups with pairwise distinct
-    // tenants: distinct tenants own disjoint engines, so one group runs
-    // on this thread and the rest on scoped threads, sharing the
-    // wall-clock window instead of queueing behind each other. A
-    // tenant's later groups land in later rounds, in submission order.
+    // Resolve every group's pipeline first (compiling a novel spec
+    // here keeps it out of the timed rounds), then execute rounds of
+    // groups with pairwise distinct tenants: distinct tenants own
+    // disjoint engines, so one group runs on this thread and the rest on
+    // scoped threads, sharing the wall-clock window instead of queueing
+    // behind each other. A tenant's later groups land in later rounds,
+    // in submission order.
     let mut ready: Vec<WaveGroup> = Vec::new();
     for group in groups {
-        let Some(te) = engines.get_mut(&group.tenant) else {
+        let Some(engine) = engines.get_mut(&group.tenant) else {
             fail_unknown_tenant(shared, group);
             continue;
         };
-        match resolve_pipeline(shared, te, cache, &group.spec) {
-            Ok(()) => ready.push(group),
+        match engine.compile(&group.spec) {
+            Ok(_) => ready.push(group),
             Err(e) => fail_group(shared, group, &e),
         }
     }
@@ -2496,28 +2403,25 @@ fn execute_wave(
         ready = rest;
         // Pair each group with its engine in one mutable pass — tenants
         // in a round are distinct, so the borrows are disjoint.
-        let mut by_tenant: HashMap<TenantId, &mut TenantEngine> = engines
+        let mut by_tenant: HashMap<TenantId, &mut ShardedBpNtt> = engines
             .iter_mut()
             .filter(|(id, _)| seen.contains(id))
-            .map(|(id, te)| (*id, te))
+            .map(|(id, engine)| (*id, engine))
             .collect();
-        let pairs: Vec<(&mut TenantEngine, WaveGroup)> = round
+        let pairs: Vec<(&mut ShardedBpNtt, WaveGroup)> = round
             .into_iter()
             .map(|g| {
-                let te = by_tenant.remove(&g.tenant).expect("engine resolved above");
-                (te, g)
+                let engine = by_tenant.remove(&g.tenant).expect("engine resolved above");
+                (engine, g)
             })
             .collect();
         if pairs.iter().any(|(_, g)| g.rns) {
             // RNS fan-out accounting: how full this concurrent window is
             // across every participating engine's lanes.
-            let cap_sum: usize = pairs
-                .iter()
-                .map(|(te, _)| te.engine.lanes_total().max(1))
-                .sum();
+            let cap_sum: usize = pairs.iter().map(|(e, _)| e.lanes_total().max(1)).sum();
             let busy_sum: usize = pairs
                 .iter()
-                .map(|(te, g)| g.replies.len().min(te.engine.lanes_total().max(1)))
+                .map(|(e, g)| g.replies.len().min(e.lanes_total().max(1)))
                 .sum();
             let mut m = shared.metrics.lock().expect("metrics poisoned");
             m.rns_fanout_waves += 1;
@@ -2529,11 +2433,11 @@ fn execute_wave(
             let mut pairs = pairs.into_iter();
             let inline = pairs.next();
             let legs: Vec<_> = pairs
-                .map(|(te, group)| scope.spawn(move || run_group(shared, &mut te.engine, group)))
+                .map(|(engine, group)| scope.spawn(move || run_group(shared, engine, group)))
                 .collect();
             let mut done = t;
-            if let Some((te, group)) = inline {
-                done = done.max(run_group(shared, &mut te.engine, group));
+            if let Some((engine, group)) = inline {
+                done = done.max(run_group(shared, engine, group));
             }
             for leg in legs {
                 let leg_done = leg.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
@@ -2572,43 +2476,6 @@ fn fail_group(shared: &Shared, group: WaveGroup, e: &BpNttError) {
     for reply in group.replies {
         reply.send(Err(e.clone()));
     }
-}
-
-/// Resolves a spec's compiled pipeline through the cross-tenant cache
-/// before the timed engine call: a spec another tenant of this
-/// configuration already compiled imports in O(segments); a genuinely
-/// novel spec compiles once here and is published for everyone.
-fn resolve_pipeline(
-    shared: &Shared,
-    te: &mut TenantEngine,
-    cache: &mut SharedArtifacts,
-    spec: &PipelineSpec,
-) -> Result<(), BpNttError> {
-    if te.engine.has_pipeline(spec) {
-        return Ok(());
-    }
-    let cached = cache
-        .pipelines
-        .get(&te.key)
-        .and_then(|by_spec| by_spec.get(spec))
-        .cloned();
-    if let Some(pipe) = cached {
-        te.engine.import_pipeline(&pipe);
-        let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.pipeline_cache_hits += 1;
-    } else {
-        let pipe = te.engine.warm_pipeline(spec)?;
-        cache
-            .pipelines
-            .entry(te.key)
-            .or_default()
-            .insert(spec.clone(), pipe);
-        // Publish any newly traced segment programs too.
-        cache.programs.insert(te.key, te.engine.export_programs());
-        let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.pipeline_cache_entries = cache.pipeline_entries();
-    }
-    Ok(())
 }
 
 /// Books one fan-out round: its wall-clock time, from dispatch until its
@@ -3255,6 +3122,7 @@ mod tests {
         .unwrap();
         let warm = service.submit_forward(pseudo(8, 97, 1)).unwrap();
         assert!(warm.wait().is_ok());
+        let before = service.metrics();
         // Queue a request and the crash control under one lock: the
         // dispatcher pops controls before work, so it panics with the
         // request still queued — the drain guard must fail it typed
@@ -3297,6 +3165,11 @@ mod tests {
         let after = service.submit_forward(pseudo(8, 97, 3)).unwrap();
         assert_eq!(after.wait().unwrap().len(), 8);
         let m = service.shutdown();
+        // The rebuild found every artifact in the shared cache: it looked
+        // them up and compiled nothing.
+        assert_eq!(m.pipeline_cache_entries, before.pipeline_cache_entries);
+        assert_eq!(m.pipeline_compile_ms, before.pipeline_compile_ms);
+        assert!(m.pipeline_cache_hits > before.pipeline_cache_hits);
         assert!(m.respawns >= 1);
         assert_eq!(m.completed, 2);
         assert_eq!(m.failed, 1, "the queued request failed typed, once");
@@ -3712,8 +3585,9 @@ mod tests {
 
     #[test]
     fn rns_limb_groups_share_compiled_artifacts() {
-        // A second RNS group over the same basis and geometry hits the
-        // cross-tenant artifact cache for every limb.
+        // A second RNS group over the same basis and geometry compiles
+        // nothing: registration warms 3 canned specs per limb, all found
+        // in the shared artifact cache.
         let service = NttService::start(&config8(), ServiceOptions::default()).unwrap();
         let basis = rns_basis64();
         let h1 = service.add_rns_tenant(140, 128, 16, &basis).unwrap();
@@ -3721,9 +3595,13 @@ mod tests {
         let h2 = service.add_rns_tenant(140, 128, 16, &basis).unwrap();
         let after = service.metrics();
         assert_eq!(
-            after.pipeline_cache_hits - before.pipeline_cache_hits,
-            basis.limbs() as u64,
+            after.pipeline_cache_entries, before.pipeline_cache_entries,
             "every limb of the second group must reuse compiled plans"
+        );
+        assert_eq!(after.pipeline_compile_ms, before.pipeline_compile_ms);
+        assert!(
+            after.pipeline_cache_hits - before.pipeline_cache_hits >= 3 * basis.limbs() as u64,
+            "one hit per canned spec per limb"
         );
         // Both groups still compute correctly.
         let a = big_poly(&basis, 13);

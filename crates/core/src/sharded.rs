@@ -6,8 +6,8 @@
 //! [`ShardedBpNtt`] provisions `K` identically configured engines behind
 //! the [`NttBackend`] seam (the cost-accounted simulator by default, the
 //! native direct-execution backend via [`ShardedBpNtt::with_backend`] — see
-//! [`crate::backend`]), compiles each schedule **once**, shares the
-//! compiled program across every shard behind an `Arc`, and replays it on
+//! [`crate::backend`]), compiles each schedule **once** into one
+//! [`ArtifactCache`] every shard reads, and replays it on
 //! all shards in parallel (one OS thread per shard, via
 //! `std::thread::scope` — the dependency-free equivalent of a rayon
 //! fan-out; a wave that occupies one shard runs on the caller's thread).
@@ -42,11 +42,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::backend::{new_backend, BackendKind, NttBackend};
+use crate::artifacts::ArtifactCache;
+use crate::backend::{new_backend_in, BackendKind, NttBackend};
 use crate::config::BpNttConfig;
 use crate::error::BpNttError;
 use crate::health::{HealthCounters, HealthMonitor, HealthOptions, ShardHealthState};
-use crate::pipeline::{CompiledPipeline, ExecMode, PipelineSpec};
+use crate::pipeline::{CompiledPipeline, ConfigFingerprint, ExecMode, PipelineSpec};
 use crate::verify::VerifyPolicy;
 use bpntt_sram::{CompiledProgram, FaultPlan, FaultStats, Stats};
 
@@ -155,6 +156,8 @@ impl RecoveryReport {
 pub struct ShardedBpNtt {
     shards: Vec<Box<dyn NttBackend>>,
     backend: BackendKind,
+    /// The cache every shard compiles through.
+    artifacts: Arc<ArtifactCache>,
     lanes_per_shard: usize,
     /// Wall-clock seconds each participating shard thread spent in the
     /// most recent batch fan-out (load + compute + read-back across every
@@ -251,17 +254,29 @@ impl ShardedBpNtt {
         shards: usize,
         backend: BackendKind,
     ) -> Result<Self, BpNttError> {
+        Self::with_artifacts(config, shards, backend, Arc::default())
+    }
+
+    /// As [`Self::with_backend`], compiling through `artifacts` (the
+    /// service and RNS layers share one cache across engines).
+    pub(crate) fn with_artifacts(
+        config: &BpNttConfig,
+        shards: usize,
+        backend: BackendKind,
+        artifacts: Arc<ArtifactCache>,
+    ) -> Result<Self, BpNttError> {
         if shards == 0 {
             return Err(BpNttError::InvalidShardCount { shards });
         }
         let shards: Vec<Box<dyn NttBackend>> = (0..shards)
-            .map(|_| new_backend(backend, config))
+            .map(|_| new_backend_in(backend, config, &artifacts))
             .collect::<Result<_, _>>()?;
         let lanes_per_shard = config.layout().lanes();
         let n_shards = shards.len();
         Ok(ShardedBpNtt {
             shards,
             backend,
+            artifacts,
             lanes_per_shard,
             last_shard_secs: Vec::new(),
             recovery: RecoveryOptions::default(),
@@ -409,28 +424,40 @@ impl ShardedBpNtt {
         self.health.score(shard_idx, self.now_secs())
     }
 
-    /// Number of compiled programs each shard engine currently caches
-    /// (caches are kept uniform across shards; this reads shard 0).
+    /// Number of compiled programs the shards' shared cache holds for
+    /// this engine's backend and configuration.
     #[must_use]
     pub fn cached_programs(&self) -> usize {
-        self.shards[0].cached_programs()
+        self.programs().len()
     }
 
-    /// Opaque identities of the programs cached by shard `shard_idx`,
-    /// sorted. Two equal snapshots mean the cache still holds the
-    /// *same* program objects — nothing was recompiled or replaced in
-    /// between (scrub probes must replay, never mutate the cache).
+    /// Opaque identities of the programs shard `shard_idx` replays from,
+    /// sorted (every shard reads the same cache). Two equal snapshots
+    /// mean the cache still holds the *same* program objects — nothing
+    /// was recompiled or replaced in between (scrub probes must replay,
+    /// never mutate the cache).
+    ///
+    /// # Panics
     ///
     /// Panics if `shard_idx` is out of range.
     #[must_use]
     pub fn program_identities(&self, shard_idx: usize) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.shards[shard_idx]
-            .export_programs()
+        assert!(
+            shard_idx < self.shards.len(),
+            "shard {shard_idx} out of range"
+        );
+        let mut ids: Vec<usize> = self
+            .programs()
             .iter()
-            .map(|(_, prog)| Arc::as_ptr(prog) as usize)
+            .map(|prog| Arc::as_ptr(prog) as usize)
             .collect();
         ids.sort_unstable();
         ids
+    }
+
+    fn programs(&self) -> Vec<Arc<CompiledProgram>> {
+        let fp = ConfigFingerprint::of(self.shards[0].config());
+        self.artifacts.programs_of(self.backend, fp)
     }
 
     /// One scrubber pass: runs seeded known-answer probes against every
@@ -611,34 +638,15 @@ impl ShardedBpNtt {
         &self.last_shard_secs
     }
 
-    /// Compiles the pipeline for `spec` once (on shard 0) and installs
-    /// the shared `Arc` (and its segment programs) into every other
-    /// shard, so the parallel phase never compiles. Used by the service
-    /// layer so tenant registration, not the first request, pays the
-    /// compile.
-    pub(crate) fn warm_pipeline(
+    /// The pipeline for `spec` from the shards' shared cache, compiled
+    /// (on shard 0) on a miss — so the parallel phase never compiles.
+    /// The service layer calls it to compile at tenant registration and
+    /// before timed waves.
+    pub(crate) fn compile(
         &mut self,
         spec: &PipelineSpec,
     ) -> Result<Arc<CompiledPipeline>, BpNttError> {
-        let pipe = self.shards[0].compile(spec)?;
-        for shard in &mut self.shards[1..] {
-            shard.install_pipeline(&pipe);
-        }
-        Ok(pipe)
-    }
-
-    /// Whether shard 0 already holds a compiled pipeline for `spec`.
-    pub(crate) fn has_pipeline(&self, spec: &PipelineSpec) -> bool {
-        self.shards[0].has_pipeline(spec)
-    }
-
-    /// Installs an externally compiled pipeline into every shard (the
-    /// service layer's cross-tenant `(params, layout, spec)` cache hit
-    /// path).
-    pub(crate) fn import_pipeline(&mut self, pipe: &Arc<CompiledPipeline>) {
-        for shard in &mut self.shards {
-            shard.install_pipeline(pipe);
-        }
+        self.shards[0].compile(spec)
     }
 
     /// Executes one compiled pipeline over an arbitrarily large batch —
@@ -930,7 +938,7 @@ impl ShardedBpNtt {
         if inputs[0].is_empty() {
             return Ok(Vec::new());
         }
-        let pipe = self.warm_pipeline(spec)?;
+        let pipe = self.compile(spec)?;
         self.run_wave(&pipe, mode, inputs, cancel)
     }
 
@@ -979,26 +987,6 @@ impl ShardedBpNtt {
         b: &[Vec<u64>],
     ) -> Result<Vec<Vec<u64>>, BpNttError> {
         self.run_pipeline_batch(&PipelineSpec::polymul(), ExecMode::Replay, &[a, b])
-    }
-
-    /// Every compiled program shard 0 holds, for the service layer's
-    /// cross-tenant cache keyed by `(params, layout)`.
-    pub(crate) fn export_programs(&self) -> Vec<(crate::engine::ProgramKey, Arc<CompiledProgram>)> {
-        self.shards[0].export_programs()
-    }
-
-    /// Installs externally compiled programs into every shard (the
-    /// service layer's cache hit path: a new tenant with an identical
-    /// `(params, layout)` never recompiles).
-    pub(crate) fn import_programs(
-        &mut self,
-        progs: &[(crate::engine::ProgramKey, Arc<CompiledProgram>)],
-    ) {
-        for shard in &mut self.shards {
-            for (key, prog) in progs {
-                shard.install_program(*key, Arc::clone(prog));
-            }
-        }
     }
 }
 
@@ -1298,9 +1286,8 @@ mod tests {
         fresh.forward_batch(&[]).unwrap();
         fresh.roundtrip_batch(&[]).unwrap();
         fresh.polymul_batch(&[], &[]).unwrap();
-        for shard in &fresh.shards {
-            assert_eq!(shard.cached_programs(), 0, "empty batches must not compile");
-        }
+        assert_eq!(fresh.cached_programs(), 0, "empty batches must not compile");
+        assert_eq!(fresh.artifacts.entries(), 0);
     }
 
     #[test]
@@ -1615,12 +1602,14 @@ mod tests {
         let mut sharded = ShardedBpNtt::new(&config(), 4).unwrap();
         let batch: Vec<Vec<u64>> = (0..16).map(|s| pseudo(8, 97, s + 9)).collect();
         sharded.forward_batch(&batch).unwrap();
-        for shard in &sharded.shards {
-            assert_eq!(
-                shard.cached_programs(),
-                1,
-                "every shard holds the shared program"
-            );
-        }
+        let compile_secs = sharded.artifacts.compile_secs();
+        sharded.forward_batch(&batch).unwrap();
+        assert_eq!(sharded.cached_programs(), 1, "one program for 4 shards");
+        assert_eq!(sharded.artifacts.entries(), 1);
+        assert_eq!(
+            sharded.artifacts.compile_secs(),
+            compile_secs,
+            "a second wave compiles nothing"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! cargo run --release --example backend_quickstart
 //! ```
 //!
-//! Compiles a polynomial-multiplication pipeline once, installs the same
-//! compiled artifact on both backends, and runs it on each:
+//! Compiles a polynomial-multiplication pipeline once and runs the same
+//! compiled artifact on both backends:
 //!
 //! * [`BackendKind::Sim`] — the cost-accounted bit-accurate simulator;
 //!   its [`BackendStats`] carries the full `Stats` snapshot (cycles,
@@ -36,12 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|l| Polynomial::pseudo_random(&params, 2 * l + 2).into_coeffs())
         .collect();
 
-    // Compile once on the simulator, install the identical artifact on
-    // the native backend — compiled pipelines are backend-independent.
+    // Compile once on the simulator and execute the identical artifact
+    // on the native backend — compiled pipelines are backend-independent.
     let mut sim = new_backend(BackendKind::Sim, &cfg)?;
     let plan = sim.compile(&spec)?;
     let mut native = new_backend(BackendKind::Native, &cfg)?;
-    native.install_pipeline(&plan);
 
     let (sim_rows, sim_cost) = sim.execute(&plan, ExecMode::Replay, &[&a, &b])?;
     let (nat_rows, nat_cost) = native.execute(&plan, ExecMode::Replay, &[&a, &b])?;

@@ -53,8 +53,8 @@ fn pseudo_batch(cfg: &BpNttConfig, lanes: usize, seed: u64) -> Vec<Vec<u64>> {
 }
 
 /// Runs one spec on both backends in every `ExecMode` — the *same*
-/// compiled pipeline crosses the seam (compiled on sim, installed on
-/// native) — and asserts bit-identical rows, a frozen native `Stats`,
+/// compiled pipeline crosses the seam (compiled on sim, executed as is
+/// on native) — and asserts bit-identical rows, a frozen native `Stats`,
 /// and agreement with the software reference outputs.
 fn assert_backends_equivalent(cfg: &BpNttConfig, spec: &PipelineSpec, seed: u64) {
     let lanes = cfg.layout().lanes();
@@ -73,7 +73,6 @@ fn assert_backends_equivalent(cfg: &BpNttConfig, spec: &PipelineSpec, seed: u64)
     let mut sim = new_backend(BackendKind::Sim, cfg).unwrap();
     let pipe = sim.compile(spec).unwrap();
     let mut native = new_backend(BackendKind::Native, cfg).unwrap();
-    native.install_pipeline(&pipe);
 
     for mode in ExecMode::ALL {
         let (sim_rows, sim_cost) = sim.execute(&pipe, mode, &slots).unwrap();
@@ -159,9 +158,9 @@ fn native_sharded_wave_matches_sim_wave() {
 }
 
 /// One service process, two tenants of the *same configuration* on
-/// *different backends*: both answer correctly, and the compiled-artifact
-/// cache keys them separately (registering the second kind is a cache
-/// miss — two entries, no cross-kind hit).
+/// *different backends*: both answer correctly, and the artifact cache
+/// keys them separately (registering the second kind compiles its own
+/// entries; a second tenant of a kind compiles none).
 #[test]
 fn service_runs_mixed_backend_tenants_with_backend_keyed_cache() {
     let cfg = config(0);
@@ -169,24 +168,34 @@ fn service_runs_mixed_backend_tenants_with_backend_keyed_cache() {
     let t = TwiddleTable::new(&params);
     let service = NttService::start(&cfg, ServiceOptions::default()).unwrap();
     let sim_tenant = service.default_tenant();
+    let sim_only = service.metrics();
     let native_tenant = service
         .add_tenant_with_backend(&cfg, BackendKind::Native)
         .unwrap();
-    // Same (params, layout), different kind → keyed apart: the native
-    // registration must NOT hit the sim tenant's cache entry.
+    // Same configuration, different kind → keyed apart: the native
+    // registration compiles as many entries as the sim one did, and
+    // finds none of the sim tenant's.
     let m = service.metrics();
     assert_eq!(
-        m.program_cache_entries, 2,
-        "one program-cache entry per backend kind"
+        m.pipeline_cache_entries,
+        2 * sim_only.pipeline_cache_entries,
+        "one set of canned pipelines per backend kind"
     );
-    assert_eq!(m.program_cache_hits, 0, "no cross-backend cache hit");
-    // A *third* tenant on the native backend is a hit on the native entry.
+    assert_eq!(
+        m.pipeline_cache_hits, sim_only.pipeline_cache_hits,
+        "no cross-backend cache hit"
+    );
+    // A *third* tenant on the native backend compiles nothing.
     service
         .add_tenant_with_backend(&cfg, BackendKind::Native)
         .unwrap();
-    let m = service.metrics();
-    assert_eq!(m.program_cache_entries, 2);
-    assert_eq!(m.program_cache_hits, 1, "same-kind registration hits");
+    let third = service.metrics();
+    assert_eq!(third.pipeline_cache_entries, m.pipeline_cache_entries);
+    assert_eq!(third.pipeline_compile_ms, m.pipeline_compile_ms);
+    assert!(
+        third.pipeline_cache_hits >= m.pipeline_cache_hits + 3,
+        "same-kind registration looks up all 3 canned pipelines"
+    );
 
     let poly = pseudo_batch(&cfg, 1, 300).remove(0);
     let mut expect = poly.clone();

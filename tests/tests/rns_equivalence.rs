@@ -12,8 +12,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use bpntt_core::{
-    BackendKind, BigUint, ExecMode, FaultPlan, NttService, PipelineSpec, RecoveryOptions, RnsBasis,
-    RnsContext, RnsPlanCache, RnsRequest, ServiceOptions, VerifyPolicy,
+    ArtifactCache, BackendKind, BigUint, ExecMode, FaultPlan, NttService, PipelineSpec,
+    RecoveryOptions, RnsBasis, RnsContext, RnsRequest, ServiceOptions, VerifyPolicy,
 };
 use bpntt_modmath::primes::find_ntt_primes;
 use bpntt_rns::reference::negacyclic_polymul_basis;
@@ -154,15 +154,15 @@ fn fanned_matches_sequential_and_raises_occupancy() {
     assert!(fanned_wave.occupancy > sequential_wave.occupancy);
 }
 
-/// Sibling contexts over one shared plan cache compile each limb prime
-/// once: the second context imports all `L` plans (hits ≥ L − 1 holds
-/// with margin).
+/// Sibling contexts over one shared artifact cache compile each limb
+/// prime once: the second context adds no entry and finds all `L` plans
+/// (hits ≥ L − 1 holds with margin).
 #[test]
 fn sibling_contexts_share_compiled_plans() {
     let basis = Arc::new(RnsBasis::new(64, &P14).unwrap());
-    let cache = RnsPlanCache::new();
+    let cache = Arc::new(ArtifactCache::default());
     let spec = PipelineSpec::polymul();
-    let mk = |cache: &RnsPlanCache| {
+    let mk = |cache: &Arc<ArtifactCache>| {
         RnsContext::with_plan_cache(
             Arc::clone(&basis),
             rows_for(64),
@@ -170,15 +170,20 @@ fn sibling_contexts_share_compiled_plans() {
             16,
             basis.limbs(),
             BackendKind::Sim,
-            cache.clone(),
+            Arc::clone(cache),
         )
         .unwrap()
     };
     let mut first = mk(&cache);
     first.compile(&spec).unwrap();
-    let baseline_hits = cache.hits();
+    let (baseline_entries, baseline_hits) = (cache.entries(), cache.hits());
     let mut second = mk(&cache);
     second.compile(&spec).unwrap();
+    assert_eq!(
+        cache.entries(),
+        baseline_entries,
+        "the sibling context must compile nothing"
+    );
     let hits = cache.hits() - baseline_hits;
     assert!(
         hits >= (basis.limbs() - 1) as u64,
@@ -281,8 +286,8 @@ fn ninety_bit_acceptance_all_modes_both_backends() {
 }
 
 /// Service-level smoke: two tenant groups over one basis share compiled
-/// artifacts (≥ L − 1 pipeline-cache hits for the second group) and
-/// both reconstruct exactly.
+/// artifacts (the second group adds no cache entry and makes ≥ L − 1
+/// pipeline-cache hits) and both reconstruct exactly.
 #[test]
 fn service_rns_groups_share_artifacts_and_reconstruct() {
     let service = NttService::start(
@@ -294,11 +299,16 @@ fn service_rns_groups_share_artifacts_and_reconstruct() {
     let h1 = service
         .add_rns_tenant(rows_for(64), 128, 16, &basis)
         .unwrap();
-    let before = service.metrics().pipeline_cache_hits;
+    let before = service.metrics();
     let h2 = service
         .add_rns_tenant(rows_for(64), 128, 16, &basis)
         .unwrap();
-    let hits = service.metrics().pipeline_cache_hits - before;
+    let after = service.metrics();
+    assert_eq!(
+        after.pipeline_cache_entries, before.pipeline_cache_entries,
+        "the second group must compile nothing"
+    );
+    let hits = after.pipeline_cache_hits - before.pipeline_cache_hits;
     assert!(
         hits >= (basis.limbs() - 1) as u64,
         "second group must hit the artifact cache ≥ L−1 times (got {hits})"

@@ -175,9 +175,20 @@ fn multi_tenant_clients_share_the_program_cache() {
     .unwrap();
     let t8 = service.default_tenant();
     let t16 = service.add_tenant(&config16()).unwrap();
-    // A third tenant with the default tenant's exact (params, layout)
-    // must install cached programs instead of recompiling.
+    // A third tenant with the default tenant's exact configuration must
+    // find its pipelines in the shared cache instead of recompiling.
+    let two_configs = service.metrics();
     let t8_clone = service.add_tenant(&config8()).unwrap();
+    let cloned = service.metrics();
+    assert_eq!(
+        cloned.pipeline_cache_entries, two_configs.pipeline_cache_entries,
+        "the cloned tenant must compile nothing"
+    );
+    assert_eq!(cloned.pipeline_compile_ms, two_configs.pipeline_compile_ms);
+    assert!(
+        cloned.pipeline_cache_hits >= two_configs.pipeline_cache_hits + 3,
+        "the cloned tenant must look up all 3 canned pipelines"
+    );
 
     // Interleave clients of all three tenants.
     std::thread::scope(|scope| {
@@ -194,12 +205,8 @@ fn multi_tenant_clients_share_the_program_cache() {
     assert_eq!(m.failed, 0);
     assert_eq!(m.tenants, 3);
     assert_eq!(
-        m.program_cache_entries, 2,
-        "two distinct (params, layout) keys"
-    );
-    assert!(
-        m.program_cache_hits >= 1,
-        "the cloned tenant must hit the cache"
+        m.pipeline_cache_entries, two_configs.pipeline_cache_entries,
+        "the mixed traffic runs only the two configurations' canned specs"
     );
 }
 
