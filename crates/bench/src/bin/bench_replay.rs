@@ -177,14 +177,13 @@ fn main() {
         first = false;
         let _ = write!(
             json,
-            "    {{\"cols\": {cols}, \"lanes\": {lanes}, \"emit_ms\": {:.3}, \"replay_ms\": {:.3}, \"speedup\": {:.2}, \"fused_epilogue\": {fused_epilogue}, \"fastpath\": {{\"chains_resident\": {}, \"chains_per_step\": {}, \"resolve_loops_resident\": {}, \"borrow_loops_resident\": {}, \"superops_fused\": {}, \"fallbacks\": {}}}}}",
+            "    {{\"cols\": {cols}, \"lanes\": {lanes}, \"emit_ms\": {:.3}, \"replay_ms\": {:.3}, \"speedup\": {:.2}, \"fused_epilogue\": {fused_epilogue}, \"fastpath\": {{\"chains_resident\": {}, \"chains_per_step\": {}, \"resolve_loops_resident\": {}, \"superops_fused\": {}, \"fallbacks\": {}}}}}",
             be * 1e3,
             br * 1e3,
             be / br,
             fp.chains_resident,
             fp.chains_per_step,
             fp.resolve_loops_resident,
-            fp.borrow_loops_resident,
             fp.superops_fused,
             fp.fallbacks
         );
@@ -262,7 +261,7 @@ fn main() {
         let fp = *piped.fastpath_stats();
         let _ = writeln!(
             json,
-            "  \"pipeline\": {{\"rows\": 518, \"cols\": 256, \"lanes\": {lanes}, \"legacy_polymul_ms\": {:.3}, \"pipeline_polymul_ms\": {:.3}, \"pipeline_vs_legacy\": {:.3}, \"spectral_polymul_ms\": {:.3}, \"fastpath\": {{\"chains_resident\": {}, \"chains_per_step\": {}, \"resolve_loops_resident\": {}, \"borrow_loops_resident\": {}, \"superops_fused\": {}, \"fallbacks\": {}}}}},",
+            "  \"pipeline\": {{\"rows\": 518, \"cols\": 256, \"lanes\": {lanes}, \"legacy_polymul_ms\": {:.3}, \"pipeline_polymul_ms\": {:.3}, \"pipeline_vs_legacy\": {:.3}, \"spectral_polymul_ms\": {:.3}, \"fastpath\": {{\"chains_resident\": {}, \"chains_per_step\": {}, \"resolve_loops_resident\": {}, \"superops_fused\": {}, \"fallbacks\": {}}}}},",
             bl * 1e3,
             bp * 1e3,
             bl / bp,
@@ -270,7 +269,6 @@ fn main() {
             fp.chains_resident,
             fp.chains_per_step,
             fp.resolve_loops_resident,
-            fp.borrow_loops_resident,
             fp.superops_fused,
             fp.fallbacks
         );

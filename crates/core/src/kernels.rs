@@ -8,7 +8,10 @@
 //! Generation uses only the row budget of the layout's [`RowMap`]: the
 //! carry-save accumulator (`Sum`, `Carry`), two half-adder temporaries, and
 //! the two constant rows (`M`, `2^w − M`). Shift discipline follows
-//! `DESIGN.md` D1/D2:
+//! `DESIGN.md` D1/D2. Wherever an activation produces the value to be
+//! shifted, the shift is *costless* — fused onto its write-back; the only
+//! explicit `Shift`s left are Algorithm 2's per-add `Carry << 1` and one
+//! alignment of `Carry` before the accumulator is resolved:
 //!
 //! * the `Carry << 1` realignment of Algorithm 2 uses a **global** shift —
 //!   the end-of-iteration carry provably has a clear MSB in every tile
@@ -16,10 +19,16 @@
 //!   crosses a tile boundary (the paper's Observation 1);
 //! * the Montgomery halving and all resolution loops use **tile-masked**
 //!   shifts, giving exact mod-`2^w` semantics per tile even for tiles
-//!   holding staging garbage during cross-tile SIMD.
+//!   holding staging garbage during cross-tile SIMD. The halving rides
+//!   the first half-adder's write-back; resolution keeps its carry row
+//!   pre-shifted, so every carry-save initiator and every resolution
+//!   round writes its AND already aligned.
 //!
-//! The carry/borrow resolution loops terminate early through the wired-OR
-//! zero detector. That is the *only* data dependence in the instruction
+//! Subtraction is a complement-add, `x − y = ¬(¬x + y)`, so the only
+//! resolution loop is the carry loop.
+//!
+//! The carry-resolution loops terminate early through the wired-OR zero
+//! detector. That is the *only* data dependence in the instruction
 //! stream, and it is expressed as a structured
 //! [`ZeroLoopSpec`] so a recorded program replays the exact
 //! dynamic trace emission would produce. `Stats` are integer class
@@ -36,15 +45,24 @@
 //!
 //! **The emitted instruction shapes are a contract.** The replay
 //! compiler's peephole pass (`bpntt_sram::program`) pattern-matches the
-//! exact sequences this module emits — the add-B and halve steps, the
-//! resolution-round bodies, and the butterfly epilogues (the carry-save
-//! and borrow-save initiators, `cond_sub_q`'s conditional copy,
-//! `add_mod`'s conditional select, `sub_mod`'s sign-fix) — and lowers
-//! each to a single-pass word-engine superop. Reordering or reshaping an
-//! emission here silently degrades replay to the generic path (it stays
-//! correct — the replay ≡ `ExecMode::Generic` equivalence proptests
-//! still pass — but the benchmarks regress and the fast-path
-//! coverage counters `FastPathStats` drop to zero, which the CI
+//! exact sequences this module emits and lowers each to a single-pass
+//! word-engine superop:
+//!
+//! * the add-B step (`And`+`Xor` dual write-back, global `Carry` shift,
+//!   two half-adder layers);
+//! * the halve step (`Check` LSB; `Copy M→t_carry` if set; `Zero t_carry`
+//!   if clear; `t_sum, t_carry = (Sum ⊕ t_carry) ≫ 1, Sum ∧ t_carry`; two
+//!   half-adder layers);
+//! * the resolution round, one `Binary { dst: c, And, s, c, dst2: (s, Xor),
+//!   shift: (Left, masked) }` as the whole loop body;
+//! * the unpredicated carry-save initiator with distinct rows (the same
+//!   fused-shift `Binary`), `cond_sub_q`'s conditional copy and
+//!   `add_mod`'s conditional select.
+//!
+//! Reordering or reshaping an emission here silently degrades replay to
+//! the generic path (it stays correct — the replay ≡ `ExecMode::Generic`
+//! equivalence proptests still pass — but the benchmarks regress and the
+//! fast-path coverage counters `FastPathStats` drop to zero, which the CI
 //! coverage assertion catches); update the matchers alongside any
 //! change. Pipeline segments (`bpntt_core::pipeline`) compile each op
 //! through these same emitters, one program per op — the segment
@@ -243,8 +261,9 @@ impl Kernels {
 
     /// Lines 11–16 of Algorithm 2: `m ← LSB(Sum) ? M : 0`, then
     /// `P ← (P + m) / 2`. The `m` selection is per-tile predication on the
-    /// constant row `M` — no materialized `m` row is needed, which is what
-    /// keeps the reserved-row budget at the paper's six.
+    /// constant row `M` into `t_carry` — no extra row is needed, which is
+    /// what keeps the reserved-row budget at the paper's six — and the
+    /// halving is one costless shift on the first half-adder's write-back.
     fn montgomery_halve_step<S: InstrSink>(&self, sink: &mut S) -> Result<(), BpNttError> {
         let rm = &self.rm;
         self.exec(
@@ -254,29 +273,14 @@ impl Kernels {
                 bit: 0,
             },
         )?;
-        // Odd tiles: c1, s1 = Sum & M, (Sum ⊕ M) >> 1 (fused shift;
-        // Observation 2 makes the dropped LSB provably zero).
+        // m = M in odd tiles, 0 in even tiles.
         self.exec(
             sink,
-            Instruction::Binary {
-                dst: rm.t_sum,
-                op: BitOp::Xor,
-                src0: rm.sum,
-                src1: rm.modulus,
-                dst2: Some((rm.t_carry, BitOp::And)),
-                shift: Some((ShiftDir::Right, true)),
+            Instruction::Unary {
+                dst: rm.t_carry,
+                src: rm.modulus,
+                kind: UnaryKind::Copy,
                 pred: PredMode::IfSet,
-            },
-        )?;
-        // Even tiles: m = 0, so s1 = Sum >> 1 and c1 = 0.
-        self.exec(
-            sink,
-            Instruction::Shift {
-                dst: rm.t_sum,
-                src: rm.sum,
-                dir: ShiftDir::Right,
-                masked: true,
-                pred: PredMode::IfClear,
             },
         )?;
         self.exec(
@@ -286,6 +290,20 @@ impl Kernels {
                 src: rm.t_carry,
                 kind: UnaryKind::Zero,
                 pred: PredMode::IfClear,
+            },
+        )?;
+        // c1, s1 = Sum & m, (Sum ⊕ m) >> 1 (fused shift; Observation 2
+        // makes the dropped LSB provably zero).
+        self.exec(
+            sink,
+            Instruction::Binary {
+                dst: rm.t_sum,
+                op: BitOp::Xor,
+                src0: rm.sum,
+                src1: rm.t_carry,
+                dst2: Some((rm.t_carry, BitOp::And)),
+                shift: Some((ShiftDir::Right, true)),
+                pred: PredMode::Always,
             },
         )?;
         // c2, s2 = s1 & c1, s1 ⊕ c1.
@@ -329,52 +347,84 @@ impl Kernels {
         )
     }
 
-    // ---- carry/borrow resolution -----------------------------------------
+    // ---- carry resolution ------------------------------------------------
 
-    /// Resolves an arbitrary `(sum, carry)` carry-save pair into a plain
-    /// value in `s_row`, using tile-masked shifts and the wired-OR zero
-    /// detector for early termination.
+    /// A carry-save initiator with the carry pre-shifted:
+    /// `c_row, s_row = (a ∧ b) << 1, a ⊕ b` in tiles selected by `pred`
+    /// (tile-masked shift: the costless shift rides the AND write-back).
+    /// Leaves `a + b = s_row + c_row (mod 2^w)` for [`Self::resolve_pair`].
+    fn csa_init<S: InstrSink>(
+        &self,
+        sink: &mut S,
+        s_row: RowAddr,
+        c_row: RowAddr,
+        a: RowAddr,
+        b: RowAddr,
+        pred: PredMode,
+    ) -> Result<(), BpNttError> {
+        self.exec(
+            sink,
+            Instruction::Binary {
+                dst: c_row,
+                op: BitOp::And,
+                src0: a,
+                src1: b,
+                dst2: Some((s_row, BitOp::Xor)),
+                shift: Some((ShiftDir::Left, true)),
+                pred,
+            },
+        )
+    }
+
+    /// Resolves a carry-save pair whose carry row is already aligned
+    /// (`value = s_row + c_row`) into a plain value in `s_row`: each round
+    /// is one activation, `c_row, s_row = (s ∧ c) << 1, s ⊕ c`, with the
+    /// tile-masked shift fused into the write-back, and the wired-OR zero
+    /// detector ends the loop early. The masked shift drops each tile's
+    /// carry-out, so the result is exact mod `2^w` per tile.
     fn resolve_pair<S: InstrSink>(
         &self,
         sink: &mut S,
         s_row: RowAddr,
         c_row: RowAddr,
     ) -> Result<(), BpNttError> {
-        let body = [
-            Instruction::Shift {
-                dst: c_row,
-                src: c_row,
-                dir: ShiftDir::Left,
-                masked: true,
-                pred: PredMode::Always,
-            },
-            Instruction::Binary {
-                dst: c_row,
-                op: BitOp::And,
-                src0: s_row,
-                src1: c_row,
-                dst2: Some((s_row, BitOp::Xor)),
-                shift: None,
-                pred: PredMode::Always,
-            },
-        ];
+        let body = [Instruction::Binary {
+            dst: c_row,
+            op: BitOp::And,
+            src0: s_row,
+            src1: c_row,
+            dst2: Some((s_row, BitOp::Xor)),
+            shift: Some((ShiftDir::Left, true)),
+            pred: PredMode::Always,
+        }];
         sink.zero_loop(ZeroLoopSpec {
             src: c_row,
-            even_body: &body,
-            odd_body: &body,
+            body: &body,
             max_checks: self.bitwidth + 1,
-            odd_epilogue: &[],
         })?;
         Ok(())
     }
 
     /// Resolves the main accumulator: `Sum ← Sum + 2·Carry` (plain value).
+    /// `Carry` is aligned once up front; by Observation 1 its MSB is clear
+    /// in every tile, so the tile-masked shift loses nothing.
     ///
     /// # Errors
     ///
     /// Propagates simulator faults.
     pub fn resolve<S: InstrSink>(&self, sink: &mut S) -> Result<(), BpNttError> {
-        self.resolve_pair(sink, self.rm.sum, self.rm.carry)
+        let rm = &self.rm;
+        self.exec(
+            sink,
+            Instruction::Shift {
+                dst: rm.carry,
+                src: rm.carry,
+                dir: ShiftDir::Left,
+                masked: true,
+                pred: PredMode::Always,
+            },
+        )?;
+        self.resolve_pair(sink, rm.sum, rm.carry)
     }
 
     /// Conditionally subtracts `q` once: maps `Sum ∈ [0, 2q)` to `[0, q)`.
@@ -388,17 +438,13 @@ impl Kernels {
     /// Propagates simulator faults.
     pub fn cond_sub_q<S: InstrSink>(&self, sink: &mut S) -> Result<(), BpNttError> {
         let rm = &self.rm;
-        self.exec(
+        self.csa_init(
             sink,
-            Instruction::Binary {
-                dst: rm.t_carry,
-                op: BitOp::And,
-                src0: rm.sum,
-                src1: rm.comp_modulus,
-                dst2: Some((rm.t_sum, BitOp::Xor)),
-                shift: None,
-                pred: PredMode::Always,
-            },
+            rm.t_sum,
+            rm.t_carry,
+            rm.sum,
+            rm.comp_modulus,
+            PredMode::Always,
         )?;
         self.resolve_pair(sink, rm.t_sum, rm.t_carry)?;
         self.exec(
@@ -441,31 +487,16 @@ impl Kernels {
     ) -> Result<(), BpNttError> {
         let rm = &self.rm;
         // x + y < 2q < 2^w: carry-save then resolve.
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.t_carry,
-                op: BitOp::And,
-                src0: x,
-                src1: y,
-                dst2: Some((rm.t_sum, BitOp::Xor)),
-                shift: None,
-                pred: PredMode::Always,
-            },
-        )?;
+        self.csa_init(sink, rm.t_sum, rm.t_carry, x, y, PredMode::Always)?;
         self.resolve_pair(sink, rm.t_sum, rm.t_carry)?;
         // D = (t_sum + comp) mod 2^w into Carry.
-        self.exec(
+        self.csa_init(
             sink,
-            Instruction::Binary {
-                dst: rm.t_carry,
-                op: BitOp::And,
-                src0: rm.t_sum,
-                src1: rm.comp_modulus,
-                dst2: Some((rm.carry, BitOp::Xor)),
-                shift: None,
-                pred: PredMode::Always,
-            },
+            rm.carry,
+            rm.t_carry,
+            rm.t_sum,
+            rm.comp_modulus,
+            PredMode::Always,
         )?;
         self.resolve_pair(sink, rm.carry, rm.t_carry)?;
         self.exec(
@@ -502,10 +533,11 @@ impl Kernels {
         Ok(())
     }
 
-    /// `dst ← (x − y) mod q` for reduced operands, via borrow-save
-    /// subtraction (`s = x ⊕ y`, `b = ¬x ∧ y`, iterated) with an MSB sign
-    /// test and a predicated `+q` fix-up. Same masking contract and row
-    /// clobbers as [`Self::add_mod`].
+    /// `dst ← (x − y) mod q` for reduced operands, as a complement-add:
+    /// `x − y = ¬(¬x + y)` mod `2^w`. With `u = ¬x + y`, the difference is
+    /// negative exactly where `MSB(u)` is clear (one headroom bit); there
+    /// `u ← u + (2^w − q)`, since `¬(u − q) = (x − y) + q`. Same masking
+    /// contract as [`Self::add_mod`]; clobbers both temporaries only.
     ///
     /// # Errors
     ///
@@ -519,77 +551,19 @@ impl Kernels {
         final_mask: Option<(u8, bool)>,
     ) -> Result<(), BpNttError> {
         let rm = &self.rm;
-        // s0 = x ⊕ y; b0 = ¬x ∧ y = (x ⊕ y) ∧ y.
         self.exec(
             sink,
-            Instruction::Binary {
+            Instruction::Unary {
                 dst: rm.t_sum,
-                op: BitOp::Xor,
-                src0: x,
-                src1: y,
-                dst2: None,
-                shift: None,
+                src: x,
+                kind: UnaryKind::Not,
                 pred: PredMode::Always,
             },
         )?;
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.t_carry,
-                op: BitOp::And,
-                src0: rm.t_sum,
-                src1: y,
-                dst2: None,
-                shift: None,
-                pred: PredMode::Always,
-            },
-        )?;
-        // Borrow resolution: value = s − 2b. Rounds alternate the `s` row
-        // between t_sum and carry to stay within the row budget; the
-        // odd-parity epilogue copies the live row back into t_sum.
-        let round = |s_cur: RowAddr, s_other: RowAddr| {
-            [
-                Instruction::Shift {
-                    dst: rm.t_carry,
-                    src: rm.t_carry,
-                    dir: ShiftDir::Left,
-                    masked: true,
-                    pred: PredMode::Always,
-                },
-                Instruction::Binary {
-                    dst: s_other,
-                    op: BitOp::Xor,
-                    src0: s_cur,
-                    src1: rm.t_carry,
-                    dst2: None,
-                    shift: None,
-                    pred: PredMode::Always,
-                },
-                Instruction::Binary {
-                    dst: rm.t_carry,
-                    op: BitOp::And,
-                    src0: s_other,
-                    src1: rm.t_carry,
-                    dst2: None,
-                    shift: None,
-                    pred: PredMode::Always,
-                },
-            ]
-        };
-        let odd_epilogue = [Instruction::Unary {
-            dst: rm.t_sum,
-            src: rm.carry,
-            kind: UnaryKind::Copy,
-            pred: PredMode::Always,
-        }];
-        sink.zero_loop(ZeroLoopSpec {
-            src: rm.t_carry,
-            even_body: &round(rm.t_sum, rm.carry),
-            odd_body: &round(rm.carry, rm.t_sum),
-            max_checks: self.bitwidth + 1,
-            odd_epilogue: &odd_epilogue,
-        })?;
-        // Negative ⇔ MSB set (one headroom bit). Add q where negative.
+        self.csa_init(sink, rm.t_sum, rm.t_carry, rm.t_sum, y, PredMode::Always)?;
+        self.resolve_pair(sink, rm.t_sum, rm.t_carry)?;
+        // Negative ⇔ MSB(u) clear: add 2^w − q there. The loop left
+        // t_carry zero, so the predicated initiator keeps u elsewhere.
         self.exec(
             sink,
             Instruction::Check {
@@ -597,35 +571,13 @@ impl Kernels {
                 bit: (self.bitwidth - 1) as u16,
             },
         )?;
-        self.exec(
+        self.csa_init(
             sink,
-            Instruction::Unary {
-                dst: rm.carry,
-                src: rm.carry,
-                kind: UnaryKind::Zero,
-                pred: PredMode::Always,
-            },
-        )?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: rm.carry,
-                src: rm.modulus,
-                kind: UnaryKind::Copy,
-                pred: PredMode::IfSet,
-            },
-        )?;
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.t_carry,
-                op: BitOp::And,
-                src0: rm.t_sum,
-                src1: rm.carry,
-                dst2: Some((rm.t_sum, BitOp::Xor)),
-                shift: None,
-                pred: PredMode::Always,
-            },
+            rm.t_sum,
+            rm.t_carry,
+            rm.t_sum,
+            rm.comp_modulus,
+            PredMode::IfClear,
         )?;
         self.resolve_pair(sink, rm.t_sum, rm.t_carry)?;
         if let Some((stride_log2, phase)) = final_mask {
@@ -636,7 +588,7 @@ impl Kernels {
             Instruction::Unary {
                 dst,
                 src: rm.t_sum,
-                kind: UnaryKind::Copy,
+                kind: UnaryKind::Not,
                 pred: PredMode::Always,
             },
         )?;

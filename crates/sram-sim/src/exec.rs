@@ -876,62 +876,8 @@ impl Controller {
         self.add_counts(&counts);
     }
 
-    /// Fully fused borrow-resolution loop: the three rows borrowed once,
-    /// the live row alternating between `live` and `other` per round
-    /// (register-resident up to four chunks). Returns the executed round
-    /// count (the caller runs the odd-parity epilogue), or `None` when
-    /// the tile mask forces the generic path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_borrow_loop(
-        &mut self,
-        live: u16,
-        other: u16,
-        t: u16,
-        max_checks: usize,
-        round: &InstrCounts,
-    ) -> Option<usize> {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return None;
-        }
-        let Some([live, other, t]) =
-            self.array
-                .rows_disjoint_mut([usize::from(live), usize::from(other), usize::from(t)])
-        else {
-            self.fastpath.fallbacks += 1;
-            return None;
-        };
-        let shl = self.shl_keep.words();
-        let mut cur = live.words_mut();
-        let mut nxt = other.words_mut();
-        let tw = t.words_mut();
-        if let Some((bodies, checks, converged)) =
-            crate::wordkern::borrow_loop_resident(self.fast_path, cur, nxt, tw, shl, max_checks)
-        {
-            self.fastpath.borrow_loops_resident += 1;
-            self.finish_fused_loop(bodies, checks, converged, round);
-            return Some(bodies);
-        }
-        let mut bodies = 0usize;
-        let mut checks = 0u64;
-        let mut converged = false;
-        for _ in 0..max_checks {
-            checks += 1;
-            if tw.iter().all(|&w| w == 0) {
-                converged = true;
-                break;
-            }
-            crate::wordkern::borrow_round(cur, nxt, tw, shl);
-            std::mem::swap(&mut cur, &mut nxt);
-            bodies += 1;
-        }
-        self.fastpath.borrow_loops_per_step += 1;
-        self.finish_fused_loop(bodies, checks, converged, round);
-        Some(bodies)
-    }
-
-    /// Fused carry-resolution round: `Carry <<= 1 (masked);
-    /// Carry, Sum = Sum∧Carry, Sum⊕Carry`.
+    /// Fused carry-resolution round: `Carry, Sum = (Sum∧Carry) << 1
+    /// (masked), Sum⊕Carry`.
     pub(crate) fn exec_resolve_round(&mut self, op: &crate::program::ResolveRoundOp) -> bool {
         if self.n_masked_off != 0 {
             self.fastpath.fallbacks += 1;
@@ -949,41 +895,16 @@ impl Controller {
         true
     }
 
-    /// Fused borrow-resolution round: `B <<= 1 (masked);
-    /// s_other = s_cur ⊕ B; B = s_other ∧ B`.
-    pub(crate) fn exec_borrow_round(&mut self, op: &crate::program::BorrowRoundOp) -> bool {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
-        }
-        self.scratch_a
-            .copy_from(self.array.row(usize::from(op.s_cur)));
-        let Some([s_other, b]) = self
-            .array
-            .rows_disjoint_mut([usize::from(op.s_other), usize::from(op.b)])
-        else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::borrow_round(
-            self.scratch_a.words(),
-            s_other.words_mut(),
-            b.words_mut(),
-            self.shl_keep.words(),
-        );
-        self.fastpath.superops_fused += 1;
-        true
-    }
-
     // ---- fused epilogue superop executors ---------------------------------
     //
-    // The butterfly epilogues (conditional subtraction, sign-fix, modular
-    // add/select) are straight-line shapes the compiler fuses like the
+    // The butterfly epilogues (carry-save initiators, conditional
+    // subtraction, modular add/select) are straight-line shapes the compiler fuses like the
     // Algorithm 2 cores above: one pass over the storage words per group,
     // same `false`-on-tile-mask fallback contract.
 
     /// Fused carry-save add initiator: one dual write-back `Binary`
-    /// (`d_and, d_xor = a ∧ b, a ⊕ b`) executed as a single pass.
+    /// (`d_and, d_xor = (a ∧ b) << 1 (masked), a ⊕ b`) executed as a
+    /// single pass.
     pub(crate) fn exec_csadd(&mut self, op: &crate::program::CsAddOp) -> bool {
         if self.n_masked_off != 0 {
             self.fastpath.fallbacks += 1;
@@ -998,27 +919,13 @@ impl Controller {
             self.fastpath.fallbacks += 1;
             return false;
         };
-        crate::wordkern::csadd(da.words_mut(), dx.words_mut(), a.words(), b.words());
-        self.fastpath.superops_fused += 1;
-        true
-    }
-
-    /// Fused borrow-save subtract initiator: `ts = x ⊕ y; tc = ts ∧ y`.
-    pub(crate) fn exec_subinit(&mut self, op: &crate::program::SubInitOp) -> bool {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
-        }
-        let Some([ts, tc, x, y]) = self.array.rows_disjoint_mut([
-            usize::from(op.t_sum),
-            usize::from(op.t_carry),
-            usize::from(op.x),
-            usize::from(op.y),
-        ]) else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::subinit(ts.words_mut(), tc.words_mut(), x.words(), y.words());
+        crate::wordkern::csadd(
+            da.words_mut(),
+            dx.words_mut(),
+            a.words(),
+            b.words(),
+            self.shl_keep.words(),
+        );
         self.fastpath.superops_fused += 1;
         true
     }
@@ -1079,37 +986,6 @@ impl Controller {
         true
     }
 
-    /// Fused sign-fix (`sub_mod`): latch the difference's sign bit, build
-    /// `c ← M`-in-negative-tiles, and apply the carry-save `+q` layer in
-    /// one pass.
-    pub(crate) fn exec_signfix(&mut self, op: &crate::program::SignFixOp) -> bool {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
-        }
-        // Check(s, bit) reads s before the pass modifies it.
-        self.latch_preds(usize::from(op.s), usize::from(op.bit));
-        let Some([s, c, tc, m]) = self.array.rows_disjoint_mut([
-            usize::from(op.s),
-            usize::from(op.c),
-            usize::from(op.t_carry),
-            usize::from(op.modulus),
-        ]) else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::signfix(
-            s.words_mut(),
-            c.words_mut(),
-            tc.words_mut(),
-            m.words(),
-            self.mask_cols.words(),
-            self.pred_mask.words(),
-        );
-        self.fastpath.superops_fused += 1;
-        true
-    }
-
     /// True when every tile's write-back is currently enabled.
     #[must_use]
     pub fn all_tiles_enabled(&self) -> bool {
@@ -1150,8 +1026,8 @@ impl Controller {
     }
 }
 
-// The word-level kernel bodies — add-B, Montgomery halve, carry/borrow
-// resolution rounds, and the fused epilogue passes — live in
+// The word-level kernel bodies — add-B, Montgomery halve, carry-resolution
+// rounds, and the fused epilogue passes — live in
 // [`crate::wordkern`], which dispatches each between an explicit AVX2 path
 // and a bit-identical scalar fallback.
 

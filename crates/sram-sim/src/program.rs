@@ -10,11 +10,10 @@
 //!   emit-per-call path); a [`Recorder`] is a sink that captures the
 //!   stream into a [`ReplayProgram`].
 //! * [`ZeroLoopSpec`] — the one dynamic construct the kernels need: a
-//!   carry/borrow-resolution loop that senses a row's wired-OR zero flag
-//!   each round and terminates early. Recording it as a structured op (with
-//!   its alternating bodies and parity-dependent epilogue) keeps the replay
-//!   *trace* — every executed instruction, in order — bit-identical to
-//!   emission on any data.
+//!   carry-resolution loop that senses a row's wired-OR zero flag each
+//!   round and terminates early. Recording it as a structured op keeps the
+//!   replay *trace* — every executed instruction, in order — bit-identical
+//!   to emission on any data.
 //! * [`ReplayProgram::compile`] — validates every address once against a
 //!   concrete controller's geometry and fuses recognized instruction
 //!   groups, yielding a [`CompiledProgram`]. Programs carry no cost model.
@@ -64,24 +63,16 @@ use crate::wordkern::FastPathKind;
 /// A borrowed description of one zero-terminated resolution loop.
 ///
 /// Semantics (exactly the kernels' hand-written loops): up to `max_checks`
-/// rounds of *sense `src`'s zero flag; stop if set; otherwise run this
-/// round's body* — where round `k` runs `even_body` for even `k` and
-/// `odd_body` for odd `k` (borrow resolution ping-pongs its live row).
-/// After the loop, `odd_epilogue` runs iff an odd number of bodies
-/// executed (the live row ended up in the "wrong" slot and must be copied
-/// back).
+/// rounds of *sense `src`'s zero flag; stop if set; otherwise run `body`*.
 #[derive(Debug, Clone, Copy)]
 pub struct ZeroLoopSpec<'a> {
     /// Row whose wired-OR zero flag terminates the loop.
     pub src: RowAddr,
-    /// Body of even-numbered rounds (0-indexed).
-    pub even_body: &'a [Instruction],
-    /// Body of odd-numbered rounds.
-    pub odd_body: &'a [Instruction],
-    /// Maximum number of zero-flag checks (= maximum bodies).
+    /// Body of every round.
+    pub body: &'a [Instruction],
+    /// Maximum number of zero-flag checks (bodies run at most one fewer
+    /// times than checks when the loop converges).
     pub max_checks: usize,
-    /// Runs once after the loop iff an odd number of bodies executed.
-    pub odd_epilogue: &'a [Instruction],
 }
 
 /// The target of kernel code generation: either a [`Controller`]
@@ -122,31 +113,19 @@ impl InstrSink for Controller {
         // max_checks convergence bound covers arbitrary data at loop
         // entry but not mid-loop mutation.
         self.fault_tick();
-        let mut bodies = 0usize;
-        for k in 0..spec.max_checks {
+        for _ in 0..spec.max_checks {
             self.execute(&Instruction::CheckZero { src: spec.src })?;
             if self.zero_flag() {
                 break;
             }
-            let body = if k % 2 == 0 {
-                spec.even_body
-            } else {
-                spec.odd_body
-            };
-            for i in body {
+            for i in spec.body {
                 self.execute(i)?;
             }
-            bodies += 1;
         }
         debug_assert!(
             self.zero_flag(),
             "resolution loop must converge within max_checks"
         );
-        if bodies % 2 == 1 {
-            for i in spec.odd_epilogue {
-                self.execute(i)?;
-            }
-        }
         Ok(())
     }
 
@@ -178,14 +157,10 @@ pub enum ReplayOp {
     ZeroLoop {
         /// Row whose zero flag terminates the loop.
         src: RowAddr,
-        /// Even-round body.
-        even_body: Vec<Instruction>,
-        /// Odd-round body.
-        odd_body: Vec<Instruction>,
+        /// Body of every round.
+        body: Vec<Instruction>,
         /// Maximum number of zero-flag checks.
         max_checks: usize,
-        /// Runs iff an odd number of bodies executed.
-        odd_epilogue: Vec<Instruction>,
     },
 }
 
@@ -237,24 +212,17 @@ impl ReplayProgram {
             addbs: Vec::new(),
             halves: Vec::new(),
             resolve_rounds: Vec::new(),
-            borrow_rounds: Vec::new(),
             chains: Vec::new(),
             resolve_loops: Vec::new(),
-            borrow_loops: Vec::new(),
             csadds: Vec::new(),
-            subinits: Vec::new(),
             condsels: Vec::new(),
             condcopies: Vec::new(),
-            signfixes: Vec::new(),
             addb_counts: InstrCounts::default(),
             halve_counts: InstrCounts::default(),
             resolve_round_counts: InstrCounts::default(),
-            borrow_round_counts: InstrCounts::default(),
             csadd_counts: InstrCounts::default(),
-            subinit_counts: InstrCounts::default(),
             condsel_counts: InstrCounts::default(),
             condcopy_counts: InstrCounts::default(),
-            signfix_counts: InstrCounts::default(),
             rows: ctl.rows(),
             cols: ctl.cols(),
             tile_width: ctl.tile_width(),
@@ -289,71 +257,30 @@ impl ReplayProgram {
                 }
                 ReplayOp::ZeroLoop {
                     src,
-                    even_body,
-                    odd_body,
+                    body,
                     max_checks,
-                    odd_epilogue,
                 } => {
                     prog.flush_segment(ctl, &mut segment, false)?;
                     let check = Instruction::CheckZero { src: *src };
                     ctl.validate_instr(&check)?;
-                    let even = prog.lower_body(ctl, even_body)?;
-                    let odd = prog.lower_body(ctl, odd_body)?;
-                    let epilogue = prog.lower_body(ctl, odd_epilogue)?;
+                    let body = prog.lower_body(ctl, body)?;
                     prog.loops.push(LoopStep {
                         src: *src,
                         max_checks: *max_checks,
-                        even,
-                        odd,
-                        epilogue,
+                        body,
                     });
                     let loop_idx = (prog.loops.len() - 1) as u32;
                     // Loop-level fusion: a body that is exactly one
-                    // carry-resolution round (and no epilogue) runs with
+                    // carry-resolution round on the checked row runs with
                     // the rows borrowed once across every iteration.
-                    let single_round = |r: CtrlRange| -> Option<u32> {
-                        if r.1 - r.0 != 1 {
-                            return None;
-                        }
-                        match prog.body_ctrl[r.0 as usize] {
-                            Ctrl::ResolveRound { idx } => Some(idx),
-                            _ => None,
-                        }
-                    };
-                    let single_borrow = |r: CtrlRange| -> Option<u32> {
-                        if r.1 - r.0 != 1 {
-                            return None;
-                        }
-                        match prog.body_ctrl[r.0 as usize] {
-                            Ctrl::BorrowRound { idx } => Some(idx),
-                            _ => None,
-                        }
-                    };
-                    let fused_resolve = match (single_round(even), single_round(odd)) {
-                        (Some(e), Some(o)) if epilogue.0 == epilogue.1 => {
-                            let (re, ro) = (
-                                &prog.resolve_rounds[e as usize],
-                                &prog.resolve_rounds[o as usize],
-                            );
-                            (re.s == ro.s && re.c == ro.c && re.c == src.0).then_some((re.s, re.c))
+                    let fused = match prog.body_ctrl[body.0 as usize..body.1 as usize] {
+                        [Ctrl::ResolveRound { idx }] => {
+                            let round = &prog.resolve_rounds[idx as usize];
+                            (round.c == src.0).then_some((round.s, round.c))
                         }
                         _ => None,
                     };
-                    let fused_borrow = match (single_borrow(even), single_borrow(odd)) {
-                        (Some(e), Some(o)) => {
-                            let (be, bo) = (
-                                &prog.borrow_rounds[e as usize],
-                                &prog.borrow_rounds[o as usize],
-                            );
-                            (be.b == bo.b
-                                && be.b == src.0
-                                && be.s_cur == bo.s_other
-                                && be.s_other == bo.s_cur)
-                                .then_some((be.s_cur, be.s_other, be.b))
-                        }
-                        _ => None,
-                    };
-                    if let Some((s, c)) = fused_resolve {
+                    if let Some((s, c)) = fused {
                         prog.resolve_loops.push(ResolveLoopOp {
                             s,
                             c,
@@ -362,18 +289,6 @@ impl ReplayProgram {
                         });
                         prog.ctrl.push(Ctrl::ResolveLoop {
                             idx: (prog.resolve_loops.len() - 1) as u32,
-                        });
-                    } else if let Some((live, other, t)) = fused_borrow {
-                        prog.borrow_loops.push(BorrowLoopOp {
-                            live,
-                            other,
-                            t,
-                            max_checks: *max_checks,
-                            epilogue,
-                            fallback_loop: loop_idx,
-                        });
-                        prog.ctrl.push(Ctrl::BorrowLoop {
-                            idx: (prog.borrow_loops.len() - 1) as u32,
                         });
                     } else {
                         prog.ctrl.push(Ctrl::Loop { idx: loop_idx });
@@ -474,29 +389,16 @@ fn match_halve(w: &[Instruction]) -> Option<HalveOp> {
         I::Check { src, bit: 0 } => src.0,
         _ => return None,
     };
-    let (ts, m, tc) = match *w.get(1)? {
-        I::Binary {
+    let (tc, m) = match *w.get(1)? {
+        I::Unary {
             dst,
-            op: BitOp::Xor,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::And)),
-            shift: Some((ShiftDir::Right, true)),
+            src,
+            kind: UnaryKind::Copy,
             pred: P::IfSet,
-        } if src0.0 == s => (dst.0, src1.0, d2.0),
+        } => (dst.0, src.0),
         _ => return None,
     };
     match *w.get(2)? {
-        I::Shift {
-            dst,
-            src,
-            dir: ShiftDir::Right,
-            masked: true,
-            pred: P::IfClear,
-        } if dst.0 == ts && src.0 == s => {}
-        _ => return None,
-    }
-    match *w.get(3)? {
         I::Unary {
             dst,
             kind: UnaryKind::Zero,
@@ -505,6 +407,18 @@ fn match_halve(w: &[Instruction]) -> Option<HalveOp> {
         } if dst.0 == tc => {}
         _ => return None,
     }
+    let ts = match *w.get(3)? {
+        I::Binary {
+            dst,
+            op: BitOp::Xor,
+            src0,
+            src1,
+            dst2: Some((d2, BitOp::And)),
+            shift: Some((ShiftDir::Right, true)),
+            pred: P::Always,
+        } if src0.0 == s && src1.0 == tc && d2.0 == tc => dst.0,
+        _ => return None,
+    };
     match *w.get(4)? {
         I::Binary {
             dst,
@@ -554,140 +468,27 @@ fn match_halve(w: &[Instruction]) -> Option<HalveOp> {
     })
 }
 
-/// Matches one carry-resolution round (tile-masked shift + dual binary).
+/// Matches one carry-resolution round: `c, s = (s ∧ c) << 1, s ⊕ c` in a
+/// single dual write-back activation with a tile-masked fused shift.
 fn match_resolve_round(w: &[Instruction]) -> Option<ResolveRoundOp> {
     use crate::isa::PredMode as P;
     use Instruction as I;
-    let c = match *w.first()? {
-        I::Shift {
-            dst,
-            src,
-            dir: ShiftDir::Left,
-            masked: true,
-            pred: P::Always,
-        } if dst == src => dst.0,
-        _ => return None,
-    };
-    let s = match *w.get(1)? {
+    match *w.first()? {
         I::Binary {
             dst,
             op: BitOp::And,
             src0,
             src1,
             dst2: Some((d2, BitOp::Xor)),
-            shift: None,
+            shift: Some((ShiftDir::Left, true)),
             pred: P::Always,
-        } if dst.0 == c && src1.0 == c && src0 == d2 => src0.0,
-        _ => return None,
-    };
-    if s == c {
-        return None;
+        } if dst == src1 && src0 == d2 && src0 != src1 => Some(ResolveRoundOp {
+            s: src0.0,
+            c: src1.0,
+            fallback: (0, 0),
+        }),
+        _ => None,
     }
-    Some(ResolveRoundOp {
-        s,
-        c,
-        fallback: (0, 0),
-    })
-}
-
-/// Matches one borrow-resolution round (tile-masked shift + two binaries).
-fn match_borrow_round(w: &[Instruction]) -> Option<BorrowRoundOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    let b = match *w.first()? {
-        I::Shift {
-            dst,
-            src,
-            dir: ShiftDir::Left,
-            masked: true,
-            pred: P::Always,
-        } if dst == src => dst.0,
-        _ => return None,
-    };
-    let (s_other, s_cur) = match *w.get(1)? {
-        I::Binary {
-            dst,
-            op: BitOp::Xor,
-            src0,
-            src1,
-            dst2: None,
-            shift: None,
-            pred: P::Always,
-        } if src1.0 == b => (dst.0, src0.0),
-        _ => return None,
-    };
-    match *w.get(2)? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: None,
-            shift: None,
-            pred: P::Always,
-        } if dst.0 == b && src0.0 == s_other && src1.0 == b => {}
-        _ => return None,
-    }
-    if !distinct(&[s_cur, s_other, b]) {
-        return None;
-    }
-    Some(BorrowRoundOp {
-        s_cur,
-        s_other,
-        b,
-        fallback: (0, 0),
-    })
-}
-
-/// Matches the sign-fix tail of borrow-save subtraction (`sub_mod`).
-fn match_signfix(w: &[Instruction]) -> Option<SignFixOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    let (s, bit) = match *w.first()? {
-        I::Check { src, bit } => (src.0, bit),
-        _ => return None,
-    };
-    let c = match *w.get(1)? {
-        I::Unary {
-            dst,
-            kind: UnaryKind::Zero,
-            pred: P::Always,
-            ..
-        } => dst.0,
-        _ => return None,
-    };
-    let m = match *w.get(2)? {
-        I::Unary {
-            dst,
-            src,
-            kind: UnaryKind::Copy,
-            pred: P::IfSet,
-        } if dst.0 == c => src.0,
-        _ => return None,
-    };
-    let tc = match *w.get(3)? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::Xor)),
-            shift: None,
-            pred: P::Always,
-        } if src0.0 == s && src1.0 == c && d2.0 == s => dst.0,
-        _ => return None,
-    };
-    if !distinct(&[s, c, tc, m]) {
-        return None;
-    }
-    Some(SignFixOp {
-        s,
-        bit,
-        c,
-        t_carry: tc,
-        modulus: m,
-        fallback: (0, 0),
-    })
 }
 
 /// Matches the conditional-select epilogue of `add_mod`.
@@ -762,49 +563,10 @@ fn match_condcopy(w: &[Instruction]) -> Option<CondCopyOp> {
     })
 }
 
-/// Matches the borrow-save subtract initiator (`sub_mod` lines 1–2).
-fn match_subinit(w: &[Instruction]) -> Option<SubInitOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    let (ts, x, y) = match *w.first()? {
-        I::Binary {
-            dst,
-            op: BitOp::Xor,
-            src0,
-            src1,
-            dst2: None,
-            shift: None,
-            pred: P::Always,
-        } => (dst.0, src0.0, src1.0),
-        _ => return None,
-    };
-    let tc = match *w.get(1)? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: None,
-            shift: None,
-            pred: P::Always,
-        } if src0.0 == ts && src1.0 == y => dst.0,
-        _ => return None,
-    };
-    if !distinct(&[ts, tc, x, y]) {
-        return None;
-    }
-    Some(SubInitOp {
-        t_sum: ts,
-        t_carry: tc,
-        x,
-        y,
-        fallback: (0, 0),
-    })
-}
-
-/// Matches a lone dual write-back carry-save add (`d_and, d_xor =
-/// a ∧ b, a ⊕ b`). Tried after every longer pattern — the add-B step
-/// starts with this exact shape.
+/// Matches a lone carry-save initiator with its carry pre-shifted
+/// (`d_and, d_xor = (a ∧ b) << 1, a ⊕ b`, tile-masked) over four distinct
+/// rows. Tried after the resolution round, which has the same shape with
+/// aliased rows.
 fn match_csadd(w: &[Instruction]) -> Option<CsAddOp> {
     use crate::isa::PredMode as P;
     use Instruction as I;
@@ -815,7 +577,7 @@ fn match_csadd(w: &[Instruction]) -> Option<CsAddOp> {
             src0,
             src1,
             dst2: Some((d2, BitOp::Xor)),
-            shift: None,
+            shift: Some((ShiftDir::Left, true)),
             pred: P::Always,
         } => (dst.0, src0.0, src1.0, d2.0),
         _ => return None,
@@ -861,10 +623,8 @@ impl InstrSink for Recorder {
     fn zero_loop(&mut self, spec: ZeroLoopSpec<'_>) -> Result<(), SramError> {
         self.ops.push(ReplayOp::ZeroLoop {
             src: spec.src,
-            even_body: spec.even_body.to_vec(),
-            odd_body: spec.odd_body.to_vec(),
+            body: spec.body.to_vec(),
             max_checks: spec.max_checks,
-            odd_epilogue: spec.odd_epilogue.to_vec(),
         });
         Ok(())
     }
@@ -880,9 +640,9 @@ impl InstrSink for Recorder {
 
 /// Control-stream entry: one unit of replay execution.
 ///
-/// Beyond generic instruction runs, the compiler recognizes the four
+/// Beyond generic instruction runs, the compiler recognizes the three
 /// instruction shapes that dominate Algorithm 2 — the add-B step, the
-/// Montgomery halve step, and the carry/borrow resolution rounds — and
+/// Montgomery halve step, and the carry-resolution round — and
 /// lowers each occurrence to a *fused superop*: one pass over the storage
 /// words computing the whole group's final row contents, with
 /// pre-aggregated class counts. Fusion is a pure execution-strategy
@@ -904,25 +664,17 @@ pub(crate) enum Ctrl {
     Halve { idx: u32 },
     /// Fused carry-resolution round (`resolve_rounds[idx]`).
     ResolveRound { idx: u32 },
-    /// Fused borrow-resolution round (`borrow_rounds[idx]`).
-    BorrowRound { idx: u32 },
     /// Fused multiplier chain — a run of add-B/halve steps over one
     /// accumulator row set, rows borrowed once (`chains[idx]`).
     Chain { idx: u32 },
     /// Fused carry-save add initiator (`csadds[idx]`).
     CsAdd { idx: u32 },
-    /// Fused borrow-save subtract initiator (`subinits[idx]`).
-    SubInit { idx: u32 },
     /// Fused conditional select epilogue (`condsels[idx]`).
     CondSel { idx: u32 },
     /// Fused conditional copy epilogue (`condcopies[idx]`).
     CondCopy { idx: u32 },
-    /// Fused subtraction sign-fix (`signfixes[idx]`).
-    SignFix { idx: u32 },
     /// Fully fused carry-resolution loop (`resolve_loops[idx]`).
     ResolveLoop { idx: u32 },
-    /// Fully fused borrow-resolution loop (`borrow_loops[idx]`).
-    BorrowLoop { idx: u32 },
 }
 
 /// One step of a fused multiplier chain.
@@ -962,22 +714,6 @@ pub(crate) struct ResolveLoopOp {
     pub fallback_loop: u32,
 }
 
-/// A zero-loop whose bodies are one borrow-resolution round each (the
-/// two parities swapping the live row), fully fused; the odd-parity
-/// epilogue stays generic and runs after the borrows are released.
-#[derive(Debug, Clone)]
-pub(crate) struct BorrowLoopOp {
-    /// Even rounds' live row (`s_cur`); odd rounds swap with `other`.
-    pub live: u16,
-    pub other: u16,
-    /// The borrow row (also the zero-checked row).
-    pub t: u16,
-    pub max_checks: usize,
-    pub epilogue: CtrlRange,
-    /// Generic `LoopStep` index for the masked-state fallback.
-    pub fallback_loop: u32,
-}
-
 /// A range into the flat instruction arrays.
 type InstrRange = (u32, u32);
 
@@ -1005,7 +741,8 @@ pub(crate) struct HalveOp {
     pub fallback: InstrRange,
 }
 
-/// Fused carry-resolution round (masked shift + dual-writeback binary).
+/// Fused carry-resolution round (one dual write-back binary with a
+/// tile-masked fused shift).
 #[derive(Debug, Clone)]
 pub(crate) struct ResolveRoundOp {
     pub s: u16,
@@ -1013,35 +750,15 @@ pub(crate) struct ResolveRoundOp {
     pub fallback: InstrRange,
 }
 
-/// Fused borrow-resolution round (masked shift + two binaries).
-#[derive(Debug, Clone)]
-pub(crate) struct BorrowRoundOp {
-    pub s_cur: u16,
-    pub s_other: u16,
-    pub b: u16,
-    pub fallback: InstrRange,
-}
-
 /// Fused carry-save add initiator: one dual write-back `Binary`
-/// (`d_and, d_xor = a ∧ b, a ⊕ b`) executed as a single pass instead of
-/// two scratch-row passes plus two write-backs.
+/// (`d_and, d_xor = (a ∧ b) << 1, a ⊕ b`, tile-masked shift) executed as
+/// a single pass instead of two scratch-row passes plus two write-backs.
 #[derive(Debug, Clone)]
 pub(crate) struct CsAddOp {
     pub d_and: u16,
     pub d_xor: u16,
     pub a: u16,
     pub b: u16,
-    pub fallback: InstrRange,
-}
-
-/// Fused borrow-save subtract initiator (`sub_mod` lines 1–2):
-/// `t_sum = x ⊕ y; t_carry = t_sum ∧ y` — two `Binary`s, one pass.
-#[derive(Debug, Clone)]
-pub(crate) struct SubInitOp {
-    pub t_sum: u16,
-    pub t_carry: u16,
-    pub x: u16,
-    pub y: u16,
     pub fallback: InstrRange,
 }
 
@@ -1070,19 +787,6 @@ pub(crate) struct CondCopyOp {
     pub fallback: InstrRange,
 }
 
-/// Fused sign-fix of borrow-save subtraction (`sub_mod`): `Check(s, bit)`;
-/// `c ← 0`; `c ← M` where set; `t_carry, s = s ∧ c, s ⊕ c` — four
-/// instructions, one latch plus one pass.
-#[derive(Debug, Clone)]
-pub(crate) struct SignFixOp {
-    pub s: u16,
-    pub bit: u16,
-    pub c: u16,
-    pub t_carry: u16,
-    pub modulus: u16,
-    pub fallback: InstrRange,
-}
-
 /// A range into the lowered loop-body control stream.
 type CtrlRange = (u32, u32);
 
@@ -1090,9 +794,7 @@ type CtrlRange = (u32, u32);
 struct LoopStep {
     src: RowAddr,
     max_checks: usize,
-    even: CtrlRange,
-    odd: CtrlRange,
-    epilogue: CtrlRange,
+    body: CtrlRange,
 }
 
 #[derive(Debug, Clone)]
@@ -1123,26 +825,19 @@ pub struct CompiledProgram {
     pub(crate) addbs: Vec<AddBOp>,
     pub(crate) halves: Vec<HalveOp>,
     pub(crate) resolve_rounds: Vec<ResolveRoundOp>,
-    pub(crate) borrow_rounds: Vec<BorrowRoundOp>,
     pub(crate) chains: Vec<ChainOp>,
     pub(crate) resolve_loops: Vec<ResolveLoopOp>,
-    pub(crate) borrow_loops: Vec<BorrowLoopOp>,
     pub(crate) csadds: Vec<CsAddOp>,
-    pub(crate) subinits: Vec<SubInitOp>,
     pub(crate) condsels: Vec<CondSelOp>,
     pub(crate) condcopies: Vec<CondCopyOp>,
-    pub(crate) signfixes: Vec<SignFixOp>,
     /// Class counts of one occurrence of each fused pattern (zero until
     /// the pattern is first fused).
     pub(crate) addb_counts: InstrCounts,
     pub(crate) halve_counts: InstrCounts,
     pub(crate) resolve_round_counts: InstrCounts,
-    pub(crate) borrow_round_counts: InstrCounts,
     pub(crate) csadd_counts: InstrCounts,
-    pub(crate) subinit_counts: InstrCounts,
     pub(crate) condsel_counts: InstrCounts,
     pub(crate) condcopy_counts: InstrCounts,
-    pub(crate) signfix_counts: InstrCounts,
     rows: usize,
     cols: usize,
     tile_width: usize,
@@ -1226,25 +921,15 @@ impl CompiledProgram {
                 };
             }
             // Longest-window first within each leading-instruction family:
-            // `Check`-led (halve > sign-fix > select > copy), `Binary`-led
-            // (add-B > sub-init > carry-save add), `Shift`-led (borrow >
-            // resolve round).
+            // `Check`-led (halve > select > copy), `Binary`-led (add-B >
+            // resolve round > carry-save add).
             fuse!(match_halve, 7, halves, halve_counts, Halve);
-            fuse!(match_signfix, 4, signfixes, signfix_counts, SignFix);
             fuse!(match_condsel, 3, condsels, condsel_counts, CondSel);
             fuse!(match_condcopy, 2, condcopies, condcopy_counts, CondCopy);
             fuse!(match_addb, 4, addbs, addb_counts, AddB);
-            fuse!(match_subinit, 2, subinits, subinit_counts, SubInit);
-            fuse!(
-                match_borrow_round,
-                3,
-                borrow_rounds,
-                borrow_round_counts,
-                BorrowRound
-            );
             fuse!(
                 match_resolve_round,
-                2,
+                1,
                 resolve_rounds,
                 resolve_round_counts,
                 ResolveRound
@@ -1403,7 +1088,7 @@ impl CompiledProgram {
     /// diagnostic: higher is better).
     #[must_use]
     pub fn fused_ops(&self) -> usize {
-        self.addbs.len() + self.halves.len() + self.resolve_rounds.len() + self.borrow_rounds.len()
+        self.addbs.len() + self.halves.len() + self.resolve_rounds.len()
     }
 
     /// How many multiplier chains and fused resolution loops the second
@@ -1414,16 +1099,11 @@ impl CompiledProgram {
     }
 
     /// How many butterfly-epilogue superops the compiler fused (carry-save
-    /// adds, subtract initiators, conditional selects/copies, sign-fixes)
-    /// — the instruction groups that were generic before the word-engine
-    /// rework.
+    /// initiators, conditional selects/copies) — the instruction groups
+    /// that were generic before the word-engine rework.
     #[must_use]
     pub fn fused_epilogues(&self) -> usize {
-        self.csadds.len()
-            + self.subinits.len()
-            + self.condsels.len()
-            + self.condcopies.len()
-            + self.signfixes.len()
+        self.csadds.len() + self.condsels.len() + self.condcopies.len()
     }
 
     /// The fused chain/loop execution strategy this program compiled to
@@ -1501,13 +1181,8 @@ impl Controller {
                 )
             }
             Ctrl::CsAdd { idx } => superop!(csadds, exec_csadd, csadd_counts, idx),
-            Ctrl::SubInit { idx } => superop!(subinits, exec_subinit, subinit_counts, idx),
             Ctrl::CondSel { idx } => superop!(condsels, exec_condsel, condsel_counts, idx),
             Ctrl::CondCopy { idx } => superop!(condcopies, exec_condcopy, condcopy_counts, idx),
-            Ctrl::SignFix { idx } => superop!(signfixes, exec_signfix, signfix_counts, idx),
-            Ctrl::BorrowRound { idx } => {
-                superop!(borrow_rounds, exec_borrow_round, borrow_round_counts, idx)
-            }
             Ctrl::Chain { idx } => {
                 let op = &prog.chains[idx as usize];
                 if self.exec_chain(
@@ -1533,32 +1208,6 @@ impl Controller {
                     );
                 }
             }
-            Ctrl::BorrowLoop { idx } => {
-                let op = &prog.borrow_loops[idx as usize];
-                let done = self.exec_borrow_loop(
-                    op.live,
-                    op.other,
-                    op.t,
-                    op.max_checks,
-                    &prog.borrow_round_counts,
-                );
-                match done {
-                    Some(bodies) => {
-                        if bodies % 2 == 1 {
-                            let (start, end) = op.epilogue;
-                            for bc in start..end {
-                                self.exec_ctrl(prog, prog.body_ctrl[bc as usize]);
-                            }
-                        }
-                    }
-                    None => self.exec_ctrl(
-                        prog,
-                        Ctrl::Loop {
-                            idx: op.fallback_loop,
-                        },
-                    ),
-                }
-            }
             Ctrl::Load { idx } => {
                 let load = &prog.loads[idx as usize];
                 self.load_data_row_ref(load.row, &load.data);
@@ -1566,29 +1215,20 @@ impl Controller {
             Ctrl::Loop { idx } => {
                 let lp = &prog.loops[idx as usize];
                 let check = Instruction::CheckZero { src: lp.src };
-                let mut bodies = 0usize;
-                for k in 0..lp.max_checks {
+                for _ in 0..lp.max_checks {
                     self.apply_instr(&check);
                     if self.zero_flag() {
                         break;
                     }
-                    let (start, end) = if k % 2 == 0 { lp.even } else { lp.odd };
-                    for bc in start..end {
+                    for bc in lp.body.0..lp.body.1 {
                         // Loop bodies never contain loops or loads.
                         self.exec_ctrl(prog, prog.body_ctrl[bc as usize]);
                     }
-                    bodies += 1;
                 }
                 debug_assert!(
                     self.zero_flag(),
                     "resolution loop must converge within max_checks"
                 );
-                if bodies % 2 == 1 {
-                    let (start, end) = lp.epilogue;
-                    for bc in start..end {
-                        self.exec_ctrl(prog, prog.body_ctrl[bc as usize]);
-                    }
-                }
             }
         }
     }
@@ -1643,10 +1283,8 @@ mod tests {
         }];
         sink.zero_loop(ZeroLoopSpec {
             src: RowAddr(4),
-            even_body: &body,
-            odd_body: &body,
+            body: &body,
             max_checks: 17,
-            odd_epilogue: &[],
         })
     }
 
@@ -1692,10 +1330,8 @@ mod tests {
         }];
         ctl.zero_loop(ZeroLoopSpec {
             src: RowAddr(4),
-            even_body: &body,
-            odd_body: &body,
+            body: &body,
             max_checks: 17,
-            odd_epilogue: &[],
         })
         .unwrap();
         assert!(ctl.peek_row(4).is_zero());
@@ -1703,48 +1339,6 @@ mod tests {
         // to drain; 17 checks total (the last sees zero).
         assert_eq!(ctl.stats().counts.shift, 16);
         assert_eq!(ctl.stats().counts.check_zero, 17);
-    }
-
-    #[test]
-    fn odd_epilogue_runs_on_odd_parity() {
-        // One body execution (odd) → epilogue runs; drained data (zero
-        // checks) → no bodies, no epilogue.
-        let epilogue = [Instruction::Unary {
-            dst: RowAddr(6),
-            src: RowAddr(0),
-            kind: crate::isa::UnaryKind::Copy,
-            pred: PredMode::Always,
-        }];
-        let body = [Instruction::Unary {
-            dst: RowAddr(4),
-            src: RowAddr(4),
-            kind: crate::isa::UnaryKind::Zero,
-            pred: PredMode::Always,
-        }];
-        let mut ctl = controller();
-        ctl.load_data_row(0, row_with(&[0xBEEF, 0, 0, 0]));
-        ctl.load_data_row(4, row_with(&[1, 0, 0, 0]));
-        ctl.zero_loop(ZeroLoopSpec {
-            src: RowAddr(4),
-            even_body: &body,
-            odd_body: &body,
-            max_checks: 17,
-            odd_epilogue: &epilogue,
-        })
-        .unwrap();
-        assert_eq!(ctl.peek_row(6).tile_word(0, 16), 0xBEEF, "epilogue ran");
-
-        let mut ctl = controller();
-        ctl.load_data_row(0, row_with(&[0xBEEF, 0, 0, 0]));
-        ctl.zero_loop(ZeroLoopSpec {
-            src: RowAddr(4),
-            even_body: &body,
-            odd_body: &body,
-            max_checks: 17,
-            odd_epilogue: &epilogue,
-        })
-        .unwrap();
-        assert!(ctl.peek_row(6).is_zero(), "no bodies, no epilogue");
     }
 
     #[test]
@@ -1823,8 +1417,8 @@ mod tests {
         let mut rec = Recorder::new();
         sample_stream(&mut rec).unwrap();
         let prog = rec.finish().compile(&ctl).unwrap();
-        // 1 load + 3 straight instrs + (1 check + even body 1 + odd body 1)
-        // for the loop (each body stored once).
-        assert_eq!(prog.static_len(), 7);
+        // 1 load + 3 straight instrs + (1 check + body 1) for the loop
+        // (the body stored once).
+        assert_eq!(prog.static_len(), 6);
     }
 }

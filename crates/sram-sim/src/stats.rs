@@ -136,10 +136,6 @@ pub struct FastPathStats {
     pub resolve_loops_resident: u64,
     /// Carry-resolution loops executed per-round.
     pub resolve_loops_per_step: u64,
-    /// Borrow-resolution loops executed register-resident.
-    pub borrow_loops_resident: u64,
-    /// Borrow-resolution loops executed per-round.
-    pub borrow_loops_per_step: u64,
     /// Single-pass superop executions (add-B / halve / resolution rounds /
     /// butterfly epilogues) that ran fused.
     pub superops_fused: u64,
@@ -157,8 +153,6 @@ impl FastPathStats {
             + self.chains_per_step
             + self.resolve_loops_resident
             + self.resolve_loops_per_step
-            + self.borrow_loops_resident
-            + self.borrow_loops_per_step
             + self.superops_fused
     }
 
@@ -166,7 +160,7 @@ impl FastPathStats {
     /// coverage telemetry exists to guard).
     #[must_use]
     pub fn resident_hits(&self) -> u64 {
-        self.chains_resident + self.resolve_loops_resident + self.borrow_loops_resident
+        self.chains_resident + self.resolve_loops_resident
     }
 }
 
@@ -178,8 +172,6 @@ impl Add for FastPathStats {
             chains_per_step: self.chains_per_step + o.chains_per_step,
             resolve_loops_resident: self.resolve_loops_resident + o.resolve_loops_resident,
             resolve_loops_per_step: self.resolve_loops_per_step + o.resolve_loops_per_step,
-            borrow_loops_resident: self.borrow_loops_resident + o.borrow_loops_resident,
-            borrow_loops_per_step: self.borrow_loops_per_step + o.borrow_loops_per_step,
             superops_fused: self.superops_fused + o.superops_fused,
             fallbacks: self.fallbacks + o.fallbacks,
         }
@@ -196,13 +188,11 @@ impl fmt::Display for FastPathStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "chains {}+{} (resident+per-step), resolve loops {}+{}, borrow loops {}+{}, superops {}, fallbacks {}",
+            "chains {}+{} (resident+per-step), resolve loops {}+{}, superops {}, fallbacks {}",
             self.chains_resident,
             self.chains_per_step,
             self.resolve_loops_resident,
             self.resolve_loops_per_step,
-            self.borrow_loops_resident,
-            self.borrow_loops_per_step,
             self.superops_fused,
             self.fallbacks
         )

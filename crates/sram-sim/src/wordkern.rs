@@ -13,7 +13,7 @@
 //!   elementwise pass is a clean multiple of four words that LLVM
 //!   autovectorizes, and the explicit SIMD paths load whole vectors.
 //! * **Explicit AVX2 for the carry chains.** The add-B, Montgomery-halve,
-//!   and carry/borrow-resolution kernels contain a one-bit shift whose
+//!   and carry-resolution kernels contain a one-bit shift whose
 //!   carry crosses word boundaries; that loop-carried dependence defeats
 //!   autovectorization, so each gets a hand-written `std::arch` path that
 //!   materializes the shift with a lane permute (`valign`-style) and keeps
@@ -34,10 +34,10 @@
 //!   geometry decides once instead of re-testing row widths per superop.
 //!
 //! The module also hosts the single-pass bodies of the *epilogue
-//! superops* (carry-save add, conditional select/copy, sign-fix,
-//! borrow-save init) that the replay compiler fuses out of the butterfly
-//! epilogues; those are elementwise and rely on the chunked layout for
-//! vectorization rather than explicit intrinsics.
+//! superops* (carry-save initiator, conditional select/copy) that the
+//! replay compiler fuses out of the butterfly epilogues; those are
+//! (nearly) elementwise and rely on the chunked layout rather than
+//! explicit intrinsics.
 
 // SIMD intrinsics need raw-pointer loads/stores; this module owns the
 // crate's entire unsafe surface (see `#![deny(unsafe_code)]` in lib.rs).
@@ -247,8 +247,9 @@ fn halve_scalar(
     }
 }
 
-/// One carry-resolution round: `Carry <<= 1` (tile-masked via `shl_keep`);
-/// `Carry, Sum = Sum ∧ Carry, Sum ⊕ Carry`.
+/// One carry-resolution round over a pre-shifted carry row:
+/// `Carry, Sum = (Sum ∧ Carry) << 1, Sum ⊕ Carry`, the shift tile-masked
+/// via `shl_keep`.
 pub(crate) fn resolve_round(sw: &mut [u64], cw: &mut [u64], shl_keep: &[u64]) {
     let n = sw.len();
     assert!(cw.len() == n && shl_keep.len() == n);
@@ -264,68 +265,34 @@ pub(crate) fn resolve_round(sw: &mut [u64], cw: &mut [u64], shl_keep: &[u64]) {
 fn resolve_round_scalar(sw: &mut [u64], cw: &mut [u64], shl_keep: &[u64]) {
     let mut carry_in = 0u64;
     for w in 0..sw.len() {
-        let c_old = cw[w];
-        let csh = ((c_old << 1) | carry_in) & shl_keep[w];
-        carry_in = c_old >> 63;
-        let s_w = sw[w];
-        cw[w] = s_w & csh;
-        sw[w] = s_w ^ csh;
-    }
-}
-
-/// One borrow-resolution round: `B <<= 1` (tile-masked);
-/// `s_next = s_cur ⊕ B; B = s_next ∧ B`. Reads `cur`, writes `nxt`/`tw`.
-pub(crate) fn borrow_round(cur: &[u64], nxt: &mut [u64], tw: &mut [u64], shl_keep: &[u64]) {
-    let n = cur.len();
-    assert!(nxt.len() == n && tw.len() == n && shl_keep.len() == n);
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: dispatch guarantees AVX2 is available.
-        unsafe { avx2::borrow_round(cur, nxt, tw, shl_keep) };
-        return;
-    }
-    borrow_round_scalar(cur, nxt, tw, shl_keep);
-}
-
-fn borrow_round_scalar(cur: &[u64], nxt: &mut [u64], tw: &mut [u64], shl_keep: &[u64]) {
-    let mut carry_in = 0u64;
-    for w in 0..cur.len() {
-        let t_old = tw[w];
-        let tsh = ((t_old << 1) | carry_in) & shl_keep[w];
-        carry_in = t_old >> 63;
-        let so = cur[w] ^ tsh;
-        nxt[w] = so;
-        tw[w] = so & tsh;
+        let (s_w, c_w) = (sw[w], cw[w]);
+        let and = s_w & c_w;
+        cw[w] = ((and << 1) | carry_in) & shl_keep[w];
+        carry_in = and >> 63;
+        sw[w] = s_w ^ c_w;
     }
 }
 
 // ---- epilogue superop kernels ----------------------------------------------
 //
-// Elementwise single passes over the chunked storage (no cross-word
-// carries), so the plain loops below autovectorize; no explicit SIMD
-// needed. All assume every tile is write-enabled (`mask` is the all-enabled
-// column image), which the fused executors guarantee before calling.
+// Single passes over the chunked storage; apart from the initiator's
+// one-bit carry between words they are elementwise, so the plain loops
+// below need no explicit SIMD. All assume every tile is write-enabled
+// (`mask` is the all-enabled column image), which the fused executors
+// guarantee before calling.
 
-/// Carry-save add initiator: `d_and, d_xor = a ∧ b, a ⊕ b` (one dual
-/// write-back `Binary`, fused to one pass).
-pub(crate) fn csadd(da: &mut [u64], dx: &mut [u64], aw: &[u64], bw: &[u64]) {
+/// Carry-save initiator with the carry pre-shifted: `d_and, d_xor =
+/// (a ∧ b) << 1, a ⊕ b`, the shift tile-masked via `shl_keep` (one dual
+/// write-back `Binary` with a fused shift, as one pass).
+pub(crate) fn csadd(da: &mut [u64], dx: &mut [u64], aw: &[u64], bw: &[u64], shl_keep: &[u64]) {
     let n = da.len();
-    assert!(dx.len() == n && aw.len() == n && bw.len() == n);
-    for (((da, dx), &a), &b) in da.iter_mut().zip(dx.iter_mut()).zip(aw).zip(bw) {
-        *da = a & b;
-        *dx = a ^ b;
-    }
-}
-
-/// Borrow-save subtract initiator: `ts = x ⊕ y; tc = ts ∧ y` (two single
-/// write-back `Binary`s, fused to one pass).
-pub(crate) fn subinit(tsw: &mut [u64], tcw: &mut [u64], xw: &[u64], yw: &[u64]) {
-    let n = tsw.len();
-    assert!(tcw.len() == n && xw.len() == n && yw.len() == n);
-    for (((ts, tc), &x), &y) in tsw.iter_mut().zip(tcw.iter_mut()).zip(xw).zip(yw) {
-        let t = x ^ y;
-        *ts = t;
-        *tc = t & y;
+    assert!(dx.len() == n && aw.len() == n && bw.len() == n && shl_keep.len() == n);
+    let mut carry_in = 0u64;
+    for w in 0..n {
+        let and = aw[w] & bw[w];
+        da[w] = ((and << 1) | carry_in) & shl_keep[w];
+        carry_in = and >> 63;
+        dx[w] = aw[w] ^ bw[w];
     }
 }
 
@@ -352,36 +319,6 @@ pub(crate) fn masked_copy(dw: &mut [u64], sw: &[u64], mask: &[u64], pred: &[u64]
     for (((d, &s), &m), &p) in dw.iter_mut().zip(sw).zip(mask).zip(pred) {
         let g = if if_set { m & p } else { m & !p };
         *d = (*d & !g) | (s & g);
-    }
-}
-
-/// Sign-fix of borrow-save subtraction: with the predicate latched from
-/// the difference's sign bit, `c ← M` in negative tiles (zero elsewhere),
-/// then the carry-save `+q` layer `tc, s = s ∧ c, s ⊕ c` — four recorded
-/// instructions, one pass.
-pub(crate) fn signfix(
-    sw: &mut [u64],
-    cw: &mut [u64],
-    tcw: &mut [u64],
-    mw: &[u64],
-    mask: &[u64],
-    pred: &[u64],
-) {
-    let n = sw.len();
-    assert!(cw.len() == n && tcw.len() == n && mw.len() == n && mask.len() == n && pred.len() == n);
-    for (((((s, c), tc), &m), &msk), &p) in sw
-        .iter_mut()
-        .zip(cw.iter_mut())
-        .zip(tcw.iter_mut())
-        .zip(mw)
-        .zip(mask)
-        .zip(pred)
-    {
-        let g = msk & p;
-        let c_new = m & g;
-        *c = c_new;
-        *tc = *s & c_new;
-        *s ^= c_new;
     }
 }
 
@@ -592,44 +529,6 @@ pub(crate) fn resolve_loop_resident(
     }
 }
 
-/// Runs a whole zero-terminated borrow-resolution loop register-resident,
-/// the live value ping-ponging between the `live` and `other` rows by
-/// round parity exactly as emission writes them. Returns
-/// `Some((bodies, checks, converged))`, or `None` for the per-round path.
-pub(crate) fn borrow_loop_resident(
-    kind: FastPathKind,
-    live: &mut [u64],
-    other: &mut [u64],
-    tw: &mut [u64],
-    shl_keep: &[u64],
-    max_checks: usize,
-) -> Option<(usize, u64, bool)> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let FastPathKind::Resident(chunks) = kind else {
-            return None;
-        };
-        if !simd_active() {
-            return None;
-        }
-        debug_assert_eq!(live.len(), usize::from(chunks) * CHUNK);
-        // SAFETY: the dispatch above verified AVX2 support.
-        unsafe {
-            Some(match chunks {
-                1 => avx2::borrow_loop_chunks::<1>(live, other, tw, shl_keep, max_checks),
-                2 => avx2::borrow_loop_chunks::<2>(live, other, tw, shl_keep, max_checks),
-                3 => avx2::borrow_loop_chunks::<3>(live, other, tw, shl_keep, max_checks),
-                _ => avx2::borrow_loop_chunks::<4>(live, other, tw, shl_keep, max_checks),
-            })
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (kind, live, other, tw, shl_keep, max_checks);
-        None
-    }
-}
-
 // ---- AVX2 paths ------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -795,11 +694,10 @@ mod avx2 {
             unsafe {
                 let c = load(cw, i);
                 let s = load(sw, i);
-                let (csh0, nc) = shl1_chain(c, carry);
+                let (and_sh, nc) = shl1_chain(_mm256_and_si256(s, c), carry);
                 carry = nc;
-                let csh = _mm256_and_si256(csh0, load(shl_keep, i));
-                store(cw, i, _mm256_and_si256(s, csh));
-                store(sw, i, _mm256_xor_si256(s, csh));
+                store(cw, i, _mm256_and_si256(and_sh, load(shl_keep, i)));
+                store(sw, i, _mm256_xor_si256(s, c));
             }
             i += CHUNK;
         }
@@ -1008,90 +906,16 @@ mod avx2 {
                 }
                 let mut carry = 0u64;
                 for k in 0..K {
-                    let (csh0, nc) = shl1_chain(c[k], carry);
+                    let (and_sh, nc) = shl1_chain(_mm256_and_si256(s[k], c[k]), carry);
                     carry = nc;
-                    let csh = _mm256_and_si256(csh0, shl[k]);
-                    let c_new = _mm256_and_si256(s[k], csh);
-                    s[k] = _mm256_xor_si256(s[k], csh);
-                    c[k] = c_new;
+                    s[k] = _mm256_xor_si256(s[k], c[k]);
+                    c[k] = _mm256_and_si256(and_sh, shl[k]);
                 }
                 bodies += 1;
             }
             store_row::<K>(sw, &s);
             store_row::<K>(cw, &c);
             (bodies, checks, converged)
-        }
-    }
-
-    /// Register-resident borrow-resolution loop over a `K`-chunk row trio
-    /// (see [`super::borrow_loop_resident`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn borrow_loop_chunks<const K: usize>(
-        live: &mut [u64],
-        other: &mut [u64],
-        tw: &mut [u64],
-        shl_keep: &[u64],
-        max_checks: usize,
-    ) -> (usize, u64, bool) {
-        // SAFETY: all slices are K chunks long (caller contract).
-        unsafe {
-            let mut va = load_row::<K>(live);
-            let mut vb = load_row::<K>(other);
-            let mut vt = load_row::<K>(tw);
-            let shl = load_row::<K>(shl_keep);
-            let mut bodies = 0usize;
-            let mut checks = 0u64;
-            let mut converged = false;
-            for round in 0..max_checks {
-                checks += 1;
-                if is_zero_regs(&vt) {
-                    converged = true;
-                    break;
-                }
-                let mut carry = 0u64;
-                for k in 0..K {
-                    let (tsh0, nc) = shl1_chain(vt[k], carry);
-                    carry = nc;
-                    let tsh = _mm256_and_si256(tsh0, shl[k]);
-                    if round % 2 == 0 {
-                        vb[k] = _mm256_xor_si256(va[k], tsh);
-                        vt[k] = _mm256_and_si256(vb[k], tsh);
-                    } else {
-                        va[k] = _mm256_xor_si256(vb[k], tsh);
-                        vt[k] = _mm256_and_si256(va[k], tsh);
-                    }
-                }
-                bodies += 1;
-            }
-            store_row::<K>(live, &va);
-            store_row::<K>(other, &vb);
-            store_row::<K>(tw, &vt);
-            (bodies, checks, converged)
-        }
-    }
-
-    /// AVX2 transliteration of [`super::borrow_round_scalar`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn borrow_round(
-        cur: &[u64],
-        nxt: &mut [u64],
-        tw: &mut [u64],
-        shl_keep: &[u64],
-    ) {
-        let mut carry = 0u64;
-        let mut i = 0;
-        while i < cur.len() {
-            // SAFETY: all slices share the same CHUNK-multiple length.
-            unsafe {
-                let t = load(tw, i);
-                let (tsh0, nc) = shl1_chain(t, carry);
-                carry = nc;
-                let tsh = _mm256_and_si256(tsh0, load(shl_keep, i));
-                let so = _mm256_xor_si256(load(cur, i), tsh);
-                store(nxt, i, so);
-                store(tw, i, _mm256_and_si256(so, tsh));
-            }
-            i += CHUNK;
         }
     }
 }
@@ -1185,14 +1009,6 @@ mod tests {
                 resolve_round_scalar(&mut s1, &mut c1, &shl);
                 unsafe { avx2::resolve_round(&mut s2, &mut c2, &shl) };
                 assert_eq!((&s1, &c1), (&s2, &c2), "resolve n={n}");
-
-                let cur = rng_words(n, seed + 7);
-                let mut nxt1 = rng_words(n, seed + 8);
-                let mut t1 = rng_words(n, seed + 9);
-                let (mut nxt2, mut t2) = (nxt1.clone(), t1.clone());
-                borrow_round_scalar(&cur, &mut nxt1, &mut t1, &shl);
-                unsafe { avx2::borrow_round(&cur, &mut nxt2, &mut t2, &shl) };
-                assert_eq!((&nxt1, &t1), (&nxt2, &t2), "borrow n={n}");
             }
         }
     }
@@ -1346,31 +1162,6 @@ mod tests {
                 unsafe { avx2::resolve_loop_chunks::<K>(&mut s2, &mut c2, &shl, max_checks) };
             assert_eq!(ref_out, fast, "resolve loop K={K}");
             assert_eq!((&s1, &c1), (&s2, &c2), "resolve rows K={K}");
-
-            // Borrow-resolution loop with its live-row ping-pong.
-            let mut a1 = rng_words(n, seed * 13 + 1);
-            let mut b1 = rng_words(n, seed * 13 + 2);
-            let mut t1 = rng_words(n, seed * 13 + 3);
-            let (mut a2, mut b2, mut t2) = (a1.clone(), b1.clone(), t1.clone());
-            let mut ref_out = (0usize, 0u64, false);
-            {
-                let (mut cur, mut nxt) = (&mut a1, &mut b1);
-                for _ in 0..max_checks {
-                    ref_out.1 += 1;
-                    if t1.iter().all(|&w| w == 0) {
-                        ref_out.2 = true;
-                        break;
-                    }
-                    borrow_round_scalar(cur, nxt, &mut t1, &shl);
-                    std::mem::swap(&mut cur, &mut nxt);
-                    ref_out.0 += 1;
-                }
-            }
-            let fast = unsafe {
-                avx2::borrow_loop_chunks::<K>(&mut a2, &mut b2, &mut t2, &shl, max_checks)
-            };
-            assert_eq!(ref_out, fast, "borrow loop K={K}");
-            assert_eq!((&a1, &b1, &t1), (&a2, &b2, &t2), "borrow rows K={K}");
         }
 
         for seed in 1..=6u64 {
@@ -1389,20 +1180,19 @@ mod tests {
         let mask = keep_words(n, 0x11);
         let pred = rng_words(n, 23);
 
+        let shl = keep_words(n, 1);
         let mut da = rng_words(n, 24);
         let mut dx = rng_words(n, 25);
-        csadd(&mut da, &mut dx, &a, &b);
+        csadd(&mut da, &mut dx, &a, &b, &shl);
         for w in 0..n {
-            assert_eq!(da[w], a[w] & b[w]);
+            let and = a[w] & b[w];
+            let carry_in = if w == 0 {
+                0
+            } else {
+                (a[w - 1] & b[w - 1]) >> 63
+            };
+            assert_eq!(da[w], ((and << 1) | carry_in) & shl[w]);
             assert_eq!(dx[w], a[w] ^ b[w]);
-        }
-
-        let mut ts = rng_words(n, 26);
-        let mut tc = rng_words(n, 27);
-        subinit(&mut ts, &mut tc, &a, &b);
-        for w in 0..n {
-            assert_eq!(ts[w], a[w] ^ b[w]);
-            assert_eq!(tc[w], (a[w] ^ b[w]) & b[w]);
         }
 
         let mut d = rng_words(n, 28);
@@ -1426,19 +1216,6 @@ mod tests {
                 };
                 assert_eq!(d[w], (before[w] & !g) | (a[w] & g));
             }
-        }
-
-        let mut s = rng_words(n, 30);
-        let mut c = rng_words(n, 31);
-        let mut tcx = rng_words(n, 32);
-        let s_before = s.clone();
-        signfix(&mut s, &mut c, &mut tcx, &a, &mask, &pred);
-        for w in 0..n {
-            let g = mask[w] & pred[w];
-            let cn = a[w] & g;
-            assert_eq!(c[w], cn);
-            assert_eq!(tcx[w], s_before[w] & cn);
-            assert_eq!(s[w], s_before[w] ^ cn);
         }
     }
 }

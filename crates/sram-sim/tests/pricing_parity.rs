@@ -97,18 +97,12 @@ impl InstrSink for Tally<'_> {
     }
 
     fn zero_loop(&mut self, spec: ZeroLoopSpec<'_>) -> Result<(), SramError> {
-        let mut bodies = 0;
-        for k in 0..spec.max_checks {
+        for _ in 0..spec.max_checks {
             self.emit(Instruction::CheckZero { src: spec.src })?;
             if self.ctl.zero_flag() {
                 break;
             }
-            let body = [spec.even_body, spec.odd_body][k % 2];
-            body.iter().try_for_each(|i| self.emit(*i))?;
-            bodies += 1;
-        }
-        if bodies % 2 == 1 {
-            spec.odd_epilogue.iter().try_for_each(|i| self.emit(*i))?;
+            spec.body.iter().try_for_each(|i| self.emit(*i))?;
         }
         Ok(())
     }
@@ -195,7 +189,7 @@ impl Rng {
 
 /// One instruction of every class, then random instructions, row loads
 /// and draining loops (a masked left shift of the loop row until it is
-/// zero, with a zero-fill epilogue).
+/// zero).
 fn random_stream(sink: &mut impl InstrSink, seed: u64, cols: usize, tile_width: usize) {
     let mut rng = Rng(seed | 1);
     for class in 0..8 {
@@ -217,13 +211,10 @@ fn random_stream(sink: &mut impl InstrSink, seed: u64, cols: usize, tile_width: 
                         pred: PredMode::Always,
                     },
                 ];
-                let epilogue = [rng.instr(5, tile_width)];
                 sink.zero_loop(ZeroLoopSpec {
                     src: LOOP_ROW,
-                    even_body: &body,
-                    odd_body: &body,
+                    body: &body,
                     max_checks: tile_width + 1,
-                    odd_epilogue: &epilogue,
                 })
                 .unwrap();
             }

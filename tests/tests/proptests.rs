@@ -2,15 +2,19 @@
 
 use proptest::prelude::*;
 
-use bpntt_core::{BpNttConfig, HealthOptions, Kernels, Layout, ShardedBpNtt};
+use bpntt_core::{BpNttConfig, HealthOptions, Kernels, Layout, RowMap, ShardedBpNtt};
 use bpntt_modmath::bitparallel::{bp_modmul_full, bp_modmul_reduced};
 use bpntt_modmath::bits::{bit_reverse, low_mask};
 use bpntt_modmath::carrysave::CsPair;
 use bpntt_modmath::montgomery::MontCtx;
-use bpntt_modmath::zq::{add_mod, mul_mod, reduce_once, sub_mod};
+use bpntt_modmath::primes::find_ntt_prime_high;
+use bpntt_modmath::zq::{add_mod, inv_mod, mul_mod, pow_mod, reduce_once, sub_mod};
 use bpntt_ntt::polymul::{polymul_ntt, polymul_schoolbook};
 use bpntt_ntt::{forward, inverse, NttParams, TwiddleTable};
-use bpntt_sram::{BitRow, Controller, Instruction, RowAddr, SramArray};
+use bpntt_sram::{
+    BitRow, Controller, InstrSink, Instruction, Recorder, ReplayOp, ReplayProgram, RowAddr,
+    SramArray, ZeroLoopSpec,
+};
 
 /// Strategy: a width w ∈ 3..=24 and an odd modulus with one headroom bit.
 fn width_and_modulus() -> impl Strategy<Value = (u32, u64)> {
@@ -217,6 +221,185 @@ proptest! {
         prop_assert_eq!(add_mod(sub_mod(a, b, q), b, q), a);
         prop_assert_eq!(reduce_once(add_mod(a, b, q), q), add_mod(a, b, q));
         prop_assert_eq!(mul_mod(a, b, q), mul_mod(b, a, q));
+    }
+}
+
+/// Runs one recorded kernel stream twice from the same array image: once
+/// emitted instruction by instruction (the `ExecMode::Generic` path) and
+/// once compiled and replayed. Asserts every row and the `Stats` bits agree,
+/// then returns the replayed controller.
+fn replay_like_generic(start: &Controller, recorded: ReplayProgram, what: &str) -> Controller {
+    let mut generic = start.clone();
+    for op in recorded.ops() {
+        match op {
+            ReplayOp::Instr(i) => generic.emit(*i).unwrap(),
+            ReplayOp::LoadRow { row, data } => generic.load_row(*row, data).unwrap(),
+            ReplayOp::ZeroLoop {
+                src,
+                body,
+                max_checks,
+            } => generic
+                .zero_loop(ZeroLoopSpec {
+                    src: *src,
+                    body,
+                    max_checks: *max_checks,
+                })
+                .unwrap(),
+        }
+    }
+    let mut replayed = start.clone();
+    let prog = recorded.compile(&replayed).unwrap();
+    replayed.run_compiled(&prog).unwrap();
+    for r in 0..start.rows() {
+        assert_eq!(replayed.peek_row(r), generic.peek_row(r), "{what}: row {r}");
+    }
+    let (rs, gs) = (replayed.stats(), generic.stats());
+    assert_eq!(rs.counts, gs.counts, "{what}: counts");
+    assert_eq!(rs.cycles, gs.cycles, "{what}: cycles");
+    assert_eq!(
+        rs.energy_pj.to_bits(),
+        gs.energy_pj.to_bits(),
+        "{what}: energy"
+    );
+    replayed
+}
+
+/// The butterfly arithmetic at the sign-bit extremes: operands
+/// {0, 1, q−2, q−1} against each other and against random residues (so
+/// `x − y` reaches −(q−1) and q−1), for q = 7681, 8380417 and the largest
+/// NTT primes below 2^(w−1) at w = 24 and w = 32. Every kernel whose
+/// correctness rests on the headroom bit — `add_mod`, `sub_mod`,
+/// `finish_modmul` and both butterflies, constant and per-tile twiddle —
+/// replays exactly like generic emission and matches the `Zq` reference.
+#[test]
+fn kernels_at_sign_bit_extremes_replay_like_generic_and_match_zq() {
+    let moduli = [
+        (14usize, 7681u64),
+        (24, 8_380_417),
+        (24, find_ntt_prime_high(23, 512).unwrap()),
+        (32, find_ntt_prime_high(31, 512).unwrap()),
+    ];
+    for (w, q) in moduli {
+        let mut seed = q ^ 0x9e37_79b9_7f4a_7c15;
+        let mut random = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % q
+        };
+        let extremes = [0, 1, q - 2, q - 1];
+        let mut pairs = Vec::new();
+        for &x in &extremes {
+            for &y in &extremes {
+                pairs.push((x, y));
+            }
+            for _ in 0..2 {
+                pairs.push((x, random()));
+                pairs.push((random(), x));
+            }
+        }
+        let twiddles: Vec<u64> = (0..pairs.len())
+            .map(|t| extremes.get(t % 6).copied().unwrap_or_else(&mut random))
+            .collect();
+        let consts = [1, q - 1, random()];
+
+        let tiles = pairs.len();
+        let cols = tiles * w;
+        let (x_row, y_row, tw_row, scratch_row, dst_row) = (0usize, 1, 2, 3, 4);
+        let base = *Layout::new(16, cols, w, 4).unwrap().rowmap();
+        let rm = RowMap {
+            twiddle: Some(RowAddr(tw_row as u16)),
+            scratch: Some(RowAddr(scratch_row as u16)),
+            ..base
+        };
+        let kernels = Kernels::new(rm, q, w);
+        let row_of = |words: Vec<u64>| {
+            let mut row = BitRow::zero(cols);
+            for (t, v) in words.into_iter().enumerate() {
+                row.set_tile_word(t, w, v);
+            }
+            row
+        };
+        let mut start = Controller::new(SramArray::new(16, cols).unwrap(), w).unwrap();
+        let comp = q.wrapping_neg() & low_mask(w as u32);
+        start.load_data_row(rm.modulus.index(), row_of(vec![q; tiles]));
+        start.load_data_row(rm.comp_modulus.index(), row_of(vec![comp; tiles]));
+        start.load_data_row(x_row, row_of(pairs.iter().map(|p| p.0).collect()));
+        start.load_data_row(y_row, row_of(pairs.iter().map(|p| p.1).collect()));
+        start.load_data_row(tw_row, row_of(twiddles.clone()));
+        start.reset_stats();
+
+        let r_inv = inv_mod(pow_mod(2, w as u64, q), q).unwrap();
+        let mont = |a: u64, b: u64| mul_mod(mul_mod(a, b, q), r_inv, q);
+        let run = |what: &str, emit: &dyn Fn(&mut Recorder)| {
+            let mut rec = Recorder::new();
+            emit(&mut rec);
+            replay_like_generic(&start, rec.finish(), &format!("{what} q={q} w={w}"))
+        };
+        let check =
+            |ctl: &Controller, row: usize, what: &str, f: &dyn Fn(usize, u64, u64) -> u64| {
+                for (t, &(x, y)) in pairs.iter().enumerate() {
+                    assert_eq!(
+                        ctl.peek_row(row).tile_word(t, w),
+                        f(t, x, y),
+                        "{what} q={q} w={w} tile {t}: x={x} y={y}"
+                    );
+                }
+            };
+        let (x, y, dst) = (RowAddr(0), RowAddr(1), RowAddr(dst_row as u16));
+
+        let ctl = run("add_mod", &|s| kernels.add_mod(s, dst, x, y, None).unwrap());
+        check(&ctl, dst_row, "add_mod", &|_, x, y| add_mod(x, y, q));
+        let ctl = run("sub_mod", &|s| kernels.sub_mod(s, dst, x, y, None).unwrap());
+        check(&ctl, dst_row, "sub_mod", &|_, x, y| sub_mod(x, y, q));
+
+        let ctl = run("modmul_data+finish", &|s| {
+            kernels.modmul_data(s, y, x).unwrap();
+            kernels.finish_modmul(s).unwrap();
+        });
+        check(&ctl, rm.sum.index(), "finish_modmul", &|_, x, y| mont(x, y));
+        let ctl = run("ct_butterfly_data", &|s| {
+            kernels.ct_butterfly_data(s, x, y).unwrap()
+        });
+        check(&ctl, x_row, "ct lo", &|t, x, y| {
+            add_mod(x, mont(twiddles[t], y), q)
+        });
+        check(&ctl, y_row, "ct hi", &|t, x, y| {
+            sub_mod(x, mont(twiddles[t], y), q)
+        });
+        let ctl = run("gs_butterfly_data", &|s| {
+            kernels.gs_butterfly_data(s, x, y).unwrap()
+        });
+        check(&ctl, x_row, "gs lo", &|_, x, y| add_mod(x, y, q));
+        check(&ctl, y_row, "gs hi", &|t, x, y| {
+            mont(twiddles[t], sub_mod(x, y, q))
+        });
+
+        for c in consts {
+            let ctl = run("modmul_const+finish", &|s| {
+                kernels.modmul_const(s, y, c).unwrap();
+                kernels.finish_modmul(s).unwrap();
+            });
+            check(&ctl, rm.sum.index(), "finish_modmul const", &|_, _, y| {
+                mont(c, y)
+            });
+            let ctl = run("ct_butterfly_const", &|s| {
+                kernels.ct_butterfly_const(s, x, y, c).unwrap();
+            });
+            check(&ctl, x_row, "ct const lo", &|_, x, y| {
+                add_mod(x, mont(c, y), q)
+            });
+            check(&ctl, y_row, "ct const hi", &|_, x, y| {
+                sub_mod(x, mont(c, y), q)
+            });
+            let ctl = run("gs_butterfly_const", &|s| {
+                kernels.gs_butterfly_const(s, x, y, c).unwrap();
+            });
+            check(&ctl, x_row, "gs const lo", &|_, x, y| add_mod(x, y, q));
+            check(&ctl, y_row, "gs const hi", &|_, x, y| {
+                mont(c, sub_mod(x, y, q))
+            });
+        }
     }
 }
 

@@ -203,7 +203,7 @@ fn resident_fast_paths_fire_on_wide_geometries() {
         let replay = *acc.fastpath_stats();
         assert!(replay.chains_resident > 0, "cols={cols}: replay chains");
         assert!(
-            replay.resolve_loops_resident > 0 && replay.borrow_loops_resident > 0,
+            replay.resolve_loops_resident > 0,
             "cols={cols}: replay loops"
         );
         assert!(replay.superops_fused > 0, "cols={cols}: replay superops");
