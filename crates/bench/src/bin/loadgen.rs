@@ -541,6 +541,13 @@ fn main() {
     probe.ping().expect("post-chaos ping");
     let prom = probe.metrics_prometheus().expect("post-chaos prometheus");
     assert!(prom.contains("bpntt_tenant_completed_total"));
+    // Families are typed: `…_total` counters, everything else gauges.
+    for typed in [
+        "# TYPE bpntt_completed_total counter",
+        "# TYPE bpntt_queue_depth gauge",
+    ] {
+        assert!(prom.contains(typed), "prometheus export lacks `{typed}`");
+    }
     if opts.burst {
         assert!(
             prom.contains("bpntt_shard_health_state"),
@@ -621,14 +628,14 @@ fn main() {
         // with every admitted request still reference-exact (failed==0
         // above covers the zero-escaped-corruptions half).
         assert!(
-            metrics.probes_run >= 1 && metrics.probes_passed >= 1,
+            metrics.health.probes_run >= 1 && metrics.health.probes_passed >= 1,
             "burst drill: the scrubber never probed a shard \
              (probes_run {}, probes_passed {})",
-            metrics.probes_run,
-            metrics.probes_passed
+            metrics.health.probes_run,
+            metrics.health.probes_passed
         );
         assert!(
-            metrics.reintegrations >= 1,
+            metrics.health.reintegrations >= 1,
             "burst drill: no shard was reintegrated by the scrubber"
         );
         assert_eq!(
@@ -711,10 +718,10 @@ fn main() {
     if opts.burst {
         println!(
             "health: {} probes ({} passed), {} reintegrations, {} canary demotions, shard states {:?}; client retries {}, reconnects {}, hedges {}/{}",
-            metrics.probes_run,
-            metrics.probes_passed,
-            metrics.reintegrations,
-            metrics.canary_demotions,
+            metrics.health.probes_run,
+            metrics.health.probes_passed,
+            metrics.health.reintegrations,
+            metrics.health.canary_demotions,
             metrics.shard_health,
             agg.retries.load(Ordering::Relaxed),
             agg.reconnects.load(Ordering::Relaxed),

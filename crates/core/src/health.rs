@@ -166,8 +166,9 @@ pub enum HealthTransition {
     Demoted,
 }
 
-/// Cumulative healing-ladder counters (drained into
-/// [`ServiceMetrics`](crate::ServiceMetrics) by the service layer).
+/// Cumulative healing-ladder counters (their growth is harvested into
+/// [`ServiceMetrics::health`](crate::ServiceMetrics::health) by the
+/// service layer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthCounters {
     /// Known-answer probes executed (quarantine scrub + patrol).
@@ -183,6 +184,30 @@ pub struct HealthCounters {
     /// Healthy shards quarantined *by a patrol probe* (latent damage
     /// found before tenant traffic hit it).
     pub patrol_quarantines: u64,
+}
+
+impl HealthCounters {
+    /// Adds `other`, counter by counter.
+    pub(crate) fn accumulate(&mut self, other: Self) {
+        *self = self.zip(other, u64::saturating_add);
+    }
+
+    /// Growth since an earlier reading of the same counters (saturating
+    /// at zero per counter).
+    pub(crate) fn since(self, earlier: Self) -> Self {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    fn zip(self, other: Self, f: fn(u64, u64) -> u64) -> Self {
+        Self {
+            probes_run: f(self.probes_run, other.probes_run),
+            probes_passed: f(self.probes_passed, other.probes_passed),
+            reintegrations: f(self.reintegrations, other.reintegrations),
+            canary_demotions: f(self.canary_demotions, other.canary_demotions),
+            patrol_probes: f(self.patrol_probes, other.patrol_probes),
+            patrol_quarantines: f(self.patrol_quarantines, other.patrol_quarantines),
+        }
+    }
 }
 
 /// Per-shard healing state.

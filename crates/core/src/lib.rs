@@ -43,7 +43,6 @@
 
 pub mod artifacts;
 pub mod backend;
-pub mod bank;
 pub mod config;
 pub mod engine;
 pub mod error;

@@ -1,6 +1,7 @@
 //! Performance metrics: the paper's Table I units ([`PerfReport`]) and
 //! the request-queue service's exportable snapshot ([`ServiceMetrics`]).
 
+use crate::health::HealthCounters;
 use bpntt_sram::geometry::{AreaModel, ArrayGeometry, FrequencyModel};
 use bpntt_sram::Stats;
 use std::fmt;
@@ -150,32 +151,16 @@ pub struct TenantMetrics {
     pub bytes: u64,
 }
 
-impl TenantMetrics {
-    fn to_json(self) -> String {
-        format!(
-            "{{\"tenant\": {}, \"submitted\": {}, \"queued\": {}, \"shed\": {}, \
-             \"completed\": {}, \"failed\": {}, \"deadline_expired\": {}, \
-             \"cancelled\": {}, \"bytes\": {}}}",
-            self.tenant,
-            self.submitted,
-            self.queued,
-            self.shed,
-            self.completed,
-            self.failed,
-            self.deadline_expired,
-            self.cancelled,
-            self.bytes
-        )
-    }
-}
-
 /// A point-in-time snapshot of the request-queue service
 /// ([`NttService`](crate::NttService)): queue pressure, wave coalescing
 /// efficiency, throughput, per-shard wall-clock percentiles, and the
 /// shared compiled-artifact cache. Exportable as JSON for scrapers
 /// and the `loadgen` trajectory file, and as Prometheus text
 /// format ([`Self::to_prometheus`]) for pull-based monitoring.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Both exports are rendered from one table of metric rows in this
+/// module: adding a metric is one field here and one row there.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceMetrics {
     /// Requests queued right now.
     pub queue_depth: usize,
@@ -259,21 +244,10 @@ pub struct ServiceMetrics {
     /// Mean occupancy of those rounds: busy lanes across every engine of
     /// the round over the round's total lane capacity.
     pub rns_fanout_occupancy: f64,
-    /// Known-answer probes the scrubber executed against benched shards,
-    /// summed across tenant engines.
-    pub probes_run: u64,
-    /// Probes whose output matched the precomputed reference exactly.
-    pub probes_passed: u64,
-    /// Quarantined shards returned to full service through the
-    /// probe → canary → clean-wave ladder.
-    pub reintegrations: u64,
-    /// Canary shards demoted back to quarantine by a failed wave.
-    pub canary_demotions: u64,
-    /// Patrol probes run against healthy shards between waves.
-    pub patrol_probes: u64,
-    /// Healthy shards a patrol probe caught corrupting (benched before
-    /// any tenant traffic reached them).
-    pub patrol_quarantines: u64,
+    /// Healing-ladder counters summed across tenant engines: scrubber
+    /// and patrol probes, reintegrations, canary demotions, patrol
+    /// quarantines. They keep counting across a watchdog respawn.
+    pub health: HealthCounters,
     /// Dispatcher or scrubber threads the watchdog respawned after a
     /// panic.
     pub respawns: u64,
@@ -288,6 +262,192 @@ pub struct ServiceMetrics {
     pub per_tenant: Vec<TenantMetrics>,
 }
 
+/// Prometheus type of an exported family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Only ever grows (named `…_total`).
+    Counter,
+    /// May go down: a level, a ratio, a percentile or a high-water mark.
+    Gauge,
+}
+
+use Kind::{Counter, Gauge};
+
+/// One exported service metric: its JSON key, its Prometheus family
+/// (without the `bpntt_` prefix), kind and help, and how to read it
+/// from the part `T` of the snapshot it describes.
+struct Metric<T> {
+    json: &'static str,
+    prom: &'static str,
+    kind: Kind,
+    help: &'static str,
+    get: fn(&T) -> f64,
+}
+
+impl<T> Metric<T> {
+    /// The one number rendering both exports share (Rust's shortest
+    /// round-trip decimal: `5`, `0.95`, `0.002`), so a JSON value and
+    /// its Prometheus sample are the same text.
+    fn value(&self, of: &T) -> String {
+        (self.get)(of).to_string()
+    }
+
+    /// `"key": value`.
+    fn push_json(&self, out: &mut String, of: &T) {
+        let _ = write!(out, "\"{}\": {}", self.json, self.value(of));
+    }
+
+    /// The family's `# HELP` and `# TYPE` lines, then one sample per
+    /// `(labels, part)`.
+    fn push_prometheus<'a>(
+        &self,
+        out: &mut String,
+        samples: impl IntoIterator<Item = (String, &'a T)>,
+    ) where
+        T: 'a,
+    {
+        let kind = match self.kind {
+            Counter => "counter",
+            Gauge => "gauge",
+        };
+        let _ = writeln!(out, "# HELP bpntt_{} {}", self.prom, self.help);
+        let _ = writeln!(out, "# TYPE bpntt_{} {kind}", self.prom);
+        for (labels, part) in samples {
+            let _ = writeln!(out, "bpntt_{}{labels} {}", self.prom, self.value(part));
+        }
+    }
+}
+
+/// Top-level service scalars.
+#[rustfmt::skip]
+const SERVICE: &[Metric<ServiceMetrics>] = &[
+    Metric { json: "queue_depth", prom: "queue_depth", kind: Gauge,
+             help: "Requests queued right now", get: |s| s.queue_depth as f64 },
+    Metric { json: "peak_queue_depth", prom: "peak_queue_depth", kind: Gauge,
+             help: "High-water mark of the queue depth", get: |s| s.peak_queue_depth as f64 },
+    Metric { json: "queue_capacity", prom: "queue_capacity", kind: Gauge,
+             help: "Bounded queue capacity", get: |s| s.queue_capacity as f64 },
+    Metric { json: "submitted", prom: "submitted_total", kind: Counter,
+             help: "Requests accepted", get: |s| s.submitted as f64 },
+    Metric { json: "rejected", prom: "rejected_total", kind: Counter,
+             help: "Requests shed at admission", get: |s| s.rejected as f64 },
+    Metric { json: "completed", prom: "completed_total", kind: Counter,
+             help: "Requests completed successfully", get: |s| s.completed as f64 },
+    Metric { json: "failed", prom: "failed_total", kind: Counter,
+             help: "Requests completed with an error", get: |s| s.failed as f64 },
+    Metric { json: "waves", prom: "waves_total", kind: Counter,
+             help: "Coalesced waves dispatched", get: |s| s.waves as f64 },
+    Metric { json: "wave_polys", prom: "wave_polys_total", kind: Counter,
+             help: "Polynomial results produced through waves", get: |s| s.wave_polys as f64 },
+    Metric { json: "wave_occupancy", prom: "wave_occupancy", kind: Gauge,
+             help: "Mean wave fill ratio", get: |s| s.wave_occupancy },
+    Metric { json: "busy_secs", prom: "busy_seconds_total", kind: Counter,
+             help: "Dispatcher wall-clock inside engine calls", get: |s| s.busy_secs },
+    Metric { json: "polys_per_sec", prom: "polys_per_sec", kind: Gauge,
+             help: "Results per busy second", get: |s| s.polys_per_sec },
+    Metric { json: "shard_secs_p50", prom: "shard_seconds_p50", kind: Gauge,
+             help: "Median recent per-shard wall-clock", get: |s| s.shard_secs_p50 },
+    Metric { json: "shard_secs_p90", prom: "shard_seconds_p90", kind: Gauge,
+             help: "P90 recent per-shard wall-clock", get: |s| s.shard_secs_p90 },
+    Metric { json: "shard_secs_max", prom: "shard_seconds_max", kind: Gauge,
+             help: "Max recent per-shard wall-clock", get: |s| s.shard_secs_max },
+    Metric { json: "pipeline_cache_entries", prom: "pipeline_cache_entries", kind: Gauge,
+             help: "Compiled pipelines in the artifact cache",
+             get: |s| s.pipeline_cache_entries as f64 },
+    Metric { json: "pipeline_cache_hits", prom: "pipeline_cache_hits_total", kind: Counter,
+             help: "Pipeline lookups served without compiling",
+             get: |s| s.pipeline_cache_hits as f64 },
+    Metric { json: "pipeline_compile_ms", prom: "pipeline_compile_milliseconds_total",
+             kind: Counter, help: "Wall-clock spent compiling on cache misses",
+             get: |s| s.pipeline_compile_ms },
+    Metric { json: "faults_detected", prom: "faults_detected_total", kind: Counter,
+             help: "Chunk attempts failed on detection", get: |s| s.faults_detected as f64 },
+    Metric { json: "retries", prom: "retries_total", kind: Counter,
+             help: "Chunk re-executions by the recovery ladder", get: |s| s.retries as f64 },
+    Metric { json: "quarantined_shards", prom: "quarantined_shards", kind: Gauge,
+             help: "High-water mark of quarantined shards",
+             get: |s| s.quarantined_shards as f64 },
+    Metric { json: "fallback_polys", prom: "fallback_polys_total", kind: Counter,
+             help: "Polynomials answered by the software fallback",
+             get: |s| s.fallback_polys as f64 },
+    Metric { json: "deadline_expired", prom: "deadline_expired_total", kind: Counter,
+             help: "Requests expired in the queue", get: |s| s.deadline_expired as f64 },
+    Metric { json: "verify_ms", prom: "verify_milliseconds_total", kind: Counter,
+             help: "Wall-clock spent verifying outputs", get: |s| s.verify_ms },
+    Metric { json: "rate_limited", prom: "rate_limited_total", kind: Counter,
+             help: "Requests rejected by a tenant token bucket", get: |s| s.rate_limited as f64 },
+    Metric { json: "cancelled", prom: "cancelled_total", kind: Counter,
+             help: "Requests dropped after ticket cancellation", get: |s| s.cancelled as f64 },
+    Metric { json: "rns_requests", prom: "rns_requests_total", kind: Counter,
+             help: "Big-modulus requests accepted through submit_rns",
+             get: |s| s.rns_requests as f64 },
+    Metric { json: "rns_limbs", prom: "rns_limbs_total", kind: Counter,
+             help: "Limb sub-requests RNS groups expanded to", get: |s| s.rns_limbs as f64 },
+    Metric { json: "rns_fanout_waves", prom: "rns_fanout_waves_total", kind: Counter,
+             help: "Concurrent RNS fan-out rounds executed", get: |s| s.rns_fanout_waves as f64 },
+    Metric { json: "rns_fanout_occupancy", prom: "rns_fanout_occupancy", kind: Gauge,
+             help: "Mean lane occupancy of RNS fan-out rounds", get: |s| s.rns_fanout_occupancy },
+    Metric { json: "tenants", prom: "tenants", kind: Gauge,
+             help: "Registered tenants", get: |s| s.tenants as f64 },
+];
+
+/// The JSON `health` block (flat `bpntt_health_*` / `bpntt_respawns_*`
+/// families in Prometheus), followed there by [`SHARD_STATE`].
+#[rustfmt::skip]
+const HEALTH: &[Metric<ServiceMetrics>] = &[
+    Metric { json: "probes_run", prom: "health_probes_total", kind: Counter,
+             help: "Known-answer probes run by the scrubber", get: |s| s.health.probes_run as f64 },
+    Metric { json: "probes_passed", prom: "health_probes_passed_total", kind: Counter,
+             help: "Probes that matched the reference exactly",
+             get: |s| s.health.probes_passed as f64 },
+    Metric { json: "reintegrations", prom: "health_reintegrations_total", kind: Counter,
+             help: "Quarantined shards returned to full service",
+             get: |s| s.health.reintegrations as f64 },
+    Metric { json: "canary_demotions", prom: "health_canary_demotions_total", kind: Counter,
+             help: "Canary shards demoted back to quarantine",
+             get: |s| s.health.canary_demotions as f64 },
+    Metric { json: "patrol_probes", prom: "health_patrol_probes_total", kind: Counter,
+             help: "Patrol probes run against healthy shards",
+             get: |s| s.health.patrol_probes as f64 },
+    Metric { json: "patrol_quarantines", prom: "health_patrol_quarantines_total", kind: Counter,
+             help: "Healthy shards benched by a failed patrol probe",
+             get: |s| s.health.patrol_quarantines as f64 },
+    Metric { json: "respawns", prom: "respawns_total", kind: Counter,
+             help: "Service threads respawned by the watchdog", get: |s| s.respawns as f64 },
+];
+
+/// The default tenant's per-shard health: a JSON array closing the
+/// `health` block, one `{shard="<i>"}` sample per shard in Prometheus.
+const SHARD_STATE: Metric<u8> = Metric {
+    json: "shard_states",
+    prom: "shard_health_state",
+    kind: Gauge,
+    help: "Default-tenant shard health (0 healthy, 1 canary, 2 probing, 3 quarantined)",
+    get: |st| f64::from(*st),
+};
+
+/// One object per tenant in the JSON `per_tenant` array, one
+/// `{tenant="<id>"}` sample per tenant in Prometheus.
+#[rustfmt::skip]
+const TENANT: &[Metric<TenantMetrics>] = &[
+    Metric { json: "submitted", prom: "tenant_submitted_total", kind: Counter,
+             help: "Requests accepted per tenant", get: |t| t.submitted as f64 },
+    Metric { json: "queued", prom: "tenant_queued", kind: Gauge,
+             help: "Requests currently queued per tenant", get: |t| t.queued as f64 },
+    Metric { json: "shed", prom: "tenant_shed_total", kind: Counter,
+             help: "Requests shed at admission per tenant", get: |t| t.shed as f64 },
+    Metric { json: "completed", prom: "tenant_completed_total", kind: Counter,
+             help: "Requests completed per tenant", get: |t| t.completed as f64 },
+    Metric { json: "failed", prom: "tenant_failed_total", kind: Counter,
+             help: "Requests failed per tenant", get: |t| t.failed as f64 },
+    Metric { json: "deadline_expired", prom: "tenant_deadline_expired_total", kind: Counter,
+             help: "Requests expired in queue per tenant", get: |t| t.deadline_expired as f64 },
+    Metric { json: "cancelled", prom: "tenant_cancelled_total", kind: Counter,
+             help: "Requests cancelled per tenant", get: |t| t.cancelled as f64 },
+    Metric { json: "bytes", prom: "tenant_bytes_total", kind: Counter,
+             help: "Operand bytes accepted per tenant", get: |t| t.bytes as f64 },
+];
+
 impl ServiceMetrics {
     /// Renders the snapshot as a self-contained JSON object (no trailing
     /// newline), with the same hand-rolled discipline as the bench
@@ -295,360 +455,65 @@ impl ServiceMetrics {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"queue_depth\": {}, \"peak_queue_depth\": {}, \"queue_capacity\": {}, ",
-            self.queue_depth, self.peak_queue_depth, self.queue_capacity
-        );
-        let _ = write!(
-            s,
-            "\"submitted\": {}, \"rejected\": {}, \"completed\": {}, \"failed\": {}, ",
-            self.submitted, self.rejected, self.completed, self.failed
-        );
-        let _ = write!(
-            s,
-            "\"waves\": {}, \"wave_polys\": {}, \"wave_occupancy\": {:.4}, ",
-            self.waves, self.wave_polys, self.wave_occupancy
-        );
-        let _ = write!(
-            s,
-            "\"busy_secs\": {:.6}, \"polys_per_sec\": {:.1}, ",
-            self.busy_secs, self.polys_per_sec
-        );
-        let _ = write!(
-            s,
-            "\"shard_ms_p50\": {:.4}, \"shard_ms_p90\": {:.4}, \"shard_ms_max\": {:.4}, ",
-            self.shard_secs_p50 * 1e3,
-            self.shard_secs_p90 * 1e3,
-            self.shard_secs_max * 1e3
-        );
-        let _ = write!(
-            s,
-            "\"pipeline_cache_entries\": {}, \"pipeline_cache_hits\": {}, \
-             \"pipeline_compile_ms\": {:.4}, ",
-            self.pipeline_cache_entries, self.pipeline_cache_hits, self.pipeline_compile_ms
-        );
-        let _ = write!(
-            s,
-            "\"faults_detected\": {}, \"retries\": {}, \"quarantined_shards\": {}, ",
-            self.faults_detected, self.retries, self.quarantined_shards
-        );
-        let _ = write!(
-            s,
-            "\"fallback_polys\": {}, \"deadline_expired\": {}, \"verify_ms\": {:.4}, ",
-            self.fallback_polys, self.deadline_expired, self.verify_ms
-        );
-        let _ = write!(
-            s,
-            "\"rate_limited\": {}, \"cancelled\": {}, ",
-            self.rate_limited, self.cancelled
-        );
-        let _ = write!(
-            s,
-            "\"rns_requests\": {}, \"rns_limbs\": {}, \"rns_fanout_waves\": {}, \
-             \"rns_fanout_occupancy\": {:.4}, ",
-            self.rns_requests, self.rns_limbs, self.rns_fanout_waves, self.rns_fanout_occupancy
-        );
-        let _ = write!(
-            s,
-            "\"health\": {{\"probes_run\": {}, \"probes_passed\": {}, \
-             \"reintegrations\": {}, \"canary_demotions\": {}, \
-             \"patrol_probes\": {}, \"patrol_quarantines\": {}, \
-             \"respawns\": {}, \"shard_states\": [",
-            self.probes_run,
-            self.probes_passed,
-            self.reintegrations,
-            self.canary_demotions,
-            self.patrol_probes,
-            self.patrol_quarantines,
-            self.respawns
-        );
-        for (i, st) in self.shard_health.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "{st}");
+        for row in SERVICE {
+            row.push_json(&mut s, self);
+            s.push_str(", ");
         }
-        s.push_str("]}, ");
-        let _ = write!(s, "\"tenants\": {}, \"per_tenant\": [", self.tenants);
+        s.push_str("\"health\": {");
+        for row in HEALTH {
+            row.push_json(&mut s, self);
+            s.push_str(", ");
+        }
+        let states: Vec<String> = self
+            .shard_health
+            .iter()
+            .map(|st| SHARD_STATE.value(st))
+            .collect();
+        let _ = write!(
+            s,
+            "\"{}\": [{}]}}, \"per_tenant\": [",
+            SHARD_STATE.json,
+            states.join(", ")
+        );
         for (i, t) in self.per_tenant.iter().enumerate() {
-            if i > 0 {
+            let _ = write!(
+                s,
+                "{}{{\"tenant\": {}",
+                if i > 0 { ", " } else { "" },
+                t.tenant
+            );
+            for row in TENANT {
                 s.push_str(", ");
+                row.push_json(&mut s, t);
             }
-            s.push_str(&t.to_json());
+            s.push('}');
         }
         s.push_str("]}");
         s
     }
 
-    /// Renders the snapshot in Prometheus text exposition format (one
-    /// `# TYPE` line per family, `bpntt_` prefix, per-tenant families
-    /// labelled `{tenant="<id>"}`). Values agree exactly with
-    /// [`Self::to_json`] — the parity is pinned by a test.
+    /// Renders the snapshot in Prometheus text exposition format
+    /// (`bpntt_` prefix, one `# HELP` and one `# TYPE` line per family,
+    /// `counter` for the `…_total` families and `gauge` for the rest;
+    /// per-shard and per-tenant families labelled `{shard="<i>"}` and
+    /// `{tenant="<id>"}`). Every sample is the same text as its
+    /// [`Self::to_json`] value.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
         let mut s = String::new();
-        let mut gauge = |name: &str, help: &str, v: f64| {
-            let _ = writeln!(s, "# HELP bpntt_{name} {help}");
-            let _ = writeln!(s, "# TYPE bpntt_{name} gauge");
-            if v.fract() == 0.0 && v.abs() < 9e15 {
-                let _ = writeln!(s, "bpntt_{name} {}", v as i64);
-            } else {
-                let _ = writeln!(s, "bpntt_{name} {v}");
-            }
-        };
-        gauge(
-            "queue_depth",
-            "Requests queued right now",
-            self.queue_depth as f64,
-        );
-        gauge(
-            "peak_queue_depth",
-            "High-water mark of the queue depth",
-            self.peak_queue_depth as f64,
-        );
-        gauge(
-            "queue_capacity",
-            "Bounded queue capacity",
-            self.queue_capacity as f64,
-        );
-        gauge(
-            "submitted_total",
-            "Requests accepted",
-            self.submitted as f64,
-        );
-        gauge(
-            "rejected_total",
-            "Requests shed at admission",
-            self.rejected as f64,
-        );
-        gauge(
-            "rate_limited_total",
-            "Requests rejected by a tenant token bucket",
-            self.rate_limited as f64,
-        );
-        gauge(
-            "completed_total",
-            "Requests completed successfully",
-            self.completed as f64,
-        );
-        gauge(
-            "failed_total",
-            "Requests completed with an error",
-            self.failed as f64,
-        );
-        gauge(
-            "cancelled_total",
-            "Requests dropped after ticket cancellation",
-            self.cancelled as f64,
-        );
-        gauge(
-            "waves_total",
-            "Coalesced waves dispatched",
-            self.waves as f64,
-        );
-        gauge(
-            "wave_polys_total",
-            "Polynomial results produced through waves",
-            self.wave_polys as f64,
-        );
-        gauge(
-            "wave_occupancy",
-            "Mean wave fill ratio",
-            self.wave_occupancy,
-        );
-        gauge(
-            "busy_seconds_total",
-            "Dispatcher wall-clock inside engine calls",
-            self.busy_secs,
-        );
-        gauge(
-            "polys_per_sec",
-            "Results per busy second",
-            self.polys_per_sec,
-        );
-        gauge(
-            "shard_seconds_p50",
-            "Median recent per-shard wall-clock",
-            self.shard_secs_p50,
-        );
-        gauge(
-            "shard_seconds_p90",
-            "P90 recent per-shard wall-clock",
-            self.shard_secs_p90,
-        );
-        gauge(
-            "shard_seconds_max",
-            "Max recent per-shard wall-clock",
-            self.shard_secs_max,
-        );
-        gauge(
-            "pipeline_cache_entries",
-            "Compiled pipelines in the artifact cache",
-            self.pipeline_cache_entries as f64,
-        );
-        gauge(
-            "pipeline_cache_hits_total",
-            "Pipeline lookups served without compiling",
-            self.pipeline_cache_hits as f64,
-        );
-        gauge(
-            "pipeline_compile_milliseconds_total",
-            "Wall-clock spent compiling on cache misses",
-            self.pipeline_compile_ms,
-        );
-        gauge(
-            "faults_detected_total",
-            "Chunk attempts failed on detection",
-            self.faults_detected as f64,
-        );
-        gauge(
-            "retries_total",
-            "Chunk re-executions by the recovery ladder",
-            self.retries as f64,
-        );
-        gauge(
-            "quarantined_shards",
-            "High-water mark of quarantined shards",
-            self.quarantined_shards as f64,
-        );
-        gauge(
-            "fallback_polys_total",
-            "Polynomials answered by the software fallback",
-            self.fallback_polys as f64,
-        );
-        gauge(
-            "deadline_expired_total",
-            "Requests expired in the queue",
-            self.deadline_expired as f64,
-        );
-        gauge(
-            "verify_milliseconds_total",
-            "Wall-clock spent verifying outputs",
-            self.verify_ms,
-        );
-        gauge(
-            "rns_requests_total",
-            "Big-modulus requests accepted through submit_rns",
-            self.rns_requests as f64,
-        );
-        gauge(
-            "rns_limbs_total",
-            "Limb sub-requests RNS groups expanded to",
-            self.rns_limbs as f64,
-        );
-        gauge(
-            "rns_fanout_waves_total",
-            "Concurrent RNS fan-out rounds executed",
-            self.rns_fanout_waves as f64,
-        );
-        gauge(
-            "rns_fanout_occupancy",
-            "Mean lane occupancy of RNS fan-out rounds",
-            self.rns_fanout_occupancy,
-        );
-        gauge(
-            "health_probes_total",
-            "Known-answer probes run by the scrubber",
-            self.probes_run as f64,
-        );
-        gauge(
-            "health_probes_passed_total",
-            "Probes that matched the reference exactly",
-            self.probes_passed as f64,
-        );
-        gauge(
-            "health_reintegrations_total",
-            "Quarantined shards returned to full service",
-            self.reintegrations as f64,
-        );
-        gauge(
-            "health_canary_demotions_total",
-            "Canary shards demoted back to quarantine",
-            self.canary_demotions as f64,
-        );
-        gauge(
-            "health_patrol_probes_total",
-            "Patrol probes run against healthy shards",
-            self.patrol_probes as f64,
-        );
-        gauge(
-            "health_patrol_quarantines_total",
-            "Healthy shards benched by a failed patrol probe",
-            self.patrol_quarantines as f64,
-        );
-        gauge(
-            "respawns_total",
-            "Service threads respawned by the watchdog",
-            self.respawns as f64,
-        );
-        gauge("tenants", "Registered tenants", self.tenants as f64);
-        // Per-shard health of the default tenant, one labelled sample
-        // per shard (0 healthy, 1 canary, 2 probing, 3 quarantined).
-        let _ = writeln!(
-            s,
-            "# HELP bpntt_shard_health_state Default-tenant shard health \
-             (0 healthy, 1 canary, 2 probing, 3 quarantined)"
-        );
-        let _ = writeln!(s, "# TYPE bpntt_shard_health_state gauge");
-        for (i, st) in self.shard_health.iter().enumerate() {
-            let _ = writeln!(s, "bpntt_shard_health_state{{shard=\"{i}\"}} {st}");
+        for row in SERVICE.iter().chain(HEALTH) {
+            row.push_prometheus(&mut s, [(String::new(), self)]);
         }
-        // Per-tenant families: one TYPE line each, then one labelled
-        // sample per tenant.
-        type TenantField = fn(&TenantMetrics) -> u64;
-        let families: [(&str, &str, TenantField); 7] = [
-            (
-                "tenant_submitted_total",
-                "Requests accepted per tenant",
-                |t| t.submitted,
-            ),
-            (
-                "tenant_queued",
-                "Requests currently queued per tenant",
-                |t| t.queued as u64,
-            ),
-            (
-                "tenant_shed_total",
-                "Requests shed at admission per tenant",
-                |t| t.shed,
-            ),
-            (
-                "tenant_completed_total",
-                "Requests completed per tenant",
-                |t| t.completed,
-            ),
-            ("tenant_failed_total", "Requests failed per tenant", |t| {
-                t.failed
-            }),
-            (
-                "tenant_deadline_expired_total",
-                "Requests expired in queue per tenant",
-                |t| t.deadline_expired,
-            ),
-            (
-                "tenant_bytes_total",
-                "Operand bytes accepted per tenant",
-                |t| t.bytes,
-            ),
-        ];
-        for (name, help, get) in families {
-            let _ = writeln!(s, "# HELP bpntt_{name} {help}");
-            let _ = writeln!(s, "# TYPE bpntt_{name} gauge");
-            for t in &self.per_tenant {
-                let _ = writeln!(s, "bpntt_{name}{{tenant=\"{}\"}} {}", t.tenant, get(t));
-            }
-        }
-        let _ = writeln!(
-            s,
-            "# HELP bpntt_tenant_cancelled_total Requests cancelled per tenant"
+        let shards = self.shard_health.iter().enumerate();
+        SHARD_STATE.push_prometheus(
+            &mut s,
+            shards.map(|(i, st)| (format!("{{shard=\"{i}\"}}"), st)),
         );
-        let _ = writeln!(s, "# TYPE bpntt_tenant_cancelled_total gauge");
-        for t in &self.per_tenant {
-            let _ = writeln!(
-                s,
-                "bpntt_tenant_cancelled_total{{tenant=\"{}\"}} {}",
-                t.tenant, t.cancelled
+        for row in TENANT {
+            let tenants = self.per_tenant.iter();
+            row.push_prometheus(
+                &mut s,
+                tenants.map(|t| (format!("{{tenant=\"{}\"}}", t.tenant), t)),
             );
         }
         s
@@ -668,6 +533,7 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -679,9 +545,8 @@ mod tests {
         assert_eq!(percentile(&[7.0], 0.9), 7.0);
     }
 
-    #[test]
-    fn service_metrics_render_as_json() {
-        let m = ServiceMetrics {
+    fn sample() -> ServiceMetrics {
+        ServiceMetrics {
             queue_depth: 1,
             peak_queue_depth: 9,
             queue_capacity: 128,
@@ -712,12 +577,14 @@ mod tests {
             rns_limbs: 12,
             rns_fanout_waves: 4,
             rns_fanout_occupancy: 0.5,
-            probes_run: 12,
-            probes_passed: 10,
-            reintegrations: 2,
-            canary_demotions: 1,
-            patrol_probes: 7,
-            patrol_quarantines: 1,
+            health: HealthCounters {
+                probes_run: 12,
+                probes_passed: 10,
+                reintegrations: 2,
+                canary_demotions: 1,
+                patrol_probes: 7,
+                patrol_quarantines: 1,
+            },
             respawns: 1,
             shard_health: vec![0, 1, 3],
             tenants: 3,
@@ -740,32 +607,36 @@ mod tests {
                     ..TenantMetrics::default()
                 },
             ],
-        };
-        let json = m.to_json();
+        }
+    }
+
+    #[test]
+    fn service_metrics_render_as_json() {
+        let json = sample().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [
             "\"queue_depth\": 1",
             "\"peak_queue_depth\": 9",
             "\"rejected\": 2",
             "\"waves\": 5",
-            "\"wave_occupancy\": 0.9500",
-            "\"polys_per_sec\": 76.0",
-            "\"shard_ms_p90\": 2.0000",
+            "\"wave_occupancy\": 0.95",
+            "\"polys_per_sec\": 76",
+            "\"shard_secs_p90\": 0.002",
             "\"pipeline_cache_entries\": 5",
             "\"pipeline_cache_hits\": 4",
-            "\"pipeline_compile_ms\": 2.5000",
+            "\"pipeline_compile_ms\": 2.5",
             "\"faults_detected\": 6",
             "\"retries\": 4",
             "\"quarantined_shards\": 1",
             "\"fallback_polys\": 2",
             "\"deadline_expired\": 3",
-            "\"verify_ms\": 1.2500",
+            "\"verify_ms\": 1.25",
             "\"rate_limited\": 2",
             "\"cancelled\": 1",
             "\"rns_requests\": 4",
             "\"rns_limbs\": 12",
             "\"rns_fanout_waves\": 4",
-            "\"rns_fanout_occupancy\": 0.5000",
+            "\"rns_fanout_occupancy\": 0.5",
             "\"health\": {\"probes_run\": 12, \"probes_passed\": 10",
             "\"reintegrations\": 2",
             "\"canary_demotions\": 1",
@@ -782,152 +653,128 @@ mod tests {
         }
     }
 
-    /// The JSON and Prometheus exports must agree on every shared value —
-    /// a scraper watching one and a dashboard watching the other see the
+    /// The text after `"key": ` in `scope`, up to the next `,` `}` or `]`.
+    fn json_value<'a>(scope: &'a str, key: &str) -> &'a str {
+        let pat = format!("\"{key}\": ");
+        let at = scope
+            .find(&pat)
+            .unwrap_or_else(|| panic!("no {key} in {scope}"));
+        let rest = &scope[at + pat.len()..];
+        &rest[..rest.find([',', '}', ']']).unwrap_or(rest.len())]
+    }
+
+    /// The value text of the one Prometheus sample named exactly `sample`.
+    fn prom_value<'a>(prom: &'a str, sample: &str) -> &'a str {
+        let mut hits = prom
+            .lines()
+            .filter_map(|l| l.strip_prefix(sample)?.strip_prefix(' '));
+        let v = hits.next().unwrap_or_else(|| panic!("no sample {sample}"));
+        assert!(hits.next().is_none(), "sample {sample} repeated");
+        v
+    }
+
+    fn assert_unique<'a>(scope: &str, names: impl IntoIterator<Item = &'a str>) {
+        let mut seen = HashSet::new();
+        for n in names {
+            assert!(seen.insert(n), "{n} declared twice in {scope}");
+        }
+    }
+
+    /// Walks the metric tables: every family has exactly one `# HELP`
+    /// and one `# TYPE` line, is a `counter` exactly when its name ends
+    /// in `_total`, names are unique in their scope, and every row's
+    /// JSON value is the same text as its Prometheus sample — a scraper
+    /// watching one export and a dashboard watching the other see the
     /// same service.
     #[test]
-    fn json_and_prometheus_exports_agree() {
-        let m = ServiceMetrics {
-            queue_depth: 4,
-            peak_queue_depth: 11,
-            queue_capacity: 64,
-            submitted: 123,
-            rejected: 5,
-            completed: 110,
-            failed: 4,
-            waves: 17,
-            wave_polys: 120,
-            wave_occupancy: 0.75,
-            busy_secs: 1.5,
-            polys_per_sec: 80.0,
-            shard_secs_p50: 0.002,
-            shard_secs_p90: 0.004,
-            shard_secs_max: 0.006,
-            pipeline_cache_entries: 3,
-            pipeline_cache_hits: 6,
-            pipeline_compile_ms: 4.0,
-            faults_detected: 9,
-            retries: 8,
-            quarantined_shards: 1,
-            fallback_polys: 2,
-            deadline_expired: 4,
-            verify_ms: 3.5,
-            rate_limited: 3,
-            cancelled: 2,
-            rns_requests: 5,
-            rns_limbs: 15,
-            rns_fanout_waves: 5,
-            rns_fanout_occupancy: 0.6,
-            probes_run: 20,
-            probes_passed: 18,
-            reintegrations: 3,
-            canary_demotions: 1,
-            patrol_probes: 9,
-            patrol_quarantines: 2,
-            respawns: 1,
-            shard_health: vec![0, 3],
-            tenants: 2,
-            per_tenant: vec![
-                TenantMetrics {
-                    tenant: 1,
-                    submitted: 100,
-                    queued: 3,
-                    shed: 4,
-                    completed: 90,
-                    failed: 3,
-                    deadline_expired: 3,
-                    cancelled: 2,
-                    bytes: 51_200,
-                },
-                TenantMetrics {
-                    tenant: 2,
-                    submitted: 23,
-                    queued: 1,
-                    shed: 1,
-                    completed: 20,
-                    failed: 1,
-                    deadline_expired: 1,
-                    cancelled: 0,
-                    bytes: 11_776,
-                },
-            ],
-        };
-        let json = m.to_json();
-        let prom = m.to_prometheus();
-        // Pull a scalar out of each export and compare.
-        let json_val = |key: &str| -> u64 {
-            let pat = format!("\"{key}\": ");
-            let at = json
-                .find(&pat)
-                .unwrap_or_else(|| panic!("no {key} in json"));
-            let rest = &json[at + pat.len()..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().unwrap()
-        };
-        let prom_val = |sample: &str| -> u64 {
-            let line = prom
-                .lines()
-                .find(|l| l.starts_with(sample) && l[sample.len()..].starts_with(' '))
-                .unwrap_or_else(|| panic!("no sample {sample} in prometheus export"));
-            line[sample.len() + 1..].parse().unwrap()
-        };
-        for (jk, pk) in [
-            ("queue_depth", "bpntt_queue_depth"),
-            ("submitted", "bpntt_submitted_total"),
-            ("rejected", "bpntt_rejected_total"),
-            ("rate_limited", "bpntt_rate_limited_total"),
-            ("completed", "bpntt_completed_total"),
-            ("failed", "bpntt_failed_total"),
-            ("cancelled", "bpntt_cancelled_total"),
-            ("waves", "bpntt_waves_total"),
-            ("pipeline_cache_entries", "bpntt_pipeline_cache_entries"),
-            ("pipeline_cache_hits", "bpntt_pipeline_cache_hits_total"),
-            ("rns_requests", "bpntt_rns_requests_total"),
-            ("rns_limbs", "bpntt_rns_limbs_total"),
-            ("rns_fanout_waves", "bpntt_rns_fanout_waves_total"),
-            ("faults_detected", "bpntt_faults_detected_total"),
-            ("deadline_expired", "bpntt_deadline_expired_total"),
-            ("probes_run", "bpntt_health_probes_total"),
-            ("probes_passed", "bpntt_health_probes_passed_total"),
-            ("reintegrations", "bpntt_health_reintegrations_total"),
-            ("canary_demotions", "bpntt_health_canary_demotions_total"),
-            ("patrol_probes", "bpntt_health_patrol_probes_total"),
-            (
-                "patrol_quarantines",
-                "bpntt_health_patrol_quarantines_total",
-            ),
-            ("respawns", "bpntt_respawns_total"),
-            ("tenants", "bpntt_tenants"),
-        ] {
-            assert_eq!(json_val(jk), prom_val(pk), "mismatch on {jk}");
-        }
-        // Per-shard health parity: each JSON shard_states entry matches
-        // its labelled Prometheus sample.
-        for (i, st) in m.shard_health.iter().enumerate() {
+    fn exposition_shape_follows_the_tables() {
+        let m = sample();
+        let (json, prom) = (m.to_json(), m.to_prometheus());
+
+        let families: Vec<(&str, Kind)> = SERVICE
+            .iter()
+            .chain(HEALTH)
+            .map(|r| (r.prom, r.kind))
+            .chain([(SHARD_STATE.prom, SHARD_STATE.kind)])
+            .chain(TENANT.iter().map(|r| (r.prom, r.kind)))
+            .collect();
+        assert_unique("prometheus", families.iter().map(|f| f.0));
+        for &(name, kind) in &families {
+            let help = format!("# HELP bpntt_{name} ");
             assert_eq!(
-                prom_val(&format!("bpntt_shard_health_state{{shard=\"{i}\"}}")),
-                u64::from(*st)
+                prom.lines().filter(|l| l.starts_with(&help)).count(),
+                1,
+                "{name}"
+            );
+            let want = if name.ends_with("_total") {
+                "counter"
+            } else {
+                "gauge"
+            };
+            assert_eq!(kind == Counter, want == "counter", "{name} kind");
+            let typed = format!("# TYPE bpntt_{name} {want}");
+            assert_eq!(prom.lines().filter(|l| *l == typed).count(), 1, "{typed}");
+        }
+        let type_lines = prom.lines().filter(|l| l.starts_with("# TYPE ")).count();
+        assert_eq!(type_lines, families.len(), "a family outside the tables");
+
+        assert_unique(
+            "json",
+            SERVICE
+                .iter()
+                .map(|r| r.json)
+                .chain(["health", "per_tenant"]),
+        );
+        assert_unique(
+            "health",
+            HEALTH.iter().map(|r| r.json).chain([SHARD_STATE.json]),
+        );
+        assert_unique(
+            "per_tenant",
+            TENANT.iter().map(|r| r.json).chain(["tenant"]),
+        );
+
+        // Top-level keys precede the nested blocks, so the first match
+        // is the top-level one.
+        for row in SERVICE {
+            let sample = format!("bpntt_{}", row.prom);
+            assert_eq!(
+                json_value(&json, row.json),
+                prom_value(&prom, &sample),
+                "{}",
+                row.json
             );
         }
-        // Per-tenant parity: each tenant's JSON slice matches its
-        // labelled Prometheus samples.
+        let health = &json[json.find("\"health\": {").expect("health block")..];
+        for row in HEALTH {
+            let sample = format!("bpntt_{}", row.prom);
+            assert_eq!(
+                json_value(health, row.json),
+                prom_value(&prom, &sample),
+                "{}",
+                row.json
+            );
+        }
+        let states = format!("\"{}\": [", SHARD_STATE.json);
+        let states = &health[health.find(&states).expect("shard states") + states.len()..];
+        let states: Vec<&str> = states[..states.find(']').unwrap()].split(", ").collect();
+        assert_eq!(states.len(), m.shard_health.len());
+        for (i, st) in states.iter().enumerate() {
+            let sample = format!("bpntt_{}{{shard=\"{i}\"}}", SHARD_STATE.prom);
+            assert_eq!(*st, prom_value(&prom, &sample));
+        }
         for t in &m.per_tenant {
-            let label = |fam: &str| format!("bpntt_{fam}{{tenant=\"{}\"}}", t.tenant);
-            assert_eq!(prom_val(&label("tenant_submitted_total")), t.submitted);
-            assert_eq!(prom_val(&label("tenant_queued")), t.queued as u64);
-            assert_eq!(prom_val(&label("tenant_shed_total")), t.shed);
-            assert_eq!(prom_val(&label("tenant_completed_total")), t.completed);
-            assert_eq!(prom_val(&label("tenant_failed_total")), t.failed);
-            assert_eq!(
-                prom_val(&label("tenant_deadline_expired_total")),
-                t.deadline_expired
-            );
-            assert_eq!(prom_val(&label("tenant_cancelled_total")), t.cancelled);
-            assert_eq!(prom_val(&label("tenant_bytes_total")), t.bytes);
-            let slice = t.to_json();
-            assert!(json.contains(&slice), "json lacks tenant slice {slice}");
+            let open = format!("{{\"tenant\": {},", t.tenant);
+            let slice = &json[json.find(&open).expect("tenant slice")..];
+            let slice = &slice[..=slice.find('}').unwrap()];
+            for row in TENANT {
+                let sample = format!("bpntt_{}{{tenant=\"{}\"}}", row.prom, t.tenant);
+                assert_eq!(
+                    json_value(slice, row.json),
+                    prom_value(&prom, &sample),
+                    "{sample}"
+                );
+            }
         }
     }
 

@@ -932,68 +932,43 @@ impl TokenBucket {
 }
 
 /// Dispatcher-side counters behind their own lock (snapshots never block
-/// the queue).
+/// the queue): the reported snapshot itself, counted into directly, and
+/// the accumulators its derived fields are computed from.
 #[derive(Default)]
 struct MetricsState {
-    peak_queue_depth: usize,
-    submitted: u64,
-    rejected: u64,
-    completed: u64,
-    failed: u64,
-    waves: u64,
-    wave_polys: u64,
+    /// Every reported counter; [`NttService::metrics`] clones it and
+    /// fills in the derived fields.
+    snap: ServiceMetrics,
+    /// Sum of per-wave fill ratios (`wave_occupancy` = sum / waves).
     occupancy_sum: f64,
-    busy_secs: f64,
+    /// Recent per-shard wall-clock samples (the `shard_secs_*`
+    /// percentiles).
     shard_secs: VecDeque<f64>,
-    faults_detected: u64,
-    retries: u64,
-    quarantined_shards: u64,
-    fallback_polys: u64,
-    deadline_expired: u64,
-    verify_secs: f64,
-    rate_limited: u64,
-    cancelled: u64,
-    /// Aggregated [`HealthCounters`] across tenant engines (absolute —
-    /// re-harvested after every wave and scrub pass, not accumulated).
-    health: HealthCounters,
-    /// Dispatcher/scrubber threads the watchdog respawned.
-    respawns: u64,
-    /// Default tenant's per-shard health codes, refreshed with the
-    /// counters.
-    shard_health: Vec<u8>,
+    /// Occupancy accumulator over RNS fan-out rounds: busy lanes across
+    /// every engine of the round / the round's total lane capacity.
+    rns_fanout_occupancy_sum: f64,
     /// EWMA of the dispatcher's recent drain rate (requests per second),
     /// the basis of the `retry_after_ms` back-off hints.
     drain_rate: f64,
-    /// Big-modulus requests accepted through `submit_rns` (one per
-    /// group, however many limbs it decomposed into).
-    rns_requests: u64,
-    /// Limb sub-requests those RNS groups expanded to.
-    rns_limbs: u64,
-    /// Concurrent fan-out rounds holding at least one RNS limb group.
-    rns_fanout_waves: u64,
-    /// Occupancy accumulator over those rounds: busy lanes across every
-    /// engine of the round / the round's total lane capacity.
-    rns_fanout_occupancy_sum: f64,
-    per_tenant: HashMap<u32, TenantCounters>,
 }
 
 impl MetricsState {
-    fn tenant(&mut self, t: TenantId) -> &mut TenantCounters {
-        self.per_tenant.entry(t.0).or_default()
+    /// The tenant's counter slice, inserted zeroed on first use (the
+    /// snapshot's `per_tenant` stays sorted by id).
+    fn tenant(&mut self, t: TenantId) -> &mut TenantMetrics {
+        let slices = &mut self.snap.per_tenant;
+        let i = slices
+            .binary_search_by_key(&t.0, |m| m.tenant)
+            .unwrap_or_else(|i| {
+                let zeroed = TenantMetrics {
+                    tenant: t.0,
+                    ..TenantMetrics::default()
+                };
+                slices.insert(i, zeroed);
+                i
+            });
+        &mut slices[i]
     }
-}
-
-/// Dispatcher-side per-tenant counters (the mutable backing of
-/// [`TenantMetrics`]; `queued` is snapshotted from the fair queue).
-#[derive(Default, Clone, Copy)]
-struct TenantCounters {
-    submitted: u64,
-    shed: u64,
-    completed: u64,
-    failed: u64,
-    deadline_expired: u64,
-    cancelled: u64,
-    bytes: u64,
 }
 
 /// `retry_after_ms` hint: how long until the dispatcher has likely
@@ -1106,7 +1081,13 @@ impl NttService {
             }),
             cv: Condvar::new(),
             tenants: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(MetricsState::default()),
+            metrics: Mutex::new(MetricsState {
+                snap: ServiceMetrics {
+                    queue_capacity: opts.max_queue,
+                    ..ServiceMetrics::default()
+                },
+                ..MetricsState::default()
+            }),
             buckets: Mutex::new(HashMap::new()),
             max_queue: opts.max_queue,
             coalesce_window: opts.coalesce_window,
@@ -1485,91 +1466,30 @@ impl NttService {
             let st = self.shared.state.lock().expect("service state poisoned");
             (st.queue.len(), st.queue.depths())
         };
-        let tenants = self
-            .shared
-            .tenants
-            .lock()
-            .expect("tenant map poisoned")
-            .len();
-        let artifacts = &self.shared.artifacts;
         let m = self.shared.metrics.lock().expect("metrics poisoned");
-        // Per-tenant slices: every tenant the counters have seen (a
-        // registered tenant is seeded at registration), sorted by id.
-        let mut ids: Vec<u32> = m.per_tenant.keys().copied().collect();
-        ids.sort_unstable();
-        let per_tenant: Vec<TenantMetrics> = ids
-            .into_iter()
-            .map(|id| {
-                let c = m.per_tenant.get(&id).copied().unwrap_or_default();
-                TenantMetrics {
-                    tenant: id,
-                    submitted: c.submitted,
-                    queued: tenant_depths.get(&TenantId(id)).copied().unwrap_or(0),
-                    shed: c.shed,
-                    completed: c.completed,
-                    failed: c.failed,
-                    deadline_expired: c.deadline_expired,
-                    cancelled: c.cancelled,
-                    bytes: c.bytes,
-                }
-            })
-            .collect();
         let mut sorted: Vec<f64> = m.shard_secs.iter().copied().collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("shard secs are finite"));
-        ServiceMetrics {
-            queue_depth,
-            peak_queue_depth: m.peak_queue_depth,
-            queue_capacity: self.shared.max_queue,
-            submitted: m.submitted,
-            rejected: m.rejected,
-            completed: m.completed,
-            failed: m.failed,
-            waves: m.waves,
-            wave_polys: m.wave_polys,
-            wave_occupancy: if m.waves == 0 {
-                0.0
-            } else {
-                m.occupancy_sum / m.waves as f64
-            },
-            busy_secs: m.busy_secs,
-            polys_per_sec: if m.busy_secs > 0.0 {
-                m.wave_polys as f64 / m.busy_secs
-            } else {
-                0.0
-            },
-            shard_secs_p50: percentile(&sorted, 0.50),
-            shard_secs_p90: percentile(&sorted, 0.90),
-            shard_secs_max: sorted.last().copied().unwrap_or(0.0),
-            pipeline_cache_entries: artifacts.entries(),
-            pipeline_cache_hits: artifacts.hits(),
-            pipeline_compile_ms: artifacts.compile_secs() * 1e3,
-            faults_detected: m.faults_detected,
-            retries: m.retries,
-            quarantined_shards: m.quarantined_shards,
-            fallback_polys: m.fallback_polys,
-            deadline_expired: m.deadline_expired,
-            verify_ms: m.verify_secs * 1e3,
-            rate_limited: m.rate_limited,
-            cancelled: m.cancelled,
-            rns_requests: m.rns_requests,
-            rns_limbs: m.rns_limbs,
-            rns_fanout_waves: m.rns_fanout_waves,
-            rns_fanout_occupancy: if m.rns_fanout_waves == 0 {
-                0.0
-            } else {
-                m.rns_fanout_occupancy_sum / m.rns_fanout_waves as f64
-            },
-            probes_run: m.health.probes_run,
-            probes_passed: m.health.probes_passed,
-            reintegrations: m.health.reintegrations,
-            canary_demotions: m.health.canary_demotions,
-            patrol_probes: m.health.patrol_probes,
-            patrol_quarantines: m.health.patrol_quarantines,
-            respawns: m.respawns,
-            shard_health: m.shard_health.clone(),
-            tenants,
-            per_tenant,
+        let mean = |sum: f64, n: u64| if n == 0 { 0.0 } else { sum / n as f64 };
+        let mut out = m.snap.clone();
+        out.queue_depth = queue_depth;
+        out.wave_occupancy = mean(m.occupancy_sum, out.waves);
+        out.polys_per_sec = if out.busy_secs > 0.0 {
+            out.wave_polys as f64 / out.busy_secs
+        } else {
+            0.0
+        };
+        out.shard_secs_p50 = percentile(&sorted, 0.50);
+        out.shard_secs_p90 = percentile(&sorted, 0.90);
+        out.shard_secs_max = sorted.last().copied().unwrap_or(0.0);
+        let artifacts = &self.shared.artifacts;
+        out.pipeline_cache_entries = artifacts.entries();
+        out.pipeline_cache_hits = artifacts.hits();
+        out.pipeline_compile_ms = artifacts.compile_secs() * 1e3;
+        out.rns_fanout_occupancy = mean(m.rns_fanout_occupancy_sum, out.rns_fanout_waves);
+        for t in &mut out.per_tenant {
+            t.queued = tenant_depths.get(&TenantId(t.tenant)).copied().unwrap_or(0);
         }
+        out
     }
 
     /// Shuts the dispatcher down after it drains every queued request
@@ -1677,8 +1597,8 @@ impl NttService {
             };
             if let Err(retry_after_ms) = verdict {
                 let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-                m.rejected += 1;
-                m.rate_limited += 1;
+                m.snap.rejected += 1;
+                m.snap.rate_limited += 1;
                 m.tenant(tenant).shed += 1;
                 return Err(BpNttError::RateLimited {
                     tenant: tenant.0,
@@ -1711,7 +1631,7 @@ impl NttService {
                 drop(st);
                 let mut m = self.shared.metrics.lock().expect("metrics poisoned");
                 let retry_after_ms = retry_hint(m.drain_rate, depth);
-                m.rejected += 1;
+                m.snap.rejected += 1;
                 m.tenant(tenant).shed += 1;
                 return Err(BpNttError::Overloaded {
                     depth,
@@ -1727,8 +1647,8 @@ impl NttService {
             // round.)
             let depth = st.queue.len();
             let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-            m.submitted += 1;
-            m.peak_queue_depth = m.peak_queue_depth.max(depth);
+            m.snap.submitted += 1;
+            m.snap.peak_queue_depth = m.snap.peak_queue_depth.max(depth);
             let tc = m.tenant(tenant);
             tc.submitted += 1;
             tc.bytes += cost;
@@ -1760,8 +1680,8 @@ impl NttService {
             };
             if let Err(retry_after_ms) = verdict {
                 let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-                m.rejected += 1;
-                m.rate_limited += 1;
+                m.snap.rejected += 1;
+                m.snap.rate_limited += 1;
                 m.tenant(lead).shed += 1;
                 return Err(BpNttError::RateLimited {
                     tenant: lead.0,
@@ -1786,7 +1706,7 @@ impl NttService {
                 drop(st);
                 let mut m = self.shared.metrics.lock().expect("metrics poisoned");
                 let retry_after_ms = retry_hint(m.drain_rate, depth);
-                m.rejected += 1;
+                m.snap.rejected += 1;
                 m.tenant(lead).shed += 1;
                 return Err(BpNttError::Overloaded {
                     depth,
@@ -1800,10 +1720,10 @@ impl NttService {
             }
             let depth = st.queue.len();
             let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-            m.submitted += limbs as u64;
-            m.rns_requests += 1;
-            m.rns_limbs += limbs as u64;
-            m.peak_queue_depth = m.peak_queue_depth.max(depth);
+            m.snap.submitted += limbs as u64;
+            m.snap.rns_requests += 1;
+            m.snap.rns_limbs += limbs as u64;
+            m.snap.peak_queue_depth = m.snap.peak_queue_depth.max(depth);
             for (tenant, cost) in costs {
                 let tc = m.tenant(tenant);
                 tc.submitted += 1;
@@ -1897,7 +1817,7 @@ impl Drop for QueueDrainGuard<'_> {
             return;
         }
         if let Ok(mut m) = self.0.metrics.lock() {
-            m.failed += drained.len() as u64;
+            m.snap.failed += drained.len() as u64;
             for r in &drained {
                 m.tenant(r.tenant).failed += 1;
             }
@@ -2036,33 +1956,37 @@ fn revive(
     {
         return false;
     }
-    shared.metrics.lock().expect("metrics poisoned").respawns += 1;
+    let mut m = shared.metrics.lock().expect("metrics poisoned");
+    m.snap.respawns += 1;
+    drop(m);
     *slot.lock().expect("thread handle poisoned") = Some(spawn(shared));
     shared.cv.notify_all();
     true
 }
 
-/// Harvests every tenant engine's health counters (absolute sums) and
-/// the default tenant's per-shard health states into the metrics
-/// snapshot.
-fn harvest_health(shared: &Shared, engines: &HashMap<TenantId, ShardedBpNtt>) {
-    let mut totals = HealthCounters::default();
+/// Adds what every tenant engine's health counters grew by since the
+/// previous harvest (`seen`, this dispatcher's last reading) to the
+/// metrics snapshot, and refreshes the default tenant's per-shard health
+/// states. A respawned dispatcher rebuilds its engines with counters at
+/// zero and starts from a zero `seen`, so the published counters never
+/// go backwards.
+fn harvest_health(
+    shared: &Shared,
+    engines: &HashMap<TenantId, ShardedBpNtt>,
+    seen: &mut HealthCounters,
+) {
+    let mut now = HealthCounters::default();
     for engine in engines.values() {
-        let c = engine.health_counters();
-        totals.probes_run += c.probes_run;
-        totals.probes_passed += c.probes_passed;
-        totals.reintegrations += c.reintegrations;
-        totals.canary_demotions += c.canary_demotions;
-        totals.patrol_probes += c.patrol_probes;
-        totals.patrol_quarantines += c.patrol_quarantines;
+        now.accumulate(engine.health_counters());
     }
     let shard_health: Vec<u8> = engines
         .get(&TenantId(0))
         .map(|engine| engine.shard_health().iter().map(|s| s.as_code()).collect())
         .unwrap_or_default();
     let mut m = shared.metrics.lock().expect("metrics poisoned");
-    m.health = totals;
-    m.shard_health = shard_health;
+    m.snap.health.accumulate(now.since(*seen));
+    m.snap.shard_health = shard_health;
+    *seen = now;
 }
 
 fn dispatcher_loop(shared: &Shared) {
@@ -2085,6 +2009,8 @@ fn dispatcher_loop(shared: &Shared) {
     }
     // Requests per tenant in the last executed wave.
     let mut last_wave: HashMap<TenantId, usize> = HashMap::new();
+    // These engines' health counters as last harvested.
+    let mut health_seen = HealthCounters::default();
     loop {
         enum Action {
             Control(Control),
@@ -2126,7 +2052,7 @@ fn dispatcher_loop(shared: &Shared) {
                 for engine in engines.values_mut() {
                     let _ = engine.scrub_pass();
                 }
-                harvest_health(shared, &engines);
+                harvest_health(shared, &engines, &mut health_seen);
             }
             #[cfg(test)]
             Action::Control(Control::Crash) => {
@@ -2185,6 +2111,9 @@ fn dispatcher_loop(shared: &Shared) {
                         *last_wave.entry(r.tenant).or_default() += 1;
                     }
                     execute_wave(shared, &mut engines, drained);
+                    // Waves move the health machine too (faults scored,
+                    // quarantines, canary credit).
+                    harvest_health(shared, &engines, &mut health_seen);
                 }
             }
         }
@@ -2205,13 +2134,13 @@ fn resolve_dead(shared: &Shared, dead: Vec<Request>) {
         {
             let mut m = shared.metrics.lock().expect("metrics poisoned");
             if expired.is_some() {
-                m.failed += 1;
-                m.deadline_expired += 1;
+                m.snap.failed += 1;
+                m.snap.deadline_expired += 1;
                 let tc = m.tenant(req.tenant);
                 tc.failed += 1;
                 tc.deadline_expired += 1;
             } else {
-                m.cancelled += 1;
+                m.snap.cancelled += 1;
                 m.tenant(req.tenant).cancelled += 1;
             }
         }
@@ -2248,9 +2177,11 @@ fn register_tenant(
         .lock()
         .expect("registry poisoned")
         .push((id, config.clone(), backend));
-    // Seed the per-tenant metrics slice so a registered-but-idle tenant
-    // appears (zeroed) in every snapshot.
-    let _ = shared.metrics.lock().expect("metrics poisoned").tenant(id);
+    // Count the tenant and seed its metrics slice, so a
+    // registered-but-idle tenant appears (zeroed) in every snapshot.
+    let mut m = shared.metrics.lock().expect("metrics poisoned");
+    m.snap.tenants += 1;
+    let _ = m.tenant(id);
     engines.insert(id, engine);
     Ok(id)
 }
@@ -2329,8 +2260,8 @@ fn execute_wave(
                 let late_ms = now.saturating_duration_since(d).as_millis() as u64;
                 {
                     let mut m = shared.metrics.lock().expect("metrics poisoned");
-                    m.failed += 1;
-                    m.deadline_expired += 1;
+                    m.snap.failed += 1;
+                    m.snap.deadline_expired += 1;
                     let tc = m.tenant(tenant);
                     tc.failed += 1;
                     tc.deadline_expired += 1;
@@ -2344,7 +2275,7 @@ fn execute_wave(
             // instead of spending a lane on an unread result.
             {
                 let mut m = shared.metrics.lock().expect("metrics poisoned");
-                m.cancelled += 1;
+                m.snap.cancelled += 1;
                 m.tenant(tenant).cancelled += 1;
             }
             reply.send(Err(BpNttError::Cancelled));
@@ -2424,7 +2355,7 @@ fn execute_wave(
                 .map(|(e, g)| g.replies.len().min(e.lanes_total().max(1)))
                 .sum();
             let mut m = shared.metrics.lock().expect("metrics poisoned");
-            m.rns_fanout_waves += 1;
+            m.snap.rns_fanout_waves += 1;
             m.rns_fanout_occupancy_sum += (busy_sum as f64 / cap_sum.max(1) as f64).min(1.0);
         }
         let polys: usize = pairs.iter().map(|(_, g)| g.replies.len()).sum();
@@ -2447,9 +2378,6 @@ fn execute_wave(
         });
         record_round(shared, polys, done.duration_since(t).as_secs_f64());
     }
-    // Waves move the health machine too (faults scored, quarantines,
-    // canary credit): refresh the published counters and shard states.
-    harvest_health(shared, engines);
 }
 
 /// Fails every ticket of a group whose tenant has no engine.
@@ -2458,7 +2386,7 @@ fn execute_wave(
 fn fail_unknown_tenant(shared: &Shared, group: WaveGroup) {
     {
         let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.failed += group.replies.len() as u64;
+        m.snap.failed += group.replies.len() as u64;
     }
     for reply in group.replies {
         reply.send(Err(BpNttError::UnknownTenant {
@@ -2471,7 +2399,7 @@ fn fail_unknown_tenant(shared: &Shared, group: WaveGroup) {
 fn fail_group(shared: &Shared, group: WaveGroup, e: &BpNttError) {
     {
         let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.failed += group.replies.len() as u64;
+        m.snap.failed += group.replies.len() as u64;
     }
     for reply in group.replies {
         reply.send(Err(e.clone()));
@@ -2487,7 +2415,7 @@ fn fail_group(shared: &Shared, group: WaveGroup, e: &BpNttError) {
 /// clients.
 fn record_round(shared: &Shared, polys: usize, secs: f64) {
     let mut m = shared.metrics.lock().expect("metrics poisoned");
-    m.busy_secs += secs;
+    m.snap.busy_secs += secs;
     let rate = polys as f64 / secs.max(1e-6);
     m.drain_rate = if m.drain_rate == 0.0 {
         rate
@@ -2515,8 +2443,8 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) -> In
         engine.run_pipeline_batch_cancellable(&group.spec, group.mode, &slot_refs, &all_cancelled);
     {
         let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.waves += 1;
-        m.wave_polys += batch as u64;
+        m.snap.waves += 1;
+        m.snap.wave_polys += batch as u64;
         m.occupancy_sum += (batch as f64 / capacity as f64).min(1.0);
         for &s in engine.last_wave_shard_secs() {
             if m.shard_secs.len() == SHARD_SAMPLE_WINDOW {
@@ -2526,24 +2454,24 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) -> In
         }
         // Harvest what the recovery ladder did during this wave.
         let rep = engine.last_recovery();
-        m.faults_detected += rep.faults_detected;
-        m.retries += rep.retries;
-        m.fallback_polys += rep.fallback_polys;
-        m.verify_secs += rep.verify_secs;
+        m.snap.faults_detected += rep.faults_detected;
+        m.snap.retries += rep.retries;
+        m.snap.fallback_polys += rep.fallback_polys;
+        m.snap.verify_ms += rep.verify_secs * 1e3;
         // Quarantine is a level, not a count: report the high-water
         // mark across waves and tenant engines.
-        m.quarantined_shards = m.quarantined_shards.max(rep.quarantined_shards);
+        m.snap.quarantined_shards = m.snap.quarantined_shards.max(rep.quarantined_shards);
         match &result {
             Ok(_) => {
-                m.completed += batch as u64;
+                m.snap.completed += batch as u64;
                 m.tenant(group.tenant).completed += batch as u64;
             }
             Err(BpNttError::Cancelled) => {
-                m.cancelled += batch as u64;
+                m.snap.cancelled += batch as u64;
                 m.tenant(group.tenant).cancelled += batch as u64;
             }
             Err(_) => {
-                m.failed += batch as u64;
+                m.snap.failed += batch as u64;
                 m.tenant(group.tenant).failed += batch as u64;
             }
         }
@@ -3085,7 +3013,7 @@ mod tests {
                 );
             }
             let m = service.metrics();
-            if m.reintegrations >= 2 && m.shard_health.iter().all(|&s| s == 0) {
+            if m.health.reintegrations >= 2 && m.shard_health.iter().all(|&s| s == 0) {
                 healed = true;
                 break;
             }
@@ -3097,9 +3025,12 @@ mod tests {
         );
         let m = service.shutdown();
         assert_eq!(m.failed, 0);
-        assert!(m.probes_run >= 2, "scrubber probed the benched shards");
-        assert!(m.probes_passed >= 2);
-        assert!(m.reintegrations >= 2);
+        assert!(
+            m.health.probes_run >= 2,
+            "scrubber probed the benched shards"
+        );
+        assert!(m.health.probes_passed >= 2);
+        assert!(m.health.reintegrations >= 2);
         assert!(m.fallback_polys >= 1, "burst wave answered by fallback");
         // Observability: the transition shows up in both exports.
         let json = m.to_json();
@@ -3173,6 +3104,59 @@ mod tests {
         assert!(m.respawns >= 1);
         assert_eq!(m.completed, 2);
         assert_eq!(m.failed, 1, "the queued request failed typed, once");
+    }
+
+    /// A respawned dispatcher rebuilds its engines with fresh health
+    /// monitors; the published counters must keep counting from where
+    /// they were instead of restarting near zero.
+    #[test]
+    fn health_counters_never_go_backwards_across_a_respawn() {
+        let service = NttService::start(
+            &config8(),
+            ServiceOptions {
+                health: Some(HealthOptions::aggressive()),
+                ..ServiceOptions::default()
+            },
+        )
+        .unwrap();
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while service.metrics().health.patrol_probes < 20 {
+            assert!(Instant::now() < give_up, "the patrol never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        service.crash_dispatcher();
+        let counters = |m: &ServiceMetrics| {
+            let h = m.health;
+            [
+                ("probes_run", h.probes_run),
+                ("probes_passed", h.probes_passed),
+                ("reintegrations", h.reintegrations),
+                ("canary_demotions", h.canary_demotions),
+                ("patrol_probes", h.patrol_probes),
+                ("patrol_quarantines", h.patrol_quarantines),
+                ("respawns", m.respawns),
+            ]
+        };
+        let mut last = counters(&service.metrics());
+        // Patrol probes seen when the respawn became visible; stop once
+        // the rebuilt engines' harvests have added a few more.
+        let mut at_respawn = None;
+        loop {
+            assert!(Instant::now() < give_up, "no harvest after the respawn");
+            std::thread::sleep(Duration::from_millis(1));
+            let m = service.metrics();
+            let now = counters(&m);
+            for ((name, was), (_, is)) in last.iter().zip(&now) {
+                assert!(is >= was, "{name} went backwards: {was} -> {is}");
+            }
+            last = now;
+            if m.respawns >= 1 {
+                let base = *at_respawn.get_or_insert(m.health.patrol_probes);
+                if m.health.patrol_probes >= base + 5 {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]
@@ -3276,7 +3260,7 @@ mod tests {
         let polys_per_sec = service.shutdown().polys_per_sec;
         let (busy, drain_rate) = {
             let m = shared.metrics.lock().unwrap();
-            (m.busy_secs, m.drain_rate)
+            (m.snap.busy_secs, m.drain_rate)
         };
         // One round of wall-clock time, never the sum of its overlapped
         // groups: busy time fits inside the window that contained it.
