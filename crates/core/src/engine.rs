@@ -21,9 +21,10 @@
 //! [`Stats`] to direct emission
 //! (see [`BpNtt::forward_mode`] with [`ExecMode::Generic`]). The
 //! compiled stream runs almost entirely as fused word-engine superops —
-//! multiplier chains, resolution loops, and the butterfly epilogues
-//! (`CompiledProgram::fused_epilogues` counts the latter) — which the
-//! `bpntt-sram` word-engine executes through runtime-dispatched AVX2
+//! multiplier chains matched from the Algorithm 2 steps, and the butterfly
+//! epilogues, which the kernels emit as typed ops
+//! (`CompiledProgram::fused_epilogues` counts them) — and the
+//! `bpntt-sram` word-engine executes both through runtime-dispatched AVX2
 //! kernels with a bit-identical scalar fallback, register-resident for
 //! rows up to four 256-bit chunks (1024 columns). The compiled programs
 //! live in an [`ArtifactCache`] shared by `Arc`: private to a standalone
@@ -411,13 +412,7 @@ impl<'a> Emitter<'a> {
         })?;
         self.kernels
             .modmul_data(sink, scratch, rm.twiddle.expect("twiddle row"))?;
-        self.kernels.finish_modmul(sink)?;
-        sink.emit(Instruction::Unary {
-            dst: scratch,
-            src: rm.sum,
-            kind: UnaryKind::Copy,
-            pred: PredMode::Always,
-        })?;
+        self.kernels.finish_modmul_into(sink, scratch)?;
         self.kernels
             .move_tiles(sink, scratch, scratch, d, ShiftDir::Left)?;
         sink.emit(Instruction::MaskTiles {
@@ -446,13 +441,7 @@ impl<'a> Emitter<'a> {
             let a_row = RowAddr((a_base + j) as u16);
             let b_row = RowAddr((b_base + j) as u16);
             self.kernels.modmul_data(sink, a_row, b_row)?;
-            self.kernels.finish_modmul(sink)?;
-            sink.emit(Instruction::Unary {
-                dst: a_row,
-                src: self.layout.rowmap().sum,
-                kind: UnaryKind::Copy,
-                pred: PredMode::Always,
-            })?;
+            self.kernels.finish_modmul_into(sink, a_row)?;
         }
         Ok(())
     }

@@ -9,32 +9,15 @@
 //! carry-save accumulator (`Sum`, `Carry`), two half-adder temporaries, and
 //! the two constant rows (`M`, `2^w − M`). Shift discipline follows
 //! `DESIGN.md` D1/D2. Wherever an activation produces the value to be
-//! shifted, the shift is *costless* — fused onto its write-back; the only
-//! explicit `Shift`s left are Algorithm 2's per-add `Carry << 1` and one
-//! alignment of `Carry` before the accumulator is resolved:
+//! shifted, the shift is *costless* — fused onto its write-back:
 //!
 //! * the `Carry << 1` realignment of Algorithm 2 uses a **global** shift —
 //!   the end-of-iteration carry provably has a clear MSB in every tile
 //!   whenever `M < 2^(w−1)`, *independent of the data*, so nothing ever
 //!   crosses a tile boundary (the paper's Observation 1);
-//! * the Montgomery halving and all resolution loops use **tile-masked**
-//!   shifts, giving exact mod-`2^w` semantics per tile even for tiles
-//!   holding staging garbage during cross-tile SIMD. The halving rides
-//!   the first half-adder's write-back; resolution keeps its carry row
-//!   pre-shifted, so every carry-save initiator and every resolution
-//!   round writes its AND already aligned.
-//!
-//! Subtraction is a complement-add, `x − y = ¬(¬x + y)`, so the only
-//! resolution loop is the carry loop.
-//!
-//! The carry-resolution loops terminate early through the wired-OR zero
-//! detector. That is the *only* data dependence in the instruction
-//! stream, and it is expressed as a structured
-//! [`ZeroLoopSpec`] so a recorded program replays the exact
-//! dynamic trace emission would produce. `Stats` are integer class
-//! counts; `cost.rs` prices cycles and energy from them on read — so
-//! replay and emission report identical `Stats` whenever they execute
-//! the same trace.
+//! * the Montgomery halving uses a **tile-masked** shift riding the first
+//!   half-adder's write-back, giving exact mod-`2^w` semantics per tile
+//!   even for tiles holding staging garbage during cross-tile SIMD.
 //!
 //! The multiplier of a modular multiplication is either a compile-time
 //! constant (twiddle factors of a single-lane-per-tile schedule — the
@@ -43,36 +26,40 @@
 //! pointwise multiplication and by multi-tile schedules where each tile
 //! needs a different twiddle).
 //!
-//! **The emitted instruction shapes are a contract.** The replay
-//! compiler's peephole pass (`bpntt_sram::program`) pattern-matches the
-//! exact sequences this module emits and lowers each to a single-pass
-//! word-engine superop:
+//! **Butterfly epilogues are typed.** Resolving and reducing a product
+//! ([`Kernels::finish_modmul`]), modular add and modular subtract are each
+//! one [`EpilogueOp`] emitted through [`InstrSink::epilogue`]; their
+//! bit-level expansions — carry-save initiators, the zero-terminated
+//! carry-resolution loops (the only data dependence in the instruction
+//! stream), the sign `Check` and the predicated select — live with the op
+//! in `bpntt_sram::epilogue`. This module emits no bit-level epilogue
+//! instruction, so there is no epilogue shape to keep in step with a
+//! matcher: the generic controller runs the expansion, the recorder
+//! stores the op, and replay runs its word kernel.
 //!
-//! * the add-B step (`And`+`Xor` dual write-back, global `Carry` shift,
-//!   two half-adder layers);
-//! * the halve step (`Check` LSB; `Copy M→t_carry` if set; `Zero t_carry`
-//!   if clear; `t_sum, t_carry = (Sum ⊕ t_carry) ≫ 1, Sum ∧ t_carry`; two
-//!   half-adder layers);
-//! * the resolution round, one `Binary { dst: c, And, s, c, dst2: (s, Xor),
-//!   shift: (Left, masked) }` as the whole loop body;
-//! * the unpredicated carry-save initiator with distinct rows (the same
-//!   fused-shift `Binary`), `cond_sub_q`'s conditional copy and
-//!   `add_mod`'s conditional select.
-//!
-//! Reordering or reshaping an emission here silently degrades replay to
-//! the generic path (it stays correct — the replay ≡ `ExecMode::Generic`
-//! equivalence proptests still pass — but the benchmarks regress and the
-//! fast-path coverage counters `FastPathStats` drop to zero, which the CI
-//! coverage assertion catches); update the matchers alongside any
-//! change. Pipeline segments (`bpntt_core::pipeline`) compile each op
-//! through these same emitters, one program per op — the segment
-//! boundary is an op boundary, so a fusion or matcher change never has
-//! to reason across ops.
+//! **The multiplier-step shapes are still a contract.** The replay
+//! compiler (`bpntt_sram::program`) pattern-matches the add-B step
+//! (`And`+`Xor` dual write-back, global `Carry` shift, two half-adder
+//! layers, optionally led by `modmul_data`'s `Check` of the multiplier
+//! bit) and the halve step (`Check` LSB; `Copy M→t_carry` if set; `Zero
+//! t_carry` if clear; `t_sum, t_carry = (Sum ⊕ t_carry) ≫ 1, Sum ∧
+//! t_carry`; two half-adder layers) and merges runs of them, with the
+//! `Zero Sum; Zero Carry` pair that opens each multiply, into
+//! register-resident multiplier chains. Reshaping those emissions silently
+//! degrades replay to the generic path (it stays correct — the replay ≡
+//! `ExecMode::Generic` equivalence proptests still pass — but the
+//! benchmarks regress and the fast-path coverage counters `FastPathStats`
+//! drop, which the CI coverage assertion catches); update the matchers
+//! alongside any change. Pipeline segments (`bpntt_core::pipeline`)
+//! compile each op through these same emitters, one program per op — the
+//! segment boundary is an op boundary, so a fusion or matcher change never
+//! has to reason across ops.
 
 use crate::error::BpNttError;
 use crate::layout::RowMap;
 use bpntt_sram::{
-    BitOp, InstrSink, Instruction, PredMode, RowAddr, ShiftDir, UnaryKind, ZeroLoopSpec,
+    BitOp, Epilogue, EpilogueOp, InstrSink, Instruction, ModRows, PredMode, RowAddr, ShiftDir,
+    UnaryKind,
 };
 
 /// Emits in-SRAM arithmetic kernels for one modulus / bit-width pair.
@@ -109,8 +96,7 @@ impl Kernels {
 
     /// `Sum ← a · B · R⁻¹` in carry-save form, with the multiplier `a` a
     /// compile-time constant (twiddles pre-scaled by `R`). Leaves the
-    /// accumulator in `(Sum, Carry)`; follow with [`Self::resolve`] and
-    /// [`Self::cond_sub_q`].
+    /// accumulator in `(Sum, Carry)`; follow with [`Self::finish_modmul`].
     ///
     /// # Errors
     ///
@@ -347,125 +333,27 @@ impl Kernels {
         )
     }
 
-    // ---- carry resolution ------------------------------------------------
+    // ---- butterfly epilogues -----------------------------------------------
 
-    /// A carry-save initiator with the carry pre-shifted:
-    /// `c_row, s_row = (a ∧ b) << 1, a ⊕ b` in tiles selected by `pred`
-    /// (tile-masked shift: the costless shift rides the AND write-back).
-    /// Leaves `a + b = s_row + c_row (mod 2^w)` for [`Self::resolve_pair`].
-    fn csa_init<S: InstrSink>(
-        &self,
-        sink: &mut S,
-        s_row: RowAddr,
-        c_row: RowAddr,
-        a: RowAddr,
-        b: RowAddr,
-        pred: PredMode,
-    ) -> Result<(), BpNttError> {
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: c_row,
-                op: BitOp::And,
-                src0: a,
-                src1: b,
-                dst2: Some((s_row, BitOp::Xor)),
-                shift: Some((ShiftDir::Left, true)),
-                pred,
-            },
-        )
+    /// The rows and width the typed epilogues work in.
+    fn mod_rows(&self) -> ModRows {
+        ModRows {
+            sum: self.rm.sum,
+            carry: self.rm.carry,
+            t_sum: self.rm.t_sum,
+            t_carry: self.rm.t_carry,
+            comp_modulus: self.rm.comp_modulus,
+            bitwidth: self.bitwidth as u16,
+        }
     }
 
-    /// Resolves a carry-save pair whose carry row is already aligned
-    /// (`value = s_row + c_row`) into a plain value in `s_row`: each round
-    /// is one activation, `c_row, s_row = (s ∧ c) << 1, s ⊕ c`, with the
-    /// tile-masked shift fused into the write-back, and the wired-OR zero
-    /// detector ends the loop early. The masked shift drops each tile's
-    /// carry-out, so the result is exact mod `2^w` per tile.
-    fn resolve_pair<S: InstrSink>(
-        &self,
-        sink: &mut S,
-        s_row: RowAddr,
-        c_row: RowAddr,
-    ) -> Result<(), BpNttError> {
-        let body = [Instruction::Binary {
-            dst: c_row,
-            op: BitOp::And,
-            src0: s_row,
-            src1: c_row,
-            dst2: Some((s_row, BitOp::Xor)),
-            shift: Some((ShiftDir::Left, true)),
-            pred: PredMode::Always,
-        }];
-        sink.zero_loop(ZeroLoopSpec {
-            src: c_row,
-            body: &body,
-            max_checks: self.bitwidth + 1,
+    fn epilogue<S: InstrSink>(&self, sink: &mut S, kind: Epilogue) -> Result<(), BpNttError> {
+        sink.epilogue(EpilogueOp {
+            rows: self.mod_rows(),
+            kind,
         })?;
         Ok(())
     }
-
-    /// Resolves the main accumulator: `Sum ← Sum + 2·Carry` (plain value).
-    /// `Carry` is aligned once up front; by Observation 1 its MSB is clear
-    /// in every tile, so the tile-masked shift loses nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults.
-    pub fn resolve<S: InstrSink>(&self, sink: &mut S) -> Result<(), BpNttError> {
-        let rm = &self.rm;
-        self.exec(
-            sink,
-            Instruction::Shift {
-                dst: rm.carry,
-                src: rm.carry,
-                dir: ShiftDir::Left,
-                masked: true,
-                pred: PredMode::Always,
-            },
-        )?;
-        self.resolve_pair(sink, rm.sum, rm.carry)
-    }
-
-    /// Conditionally subtracts `q` once: maps `Sum ∈ [0, 2q)` to `[0, q)`.
-    ///
-    /// Computes `D = (Sum + (2^w − q)) mod 2^w` with the constant
-    /// complement row; `MSB(D) = 0 ⇔ Sum ≥ q` (one headroom bit), then a
-    /// predicated copy selects `D` or keeps `Sum`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator faults.
-    pub fn cond_sub_q<S: InstrSink>(&self, sink: &mut S) -> Result<(), BpNttError> {
-        let rm = &self.rm;
-        self.csa_init(
-            sink,
-            rm.t_sum,
-            rm.t_carry,
-            rm.sum,
-            rm.comp_modulus,
-            PredMode::Always,
-        )?;
-        self.resolve_pair(sink, rm.t_sum, rm.t_carry)?;
-        self.exec(
-            sink,
-            Instruction::Check {
-                src: rm.t_sum,
-                bit: (self.bitwidth - 1) as u16,
-            },
-        )?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: rm.sum,
-                src: rm.t_sum,
-                kind: UnaryKind::Copy,
-                pred: PredMode::IfClear,
-            },
-        )
-    }
-
-    // ---- modular add / subtract ------------------------------------------
 
     /// `dst ← (x + y) mod q` for reduced operands. When `final_mask` is
     /// given, only tiles selected by `MaskTiles(stride_log2, phase)`
@@ -485,59 +373,20 @@ impl Kernels {
         y: RowAddr,
         final_mask: Option<(u8, bool)>,
     ) -> Result<(), BpNttError> {
-        let rm = &self.rm;
-        // x + y < 2q < 2^w: carry-save then resolve.
-        self.csa_init(sink, rm.t_sum, rm.t_carry, x, y, PredMode::Always)?;
-        self.resolve_pair(sink, rm.t_sum, rm.t_carry)?;
-        // D = (t_sum + comp) mod 2^w into Carry.
-        self.csa_init(
+        self.epilogue(
             sink,
-            rm.carry,
-            rm.t_carry,
-            rm.t_sum,
-            rm.comp_modulus,
-            PredMode::Always,
-        )?;
-        self.resolve_pair(sink, rm.carry, rm.t_carry)?;
-        self.exec(
-            sink,
-            Instruction::Check {
-                src: rm.carry,
-                bit: (self.bitwidth - 1) as u16,
-            },
-        )?;
-        if let Some((stride_log2, phase)) = final_mask {
-            self.exec(sink, Instruction::MaskTiles { stride_log2, phase })?;
-        }
-        self.exec(
-            sink,
-            Instruction::Unary {
+            Epilogue::AddMod {
                 dst,
-                src: rm.t_sum,
-                kind: UnaryKind::Copy,
-                pred: PredMode::IfSet,
+                x,
+                y,
+                final_mask,
             },
-        )?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst,
-                src: rm.carry,
-                kind: UnaryKind::Copy,
-                pred: PredMode::IfClear,
-            },
-        )?;
-        if final_mask.is_some() {
-            self.exec(sink, Instruction::MaskAll)?;
-        }
-        Ok(())
+        )
     }
 
-    /// `dst ← (x − y) mod q` for reduced operands, as a complement-add:
-    /// `x − y = ¬(¬x + y)` mod `2^w`. With `u = ¬x + y`, the difference is
-    /// negative exactly where `MSB(u)` is clear (one headroom bit); there
-    /// `u ← u + (2^w − q)`, since `¬(u − q) = (x − y) + q`. Same masking
-    /// contract as [`Self::add_mod`]; clobbers both temporaries only.
+    /// `dst ← (x − y) mod q` for reduced operands, as a complement-add
+    /// (`x − y = ¬(¬x + y)` mod `2^w`). Same masking contract as
+    /// [`Self::add_mod`]; clobbers both temporaries only.
     ///
     /// # Errors
     ///
@@ -550,52 +399,15 @@ impl Kernels {
         y: RowAddr,
         final_mask: Option<(u8, bool)>,
     ) -> Result<(), BpNttError> {
-        let rm = &self.rm;
-        self.exec(
+        self.epilogue(
             sink,
-            Instruction::Unary {
-                dst: rm.t_sum,
-                src: x,
-                kind: UnaryKind::Not,
-                pred: PredMode::Always,
-            },
-        )?;
-        self.csa_init(sink, rm.t_sum, rm.t_carry, rm.t_sum, y, PredMode::Always)?;
-        self.resolve_pair(sink, rm.t_sum, rm.t_carry)?;
-        // Negative ⇔ MSB(u) clear: add 2^w − q there. The loop left
-        // t_carry zero, so the predicated initiator keeps u elsewhere.
-        self.exec(
-            sink,
-            Instruction::Check {
-                src: rm.t_sum,
-                bit: (self.bitwidth - 1) as u16,
-            },
-        )?;
-        self.csa_init(
-            sink,
-            rm.t_sum,
-            rm.t_carry,
-            rm.t_sum,
-            rm.comp_modulus,
-            PredMode::IfClear,
-        )?;
-        self.resolve_pair(sink, rm.t_sum, rm.t_carry)?;
-        if let Some((stride_log2, phase)) = final_mask {
-            self.exec(sink, Instruction::MaskTiles { stride_log2, phase })?;
-        }
-        self.exec(
-            sink,
-            Instruction::Unary {
+            Epilogue::SubMod {
                 dst,
-                src: rm.t_sum,
-                kind: UnaryKind::Not,
-                pred: PredMode::Always,
+                x,
+                y,
+                final_mask,
             },
-        )?;
-        if final_mask.is_some() {
-            self.exec(sink, Instruction::MaskAll)?;
-        }
-        Ok(())
+        )
     }
 
     // ---- butterflies ------------------------------------------------------
@@ -607,8 +419,21 @@ impl Kernels {
     ///
     /// Propagates simulator faults.
     pub fn finish_modmul<S: InstrSink>(&self, sink: &mut S) -> Result<(), BpNttError> {
-        self.resolve(sink)?;
-        self.cond_sub_q(sink)
+        self.epilogue(sink, Epilogue::Finish { dst: None })
+    }
+
+    /// [`Self::finish_modmul`], then copies the product from `Sum` into
+    /// `dst`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator faults.
+    pub fn finish_modmul_into<S: InstrSink>(
+        &self,
+        sink: &mut S,
+        dst: RowAddr,
+    ) -> Result<(), BpNttError> {
+        self.epilogue(sink, Epilogue::Finish { dst: Some(dst) })
     }
 
     /// Cooley–Tukey butterfly with a compile-time twiddle:
@@ -688,16 +513,7 @@ impl Kernels {
             },
         )?;
         self.modmul_const(sink, hi, inv_zeta_mont)?;
-        self.finish_modmul(sink)?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: hi,
-                src: rm.sum,
-                kind: UnaryKind::Copy,
-                pred: PredMode::Always,
-            },
-        )
+        self.finish_modmul_into(sink, hi)
     }
 
     /// Gentleman–Sande butterfly with per-tile inverse twiddles.
@@ -734,16 +550,7 @@ impl Kernels {
             },
         )?;
         self.modmul_data(sink, scratch, tw)?;
-        self.finish_modmul(sink)?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: hi,
-                src: rm.sum,
-                kind: UnaryKind::Copy,
-                pred: PredMode::Always,
-            },
-        )
+        self.finish_modmul_into(sink, hi)
     }
 
     /// Multiplies a coefficient row by a compile-time constant in place:
@@ -760,16 +567,7 @@ impl Kernels {
         c: u64,
     ) -> Result<(), BpNttError> {
         self.modmul_const(sink, row, c)?;
-        self.finish_modmul(sink)?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: row,
-                src: self.rm.sum,
-                kind: UnaryKind::Copy,
-                pred: PredMode::Always,
-            },
-        )
+        self.finish_modmul_into(sink, row)
     }
 
     /// Moves `src` into `dst` shifted by `d_tiles` whole tiles (global
@@ -814,5 +612,30 @@ impl Kernels {
     #[must_use]
     pub fn bitwidth(&self) -> usize {
         self.bitwidth
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::Layout;
+    use bpntt_sram::{Controller, Recorder, SramArray};
+
+    /// A recorded Cooley–Tukey butterfly replays as four control entries:
+    /// one multiplier chain (with Algorithm 2's accumulator clears) and
+    /// the three typed epilogues — no generic run, no per-loop entry.
+    #[test]
+    fn ct_butterfly_replays_as_four_control_entries() {
+        let layout = Layout::new(518, 256, 24, 256).unwrap();
+        let kernels = Kernels::new(*layout.rowmap(), 8_380_417, 24);
+        let ctl = Controller::new(SramArray::new(518, layout.active_cols()).unwrap(), 24).unwrap();
+        let (lo, hi) = (layout.offset_row(0), layout.offset_row(1));
+        let mut rec = Recorder::new();
+        kernels
+            .ct_butterfly_const(&mut rec, lo, hi, 0x5a_5a5a)
+            .unwrap();
+        let prog = rec.finish().compile(&ctl).unwrap();
+        assert_eq!(prog.control_len(), 4);
+        assert_eq!((prog.fused_chains(), prog.fused_epilogues()), (1, 3));
     }
 }

@@ -26,6 +26,12 @@ pub(crate) fn padded_words(cols: usize) -> usize {
     cols.div_ceil(64).next_multiple_of(WORD_CHUNK)
 }
 
+/// The low `width` bits set (`1 ≤ width ≤ 64`).
+#[inline]
+fn low_mask(width: usize) -> u64 {
+    u64::MAX >> (64 - width)
+}
+
 /// One row of bits, indexed by column.
 ///
 /// # Example
@@ -108,13 +114,13 @@ impl BitRow {
         );
         let base = tile * width;
         assert!(base + width <= self.cols, "tile {tile} out of range");
-        let mut v = 0u64;
-        for j in 0..width {
-            if self.bit(base + j) {
-                v |= 1 << j;
-            }
+        // A tile spans at most two storage words.
+        let (w, off) = (base / 64, base % 64);
+        let mut v = self.words[w] >> off;
+        if off + width > 64 {
+            v |= self.words[w + 1] << (64 - off);
         }
-        v
+        v & low_mask(width)
     }
 
     /// Writes the `width`-bit word of tile `tile`.
@@ -133,8 +139,12 @@ impl BitRow {
         );
         let base = tile * width;
         assert!(base + width <= self.cols, "tile {tile} out of range");
-        for j in 0..width {
-            self.set_bit(base + j, (value >> j) & 1 == 1);
+        let (w, off) = (base / 64, base % 64);
+        let mask = low_mask(width);
+        self.words[w] = (self.words[w] & !(mask << off)) | (value << off);
+        if off + width > 64 {
+            let spill = 64 - off;
+            self.words[w + 1] = (self.words[w + 1] & !(mask >> spill)) | (value >> spill);
         }
     }
 
@@ -500,6 +510,49 @@ impl fmt::Debug for BitRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Word-level tile I/O agrees with a per-bit reference for every
+        /// width 1..=64 and every tile index, including tiles that
+        /// straddle a storage-word boundary.
+        #[test]
+        fn tile_words_match_per_bit_reference(seed in proptest::prelude::any::<u64>()) {
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for width in 1..=64usize {
+                // Enough tiles to cross several words, plus a partial tail
+                // column so the last tile is not flush with the row end.
+                let tiles = 200 / width + 2;
+                let cols = tiles * width + 1;
+                let mut row = BitRow::zero(cols);
+                for c in 0..cols {
+                    row.set_bit(c, next() & 1 == 1);
+                }
+                for t in 0..tiles {
+                    let base = t * width;
+                    let reference = (0..width)
+                        .filter(|&j| row.bit(base + j))
+                        .fold(0u64, |v, j| v | (1 << j));
+                    proptest::prop_assert_eq!(row.tile_word(t, width), reference);
+
+                    let value = next() & low_mask(width);
+                    let mut expect = row.clone();
+                    for j in 0..width {
+                        expect.set_bit(base + j, (value >> j) & 1 == 1);
+                    }
+                    row.set_tile_word(t, width, value);
+                    proptest::prop_assert_eq!(&row, &expect);
+                }
+            }
+        }
+    }
 
     #[test]
     fn tile_word_roundtrip() {

@@ -91,6 +91,9 @@ pub struct Controller {
     /// Keep-mask of a tile-masked right shift: all columns except each
     /// tile's top bit.
     shr_keep: BitRow,
+    /// Working copies of an epilogue's rows (five rows of storage words;
+    /// see [`crate::wordkern::epilogue`]).
+    epi_buf: Vec<u64>,
     /// Word image with exactly the tile-base columns set — the select
     /// layer of the multiply-smear predicate latch
     /// ([`crate::wordkern::latch_tile_bit`]).
@@ -165,6 +168,7 @@ impl Controller {
             shl_keep,
             shr_keep,
             tile_base_mask,
+            epi_buf: vec![0; 5 * n_words],
             fault: None,
             costed: true,
             native_clock: 0,
@@ -539,12 +543,7 @@ impl Controller {
             Instruction::MaskTiles { stride_log2, phase } => {
                 let mut off = 0;
                 for (t, m) in self.tile_mask.iter_mut().enumerate() {
-                    let bit = if stride_log2 >= 63 {
-                        0
-                    } else {
-                        (t >> stride_log2) & 1
-                    };
-                    *m = (bit == 1) == phase;
+                    *m = mask_tiles_enables(t, stride_log2, phase);
                     off += usize::from(!*m);
                     self.mask_cols
                         .fill_range(t * self.tile_width, (t + 1) * self.tile_width, *m);
@@ -611,6 +610,17 @@ impl Controller {
         }
     }
 
+    /// The column image `MaskTiles { stride_log2, phase }` installs.
+    pub(crate) fn mask_tiles_image(&self, stride_log2: u8, phase: bool) -> BitRow {
+        let mut image = BitRow::zero(self.cols());
+        for t in 0..self.n_tiles {
+            if mask_tiles_enables(t, stride_log2, phase) {
+                image.fill_range(t * self.tile_width, (t + 1) * self.tile_width, true);
+            }
+        }
+        image
+    }
+
     fn assign_bitop(out: &mut BitRow, a: &BitRow, b: &BitRow, op: BitOp) {
         match op {
             BitOp::And => out.assign_and(a, b),
@@ -648,21 +658,25 @@ impl Controller {
 
     // ---- fused superop executors ------------------------------------------
     //
-    // Each executes one recognized instruction group in a single pass over
-    // the storage words, leaving rows, predicate latches, and the zero
-    // flag exactly as per-instruction execution would. All return `false`
-    // (caller falls back to the generic instruction range) when the
-    // current tile mask disables any tile — the fused derivations assume
+    // Each executes one recognized instruction group or typed epilogue
+    // word-level, leaving rows, predicate latches, and the zero flag
+    // exactly as per-instruction execution would. All return `false`
+    // (caller falls back to the generic instructions) when the current
+    // tile mask disables any tile — the fused derivations assume
     // `mask_cols` is all-enabled, which also makes them tail-safe (the
     // mask words carry zero tail bits).
 
     /// Fused add-B step: `c1,s1 = Sum&B, Sum⊕B; Carry <<= 1;
     /// c2,Sum = Carry&s1, Carry⊕s1; Carry = c1|c2`, optionally gated
-    /// per-tile by the predicate latches (`IfSet`).
+    /// per-tile by the predicate latches (`IfSet`), latched first from the
+    /// multiplier row when the op carries its `Check`.
     pub(crate) fn exec_addb(&mut self, op: &crate::program::AddBOp) -> bool {
         if self.n_masked_off != 0 {
             self.fastpath.fallbacks += 1;
             return false;
+        }
+        if let Some((row, bit)) = op.latch {
+            self.latch_preds(usize::from(row), usize::from(bit));
         }
         let Some([sum, carry, t_sum, t_carry, b]) = self.array.rows_disjoint_mut([
             usize::from(op.sum),
@@ -726,34 +740,39 @@ impl Controller {
     /// four chunks run the whole chain register-resident; wider rows run
     /// the per-step kernels under the single borrow. The chain's class
     /// counts are added by the caller.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_chain(
-        &mut self,
-        sum: u16,
-        carry: u16,
-        t_sum: u16,
-        t_carry: u16,
-        b: u16,
-        modulus: u16,
-        steps: &[crate::program::ChainStep],
-    ) -> bool {
+    pub(crate) fn exec_chain(&mut self, op: &crate::program::ChainOp) -> bool {
+        use crate::program::ChainStep;
         if self.n_masked_off != 0 {
             self.fastpath.fallbacks += 1;
             return false;
         }
+        // The multiplier row is only read and is never an accumulator row,
+        // so a copy taken now stays current; it may alias `b` or `M`.
+        let pred_row: &[u64] = match op.pred_row {
+            Some(r) => {
+                self.scratch_a.copy_from(self.array.row(usize::from(r)));
+                self.scratch_a.words()
+            }
+            None => &[],
+        };
         let Some([sum, carry, t_sum, t_carry, b, m]) = self.array.rows_disjoint_mut([
-            usize::from(sum),
-            usize::from(carry),
-            usize::from(t_sum),
-            usize::from(t_carry),
-            usize::from(b),
-            usize::from(modulus),
+            usize::from(op.sum),
+            usize::from(op.carry),
+            usize::from(op.t_sum),
+            usize::from(op.t_carry),
+            usize::from(op.b),
+            usize::from(op.modulus),
         ]) else {
             self.fastpath.fallbacks += 1;
             return false;
         };
         let sw = sum.words_mut();
         let cw = carry.words_mut();
+        if op.clear {
+            // Algorithm 2's `P ← 0`, folded into the chain.
+            sw.fill(0);
+            cw.fill(0);
+        }
         let tsw = t_sum.words_mut();
         let tcw = t_carry.words_mut();
         let bw = b.words();
@@ -766,9 +785,10 @@ impl Controller {
             tcw,
             bw,
             m_words,
+            pred_row,
             self.pred_mask.words_mut(),
             self.shr_keep.words(),
-            steps,
+            &op.steps,
             &self.tile_base_mask,
             self.tile_width,
         ) {
@@ -777,21 +797,23 @@ impl Controller {
         }
         let mw = self.mask_cols.words();
         let shr = self.shr_keep.words();
-        for step in steps {
+        for step in &op.steps {
             match *step {
-                crate::program::ChainStep::AddB(pred) => {
-                    crate::wordkern::addb(
-                        sw,
-                        cw,
-                        tsw,
-                        tcw,
-                        bw,
-                        mw,
-                        self.pred_mask.words(),
-                        pred == PredMode::IfSet,
-                    );
+                ChainStep::AddB(pred) => {
+                    let if_set = pred == PredMode::IfSet;
+                    crate::wordkern::addb(sw, cw, tsw, tcw, bw, mw, self.pred_mask.words(), if_set);
                 }
-                crate::program::ChainStep::Halve => {
+                ChainStep::AddBIf { bit } => {
+                    crate::wordkern::latch_tile_bit(
+                        &self.tile_base_mask,
+                        self.tile_width,
+                        pred_row,
+                        usize::from(bit),
+                        self.pred_mask.words_mut(),
+                    );
+                    crate::wordkern::addb(sw, cw, tsw, tcw, bw, mw, self.pred_mask.words(), true);
+                }
+                ChainStep::Halve => {
                     // Inline predicate latch (the Check inside the halve
                     // pattern), reading Sum through the held borrow.
                     crate::wordkern::latch_tile_bit(
@@ -809,180 +831,56 @@ impl Controller {
         true
     }
 
-    /// Fully fused carry-resolution loop: rows borrowed once, each round
-    /// a zero test plus one word pass (register-resident up to four
-    /// chunks). Returns the number of executed rounds, or `None` when the
-    /// tile mask forces the generic path.
-    pub(crate) fn exec_resolve_loop(
+    /// One typed butterfly epilogue through its word kernel, which runs
+    /// both resolution loops in place: the results, the predicate latch,
+    /// the zero flag and the expansion's class counts land exactly as the
+    /// expansion would leave them. Returns `false` (nothing touched) under
+    /// an active tile mask or rows the kernel does not model, where the
+    /// caller runs the expansion instead.
+    pub(crate) fn exec_epilogue(
         &mut self,
-        s: u16,
-        c: u16,
-        max_checks: usize,
-        round: &InstrCounts,
-    ) -> Option<usize> {
-        if self.n_masked_off != 0 {
+        step: &crate::program::EpilogueStep,
+        (fixed, round): &(InstrCounts, InstrCounts),
+        final_mask: Option<&BitRow>,
+    ) -> bool {
+        use crate::epilogue::EpilogueOp;
+        if self.n_masked_off != 0 || !step.fusable {
             self.fastpath.fallbacks += 1;
-            return None;
+            return false;
         }
-        let Some([s, c]) = self
-            .array
-            .rows_disjoint_mut([usize::from(s), usize::from(c)])
-        else {
-            self.fastpath.fallbacks += 1;
-            return None;
+        let bitwidth = usize::from(step.op.rows.bitwidth);
+        let valid = self.mask_cols.words();
+        let geom = crate::wordkern::EpiGeom {
+            shl_keep: self.shl_keep.words(),
+            valid,
+            final_mask: final_mask.map_or(valid, BitRow::words),
+            base_mask: &self.tile_base_mask,
+            tile_width: self.tile_width,
+            msb: bitwidth - 1,
+            max_checks: bitwidth + 1,
         };
-        let shl = self.shl_keep.words();
-        let sw = s.words_mut();
-        let cw = c.words_mut();
-        if let Some((bodies, checks, converged)) =
-            crate::wordkern::resolve_loop_resident(self.fast_path, sw, cw, shl, max_checks)
-        {
-            self.fastpath.resolve_loops_resident += 1;
-            self.finish_fused_loop(bodies, checks, converged, round);
-            return Some(bodies);
-        }
-        let mut bodies = 0usize;
-        let mut checks = 0u64;
-        let mut converged = false;
-        for _ in 0..max_checks {
-            checks += 1;
-            if cw.iter().all(|&w| w == 0) {
-                converged = true;
-                break;
-            }
-            crate::wordkern::resolve_round(sw, cw, shl);
-            bodies += 1;
-        }
-        self.fastpath.resolve_loops_per_step += 1;
-        self.finish_fused_loop(bodies, checks, converged, round);
-        Some(bodies)
-    }
-
-    /// Applies a fused resolution loop's outcome: the zero flag, one
-    /// `CheckZero` per check and `round`'s counts per executed body.
-    /// Shared by the register-resident fast paths and the per-round
-    /// fallback loops.
-    fn finish_fused_loop(
-        &mut self,
-        bodies: usize,
-        checks: u64,
-        converged: bool,
-        round: &InstrCounts,
-    ) {
-        self.zero_flag = converged;
-        debug_assert!(converged, "resolution loop must converge within max_checks");
-        let mut counts = round.scaled(bodies as u64);
-        counts.check_zero += checks;
-        self.add_counts(&counts);
-    }
-
-    /// Fused carry-resolution round: `Carry, Sum = (Sum∧Carry) << 1
-    /// (masked), Sum⊕Carry`.
-    pub(crate) fn exec_resolve_round(&mut self, op: &crate::program::ResolveRoundOp) -> bool {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
-        }
-        let Some([s, c]) = self
-            .array
-            .rows_disjoint_mut([usize::from(op.s), usize::from(op.c)])
-        else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::resolve_round(s.words_mut(), c.words_mut(), self.shl_keep.words());
-        self.fastpath.superops_fused += 1;
-        true
-    }
-
-    // ---- fused epilogue superop executors ---------------------------------
-    //
-    // The butterfly epilogues (carry-save initiators, conditional
-    // subtraction, modular add/select) are straight-line shapes the compiler fuses like the
-    // Algorithm 2 cores above: one pass over the storage words per group,
-    // same `false`-on-tile-mask fallback contract.
-
-    /// Fused carry-save add initiator: one dual write-back `Binary`
-    /// (`d_and, d_xor = (a ∧ b) << 1 (masked), a ⊕ b`) executed as a
-    /// single pass.
-    pub(crate) fn exec_csadd(&mut self, op: &crate::program::CsAddOp) -> bool {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
-        }
-        let Some([da, dx, a, b]) = self.array.rows_disjoint_mut([
-            usize::from(op.d_and),
-            usize::from(op.d_xor),
-            usize::from(op.a),
-            usize::from(op.b),
-        ]) else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::csadd(
-            da.words_mut(),
-            dx.words_mut(),
-            a.words(),
-            b.words(),
-            self.shl_keep.words(),
+        let (tally, resident) = crate::wordkern::epilogue(
+            self.fast_path,
+            &step.op,
+            &mut self.array,
+            &geom,
+            self.pred_mask.words_mut(),
+            &mut self.epi_buf,
         );
-        self.fastpath.superops_fused += 1;
-        true
-    }
-
-    /// Fused conditional select (`add_mod` epilogue): latch the predicate
-    /// from `check_src`, then `dst ← a` in pred-set tiles, `dst ← b` in
-    /// pred-clear tiles.
-    pub(crate) fn exec_condsel(&mut self, op: &crate::program::CondSelOp) -> bool {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
-        }
-        // The Check happens first in emission; only reads, so any aliasing
-        // with the select rows is benign.
-        self.latch_preds(usize::from(op.check_src), usize::from(op.bit));
-        let Some([dst, a, b]) = self.array.rows_disjoint_mut([
-            usize::from(op.dst),
-            usize::from(op.a),
-            usize::from(op.b),
-        ]) else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::cond_select(
-            dst.words_mut(),
-            a.words(),
-            b.words(),
-            self.mask_cols.words(),
-            self.pred_mask.words(),
+        self.zero_flag = tally.converged;
+        debug_assert!(
+            tally.converged,
+            "resolution loop must converge within max_checks"
         );
+        let mut counts = round.scaled(tally.bodies);
+        counts.check_zero += tally.checks;
+        self.add_counts(&(counts + *fixed));
         self.fastpath.superops_fused += 1;
-        true
-    }
-
-    /// Fused conditional copy (`cond_sub_q` epilogue): latch the predicate
-    /// from `check_src`, then a pred-gated `dst ← src` copy.
-    pub(crate) fn exec_condcopy(&mut self, op: &crate::program::CondCopyOp) -> bool {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
+        if resident {
+            self.fastpath.resolve_loops_resident += EpilogueOp::LOOPS;
+        } else {
+            self.fastpath.resolve_loops_per_step += EpilogueOp::LOOPS;
         }
-        self.latch_preds(usize::from(op.check_src), usize::from(op.bit));
-        let Some([dst, src]) = self
-            .array
-            .rows_disjoint_mut([usize::from(op.dst), usize::from(op.src)])
-        else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::masked_copy(
-            dst.words_mut(),
-            src.words(),
-            self.mask_cols.words(),
-            self.pred_mask.words(),
-            op.pred == PredMode::IfSet,
-        );
-        self.fastpath.superops_fused += 1;
         true
     }
 
@@ -1013,6 +911,28 @@ impl Controller {
         Ok(())
     }
 
+    /// Runs one zero-terminated loop instruction by instruction, with no
+    /// fault tick (the caller ticks at the loop or op boundary).
+    pub(crate) fn run_zero_loop(
+        &mut self,
+        spec: crate::program::ZeroLoopSpec<'_>,
+    ) -> Result<(), SramError> {
+        for _ in 0..spec.max_checks {
+            self.execute(&Instruction::CheckZero { src: spec.src })?;
+            if self.zero_flag {
+                break;
+            }
+            for i in spec.body {
+                self.execute(i)?;
+            }
+        }
+        debug_assert!(
+            self.zero_flag,
+            "resolution loop must converge within max_checks"
+        );
+        Ok(())
+    }
+
     /// Executes a straight-line program.
     ///
     /// # Errors
@@ -1026,10 +946,19 @@ impl Controller {
     }
 }
 
-// The word-level kernel bodies — add-B, Montgomery halve, carry-resolution
-// rounds, and the fused epilogue passes — live in
-// [`crate::wordkern`], which dispatches each between an explicit AVX2 path
-// and a bit-identical scalar fallback.
+/// Whether `MaskTiles { stride_log2, phase }` enables tile `t`.
+fn mask_tiles_enables(t: usize, stride_log2: u8, phase: bool) -> bool {
+    let bit = if stride_log2 >= 63 {
+        0
+    } else {
+        (t >> stride_log2) & 1
+    };
+    (bit == 1) == phase
+}
+
+// The word-level kernel bodies — add-B, Montgomery halve, and the
+// butterfly epilogues — live in [`crate::wordkern`], which dispatches each
+// between an AVX2 path and a bit-identical scalar fallback.
 
 #[cfg(test)]
 mod tests {

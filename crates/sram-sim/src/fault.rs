@@ -35,10 +35,12 @@
 //! contract guarantees is mode-independent, so an addressed fault at
 //! instruction `i` lands at the first batch boundary where the clock has
 //! passed `i` in *every* mode. Boundaries never fall inside a
-//! zero-terminated resolution loop, so injected data corruption is
-//! always presented to a *complete* subsequent computation (the loops'
-//! `max_checks` convergence bound holds for arbitrary data states at
-//! loop entry, not for mid-loop mutation).
+//! zero-terminated resolution loop or inside a typed butterfly epilogue
+//! (each [`EpilogueOp`](crate::EpilogueOp) is one batch on both paths),
+//! so injected data corruption is always presented to a *complete*
+//! subsequent computation (the loops' `max_checks` convergence bound
+//! holds for arbitrary data states at loop entry, not for mid-loop
+//! mutation).
 //!
 //! Rate-based draws use geometric skipping (O(faults), not
 //! O(instructions)) from the plan's seed, so a given

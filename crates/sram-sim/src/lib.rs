@@ -20,6 +20,8 @@
 //!   instruction stream once ([`Recorder`]), validate it once
 //!   ([`ReplayProgram::compile`], with superop fusion), replay it many
 //!   times ([`Controller::run_compiled`]) identically to emission;
+//! * [`epilogue`] — the butterfly epilogues (modular resolve + reduce,
+//!   add, subtract) as typed ops with one canonical expansion each;
 //! * [`wordkern`] — the vectorized word-engine behind both paths: chunked
 //!   storage kernels with runtime-dispatched AVX2 implementations and a
 //!   bit-identical scalar fallback (`BPNTT_FORCE_SCALAR=1` pins it);
@@ -73,6 +75,7 @@
 pub mod array;
 pub mod bitrow;
 pub mod cost;
+pub mod epilogue;
 pub mod error;
 pub mod exec;
 pub mod fault;
@@ -85,6 +88,7 @@ pub mod wordkern;
 pub use array::{SenseResult, SramArray};
 pub use bitrow::BitRow;
 pub use cost::{EnergyModel, TimingModel};
+pub use epilogue::{Epilogue, EpilogueOp, ModRows};
 pub use error::SramError;
 pub use exec::Controller;
 pub use fault::{FaultPlan, FaultStats};

@@ -14,9 +14,16 @@
 //!   round and terminates early. Recording it as a structured op keeps the
 //!   replay *trace* — every executed instruction, in order — bit-identical
 //!   to emission on any data.
+//! * [`EpilogueOp`] — a butterfly epilogue as one typed op
+//!   ([`InstrSink::epilogue`]): the controller runs its canonical
+//!   expansion, the recorder stores the op, and replay runs its word
+//!   kernel (see [`crate::epilogue`]).
 //! * [`ReplayProgram::compile`] — validates every address once against a
-//!   concrete controller's geometry and fuses recognized instruction
-//!   groups, yielding a [`CompiledProgram`]. Programs carry no cost model.
+//!   concrete controller's geometry and lowers the stream, yielding a
+//!   [`CompiledProgram`]. The Algorithm 2 multiplier steps (add-B and
+//!   halve) are still recognized by instruction shape and merged into
+//!   multiplier chains; epilogues arrive typed and need no matching.
+//!   Programs carry no cost model.
 //! * [`Controller::run_compiled`] — the hot path: replays a compiled
 //!   program with no codegen and no validation per instruction. `Stats`
 //!   are integer class counts; `cost.rs` prices cycles and energy from
@@ -54,15 +61,16 @@
 //! ```
 
 use crate::bitrow::BitRow;
+use crate::epilogue::{EpilogueOp, Untimed};
 use crate::error::SramError;
 use crate::exec::Controller;
-use crate::isa::{BitOp, Instruction, RowAddr, ShiftDir, UnaryKind};
+use crate::isa::{BitOp, Instruction, PredMode, RowAddr, ShiftDir, UnaryKind};
 use crate::stats::InstrCounts;
 use crate::wordkern::FastPathKind;
 
 /// A borrowed description of one zero-terminated resolution loop.
 ///
-/// Semantics (exactly the kernels' hand-written loops): up to `max_checks`
+/// Semantics (exactly the epilogue expansions' resolution loops): up to `max_checks`
 /// rounds of *sense `src`'s zero flag; stop if set; otherwise run `body`*.
 #[derive(Debug, Clone, Copy)]
 pub struct ZeroLoopSpec<'a> {
@@ -100,6 +108,16 @@ pub trait InstrSink {
     ///
     /// Propagates simulator faults.
     fn load_row(&mut self, row: RowAddr, data: &BitRow) -> Result<(), SramError>;
+
+    /// Emits one butterfly epilogue. The default runs the op's canonical
+    /// expansion through [`Self::emit`] and [`Self::zero_loop`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator faults from the expansion.
+    fn epilogue(&mut self, op: EpilogueOp) -> Result<(), SramError> {
+        op.expand(self)
+    }
 }
 
 impl InstrSink for Controller {
@@ -113,20 +131,7 @@ impl InstrSink for Controller {
         // max_checks convergence bound covers arbitrary data at loop
         // entry but not mid-loop mutation.
         self.fault_tick();
-        for _ in 0..spec.max_checks {
-            self.execute(&Instruction::CheckZero { src: spec.src })?;
-            if self.zero_flag() {
-                break;
-            }
-            for i in spec.body {
-                self.execute(i)?;
-            }
-        }
-        debug_assert!(
-            self.zero_flag(),
-            "resolution loop must converge within max_checks"
-        );
-        Ok(())
+        self.run_zero_loop(spec)
     }
 
     fn load_row(&mut self, row: RowAddr, data: &BitRow) -> Result<(), SramError> {
@@ -138,6 +143,12 @@ impl InstrSink for Controller {
         }
         self.load_data_row(row.index(), data.clone());
         Ok(())
+    }
+
+    fn epilogue(&mut self, op: EpilogueOp) -> Result<(), SramError> {
+        // One batch boundary per op, so no fault lands inside its loops.
+        self.fault_tick();
+        op.expand(&mut Untimed(self))
     }
 }
 
@@ -162,6 +173,8 @@ pub enum ReplayOp {
         /// Maximum number of zero-flag checks.
         max_checks: usize,
     },
+    /// A typed butterfly epilogue.
+    Epilogue(EpilogueOp),
 }
 
 /// A recorded instruction stream, independent of any controller.
@@ -211,25 +224,20 @@ impl ReplayProgram {
             loads: Vec::new(),
             addbs: Vec::new(),
             halves: Vec::new(),
-            resolve_rounds: Vec::new(),
             chains: Vec::new(),
-            resolve_loops: Vec::new(),
-            csadds: Vec::new(),
-            condsels: Vec::new(),
-            condcopies: Vec::new(),
+            epilogues: Vec::new(),
+            masks: Vec::new(),
+            epilogue_counts: Vec::new(),
             addb_counts: InstrCounts::default(),
+            addb_if_counts: InstrCounts::default(),
             halve_counts: InstrCounts::default(),
-            resolve_round_counts: InstrCounts::default(),
-            csadd_counts: InstrCounts::default(),
-            condsel_counts: InstrCounts::default(),
-            condcopy_counts: InstrCounts::default(),
             rows: ctl.rows(),
             cols: ctl.cols(),
             tile_width: ctl.tile_width(),
             fast_path: ctl.fast_path_kind(),
         };
         // Straight-line instructions are buffered per segment so the
-        // superop matcher sees whole windows.
+        // multiplier-step matchers see whole windows.
         let mut segment: Vec<Instruction> = Vec::new();
         for op in &self.ops {
             match op {
@@ -269,30 +277,17 @@ impl ReplayProgram {
                         max_checks: *max_checks,
                         body,
                     });
-                    let loop_idx = (prog.loops.len() - 1) as u32;
-                    // Loop-level fusion: a body that is exactly one
-                    // carry-resolution round on the checked row runs with
-                    // the rows borrowed once across every iteration.
-                    let fused = match prog.body_ctrl[body.0 as usize..body.1 as usize] {
-                        [Ctrl::ResolveRound { idx }] => {
-                            let round = &prog.resolve_rounds[idx as usize];
-                            (round.c == src.0).then_some((round.s, round.c))
-                        }
-                        _ => None,
-                    };
-                    if let Some((s, c)) = fused {
-                        prog.resolve_loops.push(ResolveLoopOp {
-                            s,
-                            c,
-                            max_checks: *max_checks,
-                            fallback_loop: loop_idx,
-                        });
-                        prog.ctrl.push(Ctrl::ResolveLoop {
-                            idx: (prog.resolve_loops.len() - 1) as u32,
-                        });
-                    } else {
-                        prog.ctrl.push(Ctrl::Loop { idx: loop_idx });
-                    }
+                    prog.ctrl.push(Ctrl::Loop {
+                        idx: (prog.loops.len() - 1) as u32,
+                    });
+                }
+                ReplayOp::Epilogue(op) => {
+                    prog.flush_segment(ctl, &mut segment, false)?;
+                    let step = prog.lower_epilogue(ctl, op)?;
+                    prog.epilogues.push(step);
+                    prog.ctrl.push(Ctrl::Epilogue {
+                        idx: (prog.epilogues.len() - 1) as u32,
+                    });
                 }
             }
         }
@@ -310,8 +305,28 @@ fn distinct(rows: &[u16]) -> bool {
         .all(|(i, a)| rows[i + 1..].iter().all(|b| a != b))
 }
 
-/// Matches the add-B half-adder pass emitted by Algorithm 2 lines 6–9.
-fn match_addb(w: &[Instruction]) -> Option<AddBOp> {
+/// Matches the add-B half-adder pass emitted by Algorithm 2 lines 6–9,
+/// optionally led by the `Check` that latches its predicate from the
+/// multiplier row (`modmul_data`'s per-bit step). Returns the op and the
+/// number of instructions it covers.
+fn match_addb(w: &[Instruction]) -> Option<(AddBOp, usize)> {
+    if let Instruction::Check { src, bit } = *w.first()? {
+        let mut op = match_addb_core(&w[1..])?;
+        // The latch row is only read, but it must not be an accumulator
+        // row, whose value changes along a chain.
+        let latchable = op.pred == PredMode::IfSet
+            && ![op.sum, op.carry, op.t_sum, op.t_carry].contains(&src.0);
+        if !latchable {
+            return None;
+        }
+        op.latch = Some((src.0, bit));
+        return Some((op, 5));
+    }
+    match_addb_core(w).map(|op| (op, 4))
+}
+
+/// Matches the four add-B instructions themselves.
+fn match_addb_core(w: &[Instruction]) -> Option<AddBOp> {
     use crate::isa::PredMode as P;
     use Instruction as I;
     let (tc, s, b, ts, pred) = match *w.first()? {
@@ -377,6 +392,7 @@ fn match_addb(w: &[Instruction]) -> Option<AddBOp> {
         t_sum: ts,
         t_carry: tc,
         pred,
+        latch: None,
         fallback: (0, 0),
     })
 }
@@ -468,132 +484,6 @@ fn match_halve(w: &[Instruction]) -> Option<HalveOp> {
     })
 }
 
-/// Matches one carry-resolution round: `c, s = (s ∧ c) << 1, s ⊕ c` in a
-/// single dual write-back activation with a tile-masked fused shift.
-fn match_resolve_round(w: &[Instruction]) -> Option<ResolveRoundOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    match *w.first()? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::Xor)),
-            shift: Some((ShiftDir::Left, true)),
-            pred: P::Always,
-        } if dst == src1 && src0 == d2 && src0 != src1 => Some(ResolveRoundOp {
-            s: src0.0,
-            c: src1.0,
-            fallback: (0, 0),
-        }),
-        _ => None,
-    }
-}
-
-/// Matches the conditional-select epilogue of `add_mod`.
-fn match_condsel(w: &[Instruction]) -> Option<CondSelOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    let (cs, bit) = match *w.first()? {
-        I::Check { src, bit } => (src.0, bit),
-        _ => return None,
-    };
-    let (dst, a) = match *w.get(1)? {
-        I::Unary {
-            dst,
-            src,
-            kind: UnaryKind::Copy,
-            pred: P::IfSet,
-        } => (dst.0, src.0),
-        _ => return None,
-    };
-    let b = match *w.get(2)? {
-        I::Unary {
-            dst: d2,
-            src,
-            kind: UnaryKind::Copy,
-            pred: P::IfClear,
-        } if d2.0 == dst => src.0,
-        _ => return None,
-    };
-    // The executor borrows the three select rows disjointly; the check
-    // source may alias any of them (it is only read, before any write).
-    if !distinct(&[dst, a, b]) {
-        return None;
-    }
-    Some(CondSelOp {
-        check_src: cs,
-        bit,
-        dst,
-        a,
-        b,
-        fallback: (0, 0),
-    })
-}
-
-/// Matches a predicate latch followed by one predicated copy
-/// (`cond_sub_q`'s select tail).
-fn match_condcopy(w: &[Instruction]) -> Option<CondCopyOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    let (cs, bit) = match *w.first()? {
-        I::Check { src, bit } => (src.0, bit),
-        _ => return None,
-    };
-    let (dst, src, pred) = match *w.get(1)? {
-        I::Unary {
-            dst,
-            src,
-            kind: UnaryKind::Copy,
-            pred: pred @ (P::IfSet | P::IfClear),
-        } => (dst.0, src.0, pred),
-        _ => return None,
-    };
-    if dst == src {
-        return None;
-    }
-    Some(CondCopyOp {
-        check_src: cs,
-        bit,
-        dst,
-        src,
-        pred,
-        fallback: (0, 0),
-    })
-}
-
-/// Matches a lone carry-save initiator with its carry pre-shifted
-/// (`d_and, d_xor = (a ∧ b) << 1, a ⊕ b`, tile-masked) over four distinct
-/// rows. Tried after the resolution round, which has the same shape with
-/// aliased rows.
-fn match_csadd(w: &[Instruction]) -> Option<CsAddOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    let (da, a, b, dx) = match *w.first()? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::Xor)),
-            shift: Some((ShiftDir::Left, true)),
-            pred: P::Always,
-        } => (dst.0, src0.0, src1.0, d2.0),
-        _ => return None,
-    };
-    if !distinct(&[da, dx, a, b]) {
-        return None;
-    }
-    Some(CsAddOp {
-        d_and: da,
-        d_xor: dx,
-        a,
-        b,
-        fallback: (0, 0),
-    })
-}
-
 /// Records an instruction stream instead of executing it.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
@@ -636,20 +526,27 @@ impl InstrSink for Recorder {
         });
         Ok(())
     }
+
+    fn epilogue(&mut self, op: EpilogueOp) -> Result<(), SramError> {
+        self.ops.push(ReplayOp::Epilogue(op));
+        Ok(())
+    }
 }
 
 /// Control-stream entry: one unit of replay execution.
 ///
-/// Beyond generic instruction runs, the compiler recognizes the three
-/// instruction shapes that dominate Algorithm 2 — the add-B step, the
-/// Montgomery halve step, and the carry-resolution round — and
-/// lowers each occurrence to a *fused superop*: one pass over the storage
-/// words computing the whole group's final row contents, with
-/// pre-aggregated class counts. Fusion is a pure execution-strategy
-/// change: rows and [`crate::Stats`] are identical to per-instruction
-/// execution, and each superop keeps its original instruction range as a
-/// fallback (taken when a tile mask is active, where the general gating
-/// semantics apply).
+/// Beyond generic instruction runs, the compiler recognizes the two
+/// instruction shapes of Algorithm 2's inner loop — the add-B step and
+/// the Montgomery halve step — and lowers each occurrence to a *fused
+/// superop*: one pass over the storage words computing the whole group's
+/// final row contents, with pre-aggregated class counts; runs of them over
+/// one accumulator merge into a multiplier chain. Butterfly epilogues
+/// arrive as typed ops and lower one-to-one. Fusion is a pure
+/// execution-strategy change: rows and [`crate::Stats`] are identical to
+/// per-instruction execution, and each superop keeps its original
+/// instruction range as a fallback (taken when a tile mask is active,
+/// where the general gating semantics apply); an epilogue falls back to
+/// its expansion.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ctrl {
     /// Execute `len` consecutive instructions starting at `start`.
@@ -662,26 +559,21 @@ pub(crate) enum Ctrl {
     AddB { idx: u32 },
     /// Fused Montgomery halve step (`halves[idx]`).
     Halve { idx: u32 },
-    /// Fused carry-resolution round (`resolve_rounds[idx]`).
-    ResolveRound { idx: u32 },
     /// Fused multiplier chain — a run of add-B/halve steps over one
     /// accumulator row set, rows borrowed once (`chains[idx]`).
     Chain { idx: u32 },
-    /// Fused carry-save add initiator (`csadds[idx]`).
-    CsAdd { idx: u32 },
-    /// Fused conditional select epilogue (`condsels[idx]`).
-    CondSel { idx: u32 },
-    /// Fused conditional copy epilogue (`condcopies[idx]`).
-    CondCopy { idx: u32 },
-    /// Fully fused carry-resolution loop (`resolve_loops[idx]`).
-    ResolveLoop { idx: u32 },
+    /// Typed butterfly epilogue (`epilogues[idx]`).
+    Epilogue { idx: u32 },
 }
 
 /// One step of a fused multiplier chain.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ChainStep {
     /// Add-B step with its write predication.
-    AddB(crate::isa::PredMode),
+    AddB(PredMode),
+    /// `IfSet` add-B step that first latches its predicate from bit `bit`
+    /// of the chain's multiplier row.
+    AddBIf { bit: u16 },
     /// Montgomery halve step (predicate latched internally).
     Halve,
 }
@@ -696,6 +588,11 @@ pub(crate) struct ChainOp {
     pub t_carry: u16,
     pub b: u16,
     pub modulus: u16,
+    /// The multiplier row [`ChainStep::AddBIf`] steps latch from.
+    pub pred_row: Option<u16>,
+    /// The chain starts by clearing `Sum` and `Carry` (Algorithm 2's
+    /// `P ← 0`).
+    pub clear: bool,
     pub steps: Vec<ChainStep>,
     /// Whole-chain class counts.
     pub counts: InstrCounts,
@@ -703,22 +600,38 @@ pub(crate) struct ChainOp {
     pub fallback_ops: Vec<Ctrl>,
 }
 
-/// A zero-loop whose body is exactly one carry-resolution round: the
-/// whole dynamic loop runs with the two rows borrowed once.
+/// A typed epilogue lowered for replay.
 #[derive(Debug, Clone)]
-pub(crate) struct ResolveLoopOp {
-    pub s: u16,
-    pub c: u16,
-    pub max_checks: usize,
-    /// Generic `LoopStep` index for the masked-state fallback.
-    pub fallback_loop: u32,
+pub(crate) struct EpilogueStep {
+    pub op: EpilogueOp,
+    /// Index into `epilogue_counts` of the expansion's class counts.
+    pub counts: u16,
+    /// Whether the word kernel computes this op exactly
+    /// ([`EpilogueOp::fusable`]).
+    pub fusable: bool,
+    /// Index into `masks` of the final write's tile-mask image.
+    pub final_mask: Option<u16>,
 }
 
 /// A range into the flat instruction arrays.
 type InstrRange = (u32, u32);
 
-/// Fused `P ← P + B` half-adder pass (4 instructions; see
-/// [`ZeroLoopSpec`] docs for the emission shape).
+/// An epilogue's class counts outside its resolution loops, and of one
+/// resolution round.
+type EpilogueCounts = (InstrCounts, InstrCounts);
+
+/// The index of the first entry of a small table that `found` accepts,
+/// appending `make()` when there is none.
+fn intern<T>(table: &mut Vec<T>, found: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> u16 {
+    let idx = table.iter().position(found).unwrap_or_else(|| {
+        table.push(make());
+        table.len() - 1
+    });
+    idx as u16
+}
+
+/// Fused `P ← P + B` half-adder pass (4 instructions, or 5 with its
+/// leading predicate latch).
 #[derive(Debug, Clone)]
 pub(crate) struct AddBOp {
     pub sum: u16,
@@ -726,7 +639,9 @@ pub(crate) struct AddBOp {
     pub carry: u16,
     pub t_sum: u16,
     pub t_carry: u16,
-    pub pred: crate::isa::PredMode,
+    pub pred: PredMode,
+    /// `(row, bit)` of a leading `Check` that latches the predicate.
+    pub latch: Option<(u16, u16)>,
     pub fallback: InstrRange,
 }
 
@@ -738,52 +653,6 @@ pub(crate) struct HalveOp {
     pub t_sum: u16,
     pub t_carry: u16,
     pub modulus: u16,
-    pub fallback: InstrRange,
-}
-
-/// Fused carry-resolution round (one dual write-back binary with a
-/// tile-masked fused shift).
-#[derive(Debug, Clone)]
-pub(crate) struct ResolveRoundOp {
-    pub s: u16,
-    pub c: u16,
-    pub fallback: InstrRange,
-}
-
-/// Fused carry-save add initiator: one dual write-back `Binary`
-/// (`d_and, d_xor = (a ∧ b) << 1, a ⊕ b`, tile-masked shift) executed as
-/// a single pass instead of two scratch-row passes plus two write-backs.
-#[derive(Debug, Clone)]
-pub(crate) struct CsAddOp {
-    pub d_and: u16,
-    pub d_xor: u16,
-    pub a: u16,
-    pub b: u16,
-    pub fallback: InstrRange,
-}
-
-/// Fused conditional select (`add_mod` epilogue): `Check(check_src, bit)`
-/// then `dst ← a` where the predicate is set, `dst ← b` where clear —
-/// three instructions, one latch plus one pass.
-#[derive(Debug, Clone)]
-pub(crate) struct CondSelOp {
-    pub check_src: u16,
-    pub bit: u16,
-    pub dst: u16,
-    pub a: u16,
-    pub b: u16,
-    pub fallback: InstrRange,
-}
-
-/// Fused conditional copy (`cond_sub_q` epilogue): `Check(check_src, bit)`
-/// then one predicated `dst ← src` copy.
-#[derive(Debug, Clone)]
-pub(crate) struct CondCopyOp {
-    pub check_src: u16,
-    pub bit: u16,
-    pub dst: u16,
-    pub src: u16,
-    pub pred: crate::isa::PredMode,
     pub fallback: InstrRange,
 }
 
@@ -824,20 +693,20 @@ pub struct CompiledProgram {
     loads: Vec<LoadStep>,
     pub(crate) addbs: Vec<AddBOp>,
     pub(crate) halves: Vec<HalveOp>,
-    pub(crate) resolve_rounds: Vec<ResolveRoundOp>,
     pub(crate) chains: Vec<ChainOp>,
-    pub(crate) resolve_loops: Vec<ResolveLoopOp>,
-    pub(crate) csadds: Vec<CsAddOp>,
-    pub(crate) condsels: Vec<CondSelOp>,
-    pub(crate) condcopies: Vec<CondCopyOp>,
+    pub(crate) epilogues: Vec<EpilogueStep>,
+    /// Distinct final-write tile-mask images of the epilogues, keyed by
+    /// their `MaskTiles` operands.
+    pub(crate) masks: Vec<((u8, bool), BitRow)>,
+    /// Distinct epilogue class counts, `(outside the loops, one round)`
+    /// (a handful of shapes shared by thousands of ops).
+    pub(crate) epilogue_counts: Vec<EpilogueCounts>,
     /// Class counts of one occurrence of each fused pattern (zero until
     /// the pattern is first fused).
     pub(crate) addb_counts: InstrCounts,
+    /// An add-B step led by its predicate latch.
+    pub(crate) addb_if_counts: InstrCounts,
     pub(crate) halve_counts: InstrCounts,
-    pub(crate) resolve_round_counts: InstrCounts,
-    pub(crate) csadd_counts: InstrCounts,
-    pub(crate) condsel_counts: InstrCounts,
-    pub(crate) condcopy_counts: InstrCounts,
     rows: usize,
     cols: usize,
     tile_width: usize,
@@ -903,38 +772,34 @@ impl CompiledProgram {
         let mut i = 0usize;
         while i < instrs.len() {
             let w = &instrs[i..];
-            /// One fusion attempt: on a match, intern the window as the
-            /// fallback range, record the pattern's class counts
-            /// (identical for every occurrence — they depend only on
-            /// instruction shape), and emit the superop control entry.
-            macro_rules! fuse {
-                ($matcher:ident, $len:expr, $ops:ident, $counts:ident, $ctrl:ident) => {
-                    if let Some(mut op) = $matcher(w) {
-                        op.fallback = self.push_range(ctl, &w[..$len])?;
-                        self.$counts = Self::group_counts(&w[..$len]);
-                        self.$ops.push(op);
-                        let idx = (self.$ops.len() - 1) as u32;
-                        self.push_ctrl(Ctrl::$ctrl { idx }, into_body);
-                        i += $len;
-                        continue;
-                    }
-                };
+            // On a match, intern the window as the fallback range, record
+            // the pattern's class counts (identical for every occurrence —
+            // they depend only on instruction shape) and emit the superop.
+            // Both patterns may lead with a `Check`; the halve is tried
+            // first.
+            if let Some(mut op) = match_halve(w) {
+                op.fallback = self.push_range(ctl, &w[..7])?;
+                self.halve_counts = Self::group_counts(&w[..7]);
+                self.halves.push(op);
+                let idx = (self.halves.len() - 1) as u32;
+                self.push_ctrl(Ctrl::Halve { idx }, into_body);
+                i += 7;
+                continue;
             }
-            // Longest-window first within each leading-instruction family:
-            // `Check`-led (halve > select > copy), `Binary`-led (add-B >
-            // resolve round > carry-save add).
-            fuse!(match_halve, 7, halves, halve_counts, Halve);
-            fuse!(match_condsel, 3, condsels, condsel_counts, CondSel);
-            fuse!(match_condcopy, 2, condcopies, condcopy_counts, CondCopy);
-            fuse!(match_addb, 4, addbs, addb_counts, AddB);
-            fuse!(
-                match_resolve_round,
-                1,
-                resolve_rounds,
-                resolve_round_counts,
-                ResolveRound
-            );
-            fuse!(match_csadd, 1, csadds, csadd_counts, CsAdd);
+            if let Some((mut op, len)) = match_addb(w) {
+                op.fallback = self.push_range(ctl, &w[..len])?;
+                let counts = Self::group_counts(&w[..len]);
+                if op.latch.is_some() {
+                    self.addb_if_counts = counts;
+                } else {
+                    self.addb_counts = counts;
+                }
+                self.addbs.push(op);
+                let idx = (self.addbs.len() - 1) as u32;
+                self.push_ctrl(Ctrl::AddB { idx }, into_body);
+                i += len;
+                continue;
+            }
             // Generic: append to (or start) a straight-line run.
             self.push_instr(ctl, &instrs[i])?;
             let end = self.instrs.len() as u32;
@@ -974,6 +839,29 @@ impl CompiledProgram {
         self.lower_into(ctl, &instrs, into_body)
     }
 
+    /// Validates one epilogue's expansion and lowers it to a replay step.
+    fn lower_epilogue(
+        &mut self,
+        ctl: &Controller,
+        op: &EpilogueOp,
+    ) -> Result<EpilogueStep, SramError> {
+        let shape = op.class_counts(ctl)?;
+        let counts = intern(&mut self.epilogue_counts, |c| *c == shape, || shape);
+        let final_mask = op.final_mask().map(|key| {
+            intern(
+                &mut self.masks,
+                |(k, _)| *k == key,
+                || (key, ctl.mask_tiles_image(key.0, key.1)),
+            )
+        });
+        Ok(EpilogueStep {
+            op: *op,
+            counts,
+            fusable: op.fusable(),
+            final_mask,
+        })
+    }
+
     fn lower_body(
         &mut self,
         ctl: &Controller,
@@ -985,8 +873,9 @@ impl CompiledProgram {
     }
 
     /// Merges top-level runs of add-B/halve superops sharing one
-    /// accumulator row set into multiplier chains, so replay borrows the
-    /// rows once per modular multiplication instead of once per step.
+    /// accumulator row set into multiplier chains, together with the
+    /// accumulator clears before them, so replay borrows the rows once per
+    /// modular multiplication instead of once per step.
     fn chain_pass(&mut self) {
         let old = std::mem::take(&mut self.ctrl);
         let mut out: Vec<Ctrl> = Vec::with_capacity(old.len());
@@ -997,20 +886,26 @@ impl CompiledProgram {
                 i += 1;
                 continue;
             };
-            let (mut b, mut m) = (None, None);
+            let (mut b, mut m, mut pred_row) = (None, None, None);
             let mut steps: Vec<ChainStep> = Vec::new();
             let mut j = i;
             while j < old.len() {
                 match old[j] {
                     Ctrl::AddB { idx } => {
                         let op = &self.addbs[idx as usize];
+                        let latch_row = op.latch.map(|(row, _)| row);
                         if (op.sum, op.carry, op.t_sum, op.t_carry) != (s, c, ts, tc)
                             || b.is_some_and(|x| x != op.b)
+                            || latch_row.is_some_and(|r| pred_row.is_some_and(|x| x != r))
                         {
                             break;
                         }
                         b = Some(op.b);
-                        steps.push(ChainStep::AddB(op.pred));
+                        pred_row = pred_row.or(latch_row);
+                        steps.push(match op.latch {
+                            Some((_, bit)) => ChainStep::AddBIf { bit },
+                            None => ChainStep::AddB(op.pred),
+                        });
                     }
                     Ctrl::Halve { idx } => {
                         let op = &self.halves[idx as usize];
@@ -1035,8 +930,16 @@ impl CompiledProgram {
                 for step in &steps {
                     counts += match step {
                         ChainStep::AddB(_) => self.addb_counts,
+                        ChainStep::AddBIf { .. } => self.addb_if_counts,
                         ChainStep::Halve => self.halve_counts,
                     };
+                }
+                let mut fallback_ops = old[i..j].to_vec();
+                let clears = self.split_clears(&mut out, s, c);
+                if let Some(Ctrl::Run { start, len }) = clears {
+                    let range = start as usize..(start + len) as usize;
+                    counts += Self::group_counts(&self.instrs[range]);
+                    fallback_ops.insert(0, Ctrl::Run { start, len });
                 }
                 self.chains.push(ChainOp {
                     sum: s,
@@ -1045,9 +948,11 @@ impl CompiledProgram {
                     t_carry: tc,
                     b: b.unwrap(),
                     modulus: m.unwrap(),
+                    pred_row,
+                    clear: clears.is_some(),
                     steps,
                     counts,
-                    fallback_ops: old[i..j].to_vec(),
+                    fallback_ops,
                 });
                 out.push(Ctrl::Chain {
                     idx: (self.chains.len() - 1) as u32,
@@ -1059,6 +964,39 @@ impl CompiledProgram {
             }
         }
         self.ctrl = out;
+    }
+
+    /// Algorithm 2 opens with `Sum ← 0; Carry ← 0`. When the run just
+    /// emitted before a chain ends with exactly those two clears, splits
+    /// them off into their own two-instruction run and returns it, so the
+    /// chain can start from zero instead.
+    fn split_clears(&self, out: &mut Vec<Ctrl>, s: u16, c: u16) -> Option<Ctrl> {
+        let Some(&Ctrl::Run { start, len }) = out.last() else {
+            return None;
+        };
+        let end = (start + len) as usize;
+        let clears = |i: usize, row: u16| {
+            matches!(self.instrs[i], Instruction::Unary {
+                dst,
+                kind: UnaryKind::Zero,
+                pred: PredMode::Always,
+                ..
+            } if dst.0 == row)
+        };
+        if len < 2 || !clears(end - 2, s) || !clears(end - 1, c) {
+            return None;
+        }
+        out.pop();
+        if len > 2 {
+            out.push(Ctrl::Run {
+                start,
+                len: len - 2,
+            });
+        }
+        Some(Ctrl::Run {
+            start: start + len - 2,
+            len: 2,
+        })
     }
 
     /// The `(sum, carry, t_sum, t_carry)` rows of a chainable entry.
@@ -1076,34 +1014,39 @@ impl CompiledProgram {
         }
     }
 
+    /// Number of top-level control entries replay dispatches (straight-line
+    /// runs, loops, loads, superops, chains and epilogues; loop bodies not
+    /// counted) — the per-call dispatch cost of the program.
+    #[must_use]
+    pub fn control_len(&self) -> usize {
+        self.ctrl.len()
+    }
+
     /// Number of distinct static instructions in the program (loop bodies
     /// and fused-group fallbacks counted once, plus one zero-check per
-    /// loop and one row image per load).
+    /// loop, one row image per load and one op per typed epilogue).
     #[must_use]
     pub fn static_len(&self) -> usize {
-        self.instrs.len() + self.loads.len() + self.loops.len()
+        self.instrs.len() + self.loads.len() + self.loops.len() + self.epilogues.len()
     }
 
-    /// How many fused superops the compiler recognized (a replay-speed
-    /// diagnostic: higher is better).
+    /// How many fused superops the program holds: add-B and halve steps
+    /// plus typed epilogues (a replay-speed diagnostic: higher is better).
     #[must_use]
     pub fn fused_ops(&self) -> usize {
-        self.addbs.len() + self.halves.len() + self.resolve_rounds.len()
+        self.addbs.len() + self.halves.len() + self.epilogues.len()
     }
 
-    /// How many multiplier chains and fused resolution loops the second
-    /// fusion level produced.
+    /// How many multiplier chains the second fusion level produced.
     #[must_use]
     pub fn fused_chains(&self) -> usize {
-        self.chains.len() + self.resolve_loops.len()
+        self.chains.len()
     }
 
-    /// How many butterfly-epilogue superops the compiler fused (carry-save
-    /// initiators, conditional selects/copies) — the instruction groups
-    /// that were generic before the word-engine rework.
+    /// How many typed butterfly epilogues the program holds.
     #[must_use]
     pub fn fused_epilogues(&self) -> usize {
-        self.csadds.len() + self.condsels.len() + self.condcopies.len()
+        self.epilogues.len()
     }
 
     /// The fused chain/loop execution strategy this program compiled to
@@ -1156,38 +1099,31 @@ impl Controller {
     }
 
     fn exec_ctrl(&mut self, prog: &CompiledProgram, c: Ctrl) {
-        /// One fused superop: its word-level executor and the group's
-        /// counts, or the original instruction range when it declines.
-        macro_rules! superop {
-            ($ops:ident, $exec:ident, $counts:ident, $idx:expr) => {{
-                let op = &prog.$ops[$idx as usize];
-                if self.$exec(op) {
-                    self.add_counts(&prog.$counts);
+        match c {
+            Ctrl::Run { start, len } => self.run_instr_range(prog, (start, start + len)),
+            Ctrl::AddB { idx } => {
+                let op = &prog.addbs[idx as usize];
+                if self.exec_addb(op) {
+                    self.add_counts(if op.latch.is_some() {
+                        &prog.addb_if_counts
+                    } else {
+                        &prog.addb_counts
+                    });
                 } else {
                     self.run_instr_range(prog, op.fallback);
                 }
-            }};
-        }
-        match c {
-            Ctrl::Run { start, len } => self.run_instr_range(prog, (start, start + len)),
-            Ctrl::AddB { idx } => superop!(addbs, exec_addb, addb_counts, idx),
-            Ctrl::Halve { idx } => superop!(halves, exec_halve, halve_counts, idx),
-            Ctrl::ResolveRound { idx } => {
-                superop!(
-                    resolve_rounds,
-                    exec_resolve_round,
-                    resolve_round_counts,
-                    idx
-                )
             }
-            Ctrl::CsAdd { idx } => superop!(csadds, exec_csadd, csadd_counts, idx),
-            Ctrl::CondSel { idx } => superop!(condsels, exec_condsel, condsel_counts, idx),
-            Ctrl::CondCopy { idx } => superop!(condcopies, exec_condcopy, condcopy_counts, idx),
+            Ctrl::Halve { idx } => {
+                let op = &prog.halves[idx as usize];
+                if self.exec_halve(op) {
+                    self.add_counts(&prog.halve_counts);
+                } else {
+                    self.run_instr_range(prog, op.fallback);
+                }
+            }
             Ctrl::Chain { idx } => {
                 let op = &prog.chains[idx as usize];
-                if self.exec_chain(
-                    op.sum, op.carry, op.t_sum, op.t_carry, op.b, op.modulus, &op.steps,
-                ) {
+                if self.exec_chain(op) {
                     self.add_counts(&op.counts);
                 } else {
                     for c in &op.fallback_ops {
@@ -1195,17 +1131,14 @@ impl Controller {
                     }
                 }
             }
-            Ctrl::ResolveLoop { idx } => {
-                let op = &prog.resolve_loops[idx as usize];
-                let done =
-                    self.exec_resolve_loop(op.s, op.c, op.max_checks, &prog.resolve_round_counts);
-                if done.is_none() {
-                    self.exec_ctrl(
-                        prog,
-                        Ctrl::Loop {
-                            idx: op.fallback_loop,
-                        },
-                    );
+            Ctrl::Epilogue { idx } => {
+                let step = &prog.epilogues[idx as usize];
+                let mask = step.final_mask.map(|m| &prog.masks[usize::from(m)].1);
+                let counts = &prog.epilogue_counts[usize::from(step.counts)];
+                if !self.exec_epilogue(step, counts, mask) {
+                    step.op
+                        .expand(&mut Untimed(self))
+                        .expect("epilogue rows are validated at compile time");
                 }
             }
             Ctrl::Load { idx } => {

@@ -132,12 +132,14 @@ pub struct FastPathStats {
     /// Multiplier chains executed through the per-step word kernels
     /// (row too wide for the resident window, or scalar dispatch).
     pub chains_per_step: u64,
-    /// Carry-resolution loops executed register-resident.
+    /// Carry-resolution loops of typed epilogues executed
+    /// register-resident (two per epilogue).
     pub resolve_loops_resident: u64,
-    /// Carry-resolution loops executed per-round.
+    /// Carry-resolution loops of typed epilogues executed by the scalar
+    /// epilogue kernel.
     pub resolve_loops_per_step: u64,
-    /// Single-pass superop executions (add-B / halve / resolution rounds /
-    /// butterfly epilogues) that ran fused.
+    /// Fused superop executions: add-B and halve steps outside a chain,
+    /// and typed butterfly epilogues (one each).
     pub superops_fused: u64,
     /// Fused-shape executions that fell back to generic per-instruction
     /// execution (tile mask active, or aliasing rows).

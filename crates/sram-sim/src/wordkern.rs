@@ -12,8 +12,8 @@
 //!   column count is zero. Kernels therefore never handle remainders: an
 //!   elementwise pass is a clean multiple of four words that LLVM
 //!   autovectorizes, and the explicit SIMD paths load whole vectors.
-//! * **Explicit AVX2 for the carry chains.** The add-B, Montgomery-halve,
-//!   and carry-resolution kernels contain a one-bit shift whose
+//! * **Explicit AVX2 for the carry chains.** The add-B and
+//!   Montgomery-halve kernels contain a one-bit shift whose
 //!   carry crosses word boundaries; that loop-carried dependence defeats
 //!   autovectorization, so each gets a hand-written `std::arch` path that
 //!   materializes the shift with a lane permute (`valign`-style) and keeps
@@ -28,22 +28,25 @@
 //!   both settings in CI.
 //! * **Register-resident execution up to four chunks.** Rows of 1–4
 //!   chunks (≤1024 columns — the paper's geometry *and* the HE-batch lane
-//!   counts) execute whole multiplier chains and whole resolution loops
-//!   with every live row held in vector registers, the inter-chunk shift
+//!   counts) execute whole multiplier chains and whole butterfly
+//!   epilogues with every live row held in vector registers, the inter-chunk shift
 //!   carries threaded in-register; see [`FastPathKind`], which each
 //!   geometry decides once instead of re-testing row widths per superop.
 //!
-//! The module also hosts the single-pass bodies of the *epilogue
-//! superops* (carry-save initiator, conditional select/copy) that the
-//! replay compiler fuses out of the butterfly epilogues; those are
-//! (nearly) elementwise and rely on the chunked layout rather than
-//! explicit intrinsics.
+//! The module also hosts the *epilogue kernel*: one word-level body per
+//! typed butterfly epilogue ([`crate::epilogue`]), written once over word
+//! slices and instantiated both plainly and inside an AVX2
+//! `target_feature` wrapper over register-resident local arrays.
 
 // SIMD intrinsics need raw-pointer loads/stores; this module owns the
 // crate's entire unsafe surface (see `#![deny(unsafe_code)]` in lib.rs).
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+use crate::array::SramArray;
+use crate::epilogue::{Epilogue, EpilogueOp};
+use crate::isa::RowAddr;
 
 pub(crate) use crate::bitrow::WORD_CHUNK as CHUNK;
 
@@ -247,86 +250,270 @@ fn halve_scalar(
     }
 }
 
-/// One carry-resolution round over a pre-shifted carry row:
-/// `Carry, Sum = (Sum ∧ Carry) << 1, Sum ⊕ Carry`, the shift tile-masked
-/// via `shl_keep`.
-pub(crate) fn resolve_round(sw: &mut [u64], cw: &mut [u64], shl_keep: &[u64]) {
-    let n = sw.len();
-    assert!(cw.len() == n && shl_keep.len() == n);
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: dispatch guarantees AVX2 is available.
-        unsafe { avx2::resolve_round(sw, cw, shl_keep) };
-        return;
-    }
-    resolve_round_scalar(sw, cw, shl_keep);
-}
-
-fn resolve_round_scalar(sw: &mut [u64], cw: &mut [u64], shl_keep: &[u64]) {
-    let mut carry_in = 0u64;
-    for w in 0..sw.len() {
-        let (s_w, c_w) = (sw[w], cw[w]);
-        let and = s_w & c_w;
-        cw[w] = ((and << 1) | carry_in) & shl_keep[w];
-        carry_in = and >> 63;
-        sw[w] = s_w ^ c_w;
-    }
-}
-
-// ---- epilogue superop kernels ----------------------------------------------
+// ---- butterfly epilogue kernel ---------------------------------------------
 //
-// Single passes over the chunked storage; apart from the initiator's
-// one-bit carry between words they are elementwise, so the plain loops
-// below need no explicit SIMD. All assume every tile is write-enabled
-// (`mask` is the all-enabled column image), which the fused executors
-// guarantee before calling.
+// One kernel runs each typed epilogue (`crate::epilogue`) whole: working
+// copies of its rows go in once, both carry-resolution loops run in place,
+// and the results come out once. `epilogue_body` below is the scalar
+// kernel over word slices (the scalar dispatch, and rows too wide to pin);
+// `avx2::epilogue_chunks` is its register-resident transliteration for
+// rows of up to MAX_RESIDENT_CHUNKS chunks, kept lock-step by this
+// module's tests.
 
-/// Carry-save initiator with the carry pre-shifted: `d_and, d_xor =
-/// (a ∧ b) << 1, a ⊕ b`, the shift tile-masked via `shl_keep` (one dual
-/// write-back `Binary` with a fused shift, as one pass).
-pub(crate) fn csadd(da: &mut [u64], dx: &mut [u64], aw: &[u64], bw: &[u64], shl_keep: &[u64]) {
-    let n = da.len();
-    assert!(dx.len() == n && aw.len() == n && bw.len() == n && shl_keep.len() == n);
+/// Geometry of one epilogue run: column images and loop bounds.
+pub(crate) struct EpiGeom<'a> {
+    /// Keep-mask of a tile-masked left shift.
+    pub shl_keep: &'a [u64],
+    /// Every real column set (the all-tiles write mask).
+    pub valid: &'a [u64],
+    /// Column image of the final write's tile mask (`valid` when none).
+    pub final_mask: &'a [u64],
+    /// Tile-base columns (the predicate latch's select layer).
+    pub base_mask: &'a [u64],
+    pub tile_width: usize,
+    /// Tile-relative bit of the sign `Check` (w − 1).
+    pub msb: usize,
+    /// Zero-flag checks allowed per resolution loop.
+    pub max_checks: usize,
+}
+
+/// How an epilogue's two resolution loops ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LoopTally {
+    /// Resolution rounds executed, both loops together.
+    pub bodies: u64,
+    /// Zero-flag checks executed, both loops together.
+    pub checks: u64,
+    /// Whether the last loop saw a zero carry row (the final zero flag).
+    pub converged: bool,
+}
+
+/// Runs one epilogue on `array`, register-resident when `kind` and the
+/// SIMD dispatch allow it, leaving the expansion's last `Check` latch in
+/// `pm`. The op must be [`EpilogueOp::fusable`]: the kernel reads all its
+/// inputs before it writes. `buf` (five rows of words) holds the scalar
+/// path's working copies. Returns the loop tally and whether the resident
+/// path ran. Caller must hold an all-enabled tile mask.
+pub(crate) fn epilogue(
+    kind: FastPathKind,
+    op: &EpilogueOp,
+    array: &mut SramArray,
+    g: &EpiGeom<'_>,
+    pm: &mut [u64],
+    buf: &mut [u64],
+) -> (LoopTally, bool) {
+    #[cfg(target_arch = "x86_64")]
+    if let FastPathKind::Resident(chunks) = kind {
+        if simd_active() {
+            debug_assert_eq!(pm.len(), usize::from(chunks) * CHUNK);
+            // SAFETY: the dispatch above verified AVX2 support, and every
+            // row and column image spans the geometry's `chunks` chunks.
+            let t = unsafe {
+                match chunks {
+                    1 => avx2::epilogue_chunks::<1>(op, array, g, pm),
+                    2 => avx2::epilogue_chunks::<2>(op, array, g, pm),
+                    3 => avx2::epilogue_chunks::<3>(op, array, g, pm),
+                    _ => avx2::epilogue_chunks::<4>(op, array, g, pm),
+                }
+            };
+            return (t, true);
+        }
+    }
+    let _ = kind;
+    let n = pm.len();
+    let (s, rest) = buf.split_at_mut(n);
+    let (c, rest) = rest.split_at_mut(n);
+    let (ts, rest) = rest.split_at_mut(n);
+    let (tc, d) = rest.split_at_mut(n);
+    let r = &op.rows;
+    let row = |a: RowAddr| array.row(a.index()).words();
+    // `Finish` reads no operands; the constant row stands in.
+    let (dst, x, y) = match op.kind {
+        Epilogue::Finish { dst } => {
+            copy_words(s, row(r.sum));
+            copy_words(c, row(r.carry));
+            (dst, r.comp_modulus, r.comp_modulus)
+        }
+        Epilogue::AddMod { dst, x, y, .. } | Epilogue::SubMod { dst, x, y, .. } => {
+            copy_words(d, row(dst));
+            (Some(dst), x, y)
+        }
+    };
+    let rows = EpiRows {
+        s,
+        c,
+        ts,
+        tc,
+        d,
+        pm,
+    };
+    let t = epilogue_body(&op.kind, rows, row(x), row(y), row(r.comp_modulus), g);
+    let mut put =
+        |a: RowAddr, words: &[u64]| copy_words(array.row_mut(a.index()).words_mut(), words);
+    match op.kind {
+        Epilogue::Finish { .. } => {
+            put(r.sum, s);
+            put(r.carry, c);
+            if let Some(dst) = dst {
+                put(dst, s);
+            }
+        }
+        Epilogue::AddMod { dst, .. } => {
+            put(r.carry, c);
+            put(dst, d);
+        }
+        Epilogue::SubMod { dst, .. } => put(dst, d),
+    }
+    put(r.t_sum, ts);
+    put(r.t_carry, tc);
+    (t, false)
+}
+
+/// Working copies of the rows the scalar epilogue body reads and writes.
+struct EpiRows<'a> {
+    s: &'a mut [u64],
+    c: &'a mut [u64],
+    ts: &'a mut [u64],
+    tc: &'a mut [u64],
+    d: &'a mut [u64],
+    pm: &'a mut [u64],
+}
+
+/// Copies one row image over another a chunk at a time, so short rows
+/// move with inline vector moves rather than a `memcpy` call.
+#[inline]
+fn copy_words(dst: &mut [u64], src: &[u64]) {
+    debug_assert_eq!(dst.len(), src.len());
+    for (d, s) in dst.chunks_exact_mut(CHUNK).zip(src.chunks_exact(CHUNK)) {
+        d.copy_from_slice(s);
+    }
+}
+
+/// One zero-terminated carry-resolution loop over an aligned pair:
+/// up to `max_checks` rounds of *stop if `c` is zero, else
+/// `c, s = (s ∧ c) ≪ 1 (tile-masked), s ⊕ c`*.
+fn resolve_loop(s: &mut [u64], c: &mut [u64], keep: &[u64], max_checks: usize, t: &mut LoopTally) {
+    t.converged = false;
+    for _ in 0..max_checks {
+        t.checks += 1;
+        if c.iter().fold(0, |acc, &w| acc | w) == 0 {
+            t.converged = true;
+            return;
+        }
+        let mut carry_in = 0u64;
+        for ((sw, cw), &k) in s.iter_mut().zip(c.iter_mut()).zip(keep) {
+            let and = *sw & *cw;
+            *sw ^= *cw;
+            *cw = ((and << 1) | carry_in) & k;
+            carry_in = and >> 63;
+        }
+        t.bodies += 1;
+    }
+}
+
+/// Carry-save initiator: `c, s = (a ∧ b) ≪ 1 (tile-masked), a ⊕ b`.
+fn csa(c: &mut [u64], s: &mut [u64], a: &[u64], b: &[u64], keep: &[u64]) {
     let mut carry_in = 0u64;
-    for w in 0..n {
-        let and = aw[w] & bw[w];
-        da[w] = ((and << 1) | carry_in) & shl_keep[w];
+    for i in 0..c.len() {
+        let and = a[i] & b[i];
+        c[i] = ((and << 1) | carry_in) & keep[i];
         carry_in = and >> 63;
-        dx[w] = aw[w] ^ bw[w];
+        s[i] = a[i] ^ b[i];
     }
 }
 
-/// Conditional two-way select: `dst ← a` in pred-set tiles, `dst ← b` in
-/// pred-clear tiles, untouched outside the tile mask (the `Check` +
-/// `Copy IfSet` + `Copy IfClear` epilogue of `add_mod`, fused to one
-/// pass after the predicate latch).
-pub(crate) fn cond_select(dw: &mut [u64], aw: &[u64], bw: &[u64], mask: &[u64], pred: &[u64]) {
-    let n = dw.len();
-    assert!(aw.len() == n && bw.len() == n && mask.len() == n && pred.len() == n);
-    for ((((d, &a), &b), &m), &p) in dw.iter_mut().zip(aw).zip(bw).zip(mask).zip(pred) {
-        let g1 = m & p;
-        let g2 = m & !p;
-        *d = (a & g1) | (b & g2) | (*d & !m);
+/// The scalar epilogue body over word slices: the expansion of
+/// [`crate::epilogue::EpilogueOp::expand`] with every tile enabled at
+/// entry, one statement group per instruction or loop.
+fn epilogue_body(
+    op: &Epilogue,
+    r: EpiRows<'_>,
+    x: &[u64],
+    y: &[u64],
+    comp: &[u64],
+    g: &EpiGeom<'_>,
+) -> LoopTally {
+    let EpiRows {
+        s,
+        c,
+        ts,
+        tc,
+        d,
+        pm,
+    } = r;
+    let keep = g.shl_keep;
+    let mut t = LoopTally::default();
+    match op {
+        Epilogue::Finish { .. } => {
+            let mut carry_in = 0u64;
+            for (cw, &kw) in c.iter_mut().zip(keep) {
+                let v = *cw;
+                *cw = ((v << 1) | carry_in) & kw;
+                carry_in = v >> 63;
+            }
+            resolve_loop(s, c, keep, g.max_checks, &mut t);
+            csa(tc, ts, s, comp, keep);
+            resolve_loop(ts, tc, keep, g.max_checks, &mut t);
+            latch_tile_bit(g.base_mask, g.tile_width, ts, g.msb, pm);
+            // Copy Sum ← t_sum where the sign bit is clear.
+            for i in 0..s.len() {
+                let sel = g.valid[i] & !pm[i];
+                s[i] = (s[i] & !sel) | (ts[i] & sel);
+            }
+        }
+        Epilogue::AddMod { .. } => {
+            csa(tc, ts, x, y, keep);
+            resolve_loop(ts, tc, keep, g.max_checks, &mut t);
+            csa(tc, c, ts, comp, keep);
+            resolve_loop(c, tc, keep, g.max_checks, &mut t);
+            latch_tile_bit(g.base_mask, g.tile_width, c, g.msb, pm);
+            // dst ← t_sum where set, Carry where clear, inside the mask.
+            for i in 0..d.len() {
+                let (m, p) = (g.final_mask[i], pm[i]);
+                d[i] = (ts[i] & m & p) | (c[i] & m & !p) | (d[i] & !m);
+            }
+        }
+        Epilogue::SubMod { .. } => {
+            for i in 0..ts.len() {
+                ts[i] = !x[i] & g.valid[i];
+            }
+            // t_carry, t_sum = (t_sum ∧ y) ≪ 1, t_sum ⊕ y: one round of
+            // the resolution loop with y as the carry operand.
+            let mut carry_in = 0u64;
+            for i in 0..ts.len() {
+                let and = ts[i] & y[i];
+                ts[i] ^= y[i];
+                tc[i] = ((and << 1) | carry_in) & keep[i];
+                carry_in = and >> 63;
+            }
+            resolve_loop(ts, tc, keep, g.max_checks, &mut t);
+            latch_tile_bit(g.base_mask, g.tile_width, ts, g.msb, pm);
+            // The same initiator with 2^w − q, written where the sign bit
+            // is clear (the shift sees the whole row, like the activation).
+            let mut carry_in = 0u64;
+            for i in 0..ts.len() {
+                let sel = g.valid[i] & !pm[i];
+                let and = ts[i] & comp[i];
+                let sh = ((and << 1) | carry_in) & keep[i];
+                carry_in = and >> 63;
+                tc[i] = (sh & sel) | (tc[i] & !sel);
+                ts[i] = ((ts[i] ^ comp[i]) & sel) | (ts[i] & !sel);
+            }
+            resolve_loop(ts, tc, keep, g.max_checks, &mut t);
+            for i in 0..d.len() {
+                let m = g.final_mask[i];
+                d[i] = (!ts[i] & m) | (d[i] & !m);
+            }
+        }
     }
-}
-
-/// Predicate-gated copy: `dst ← src` in pred-set (`if_set`) or pred-clear
-/// tiles (the `Check` + predicated `Copy` tail of `cond_sub_q`, fused to
-/// one pass after the predicate latch).
-pub(crate) fn masked_copy(dw: &mut [u64], sw: &[u64], mask: &[u64], pred: &[u64], if_set: bool) {
-    let n = dw.len();
-    assert!(sw.len() == n && mask.len() == n && pred.len() == n);
-    for (((d, &s), &m), &p) in dw.iter_mut().zip(sw).zip(mask).zip(pred) {
-        let g = if if_set { m & p } else { m & !p };
-        *d = (*d & !g) | (s & g);
-    }
+    t
 }
 
 // ---- register-resident multi-chunk execution -------------------------------
 //
 // Rows of up to MAX_RESIDENT_CHUNKS chunks (1024 bits — the HE-batch
 // 1024-column geometry) qualify for register-resident execution: a whole
-// multiplier chain or resolution loop keeps every live row in vector
+// multiplier chain or butterfly epilogue keeps every live row in vector
 // registers for its entire duration, touching memory only at entry, exit,
 // and the halve steps' predicate-latch spills. This is where the
 // word-engine's speedup actually comes from: the per-step kernels above
@@ -347,7 +534,7 @@ pub(crate) const MAX_RESIDENT_CHUNKS: usize = 4;
 pub(crate) const MAX_RESIDENT_WORDS: usize = MAX_RESIDENT_CHUNKS * CHUNK;
 
 /// How a controller geometry executes fused multiplier chains and
-/// resolution loops. Decided once per geometry (and recorded per
+/// butterfly epilogues. Decided once per geometry (and recorded per
 /// [`CompiledProgram`](crate::CompiledProgram) at compile time), so replay
 /// never re-derives it from the row width per superop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -403,6 +590,10 @@ impl FastPathKind {
 /// Requires `tile_width <= 64` (a tile wider than its smear constant
 /// would broadcast across only 64 of its columns) — the controller
 /// rejects wider tiles at construction, as the whole ISA does.
+///
+/// Always inlined: a call inside a register-resident kernel would spill
+/// every live vector register around it.
+#[inline(always)]
 pub(crate) fn latch_tile_bit(
     base_mask: &[u64],
     tile_width: usize,
@@ -435,8 +626,10 @@ pub(crate) fn latch_tile_bit(
 /// Runs a whole multiplier chain (add-B / halve steps over one accumulator
 /// row set) register-resident when `kind` and the SIMD dispatch allow it;
 /// memory is touched once on entry, once per halve-latch spill, and once
-/// on exit. `pred_mask` is read at entry and left holding the last halve's
-/// latch image — exactly the state per-step execution leaves. Caller must
+/// on exit. `pred_row` is the multiplier row `AddBIf` steps latch from
+/// (empty when the chain has none). `pred_mask` is read at entry and left
+/// holding the last latch image — exactly the state per-step execution
+/// leaves. Caller must
 /// hold an all-enabled tile mask. Returns `false` (rows untouched) when
 /// the geometry or dispatch demands the per-step path.
 #[allow(clippy::too_many_arguments)]
@@ -448,6 +641,7 @@ pub(crate) fn chain_resident(
     tcw: &mut [u64],
     bw: &[u64],
     mw: &[u64],
+    pred_row: &[u64],
     pred_mask: &mut [u64],
     shr_keep: &[u64],
     steps: &[crate::program::ChainStep],
@@ -467,16 +661,20 @@ pub(crate) fn chain_resident(
         unsafe {
             match chunks {
                 1 => avx2::chain_chunks::<1>(
-                    sw, cw, tsw, tcw, bw, mw, pred_mask, shr_keep, steps, base_mask, tile_width,
+                    sw, cw, tsw, tcw, bw, mw, pred_row, pred_mask, shr_keep, steps, base_mask,
+                    tile_width,
                 ),
                 2 => avx2::chain_chunks::<2>(
-                    sw, cw, tsw, tcw, bw, mw, pred_mask, shr_keep, steps, base_mask, tile_width,
+                    sw, cw, tsw, tcw, bw, mw, pred_row, pred_mask, shr_keep, steps, base_mask,
+                    tile_width,
                 ),
                 3 => avx2::chain_chunks::<3>(
-                    sw, cw, tsw, tcw, bw, mw, pred_mask, shr_keep, steps, base_mask, tile_width,
+                    sw, cw, tsw, tcw, bw, mw, pred_row, pred_mask, shr_keep, steps, base_mask,
+                    tile_width,
                 ),
                 _ => avx2::chain_chunks::<4>(
-                    sw, cw, tsw, tcw, bw, mw, pred_mask, shr_keep, steps, base_mask, tile_width,
+                    sw, cw, tsw, tcw, bw, mw, pred_row, pred_mask, shr_keep, steps, base_mask,
+                    tile_width,
                 ),
             }
         }
@@ -485,47 +683,10 @@ pub(crate) fn chain_resident(
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (
-            kind, sw, cw, tsw, tcw, bw, mw, pred_mask, shr_keep, steps, base_mask, tile_width,
+            kind, sw, cw, tsw, tcw, bw, mw, pred_row, pred_mask, shr_keep, steps, base_mask,
+            tile_width,
         );
         false
-    }
-}
-
-/// Runs a whole zero-terminated carry-resolution loop register-resident.
-/// Returns `Some((bodies, checks, converged))` — the caller counts one
-/// check per iteration and one round per body and sets the zero flag to
-/// `converged` — or `None` when
-/// the geometry or dispatch demands the per-round path.
-pub(crate) fn resolve_loop_resident(
-    kind: FastPathKind,
-    sw: &mut [u64],
-    cw: &mut [u64],
-    shl_keep: &[u64],
-    max_checks: usize,
-) -> Option<(usize, u64, bool)> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let FastPathKind::Resident(chunks) = kind else {
-            return None;
-        };
-        if !simd_active() {
-            return None;
-        }
-        debug_assert_eq!(sw.len(), usize::from(chunks) * CHUNK);
-        // SAFETY: the dispatch above verified AVX2 support.
-        unsafe {
-            Some(match chunks {
-                1 => avx2::resolve_loop_chunks::<1>(sw, cw, shl_keep, max_checks),
-                2 => avx2::resolve_loop_chunks::<2>(sw, cw, shl_keep, max_checks),
-                3 => avx2::resolve_loop_chunks::<3>(sw, cw, shl_keep, max_checks),
-                _ => avx2::resolve_loop_chunks::<4>(sw, cw, shl_keep, max_checks),
-            })
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (kind, sw, cw, shl_keep, max_checks);
-        None
     }
 }
 
@@ -534,6 +695,9 @@ pub(crate) fn resolve_loop_resident(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{latch_tile_bit, CHUNK, MAX_RESIDENT_WORDS};
+    use crate::array::SramArray;
+    use crate::epilogue::{Epilogue, EpilogueOp};
+    use crate::isa::RowAddr;
     use std::arch::x86_64::{
         __m256i, _mm256_and_si256, _mm256_andnot_si256, _mm256_blend_epi32, _mm256_extract_epi64,
         _mm256_loadu_si256, _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_set1_epi64x,
@@ -684,25 +848,6 @@ mod avx2 {
         }
     }
 
-    /// AVX2 transliteration of [`super::resolve_round_scalar`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn resolve_round(sw: &mut [u64], cw: &mut [u64], shl_keep: &[u64]) {
-        let mut carry = 0u64;
-        let mut i = 0;
-        while i < sw.len() {
-            // SAFETY: all slices share the same CHUNK-multiple length.
-            unsafe {
-                let c = load(cw, i);
-                let s = load(sw, i);
-                let (and_sh, nc) = shl1_chain(_mm256_and_si256(s, c), carry);
-                carry = nc;
-                store(cw, i, _mm256_and_si256(and_sh, load(shl_keep, i)));
-                store(sw, i, _mm256_xor_si256(s, c));
-            }
-            i += CHUNK;
-        }
-    }
-
     /// Loads `K` consecutive chunks of a row into a register array.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -748,6 +893,7 @@ mod avx2 {
         tcw: &mut [u64],
         bw: &[u64],
         mw: &[u64],
+        pred_row: &[u64],
         pred_mask: &mut [u64],
         shr_keep: &[u64],
         steps: &[crate::program::ChainStep],
@@ -783,8 +929,19 @@ mod avx2 {
                             c[k] = _mm256_or_si256(c2, c1);
                         }
                     }
-                    ChainStep::AddB(_) => {
-                        // IfSet (IfClear is never matched into add-B ops).
+                    ChainStep::AddB(_) | ChainStep::AddBIf { .. } => {
+                        // IfSet (IfClear is never matched into add-B ops),
+                        // latched first from the multiplier row when the
+                        // step carries its own `Check`.
+                        if let ChainStep::AddBIf { bit } = *step {
+                            latch_tile_bit(
+                                base_mask,
+                                tile_width,
+                                pred_row,
+                                usize::from(bit),
+                                &mut pm_buf[..K * CHUNK],
+                            );
+                        }
                         let mut carry = 0u64;
                         for k in 0..K {
                             let b = load(bw, k * CHUNK);
@@ -881,42 +1038,192 @@ mod avx2 {
         _mm256_testz_si256(any, any) == 1
     }
 
-    /// Register-resident carry-resolution loop over a `K`-chunk row pair
-    /// (see [`super::resolve_loop_resident`]).
+    /// `(v ≪ 1) ∧ keep` over a register-resident row (the tile-masked
+    /// left shift), with the carries threaded between chunks.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn resolve_loop_chunks<const K: usize>(
-        sw: &mut [u64],
-        cw: &mut [u64],
-        shl_keep: &[u64],
-        max_checks: usize,
-    ) -> (usize, u64, bool) {
-        // SAFETY: all slices are K chunks long (caller contract).
-        unsafe {
-            let mut s = load_row::<K>(sw);
-            let mut c = load_row::<K>(cw);
-            let shl = load_row::<K>(shl_keep);
-            let mut bodies = 0usize;
-            let mut checks = 0u64;
-            let mut converged = false;
-            for _ in 0..max_checks {
-                checks += 1;
-                if is_zero_regs(&c) {
-                    converged = true;
-                    break;
-                }
-                let mut carry = 0u64;
-                for k in 0..K {
-                    let (and_sh, nc) = shl1_chain(_mm256_and_si256(s[k], c[k]), carry);
-                    carry = nc;
-                    s[k] = _mm256_xor_si256(s[k], c[k]);
-                    c[k] = _mm256_and_si256(and_sh, shl[k]);
-                }
-                bodies += 1;
-            }
-            store_row::<K>(sw, &s);
-            store_row::<K>(cw, &c);
-            (bodies, checks, converged)
+    fn shl_keep<const K: usize>(v: &[__m256i; K], keep: &[__m256i; K]) -> [__m256i; K] {
+        let mut out = *v;
+        let mut carry = 0u64;
+        for k in 0..K {
+            let (sh, nc) = shl1_chain(v[k], carry);
+            carry = nc;
+            out[k] = _mm256_and_si256(sh, keep[k]);
         }
+        out
+    }
+
+    /// Carry-save initiator in registers: `((a ∧ b) ≪ 1 ∧ keep, a ⊕ b)`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn csa_regs<const K: usize>(
+        a: &[__m256i; K],
+        b: &[__m256i; K],
+        keep: &[__m256i; K],
+    ) -> ([__m256i; K], [__m256i; K]) {
+        let (mut and, mut xor) = (*a, *a);
+        for k in 0..K {
+            and[k] = _mm256_and_si256(a[k], b[k]);
+            xor[k] = _mm256_xor_si256(a[k], b[k]);
+        }
+        (shl_keep(&and, keep), xor)
+    }
+
+    /// Register-resident transliteration of [`super::resolve_loop`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn resolve_regs<const K: usize>(
+        s: &mut [__m256i; K],
+        c: &mut [__m256i; K],
+        keep: &[__m256i; K],
+        max_checks: usize,
+        t: &mut super::LoopTally,
+    ) {
+        t.converged = false;
+        for _ in 0..max_checks {
+            t.checks += 1;
+            if is_zero_regs(c) {
+                t.converged = true;
+                return;
+            }
+            let (sh, xor) = csa_regs(s, c, keep);
+            *c = sh;
+            *s = xor;
+            t.bodies += 1;
+        }
+    }
+
+    /// The sign `Check` of a register-resident row: spills it, runs the
+    /// scalar latch into `pm`, and returns the predicate image. Always
+    /// inlined into its AVX2 caller, so no call spills the live rows.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and `pm` is `K` chunks long.
+    #[inline(always)]
+    unsafe fn latch_regs<const K: usize>(
+        v: &[__m256i; K],
+        g: &super::EpiGeom<'_>,
+        pm: &mut [u64],
+    ) -> [__m256i; K] {
+        let mut spill = [0u64; MAX_RESIDENT_WORDS];
+        // SAFETY: `pm` and the spill prefix are K chunks long.
+        unsafe {
+            store_row::<K>(&mut spill[..K * CHUNK], v);
+            latch_tile_bit(g.base_mask, g.tile_width, &spill[..K * CHUNK], g.msb, pm);
+            load_row::<K>(pm)
+        }
+    }
+
+    /// `(a ∧ g) ∨ (b ∧ ¬g)` per chunk.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn blend_regs<const K: usize>(
+        g: &[__m256i; K],
+        a: &[__m256i; K],
+        b: &[__m256i; K],
+    ) -> [__m256i; K] {
+        let mut out = *a;
+        for k in 0..K {
+            out[k] = _mm256_or_si256(
+                _mm256_and_si256(a[k], g[k]),
+                _mm256_andnot_si256(g[k], b[k]),
+            );
+        }
+        out
+    }
+
+    /// `¬p ∧ m` per chunk.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn andnot_regs<const K: usize>(p: &[__m256i; K], m: &[__m256i; K]) -> [__m256i; K] {
+        let mut out = *m;
+        for k in 0..K {
+            out[k] = _mm256_andnot_si256(p[k], m[k]);
+        }
+        out
+    }
+
+    /// Storage words of array row `r`.
+    fn row_mut(array: &mut SramArray, r: RowAddr) -> &mut [u64] {
+        array.row_mut(r.index()).words_mut()
+    }
+
+    /// Register-resident transliteration of [`super::epilogue_body`] over
+    /// `K`-chunk rows (see [`super::epilogue`]): inputs load straight from
+    /// the array into registers and results store straight back.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and every row of `array`, every column image
+    /// of `g` and `pm` is `K` chunks long.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn epilogue_chunks<const K: usize>(
+        op: &EpilogueOp,
+        array: &mut SramArray,
+        g: &super::EpiGeom<'_>,
+        pm: &mut [u64],
+    ) -> super::LoopTally {
+        let mut t = super::LoopTally::default();
+        let r = &op.rows;
+        // SAFETY: every row and column image is K chunks long (caller
+        // contract).
+        unsafe {
+            let ld = |a: RowAddr| load_row::<K>(array.row(a.index()).words());
+            let keep = load_row::<K>(g.shl_keep);
+            let valid = load_row::<K>(g.valid);
+            let comp = ld(r.comp_modulus);
+            match op.kind {
+                Epilogue::Finish { dst } => {
+                    let mut s = ld(r.sum);
+                    let mut c = shl_keep(&ld(r.carry), &keep);
+                    resolve_regs(&mut s, &mut c, &keep, g.max_checks, &mut t);
+                    let (mut tc, mut ts) = csa_regs(&s, &comp, &keep);
+                    resolve_regs(&mut ts, &mut tc, &keep, g.max_checks, &mut t);
+                    let p = latch_regs(&ts, g, pm);
+                    let s = blend_regs(&andnot_regs(&p, &valid), &ts, &s);
+                    store_row::<K>(row_mut(array, r.sum), &s);
+                    store_row::<K>(row_mut(array, r.carry), &c);
+                    store_row::<K>(row_mut(array, r.t_sum), &ts);
+                    store_row::<K>(row_mut(array, r.t_carry), &tc);
+                    if let Some(dst) = dst {
+                        store_row::<K>(row_mut(array, dst), &s);
+                    }
+                }
+                Epilogue::AddMod { dst, x, y, .. } => {
+                    let (mut tc, mut ts) = csa_regs(&ld(x), &ld(y), &keep);
+                    let d = ld(dst);
+                    resolve_regs(&mut ts, &mut tc, &keep, g.max_checks, &mut t);
+                    let (mut tc, mut c) = csa_regs(&ts, &comp, &keep);
+                    resolve_regs(&mut c, &mut tc, &keep, g.max_checks, &mut t);
+                    let p = latch_regs(&c, g, pm);
+                    let m = load_row::<K>(g.final_mask);
+                    let d = blend_regs(&m, &blend_regs(&p, &ts, &c), &d);
+                    store_row::<K>(row_mut(array, r.carry), &c);
+                    store_row::<K>(row_mut(array, r.t_sum), &ts);
+                    store_row::<K>(row_mut(array, r.t_carry), &tc);
+                    store_row::<K>(row_mut(array, dst), &d);
+                }
+                Epilogue::SubMod { dst, x, y, .. } => {
+                    let nx = andnot_regs(&ld(x), &valid);
+                    let (mut tc, mut ts) = csa_regs(&nx, &ld(y), &keep);
+                    let d = ld(dst);
+                    resolve_regs(&mut ts, &mut tc, &keep, g.max_checks, &mut t);
+                    let p = latch_regs(&ts, g, pm);
+                    let sel = andnot_regs(&p, &valid);
+                    let (sh, sum) = csa_regs(&ts, &comp, &keep);
+                    let mut tc = blend_regs(&sel, &sh, &tc);
+                    let mut ts = blend_regs(&sel, &sum, &ts);
+                    resolve_regs(&mut ts, &mut tc, &keep, g.max_checks, &mut t);
+                    let m = load_row::<K>(g.final_mask);
+                    let d = blend_regs(&m, &andnot_regs(&ts, &m), &d);
+                    store_row::<K>(row_mut(array, r.t_sum), &ts);
+                    store_row::<K>(row_mut(array, r.t_carry), &tc);
+                    store_row::<K>(row_mut(array, dst), &d);
+                }
+            }
+        }
+        t
     }
 }
 
@@ -969,7 +1276,6 @@ mod tests {
                 let bw = rng_words(n, seed * 11);
                 let mask = keep_words(n, 0x8000_0001);
                 let pred = rng_words(n, seed * 13);
-                let shl = keep_words(n, 1);
                 let shr = keep_words(n, 0x8000_0000_0000_0000);
                 for if_set in [false, true] {
                     let mut s1 = rng_words(n, seed);
@@ -1002,13 +1308,6 @@ mod tests {
                     (&s2, &c2, &ts2, &tc2),
                     "halve n={n}"
                 );
-
-                let mut s1 = rng_words(n, seed + 5);
-                let mut c1 = rng_words(n, seed + 6);
-                let (mut s2, mut c2) = (s1.clone(), c1.clone());
-                resolve_round_scalar(&mut s1, &mut c1, &shl);
-                unsafe { avx2::resolve_round(&mut s2, &mut c2, &shl) };
-                assert_eq!((&s1, &c1), (&s2, &c2), "resolve n={n}");
             }
         }
     }
@@ -1073,11 +1372,13 @@ mod tests {
         }
     }
 
-    /// Register-resident K-chunk chains and loops match the per-step
-    /// scalar kernels bit for bit, for every resident chunk count.
+    /// Register-resident K-chunk chains and epilogues (with their
+    /// resolution loops) match the per-step scalar kernels bit for bit,
+    /// for every resident chunk count.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn resident_chains_and_loops_match_per_step() {
+        use crate::epilogue::ModRows;
         use crate::isa::PredMode;
         use crate::program::ChainStep;
         if !std::arch::is_x86_feature_detected!("avx2") {
@@ -1098,14 +1399,17 @@ mod tests {
                 ChainStep::Halve,
                 ChainStep::AddB(PredMode::IfSet),
                 ChainStep::Halve,
+                ChainStep::AddBIf { bit: 5 },
                 ChainStep::Halve,
                 ChainStep::AddB(PredMode::IfSet),
                 ChainStep::Halve,
+                ChainStep::AddBIf { bit: 31 },
             ];
 
             // Per-step reference (the exec_chain fallback path, scalar).
             let bw = rng_words(n, seed * 3 + 1);
             let mw = rng_words(n, seed * 3 + 2);
+            let aw = rng_words(n, seed * 3 + 3);
             let mut s1 = rng_words(n, seed * 7 + 1);
             let mut c1 = rng_words(n, seed * 7 + 2);
             let mut ts1 = rng_words(n, seed * 7 + 3);
@@ -1125,6 +1429,10 @@ mod tests {
                         &p1,
                         pred == PredMode::IfSet,
                     ),
+                    ChainStep::AddBIf { bit } => {
+                        latch_tile_bit(&base_mask, TILE, &aw, usize::from(bit), &mut p1);
+                        addb_scalar(&mut s1, &mut c1, &mut ts1, &mut tc1, &bw, &mask, &p1, true);
+                    }
                     ChainStep::Halve => {
                         latch_tile_bit(&base_mask, TILE, &s1, 0, &mut p1);
                         halve_scalar(&mut s1, &mut c1, &mut ts1, &mut tc1, &mw, &p1, &shr);
@@ -1133,7 +1441,7 @@ mod tests {
             }
             unsafe {
                 avx2::chain_chunks::<K>(
-                    &mut s2, &mut c2, &mut ts2, &mut tc2, &bw, &mw, &mut p2, &shr, &steps,
+                    &mut s2, &mut c2, &mut ts2, &mut tc2, &bw, &mw, &aw, &mut p2, &shr, &steps,
                     &base_mask, TILE,
                 );
             }
@@ -1143,25 +1451,68 @@ mod tests {
                 "chain K={K} seed={seed}"
             );
 
-            // Carry-resolution loop: reference is check + per-round kernel.
-            let mut s1 = rng_words(n, seed * 11 + 1);
-            let mut c1 = rng_words(n, seed * 11 + 2);
-            let (mut s2, mut c2) = (s1.clone(), c1.clone());
-            let max_checks = 40;
-            let mut ref_out = (0usize, 0u64, false);
-            for _ in 0..max_checks {
-                ref_out.1 += 1;
-                if c1.iter().all(|&w| w == 0) {
-                    ref_out.2 = true;
-                    break;
-                }
-                resolve_round_scalar(&mut s1, &mut c1, &shl);
-                ref_out.0 += 1;
+            // Each epilogue: the scalar path against the resident one,
+            // from identical random rows (a resolution loop converges
+            // within w + 1 checks from any data).
+            let final_mask = keep_words(n, 0xFFFF_FFFF);
+            let geom = EpiGeom {
+                shl_keep: &shl,
+                valid: &mask,
+                final_mask: &final_mask,
+                base_mask: &base_mask,
+                tile_width: TILE,
+                msb: TILE - 1,
+                max_checks: TILE + 1,
+            };
+            let mut start = SramArray::new(8, K * 256).unwrap();
+            for r in 0..8 {
+                let words = rng_words(n, seed * 13 + r as u64);
+                start.row_mut(r).words_mut().copy_from_slice(&words);
             }
-            let fast =
-                unsafe { avx2::resolve_loop_chunks::<K>(&mut s2, &mut c2, &shl, max_checks) };
-            assert_eq!(ref_out, fast, "resolve loop K={K}");
-            assert_eq!((&s1, &c1), (&s2, &c2), "resolve rows K={K}");
+            let rows = ModRows {
+                sum: RowAddr(0),
+                carry: RowAddr(1),
+                t_sum: RowAddr(2),
+                t_carry: RowAddr(3),
+                comp_modulus: RowAddr(4),
+                bitwidth: TILE as u16,
+            };
+            let (d, x, y, final_mask) = (RowAddr(5), RowAddr(6), RowAddr(7), Some((0, false)));
+            for kind in [
+                Epilogue::Finish { dst: None },
+                Epilogue::Finish { dst: Some(d) },
+                Epilogue::AddMod {
+                    dst: d,
+                    x,
+                    y,
+                    final_mask,
+                },
+                Epilogue::SubMod {
+                    dst: d,
+                    x,
+                    y,
+                    final_mask,
+                },
+            ] {
+                let op = EpilogueOp { rows, kind };
+                let (mut a, mut b) = (start.clone(), start.clone());
+                let (mut pa, mut pb) = (vec![0u64; n], vec![0u64; n]);
+                let mut buf = vec![0u64; 5 * n];
+                let plain = epilogue(FastPathKind::PerStep, &op, &mut a, &geom, &mut pa, &mut buf);
+                let resident = unsafe { avx2::epilogue_chunks::<K>(&op, &mut b, &geom, &mut pb) };
+                assert_eq!(
+                    (plain.0, &pa),
+                    (resident, &pb),
+                    "epilogue {kind:?} loops K={K} seed={seed}"
+                );
+                for r in 0..8 {
+                    assert_eq!(
+                        a.row(r),
+                        b.row(r),
+                        "epilogue {kind:?} row {r} K={K} seed={seed}"
+                    );
+                }
+            }
         }
 
         for seed in 1..=6u64 {
@@ -1172,50 +1523,111 @@ mod tests {
         }
     }
 
+    /// The scalar epilogue kernel leaves rows, the predicate latch, the
+    /// zero flag and the loop counts exactly as a controller running the
+    /// op's expansion instruction by instruction (24-bit tiles, so tiles
+    /// straddle storage words; random rows, operands in [0, q)).
     #[test]
     fn epilogue_kernels_match_reference_semantics() {
-        let n = 8;
-        let a = rng_words(n, 21);
-        let b = rng_words(n, 22);
-        let mask = keep_words(n, 0x11);
-        let pred = rng_words(n, 23);
+        use crate::epilogue::{Epilogue, EpilogueOp, ModRows};
+        use crate::exec::Controller;
+        use crate::isa::RowAddr;
+        use crate::program::InstrSink;
+        use crate::BitRow;
 
-        let shl = keep_words(n, 1);
-        let mut da = rng_words(n, 24);
-        let mut dx = rng_words(n, 25);
-        csadd(&mut da, &mut dx, &a, &b, &shl);
-        for w in 0..n {
-            let and = a[w] & b[w];
-            let carry_in = if w == 0 {
-                0
-            } else {
-                (a[w - 1] & b[w - 1]) >> 63
-            };
-            assert_eq!(da[w], ((and << 1) | carry_in) & shl[w]);
-            assert_eq!(dx[w], a[w] ^ b[w]);
-        }
-
-        let mut d = rng_words(n, 28);
-        let before = d.clone();
-        cond_select(&mut d, &a, &b, &mask, &pred);
-        for w in 0..n {
-            let expect =
-                (a[w] & mask[w] & pred[w]) | (b[w] & mask[w] & !pred[w]) | (before[w] & !mask[w]);
-            assert_eq!(d[w], expect);
-        }
-
-        for if_set in [false, true] {
-            let mut d = rng_words(n, 29);
-            let before = d.clone();
-            masked_copy(&mut d, &a, &mask, &pred, if_set);
-            for w in 0..n {
-                let g = if if_set {
-                    mask[w] & pred[w]
-                } else {
-                    mask[w] & !pred[w]
-                };
-                assert_eq!(d[w], (before[w] & !g) | (a[w] & g));
+        const W: usize = 24;
+        const COLS: usize = 240;
+        const Q: u64 = 8_380_417;
+        let n = crate::bitrow::padded_words(COLS);
+        let mut x = 0x5eed_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut start = SramArray::new(8, COLS).unwrap();
+        for r in 0..8 {
+            let mut row = BitRow::zero(COLS);
+            for t in 0..COLS / W {
+                let v = if r == 4 { (1 << W) - Q } else { next() % Q };
+                row.set_tile_word(t, W, v);
             }
+            start.write_row(r, row);
+        }
+        let valid = {
+            let mut v = BitRow::zero(COLS);
+            v.fill_range(0, COLS, true);
+            v
+        };
+        let mut shl_keep = valid.clone();
+        let mut base = BitRow::zero(COLS);
+        for b in (0..COLS).step_by(W) {
+            shl_keep.set_bit(b, false);
+            base.set_bit(b, true);
+        }
+        let geom = EpiGeom {
+            shl_keep: shl_keep.words(),
+            valid: valid.words(),
+            final_mask: valid.words(),
+            base_mask: base.words(),
+            tile_width: W,
+            msb: W - 1,
+            max_checks: W + 1,
+        };
+        let rows = ModRows {
+            sum: RowAddr(0),
+            carry: RowAddr(1),
+            t_sum: RowAddr(2),
+            t_carry: RowAddr(3),
+            comp_modulus: RowAddr(4),
+            bitwidth: W as u16,
+        };
+        let (lo, hi) = (RowAddr(5), RowAddr(6));
+        for kind in [
+            Epilogue::Finish { dst: None },
+            Epilogue::Finish { dst: Some(hi) },
+            Epilogue::AddMod {
+                dst: lo,
+                x: lo,
+                y: rows.sum,
+                final_mask: None,
+            },
+            Epilogue::SubMod {
+                dst: rows.sum,
+                x: lo,
+                y: hi,
+                final_mask: None,
+            },
+        ] {
+            let op = EpilogueOp { rows, kind };
+            let mut reference = Controller::new(start.clone(), W).unwrap();
+            reference.epilogue(op).unwrap();
+
+            let mut array = start.clone();
+            let mut pm = vec![0u64; n];
+            let mut buf = vec![0u64; 5 * n];
+            let (tally, _) = epilogue(
+                FastPathKind::PerStep,
+                &op,
+                &mut array,
+                &geom,
+                &mut pm,
+                &mut buf,
+            );
+            for r in 0..8 {
+                assert_eq!(array.row(r), reference.peek_row(r), "{kind:?}: row {r}");
+            }
+            for t in 0..COLS / W {
+                let latched = (pm[t * W / 64] >> (t * W % 64)) & 1 == 1;
+                assert_eq!(latched, reference.pred(t), "{kind:?}: pred {t}");
+            }
+            assert_eq!(tally.converged, reference.zero_flag(), "{kind:?}");
+            assert_eq!(
+                tally.checks,
+                reference.stats().counts.check_zero,
+                "{kind:?}"
+            );
         }
     }
 }

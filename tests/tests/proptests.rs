@@ -245,6 +245,7 @@ fn replay_like_generic(start: &Controller, recorded: ReplayProgram, what: &str) 
                     max_checks: *max_checks,
                 })
                 .unwrap(),
+            ReplayOp::Epilogue(op) => generic.epilogue(*op).unwrap(),
         }
     }
     let mut replayed = start.clone();
