@@ -24,9 +24,10 @@
 //! multiplier chains matched from the Algorithm 2 steps, and the butterfly
 //! epilogues, which the kernels emit as typed ops
 //! (`CompiledProgram::fused_epilogues` counts them) — and the
-//! `bpntt-sram` word-engine executes both through runtime-dispatched AVX2
-//! kernels with a bit-identical scalar fallback, register-resident for
-//! rows up to four 256-bit chunks (1024 columns). The compiled programs
+//! `bpntt-sram` word-engine executes both through one kernel body per op,
+//! run on AVX2 lanes or (forced scalar, or no AVX2) on `u64` lanes with
+//! identical bits, register-resident on either for rows up to four
+//! 256-bit chunks (1024 columns). The compiled programs
 //! live in an [`ArtifactCache`] shared by `Arc`: private to a standalone
 //! engine, common to every shard of a [`ShardedBpNtt`](crate::ShardedBpNtt)
 //! and every tenant of an [`NttService`](crate::NttService).

@@ -280,13 +280,9 @@ impl Controller {
     /// row `src` into the predicate column mask (the boolean per-tile view
     /// is derived from the mask on demand).
     fn latch_preds(&mut self, src: usize, bit: usize) {
-        crate::wordkern::latch_tile_bit(
-            &self.tile_base_mask,
-            self.tile_width,
-            self.array.row(src).words(),
-            bit,
-            self.pred_mask.words_mut(),
-        );
+        self.pred_mask.copy_from(self.array.row(src));
+        let pm = self.pred_mask.words_mut();
+        crate::wordkern::latch_tile_bit(&self.tile_base_mask, self.tile_width, bit, pm);
     }
 
     /// Replaces the timing model (e.g. [`TimingModel::conservative`]).
@@ -689,14 +685,18 @@ impl Controller {
             return false;
         };
         crate::wordkern::addb(
-            sum.words_mut(),
-            carry.words_mut(),
-            t_sum.words_mut(),
-            t_carry.words_mut(),
+            &mut [
+                sum.words_mut(),
+                carry.words_mut(),
+                t_sum.words_mut(),
+                t_carry.words_mut(),
+            ],
             b.words(),
             self.mask_cols.words(),
-            self.pred_mask.words(),
-            op.pred == PredMode::IfSet,
+            match op.pred {
+                PredMode::IfSet => self.pred_mask.words(),
+                _ => self.mask_cols.words(),
+            },
         );
         self.fastpath.superops_fused += 1;
         true
@@ -722,10 +722,12 @@ impl Controller {
             return false;
         };
         crate::wordkern::halve(
-            sum.words_mut(),
-            carry.words_mut(),
-            t_sum.words_mut(),
-            t_carry.words_mut(),
+            &mut [
+                sum.words_mut(),
+                carry.words_mut(),
+                t_sum.words_mut(),
+                t_carry.words_mut(),
+            ],
             m.words(),
             self.pred_mask.words(),
             self.shr_keep.words(),
@@ -742,6 +744,7 @@ impl Controller {
     /// counts are added by the caller.
     pub(crate) fn exec_chain(&mut self, op: &crate::program::ChainOp) -> bool {
         use crate::program::ChainStep;
+        use crate::wordkern::{addb, halve, latch_tile_bit, Chain};
         if self.n_masked_off != 0 {
             self.fastpath.fallbacks += 1;
             return false;
@@ -766,64 +769,52 @@ impl Controller {
             self.fastpath.fallbacks += 1;
             return false;
         };
-        let sw = sum.words_mut();
-        let cw = carry.words_mut();
+        let mut acc = [
+            sum.words_mut(),
+            carry.words_mut(),
+            t_sum.words_mut(),
+            t_carry.words_mut(),
+        ];
         if op.clear {
             // Algorithm 2's `P ← 0`, folded into the chain.
-            sw.fill(0);
-            cw.fill(0);
+            acc[0].fill(0);
+            acc[1].fill(0);
         }
-        let tsw = t_sum.words_mut();
-        let tcw = t_carry.words_mut();
-        let bw = b.words();
-        let m_words = m.words();
-        if crate::wordkern::chain_resident(
-            self.fast_path,
-            sw,
-            cw,
-            tsw,
-            tcw,
-            bw,
-            m_words,
-            pred_row,
-            self.pred_mask.words_mut(),
-            self.shr_keep.words(),
-            &op.steps,
-            &self.tile_base_mask,
-            self.tile_width,
-        ) {
+        let (bw, mw) = (b.words(), m.words());
+        let (base, width) = (&self.tile_base_mask, self.tile_width);
+        let (pm, shr) = (self.pred_mask.words_mut(), self.shr_keep.words());
+        if let FastPathKind::Resident(chunks) = self.fast_path {
+            let chain = Chain {
+                acc: &mut acc,
+                b: bw,
+                m: mw,
+                pred_row,
+                pm,
+                shr_keep: shr,
+                steps: &op.steps,
+                base_mask: base,
+                tile_width: width,
+            };
+            crate::wordkern::chain_resident(chunks, chain);
             self.fastpath.chains_resident += 1;
             return true;
         }
-        let mw = self.mask_cols.words();
-        let shr = self.shr_keep.words();
+        let mask = self.mask_cols.words();
         for step in &op.steps {
             match *step {
-                ChainStep::AddB(pred) => {
-                    let if_set = pred == PredMode::IfSet;
-                    crate::wordkern::addb(sw, cw, tsw, tcw, bw, mw, self.pred_mask.words(), if_set);
-                }
+                ChainStep::AddB(PredMode::IfSet) => addb(&mut acc, bw, mask, pm),
+                ChainStep::AddB(_) => addb(&mut acc, bw, mask, mask),
                 ChainStep::AddBIf { bit } => {
-                    crate::wordkern::latch_tile_bit(
-                        &self.tile_base_mask,
-                        self.tile_width,
-                        pred_row,
-                        usize::from(bit),
-                        self.pred_mask.words_mut(),
-                    );
-                    crate::wordkern::addb(sw, cw, tsw, tcw, bw, mw, self.pred_mask.words(), true);
+                    pm.copy_from_slice(pred_row);
+                    latch_tile_bit(base, width, usize::from(bit), pm);
+                    addb(&mut acc, bw, mask, pm);
                 }
                 ChainStep::Halve => {
-                    // Inline predicate latch (the Check inside the halve
-                    // pattern), reading Sum through the held borrow.
-                    crate::wordkern::latch_tile_bit(
-                        &self.tile_base_mask,
-                        self.tile_width,
-                        sw,
-                        0,
-                        self.pred_mask.words_mut(),
-                    );
-                    crate::wordkern::halve(sw, cw, tsw, tcw, m_words, self.pred_mask.words(), shr);
+                    // The Check inside the halve pattern, reading Sum
+                    // through the held borrow.
+                    pm.copy_from_slice(acc[0]);
+                    latch_tile_bit(base, width, 0, pm);
+                    halve(&mut acc, mw, pm, shr);
                 }
             }
         }

@@ -130,13 +130,13 @@ pub struct FastPathStats {
     /// Multiplier chains executed register-resident (rows loaded once).
     pub chains_resident: u64,
     /// Multiplier chains executed through the per-step word kernels
-    /// (row too wide for the resident window, or scalar dispatch).
+    /// (row wider than the resident window of four chunks).
     pub chains_per_step: u64,
     /// Carry-resolution loops of typed epilogues executed
     /// register-resident (two per epilogue).
     pub resolve_loops_resident: u64,
-    /// Carry-resolution loops of typed epilogues executed by the scalar
-    /// epilogue kernel.
+    /// Carry-resolution loops of typed epilogues executed over working
+    /// rows in memory (row wider than the resident window).
     pub resolve_loops_per_step: u64,
     /// Fused superop executions: add-B and halve steps outside a chain,
     /// and typed butterfly epilogues (one each).

@@ -166,8 +166,8 @@ proptest! {
 
     /// Wide HE-batch geometries (2-/3-/4-chunk rows) stay equivalent on
     /// both kernel paths — the multi-chunk register-resident chains and
-    /// loops against the per-step scalar reference, with `Stats`
-    /// (counts, cycles and energy bits) pinned.
+    /// loops against per-instruction emission, with `Stats` (counts,
+    /// cycles and energy bits) pinned.
     #[test]
     fn wide_cols_replay_equivalent(seed in any::<u64>()) {
         for scalar in [false, true] {
@@ -181,39 +181,37 @@ proptest! {
 }
 
 /// The register-resident fast paths actually fire under replay — on the
-/// paper geometry *and* the wide HE-batch geometries — and never under
-/// generic emission. This is the coverage telemetry's reason to exist: a
-/// dispatch or matcher regression turns these counters to zero long
-/// before anyone notices a wall-clock mystery.
+/// paper geometry *and* the wide HE-batch geometries, on both word-engine
+/// legs (the `u64` lane runs the same resident kernels as AVX2) — and
+/// never under generic emission. This is the coverage telemetry's reason
+/// to exist: a dispatch or matcher regression turns these counters to
+/// zero long before anyone notices a wall-clock mystery.
 #[test]
 fn resident_fast_paths_fire_on_wide_geometries() {
-    let _guard = pin_dispatch(false);
-    if !bpntt_sram::simd_active() {
-        eprintln!("no SIMD on this host; skipping coverage assertion");
-        return;
-    }
-    for cols in [256usize, 512, 1024] {
-        let cfg = nonaligned_config(cols);
-        let polys = pseudo_batch(&cfg, 1, 42);
-        let mut acc = BpNtt::new(cfg).unwrap();
-        acc.load_batch(&polys).unwrap();
-        acc.forward().unwrap();
-        acc.reset_stats();
-        acc.forward().unwrap();
-        let replay = *acc.fastpath_stats();
-        assert!(replay.chains_resident > 0, "cols={cols}: replay chains");
-        assert!(
-            replay.resolve_loops_resident > 0,
-            "cols={cols}: replay loops"
-        );
-        assert!(replay.superops_fused > 0, "cols={cols}: replay superops");
-        acc.reset_stats();
-        acc.forward_mode(ExecMode::Generic).unwrap();
-        assert_eq!(
-            acc.fastpath_stats().hits(),
-            0,
-            "cols={cols}: generic emission stays per-instruction"
-        );
+    for scalar in [false, true] {
+        let _guard = pin_dispatch(scalar);
+        for cols in [256usize, 512, 1024] {
+            let cfg = nonaligned_config(cols);
+            let polys = pseudo_batch(&cfg, 1, 42);
+            let mut acc = BpNtt::new(cfg).unwrap();
+            acc.load_batch(&polys).unwrap();
+            acc.forward().unwrap();
+            acc.reset_stats();
+            acc.forward().unwrap();
+            let replay = *acc.fastpath_stats();
+            let what = format!("cols={cols} scalar={scalar}");
+            assert!(replay.chains_resident > 0, "{what}: replay chains");
+            assert!(replay.resolve_loops_resident > 0, "{what}: replay loops");
+            assert!(replay.superops_fused > 0, "{what}: replay superops");
+            acc.reset_stats();
+            acc.forward_mode(ExecMode::Generic).unwrap();
+            assert_eq!(
+                acc.fastpath_stats().hits(),
+                0,
+                "{what}: generic emission stays per-instruction"
+            );
+        }
+        bpntt_sram::force_scalar(false);
     }
 }
 
