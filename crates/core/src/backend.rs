@@ -189,9 +189,9 @@ pub trait NttBackend: Send + fmt::Debug {
     /// Resets cost accounting (and the native instruction clock).
     fn reset_stats(&mut self);
 
-    /// Fast-path coverage telemetry: which execution strategy (fused
-    /// superops vs generic) actually ran. Live on both backends — the
-    /// native backend dispatches through the same matchers.
+    /// Fast-path coverage telemetry: which execution strategy (typed-op
+    /// word kernels vs their expansions) actually ran. Live on both
+    /// backends — the native backend replays the same compiled programs.
     fn fastpath_stats(&self) -> &FastPathStats;
 }
 

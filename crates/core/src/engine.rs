@@ -20,10 +20,9 @@
 //! while producing bit-identical array contents and bit-identical
 //! [`Stats`] to direct emission
 //! (see [`BpNtt::forward_mode`] with [`ExecMode::Generic`]). The
-//! compiled stream runs almost entirely as fused word-engine superops —
-//! multiplier chains matched from the Algorithm 2 steps, and the butterfly
-//! epilogues, which the kernels emit as typed ops
-//! (`CompiledProgram::fused_epilogues` counts them) — and the
+//! compiled stream runs almost entirely as typed ops — Algorithm 2
+//! multiplies and butterfly epilogues, which the kernels emit typed
+//! (`CompiledProgram::fused_ops` counts them) — and the
 //! `bpntt-sram` word-engine executes both through one kernel body per op,
 //! run on AVX2 lanes or (forced scalar, or no AVX2) on `u64` lanes with
 //! identical bits, register-resident on either for rows up to four
@@ -624,9 +623,10 @@ impl BpNtt {
     }
 
     /// Word-engine fast-path coverage telemetry accumulated since the
-    /// last [`Self::reset_stats`]: how many fused chains/loops/superops
-    /// actually executed, and which of them ran register-resident. The
-    /// observable for "the fast path silently stopped firing".
+    /// last [`Self::reset_stats`]: how many multiplier chains, epilogues
+    /// and their loops actually executed, and which of them ran
+    /// register-resident. The observable for "the fast path silently
+    /// stopped firing".
     #[must_use]
     pub fn fastpath_stats(&self) -> &FastPathStats {
         self.ctl.fastpath_stats()
@@ -1592,5 +1592,20 @@ mod tests {
         fresh.reset_stats();
         fresh.forward().unwrap();
         assert_eq!(acc.stats(), fresh.stats(), "priced under the new model");
+    }
+
+    /// Every recorded op lowers to one control entry that holds one
+    /// static entry: at the 518×256/24 Dilithium geometry a forward NTT is
+    /// 1024 butterflies of one multiply and three epilogues, an inverse
+    /// adds one copy per butterfly and a multiply plus finish per scaled
+    /// row.
+    #[test]
+    fn compiled_programs_hold_one_static_entry_per_control_entry() {
+        let params = NttParams::new(256, 8_380_417).unwrap();
+        let mut acc = BpNtt::new(BpNttConfig::new(518, 256, 24, params).unwrap()).unwrap();
+        let forward = acc.compiled_forward().unwrap();
+        let inverse = acc.compiled_inverse().unwrap();
+        assert_eq!((forward.control_len(), forward.static_len()), (4096, 4096));
+        assert_eq!((inverse.control_len(), inverse.static_len()), (5632, 5632));
     }
 }

@@ -26,40 +26,27 @@
 //! pointwise multiplication and by multi-tile schedules where each tile
 //! needs a different twiddle).
 //!
-//! **Butterfly epilogues are typed.** Resolving and reducing a product
-//! ([`Kernels::finish_modmul`]), modular add and modular subtract are each
-//! one [`EpilogueOp`] emitted through [`InstrSink::epilogue`]; their
-//! bit-level expansions — carry-save initiators, the zero-terminated
+//! **Multiplies and butterfly epilogues are typed.** An Algorithm 2
+//! multiply ([`Kernels::modmul_const`], [`Kernels::modmul_data`]) is one
+//! [`ModMulOp`] emitted through [`InstrSink::modmul`]; resolving and
+//! reducing a product ([`Kernels::finish_modmul`]), modular add and
+//! modular subtract are each one [`EpilogueOp`] emitted through
+//! [`InstrSink::epilogue`]. Their bit-level expansions — the add-B and
+//! Montgomery halve steps, carry-save initiators, the zero-terminated
 //! carry-resolution loops (the only data dependence in the instruction
-//! stream), the sign `Check` and the predicated select — live with the op
-//! in `bpntt_sram::epilogue`. This module emits no bit-level epilogue
-//! instruction, so there is no epilogue shape to keep in step with a
-//! matcher: the generic controller runs the expansion, the recorder
-//! stores the op, and replay runs its word kernel.
-//!
-//! **The multiplier-step shapes are still a contract.** The replay
-//! compiler (`bpntt_sram::program`) pattern-matches the add-B step
-//! (`And`+`Xor` dual write-back, global `Carry` shift, two half-adder
-//! layers, optionally led by `modmul_data`'s `Check` of the multiplier
-//! bit) and the halve step (`Check` LSB; `Copy M→t_carry` if set; `Zero
-//! t_carry` if clear; `t_sum, t_carry = (Sum ⊕ t_carry) ≫ 1, Sum ∧
-//! t_carry`; two half-adder layers) and merges runs of them, with the
-//! `Zero Sum; Zero Carry` pair that opens each multiply, into
-//! register-resident multiplier chains. Reshaping those emissions silently
-//! degrades replay to the generic path (it stays correct — the replay ≡
-//! `ExecMode::Generic` equivalence proptests still pass — but the
-//! benchmarks regress and the fast-path coverage counters `FastPathStats`
-//! drop, which the CI coverage assertion catches); update the matchers
-//! alongside any change. Pipeline segments (`bpntt_core::pipeline`)
-//! compile each op through these same emitters, one program per op — the
-//! segment boundary is an op boundary, so a fusion or matcher change never
-//! has to reason across ops.
+//! stream), the sign `Check` and the predicated select — live with the
+//! ops in `bpntt_sram::epilogue`. This module emits no bit-level
+//! multiplier or epilogue instruction, so there is no shape to keep in
+//! step with a matcher: the generic controller runs the expansion, the
+//! recorder stores the op, and replay runs its word kernel. Pipeline
+//! segments (`bpntt_core::pipeline`) compile through these same emitters,
+//! one program per pipeline op.
 
 use crate::error::BpNttError;
 use crate::layout::RowMap;
 use bpntt_sram::{
-    BitOp, Epilogue, EpilogueOp, InstrSink, Instruction, ModRows, PredMode, RowAddr, ShiftDir,
-    UnaryKind,
+    Epilogue, EpilogueOp, InstrSink, Instruction, ModMulOp, ModRows, Multiplier, PredMode, RowAddr,
+    ShiftDir, UnaryKind,
 };
 
 /// Emits in-SRAM arithmetic kernels for one modulus / bit-width pair.
@@ -108,32 +95,7 @@ impl Kernels {
         b_row: RowAddr,
         a: u64,
     ) -> Result<(), BpNttError> {
-        let rm = &self.rm;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: rm.sum,
-                src: rm.sum,
-                kind: UnaryKind::Zero,
-                pred: PredMode::Always,
-            },
-        )?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: rm.carry,
-                src: rm.carry,
-                kind: UnaryKind::Zero,
-                pred: PredMode::Always,
-            },
-        )?;
-        for i in 0..self.bitwidth {
-            if (a >> i) & 1 == 1 {
-                self.add_b_step(sink, b_row, PredMode::Always)?;
-            }
-            self.montgomery_halve_step(sink)?;
-        }
-        Ok(())
+        self.modmul(sink, b_row, Multiplier::Const(a))
     }
 
     /// `Sum ← A · B · R⁻¹` in carry-save form with the multiplier read from
@@ -151,197 +113,33 @@ impl Kernels {
         b_row: RowAddr,
         a_row: RowAddr,
     ) -> Result<(), BpNttError> {
-        let rm = &self.rm;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: rm.sum,
-                src: rm.sum,
-                kind: UnaryKind::Zero,
-                pred: PredMode::Always,
-            },
-        )?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: rm.carry,
-                src: rm.carry,
-                kind: UnaryKind::Zero,
-                pred: PredMode::Always,
-            },
-        )?;
-        for i in 0..self.bitwidth {
-            self.exec(
-                sink,
-                Instruction::Check {
-                    src: a_row,
-                    bit: i as u16,
-                },
-            )?;
-            self.add_b_step(sink, b_row, PredMode::IfSet)?;
-            self.montgomery_halve_step(sink)?;
-        }
-        Ok(())
+        self.modmul(sink, b_row, Multiplier::Row(a_row))
     }
 
-    /// Lines 6–9 of Algorithm 2: `P ← P + B` as two half-adder passes.
-    fn add_b_step<S: InstrSink>(
+    fn modmul<S: InstrSink>(
         &self,
         sink: &mut S,
-        b_row: RowAddr,
-        pred: PredMode,
+        b: RowAddr,
+        multiplier: Multiplier,
     ) -> Result<(), BpNttError> {
-        let rm = &self.rm;
-        // c1, s1 = Sum & B, Sum ⊕ B — one activation, two write-backs.
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.t_carry,
-                op: BitOp::And,
-                src0: rm.sum,
-                src1: b_row,
-                dst2: Some((rm.t_sum, BitOp::Xor)),
-                shift: None,
-                pred,
-            },
-        )?;
-        // Carry << 1 (Observation 1: global shift is safe — the previous
-        // iteration's carry MSB is clear in every tile).
-        self.exec(
-            sink,
-            Instruction::Shift {
-                dst: rm.carry,
-                src: rm.carry,
-                dir: ShiftDir::Left,
-                masked: false,
-                pred,
-            },
-        )?;
-        // c2, Sum = Carry & s1, Carry ⊕ s1 — write c2 over Carry itself.
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.carry,
-                op: BitOp::And,
-                src0: rm.carry,
-                src1: rm.t_sum,
-                dst2: Some((rm.sum, BitOp::Xor)),
-                shift: None,
-                pred,
-            },
-        )?;
-        // Carry = c1 | c2.
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.carry,
-                op: BitOp::Or,
-                src0: rm.carry,
-                src1: rm.t_carry,
-                dst2: None,
-                shift: None,
-                pred,
-            },
-        )
-    }
-
-    /// Lines 11–16 of Algorithm 2: `m ← LSB(Sum) ? M : 0`, then
-    /// `P ← (P + m) / 2`. The `m` selection is per-tile predication on the
-    /// constant row `M` into `t_carry` — no extra row is needed, which is
-    /// what keeps the reserved-row budget at the paper's six — and the
-    /// halving is one costless shift on the first half-adder's write-back.
-    fn montgomery_halve_step<S: InstrSink>(&self, sink: &mut S) -> Result<(), BpNttError> {
-        let rm = &self.rm;
-        self.exec(
-            sink,
-            Instruction::Check {
-                src: rm.sum,
-                bit: 0,
-            },
-        )?;
-        // m = M in odd tiles, 0 in even tiles.
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: rm.t_carry,
-                src: rm.modulus,
-                kind: UnaryKind::Copy,
-                pred: PredMode::IfSet,
-            },
-        )?;
-        self.exec(
-            sink,
-            Instruction::Unary {
-                dst: rm.t_carry,
-                src: rm.t_carry,
-                kind: UnaryKind::Zero,
-                pred: PredMode::IfClear,
-            },
-        )?;
-        // c1, s1 = Sum & m, (Sum ⊕ m) >> 1 (fused shift; Observation 2
-        // makes the dropped LSB provably zero).
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.t_sum,
-                op: BitOp::Xor,
-                src0: rm.sum,
-                src1: rm.t_carry,
-                dst2: Some((rm.t_carry, BitOp::And)),
-                shift: Some((ShiftDir::Right, true)),
-                pred: PredMode::Always,
-            },
-        )?;
-        // c2, s2 = s1 & c1, s1 ⊕ c1.
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.t_carry,
-                op: BitOp::And,
-                src0: rm.t_sum,
-                src1: rm.t_carry,
-                dst2: Some((rm.t_sum, BitOp::Xor)),
-                shift: None,
-                pred: PredMode::Always,
-            },
-        )?;
-        // c3, Sum = Carry & s2, Carry ⊕ s2.
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.carry,
-                op: BitOp::And,
-                src0: rm.carry,
-                src1: rm.t_sum,
-                dst2: Some((rm.sum, BitOp::Xor)),
-                shift: None,
-                pred: PredMode::Always,
-            },
-        )?;
-        // Carry = c2 | c3.
-        self.exec(
-            sink,
-            Instruction::Binary {
-                dst: rm.carry,
-                op: BitOp::Or,
-                src0: rm.carry,
-                src1: rm.t_carry,
-                dst2: None,
-                shift: None,
-                pred: PredMode::Always,
-            },
-        )
+        sink.modmul(ModMulOp {
+            rows: self.mod_rows(),
+            b,
+            multiplier,
+        })?;
+        Ok(())
     }
 
     // ---- butterfly epilogues -----------------------------------------------
 
-    /// The rows and width the typed epilogues work in.
+    /// The rows and width the typed multiplies and epilogues work in.
     fn mod_rows(&self) -> ModRows {
         ModRows {
             sum: self.rm.sum,
             carry: self.rm.carry,
             t_sum: self.rm.t_sum,
             t_carry: self.rm.t_carry,
+            modulus: self.rm.modulus,
             comp_modulus: self.rm.comp_modulus,
             bitwidth: self.bitwidth as u16,
         }
@@ -621,9 +419,9 @@ mod tests {
     use crate::layout::Layout;
     use bpntt_sram::{Controller, Recorder, SramArray};
 
-    /// A recorded Cooley–Tukey butterfly replays as four control entries:
-    /// one multiplier chain (with Algorithm 2's accumulator clears) and
-    /// the three typed epilogues — no generic run, no per-loop entry.
+    /// A recorded Cooley–Tukey butterfly replays as four control entries,
+    /// each one static entry: the typed multiply and the three typed
+    /// epilogues — no generic run, no per-loop entry.
     #[test]
     fn ct_butterfly_replays_as_four_control_entries() {
         let layout = Layout::new(518, 256, 24, 256).unwrap();
@@ -636,6 +434,7 @@ mod tests {
             .unwrap();
         let prog = rec.finish().compile(&ctl).unwrap();
         assert_eq!(prog.control_len(), 4);
-        assert_eq!((prog.fused_chains(), prog.fused_epilogues()), (1, 3));
+        assert_eq!(prog.static_len(), 4);
+        assert_eq!((prog.fused_modmuls(), prog.fused_epilogues()), (1, 3));
     }
 }

@@ -432,8 +432,8 @@ impl CompiledPipeline {
         self.segments.len()
     }
 
-    /// Total fused superops across every segment's compiled program —
-    /// the fusion-coverage observable, aggregated the same way
+    /// Total typed ops (multiplies and epilogues) across every segment's
+    /// compiled program, aggregated the same way
     /// `CompiledProgram::fused_ops` reports it per schedule.
     #[must_use]
     pub fn fused_ops(&self) -> usize {

@@ -128,7 +128,7 @@ impl SramArray {
     }
 
     /// Mutably borrows `N` pairwise-distinct rows at once (used by the
-    /// fused superop executors). Returns `None` when indices repeat or
+    /// multiplier-chain kernel). Returns `None` when indices repeat or
     /// fall out of range.
     pub(crate) fn rows_disjoint_mut<const N: usize>(
         &mut self,

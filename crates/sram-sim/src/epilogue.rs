@@ -1,32 +1,41 @@
-//! Butterfly epilogues as typed operations.
+//! Algorithm 2 multiplies and butterfly epilogues as typed operations.
 //!
 //! Every BP-NTT butterfly is one Algorithm 2 multiply followed by the
 //! modular bookkeeping of Algorithm 1, lines 6–8: resolve the carry-save
 //! product and reduce it into `[0, q)`, then one modular add and one
-//! modular subtract. An [`EpilogueOp`] names one of those three steps.
-//! Each has exactly one canonical bit-level expansion into the ISA
-//! ([`EpilogueOp::expand`]), and every execution path agrees with it:
+//! modular subtract. A [`ModMulOp`] names the multiply and an
+//! [`EpilogueOp`] one of the three steps after it. Each has exactly one
+//! canonical bit-level expansion into the ISA ([`ModMulOp::expand`],
+//! [`EpilogueOp::expand`]), and every execution path agrees with it:
 //!
 //! * a [`Controller`](crate::Controller) — the `Generic` oracle — runs the
 //!   expansion instruction by instruction, with one fault-tick batch
-//!   boundary per op (never inside its resolution loops);
+//!   boundary per op (never inside its steps or resolution loops);
 //! * a [`Recorder`](crate::Recorder) stores the op itself;
-//! * compiled replay runs one word kernel per op (`wordkern::epilogue`)
-//!   that keeps the op's rows in registers, runs both of its resolution
-//!   loops in place, and adds the expansion's class counts — so rows,
+//! * compiled replay runs one word kernel per op (`wordkern::Chain` for a
+//!   multiply, `wordkern::epilogue` for an epilogue) that keeps the op's
+//!   rows in registers and adds the expansion's class counts — so rows,
 //!   the predicate latch, the zero flag and [`Stats`](crate::Stats) are
 //!   bit-identical to the expansion. Under an active tile mask, or rows
 //!   aliased in a way the kernel does not model, replay runs the
 //!   expansion instead.
 //!
-//! Adding an epilogue shape means one [`Epilogue`] variant, its expansion
+//! Adding a multiply or epilogue shape means one variant, its expansion
 //! and its word kernel — no instruction matcher.
 //!
 //! # Arithmetic
 //!
 //! Every row holds one `w`-bit word per tile with one headroom bit
-//! (`q < 2^(w−1)`). A carry-save pair `(s, c)` keeps its carry row
-//! pre-shifted, so each carry-resolution round is one activation,
+//! (`q < 2^(w−1)`). A multiply walks the multiplier's `w` bits from the
+//! LSB: a set bit adds `B` into the carry-save accumulator `(Sum, Carry)`,
+//! then every bit adds `M` in tiles whose `Sum` is odd and halves, so the
+//! accumulator ends holding `a · B · 2^(−w)` (mod `q`). A constant
+//! multiplier is "hidden in the control commands" (§IV-D): only its set
+//! bits emit an add-B step. A multiplier row is consumed one `Check`
+//! per bit, so every bit emits a predicated add-B step.
+//!
+//! A carry-save pair `(s, c)` keeps its carry row pre-shifted, so each
+//! carry-resolution round is one activation,
 //! `c, s = (s ∧ c) ≪ 1, s ⊕ c`, with the tile-masked shift riding the
 //! write-back, and the wired-OR zero detector ends the loop early. The
 //! masked shift drops each tile's carry-out, so results are exact mod
@@ -51,10 +60,133 @@ pub struct ModRows {
     pub t_sum: RowAddr,
     /// Half-adder temporary (carry).
     pub t_carry: RowAddr,
+    /// Constant row holding the modulus `M = q` in every tile.
+    pub modulus: RowAddr,
     /// Constant row holding `2^w − q` in every tile.
     pub comp_modulus: RowAddr,
     /// Word width `w` in bits (one tile); the modulus is below `2^(w−1)`.
     pub bitwidth: u16,
+}
+
+/// Where an Algorithm 2 multiply takes its multiplier from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Multiplier {
+    /// A compile-time constant (a twiddle pre-scaled by `R = 2^w`): only
+    /// its set bits emit an add-B step.
+    Const(u64),
+    /// Per-tile values in a row, consumed bit by bit through `Check`
+    /// predication (pointwise products, per-tile twiddles).
+    Row(RowAddr),
+}
+
+/// One Algorithm 2 multiply, `(Sum, Carry) ← a · B · R⁻¹` in carry-save
+/// form with `R = 2^w`: clobbers both temporaries, reads `B` and `M`.
+/// Follow with [`Epilogue::Finish`] to resolve and reduce the product.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ModMulOp {
+    /// The working rows and word width.
+    pub rows: ModRows,
+    /// The multiplicand row `B`.
+    pub b: RowAddr,
+    /// The multiplier `a`.
+    pub multiplier: Multiplier,
+}
+
+impl ModMulOp {
+    /// Emits the canonical bit-level expansion into `sink`: `Sum ← 0;
+    /// Carry ← 0`, then per multiplier bit an add-B step (led by its
+    /// `Check` for a row multiplier) and a Montgomery halve step.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator faults (bad rows, a check bit outside the
+    /// tile).
+    pub fn expand<S: InstrSink + ?Sized>(&self, sink: &mut S) -> Result<(), SramError> {
+        let r = &self.rows;
+        zero(sink, r.sum, PredMode::Always)?;
+        zero(sink, r.carry, PredMode::Always)?;
+        for bit in 0..r.bitwidth {
+            match self.multiplier {
+                Multiplier::Const(a) if (a >> bit) & 1 == 1 => {
+                    self.add_b(sink, PredMode::Always)?
+                }
+                Multiplier::Const(_) => {}
+                Multiplier::Row(src) => {
+                    sink.emit(Instruction::Check { src, bit })?;
+                    self.add_b(sink, PredMode::IfSet)?;
+                }
+            }
+            self.halve(sink)?;
+        }
+        Ok(())
+    }
+
+    /// Lines 6–9 of Algorithm 2, `P ← P + B`, as two half-adder passes in
+    /// the tiles `pred` selects.
+    fn add_b<S: InstrSink + ?Sized>(&self, sink: &mut S, pred: PredMode) -> Result<(), SramError> {
+        let r = &self.rows;
+        half_add(sink, r.t_carry, r.t_sum, r.sum, self.b, pred)?;
+        // Carry ≪ 1 (Observation 1: a global shift is safe — the previous
+        // iteration's carry MSB is clear in every tile).
+        sink.emit(Instruction::Shift {
+            dst: r.carry,
+            src: r.carry,
+            dir: ShiftDir::Left,
+            masked: false,
+            pred,
+        })?;
+        half_add(sink, r.carry, r.sum, r.carry, r.t_sum, pred)?;
+        or_carry(sink, r, pred)
+    }
+
+    /// Lines 11–16 of Algorithm 2: `m ← LSB(Sum) ? M : 0`, then
+    /// `P ← (P + m) / 2`. `m` is selected by predication on `M` into
+    /// `t_carry` — no extra row, which keeps the reserved-row budget at
+    /// the paper's six — and the halving is one costless shift on the
+    /// first half-adder's write-back.
+    fn halve<S: InstrSink + ?Sized>(&self, sink: &mut S) -> Result<(), SramError> {
+        let r = &self.rows;
+        sink.emit(Instruction::Check { src: r.sum, bit: 0 })?;
+        copy(sink, r.t_carry, r.modulus, PredMode::IfSet)?;
+        zero(sink, r.t_carry, PredMode::IfClear)?;
+        // c1, s1 = Sum ∧ m, (Sum ⊕ m) ≫ 1 (Observation 2: the dropped LSB
+        // is zero).
+        sink.emit(Instruction::Binary {
+            dst: r.t_sum,
+            op: BitOp::Xor,
+            src0: r.sum,
+            src1: r.t_carry,
+            dst2: Some((r.t_carry, BitOp::And)),
+            shift: Some((ShiftDir::Right, true)),
+            pred: PredMode::Always,
+        })?;
+        half_add(
+            sink,
+            r.t_carry,
+            r.t_sum,
+            r.t_sum,
+            r.t_carry,
+            PredMode::Always,
+        )?;
+        half_add(sink, r.carry, r.sum, r.carry, r.t_sum, PredMode::Always)?;
+        or_carry(sink, r, PredMode::Always)
+    }
+
+    /// Validates the expansion against `ctl` and returns its class counts
+    /// (data-independent: a multiply has no resolution loop).
+    pub(crate) fn class_counts(&self, ctl: &Controller) -> Result<InstrCounts, SramError> {
+        Ok(Shape::of(ctl, |s| self.expand(s))?.0)
+    }
+
+    /// Whether the chain kernel may run this op. It reads a multiplier
+    /// row once, at entry, so that row must not be an accumulator row;
+    /// replay also falls back when `B`, `M` and the accumulator rows
+    /// overlap, since the kernel borrows them disjointly.
+    pub(crate) fn fusable(&self) -> bool {
+        let r = &self.rows;
+        let acc = [r.sum, r.carry, r.t_sum, r.t_carry];
+        !matches!(self.multiplier, Multiplier::Row(a) if acc.contains(&a))
+    }
 }
 
 /// Which epilogue an [`EpilogueOp`] performs.
@@ -301,13 +433,7 @@ impl EpilogueOp {
         &self,
         ctl: &Controller,
     ) -> Result<(InstrCounts, InstrCounts), SramError> {
-        let mut shape = Shape {
-            ctl,
-            fixed: InstrCounts::default(),
-            round: InstrCounts::default(),
-        };
-        self.expand(&mut shape)?;
-        Ok((shape.fixed, shape.round))
+        Shape::of(ctl, |s| self.expand(s))
     }
 
     /// The final-write tile mask, if any.
@@ -333,6 +459,57 @@ fn copy<S: InstrSink + ?Sized>(
     })
 }
 
+fn zero<S: InstrSink + ?Sized>(
+    sink: &mut S,
+    row: RowAddr,
+    pred: PredMode,
+) -> Result<(), SramError> {
+    sink.emit(Instruction::Unary {
+        dst: row,
+        src: row,
+        kind: UnaryKind::Zero,
+        pred,
+    })
+}
+
+/// A half adder: `c_dst, s_dst = a ∧ b, a ⊕ b` (one activation, two
+/// write-backs).
+fn half_add<S: InstrSink + ?Sized>(
+    sink: &mut S,
+    c_dst: RowAddr,
+    s_dst: RowAddr,
+    a: RowAddr,
+    b: RowAddr,
+    pred: PredMode,
+) -> Result<(), SramError> {
+    sink.emit(Instruction::Binary {
+        dst: c_dst,
+        op: BitOp::And,
+        src0: a,
+        src1: b,
+        dst2: Some((s_dst, BitOp::Xor)),
+        shift: None,
+        pred,
+    })
+}
+
+/// `Carry ← Carry ∨ t_carry`, merging a step's two half-adder carries.
+fn or_carry<S: InstrSink + ?Sized>(
+    sink: &mut S,
+    r: &ModRows,
+    pred: PredMode,
+) -> Result<(), SramError> {
+    sink.emit(Instruction::Binary {
+        dst: r.carry,
+        op: BitOp::Or,
+        src0: r.carry,
+        src1: r.t_carry,
+        dst2: None,
+        shift: None,
+        pred,
+    })
+}
+
 /// Runs `body` under `MaskTiles(stride_log2, phase)` when a mask is given,
 /// restoring all tiles after.
 fn masked<S: InstrSink + ?Sized>(
@@ -350,11 +527,28 @@ fn masked<S: InstrSink + ?Sized>(
     Ok(())
 }
 
-/// Compile-time sink behind [`EpilogueOp::class_counts`].
+/// Compile-time sink behind the ops' `class_counts`.
 struct Shape<'a> {
     ctl: &'a Controller,
     fixed: InstrCounts,
     round: InstrCounts,
+}
+
+impl<'a> Shape<'a> {
+    /// Validates an expansion against `ctl` and returns its class counts
+    /// outside any resolution loop, and of one resolution round.
+    fn of(
+        ctl: &'a Controller,
+        expand: impl FnOnce(&mut Self) -> Result<(), SramError>,
+    ) -> Result<(InstrCounts, InstrCounts), SramError> {
+        let mut shape = Shape {
+            ctl,
+            fixed: InstrCounts::default(),
+            round: InstrCounts::default(),
+        };
+        expand(&mut shape)?;
+        Ok((shape.fixed, shape.round))
+    }
 }
 
 impl InstrSink for Shape<'_> {
@@ -379,7 +573,7 @@ impl InstrSink for Shape<'_> {
 
     fn load_row(&mut self, _row: RowAddr, _data: &BitRow) -> Result<(), SramError> {
         Err(SramError::ProgramMismatch {
-            reason: "an epilogue expansion loads no rows",
+            reason: "a typed op's expansion loads no rows",
         })
     }
 }
@@ -399,5 +593,48 @@ impl InstrSink for Untimed<'_> {
 
     fn load_row(&mut self, row: RowAddr, data: &BitRow) -> Result<(), SramError> {
         self.0.load_row(row, data)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::array::SramArray;
+
+    /// Algorithm 2's closed form: a constant `a < 2^w` costs
+    /// `2 + 4·popcount(a) + 7w` instructions (the two clears, four per
+    /// add-B step, seven per halve step with its `Check`), a multiplier
+    /// row `2 + 12w` (every bit's `Check` leads a predicated add-B step).
+    /// At w = 24 and popcount 12 that is 218, 168 of them halving.
+    #[test]
+    fn modmul_counts_follow_the_closed_form() {
+        for w in [14u16, 24, 32] {
+            let width = usize::from(w);
+            let ctl = Controller::new(SramArray::new(8, 4 * width).unwrap(), width).unwrap();
+            let rows = ModRows {
+                sum: RowAddr(0),
+                carry: RowAddr(1),
+                t_sum: RowAddr(2),
+                t_carry: RowAddr(3),
+                modulus: RowAddr(4),
+                comp_modulus: RowAddr(5),
+                bitwidth: w,
+            };
+            let total = |multiplier| {
+                let op = ModMulOp {
+                    rows,
+                    b: RowAddr(6),
+                    multiplier,
+                };
+                op.class_counts(&ctl).unwrap().total()
+            };
+            let low = (1u64 << w) - 1;
+            for a in [0, 1, 0x5a_5a5a & low, low] {
+                let expect = 2 + 4 * u64::from(a.count_ones()) + 7 * u64::from(w);
+                assert_eq!(total(Multiplier::Const(a)), expect, "w={w} a={a:#x}");
+            }
+            let row = Multiplier::Row(RowAddr(7));
+            assert_eq!(total(row), 2 + 12 * u64::from(w), "w={w}");
+        }
     }
 }

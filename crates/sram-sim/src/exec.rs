@@ -8,7 +8,7 @@ use crate::bitrow::BitRow;
 use crate::cost::{EnergyModel, TimingModel};
 use crate::error::SramError;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
-use crate::isa::{BitOp, Instruction, PredMode, Program, ShiftDir, UnaryKind};
+use crate::isa::{BitOp, Instruction, PredMode, Program, RowAddr, ShiftDir, UnaryKind};
 use crate::stats::{FastPathStats, InstrCounts, Stats};
 use crate::wordkern::FastPathKind;
 
@@ -71,7 +71,7 @@ pub struct Controller {
     fastpath: FastPathStats,
     /// How this geometry executes fused chains and resolution loops —
     /// decided once from the padded row width (compiled programs record
-    /// the same kind, so replay never re-derives it per superop).
+    /// the same kind, so replay never re-derives it per op).
     fast_path: FastPathKind,
     /// Preallocated result row for the primary write-back: every compute
     /// instruction lands here before being swapped or merged into the
@@ -81,7 +81,7 @@ pub struct Controller {
     scratch_b: BitRow,
     /// Column image of the predicate latches: every column of a
     /// pred-set tile is 1. Maintained by `Check`, consumed word-wise by
-    /// gated write-backs and the fused superops.
+    /// gated write-backs and the typed-op kernels.
     pred_mask: BitRow,
     /// Column image of the tile write mask (enabled tiles' columns set).
     mask_cols: BitRow,
@@ -641,7 +641,7 @@ impl Controller {
         }
     }
 
-    /// Adds a fused group's instruction-class counts, or advances the
+    /// Adds a typed op's instruction-class counts, or advances the
     /// native clock by their total when cost accounting is off.
     #[inline]
     pub(crate) fn add_counts(&mut self, counts: &InstrCounts) {
@@ -652,120 +652,40 @@ impl Controller {
         }
     }
 
-    // ---- fused superop executors ------------------------------------------
+    // ---- typed-op word kernels -----------------------------------------------
     //
-    // Each executes one recognized instruction group or typed epilogue
-    // word-level, leaving rows, predicate latches, and the zero flag
-    // exactly as per-instruction execution would. All return `false`
-    // (caller falls back to the generic instructions) when the current
-    // tile mask disables any tile — the fused derivations assume
-    // `mask_cols` is all-enabled, which also makes them tail-safe (the
-    // mask words carry zero tail bits).
+    // Each runs one typed op word-level, leaving rows, predicate latches,
+    // and the zero flag exactly as its expansion would. Both return
+    // `false` (caller runs the expansion) when the current tile mask
+    // disables any tile — the kernels assume `mask_cols` is all-enabled,
+    // which also makes them tail-safe (the mask words carry zero tail
+    // bits) — or when the op's rows alias in a way the kernel does not
+    // model.
 
-    /// Fused add-B step: `c1,s1 = Sum&B, Sum⊕B; Carry <<= 1;
-    /// c2,Sum = Carry&s1, Carry⊕s1; Carry = c1|c2`, optionally gated
-    /// per-tile by the predicate latches (`IfSet`), latched first from the
-    /// multiplier row when the op carries its `Check`.
-    pub(crate) fn exec_addb(&mut self, op: &crate::program::AddBOp) -> bool {
-        if self.n_masked_off != 0 {
+    /// One typed Algorithm 2 multiply as one multiplier chain, the rows
+    /// borrowed once: register-resident for rows of up to four chunks,
+    /// per-step beyond. The caller adds the class counts.
+    pub(crate) fn exec_chain(&mut self, step: &crate::program::ModMulStep) -> bool {
+        use crate::epilogue::Multiplier;
+        use crate::wordkern::{Chain, Factor};
+        let (op, r) = (&step.op, &step.op.rows);
+        if self.n_masked_off != 0 || !step.fusable {
             self.fastpath.fallbacks += 1;
             return false;
         }
-        if let Some((row, bit)) = op.latch {
-            self.latch_preds(usize::from(row), usize::from(bit));
-        }
-        let Some([sum, carry, t_sum, t_carry, b]) = self.array.rows_disjoint_mut([
-            usize::from(op.sum),
-            usize::from(op.carry),
-            usize::from(op.t_sum),
-            usize::from(op.t_carry),
-            usize::from(op.b),
-        ]) else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::addb(
-            &mut [
-                sum.words_mut(),
-                carry.words_mut(),
-                t_sum.words_mut(),
-                t_carry.words_mut(),
-            ],
-            b.words(),
-            self.mask_cols.words(),
-            match op.pred {
-                PredMode::IfSet => self.pred_mask.words(),
-                _ => self.mask_cols.words(),
-            },
-        );
-        self.fastpath.superops_fused += 1;
-        true
-    }
-
-    /// Fused Montgomery halve step: latch the per-tile LSB predicate from
-    /// `Sum`, add `M` in odd tiles, and halve the carry-save pair.
-    pub(crate) fn exec_halve(&mut self, op: &crate::program::HalveOp) -> bool {
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
-        }
-        // The Check's predicate latch, from the pre-instruction Sum.
-        self.latch_preds(usize::from(op.sum), 0);
-        let Some([sum, carry, t_sum, t_carry, m]) = self.array.rows_disjoint_mut([
-            usize::from(op.sum),
-            usize::from(op.carry),
-            usize::from(op.t_sum),
-            usize::from(op.t_carry),
-            usize::from(op.modulus),
-        ]) else {
-            self.fastpath.fallbacks += 1;
-            return false;
-        };
-        crate::wordkern::halve(
-            &mut [
-                sum.words_mut(),
-                carry.words_mut(),
-                t_sum.words_mut(),
-                t_carry.words_mut(),
-            ],
-            m.words(),
-            self.pred_mask.words(),
-            self.shr_keep.words(),
-        );
-        self.fastpath.superops_fused += 1;
-        true
-    }
-
-    /// Fused multiplier chain: a run of add-B and halve steps over one
-    /// accumulator row set (the inner loop of Algorithm 2), with the rows
-    /// borrowed once and every step executed word-level. Rows of up to
-    /// four chunks run the whole chain register-resident; wider rows run
-    /// the per-step kernels under the single borrow. The chain's class
-    /// counts are added by the caller.
-    pub(crate) fn exec_chain(&mut self, op: &crate::program::ChainOp) -> bool {
-        use crate::program::ChainStep;
-        use crate::wordkern::{addb, halve, latch_tile_bit, Chain};
-        if self.n_masked_off != 0 {
-            self.fastpath.fallbacks += 1;
-            return false;
-        }
-        // The multiplier row is only read and is never an accumulator row,
-        // so a copy taken now stays current; it may alias `b` or `M`.
-        let pred_row: &[u64] = match op.pred_row {
-            Some(r) => {
-                self.scratch_a.copy_from(self.array.row(usize::from(r)));
-                self.scratch_a.words()
+        let factor = match op.multiplier {
+            Multiplier::Const(a) => Factor::Const(a),
+            // Read once: the row is no accumulator row and `B`/`M` are
+            // read-only, so it stays current for the whole chain.
+            Multiplier::Row(row) => {
+                self.scratch_a.copy_from(self.array.row(row.index()));
+                Factor::Row(self.scratch_a.words())
             }
-            None => &[],
         };
-        let Some([sum, carry, t_sum, t_carry, b, m]) = self.array.rows_disjoint_mut([
-            usize::from(op.sum),
-            usize::from(op.carry),
-            usize::from(op.t_sum),
-            usize::from(op.t_carry),
-            usize::from(op.b),
-            usize::from(op.modulus),
-        ]) else {
+        // The borrow fails on overlapping rows, and on a `B` row that a
+        // zero constant's expansion never touches (nor validates).
+        let rows = [r.sum, r.carry, r.t_sum, r.t_carry, op.b, r.modulus].map(RowAddr::index);
+        let Some([sum, carry, t_sum, t_carry, b, m]) = self.array.rows_disjoint_mut(rows) else {
             self.fastpath.fallbacks += 1;
             return false;
         };
@@ -775,50 +695,26 @@ impl Controller {
             t_sum.words_mut(),
             t_carry.words_mut(),
         ];
-        if op.clear {
-            // Algorithm 2's `P ← 0`, folded into the chain.
-            acc[0].fill(0);
-            acc[1].fill(0);
-        }
-        let (bw, mw) = (b.words(), m.words());
-        let (base, width) = (&self.tile_base_mask, self.tile_width);
-        let (pm, shr) = (self.pred_mask.words_mut(), self.shr_keep.words());
-        if let FastPathKind::Resident(chunks) = self.fast_path {
-            let chain = Chain {
-                acc: &mut acc,
-                b: bw,
-                m: mw,
-                pred_row,
-                pm,
-                shr_keep: shr,
-                steps: &op.steps,
-                base_mask: base,
-                tile_width: width,
-            };
-            crate::wordkern::chain_resident(chunks, chain);
+        // Algorithm 2's `P ← 0`.
+        acc[0].fill(0);
+        acc[1].fill(0);
+        let chain = Chain {
+            acc: &mut acc,
+            b: b.words(),
+            m: m.words(),
+            factor,
+            bits: usize::from(r.bitwidth),
+            pm: self.pred_mask.words_mut(),
+            valid: self.mask_cols.words(),
+            shr_keep: self.shr_keep.words(),
+            base_mask: &self.tile_base_mask,
+            tile_width: self.tile_width,
+        };
+        if crate::wordkern::chain(self.fast_path, chain) {
             self.fastpath.chains_resident += 1;
-            return true;
+        } else {
+            self.fastpath.chains_per_step += 1;
         }
-        let mask = self.mask_cols.words();
-        for step in &op.steps {
-            match *step {
-                ChainStep::AddB(PredMode::IfSet) => addb(&mut acc, bw, mask, pm),
-                ChainStep::AddB(_) => addb(&mut acc, bw, mask, mask),
-                ChainStep::AddBIf { bit } => {
-                    pm.copy_from_slice(pred_row);
-                    latch_tile_bit(base, width, usize::from(bit), pm);
-                    addb(&mut acc, bw, mask, pm);
-                }
-                ChainStep::Halve => {
-                    // The Check inside the halve pattern, reading Sum
-                    // through the held borrow.
-                    pm.copy_from_slice(acc[0]);
-                    latch_tile_bit(base, width, 0, pm);
-                    halve(&mut acc, mw, pm, shr);
-                }
-            }
-        }
-        self.fastpath.chains_per_step += 1;
         true
     }
 
@@ -947,9 +843,9 @@ fn mask_tiles_enables(t: usize, stride_log2: u8, phase: bool) -> bool {
     (bit == 1) == phase
 }
 
-// The word-level kernel bodies — add-B, Montgomery halve, and the
-// butterfly epilogues — live in [`crate::wordkern`], which dispatches each
-// between an AVX2 path and a bit-identical scalar fallback.
+// The word-level kernel bodies — the multiplier chain and the butterfly
+// epilogues — live in [`crate::wordkern`], which runs each on an AVX2 or
+// a bit-identical `u64` lane.
 
 #[cfg(test)]
 mod tests {

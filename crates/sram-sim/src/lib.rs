@@ -18,10 +18,12 @@
 //!   instructions by class;
 //! * [`program`] — the compile-once/replay-many layer: record a kernel's
 //!   instruction stream once ([`Recorder`]), validate it once
-//!   ([`ReplayProgram::compile`], with superop fusion), replay it many
-//!   times ([`Controller::run_compiled`]) identically to emission;
-//! * [`epilogue`] — the butterfly epilogues (modular resolve + reduce,
-//!   add, subtract) as typed ops with one canonical expansion each;
+//!   ([`ReplayProgram::compile`], one control entry per recorded op),
+//!   replay it many times ([`Controller::run_compiled`]) identically to
+//!   emission;
+//! * [`epilogue`] — Algorithm 2's multiply and the butterfly epilogues
+//!   (modular resolve + reduce, add, subtract) as typed ops with one
+//!   canonical expansion each;
 //! * [`wordkern`] — the vectorized word-engine behind both paths: chunked
 //!   storage kernels with runtime-dispatched AVX2 implementations and a
 //!   bit-identical scalar fallback (`BPNTT_FORCE_SCALAR=1` pins it);
@@ -88,7 +90,7 @@ pub mod wordkern;
 pub use array::{SenseResult, SramArray};
 pub use bitrow::BitRow;
 pub use cost::{EnergyModel, TimingModel};
-pub use epilogue::{Epilogue, EpilogueOp, ModRows};
+pub use epilogue::{Epilogue, EpilogueOp, ModMulOp, ModRows, Multiplier};
 pub use error::SramError;
 pub use exec::Controller;
 pub use fault::{FaultPlan, FaultStats};

@@ -14,16 +14,16 @@
 //!   round and terminates early. Recording it as a structured op keeps the
 //!   replay *trace* — every executed instruction, in order — bit-identical
 //!   to emission on any data.
-//! * [`EpilogueOp`] — a butterfly epilogue as one typed op
-//!   ([`InstrSink::epilogue`]): the controller runs its canonical
+//! * [`ModMulOp`] and [`EpilogueOp`] — an Algorithm 2 multiply and a
+//!   butterfly epilogue, each one typed op ([`InstrSink::modmul`],
+//!   [`InstrSink::epilogue`]): the controller runs its canonical
 //!   expansion, the recorder stores the op, and replay runs its word
 //!   kernel (see [`crate::epilogue`]).
 //! * [`ReplayProgram::compile`] — validates every address once against a
-//!   concrete controller's geometry and lowers the stream, yielding a
-//!   [`CompiledProgram`]. The Algorithm 2 multiplier steps (add-B and
-//!   halve) are still recognized by instruction shape and merged into
-//!   multiplier chains; epilogues arrive typed and need no matching.
-//!   Programs carry no cost model.
+//!   concrete controller's geometry and lowers each recorded op to one
+//!   control entry (consecutive straight-line instructions share one
+//!   run), yielding a [`CompiledProgram`]. It matches no instruction
+//!   shapes: the typed ops arrive typed. Programs carry no cost model.
 //! * [`Controller::run_compiled`] — the hot path: replays a compiled
 //!   program with no codegen and no validation per instruction. `Stats`
 //!   are integer class counts; `cost.rs` prices cycles and energy from
@@ -61,10 +61,10 @@
 //! ```
 
 use crate::bitrow::BitRow;
-use crate::epilogue::{EpilogueOp, Untimed};
+use crate::epilogue::{EpilogueOp, ModMulOp, Untimed};
 use crate::error::SramError;
 use crate::exec::Controller;
-use crate::isa::{BitOp, Instruction, PredMode, RowAddr, ShiftDir, UnaryKind};
+use crate::isa::{Instruction, RowAddr};
 use crate::stats::InstrCounts;
 use crate::wordkern::FastPathKind;
 
@@ -118,6 +118,16 @@ pub trait InstrSink {
     fn epilogue(&mut self, op: EpilogueOp) -> Result<(), SramError> {
         op.expand(self)
     }
+
+    /// Emits one Algorithm 2 multiply. The default runs the op's canonical
+    /// expansion through [`Self::emit`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator faults from the expansion.
+    fn modmul(&mut self, op: ModMulOp) -> Result<(), SramError> {
+        op.expand(self)
+    }
 }
 
 impl InstrSink for Controller {
@@ -150,6 +160,11 @@ impl InstrSink for Controller {
         self.fault_tick();
         op.expand(&mut Untimed(self))
     }
+
+    fn modmul(&mut self, op: ModMulOp) -> Result<(), SramError> {
+        self.fault_tick();
+        op.expand(&mut Untimed(self))
+    }
 }
 
 /// One recorded operation of a [`ReplayProgram`].
@@ -175,6 +190,8 @@ pub enum ReplayOp {
     },
     /// A typed butterfly epilogue.
     Epilogue(EpilogueOp),
+    /// A typed Algorithm 2 multiply.
+    ModMul(ModMulOp),
 }
 
 /// A recorded instruction stream, independent of any controller.
@@ -203,13 +220,10 @@ impl ReplayProgram {
     }
 
     /// Validates the program against `ctl`'s geometry and lowers it:
-    /// every row address and check bit is verified once. The result is
-    /// independent of `ctl`'s cost models.
-    ///
-    /// The lowered form is deliberately compact — a flat instruction
-    /// stream (14 bytes each) — because replay throughput is bounded by
-    /// how many bytes of program stream through the cache per call, not
-    /// by the word-level row arithmetic.
+    /// every row address and check bit is verified once, and each
+    /// recorded op becomes one control entry (consecutive straight-line
+    /// instructions share one run). The result is independent of `ctl`'s
+    /// cost models.
     ///
     /// # Errors
     ///
@@ -219,31 +233,33 @@ impl ReplayProgram {
         let mut prog = CompiledProgram {
             instrs: Vec::new(),
             ctrl: Vec::new(),
-            body_ctrl: Vec::new(),
             loops: Vec::new(),
             loads: Vec::new(),
-            addbs: Vec::new(),
-            halves: Vec::new(),
-            chains: Vec::new(),
+            modmuls: Vec::new(),
             epilogues: Vec::new(),
             masks: Vec::new(),
+            modmul_counts: Vec::new(),
             epilogue_counts: Vec::new(),
-            addb_counts: InstrCounts::default(),
-            addb_if_counts: InstrCounts::default(),
-            halve_counts: InstrCounts::default(),
             rows: ctl.rows(),
             cols: ctl.cols(),
             tile_width: ctl.tile_width(),
             fast_path: ctl.fast_path_kind(),
         };
-        // Straight-line instructions are buffered per segment so the
-        // multiplier-step matchers see whole windows.
-        let mut segment: Vec<Instruction> = Vec::new();
         for op in &self.ops {
-            match op {
-                ReplayOp::Instr(i) => segment.push(*i),
+            let entry = match op {
+                ReplayOp::Instr(i) => {
+                    ctl.validate_instr(i)?;
+                    prog.instrs.push(*i);
+                    let at = (prog.instrs.len() - 1) as u32;
+                    // A trailing run ends at the instruction pushed last:
+                    // a loop body is always followed by its loop's entry.
+                    if let Some(Ctrl::Run { len, .. }) = prog.ctrl.last_mut() {
+                        *len += 1;
+                        continue;
+                    }
+                    Ctrl::Run { start: at, len: 1 }
+                }
                 ReplayOp::LoadRow { row, data } => {
-                    prog.flush_segment(ctl, &mut segment, false)?;
                     if row.index() >= ctl.rows() {
                         return Err(SramError::RowOutOfRange {
                             row: row.index(),
@@ -259,229 +275,50 @@ impl ReplayProgram {
                         row: row.index(),
                         data: data.clone(),
                     });
-                    prog.ctrl.push(Ctrl::Load {
+                    Ctrl::Load {
                         idx: (prog.loads.len() - 1) as u32,
-                    });
+                    }
                 }
                 ReplayOp::ZeroLoop {
                     src,
                     body,
                     max_checks,
                 } => {
-                    prog.flush_segment(ctl, &mut segment, false)?;
-                    let check = Instruction::CheckZero { src: *src };
-                    ctl.validate_instr(&check)?;
-                    let body = prog.lower_body(ctl, body)?;
+                    ctl.validate_instr(&Instruction::CheckZero { src: *src })?;
+                    let body = prog.push_range(ctl, body)?;
                     prog.loops.push(LoopStep {
                         src: *src,
                         max_checks: *max_checks,
                         body,
                     });
-                    prog.ctrl.push(Ctrl::Loop {
+                    Ctrl::Loop {
                         idx: (prog.loops.len() - 1) as u32,
-                    });
+                    }
                 }
                 ReplayOp::Epilogue(op) => {
-                    prog.flush_segment(ctl, &mut segment, false)?;
                     let step = prog.lower_epilogue(ctl, op)?;
                     prog.epilogues.push(step);
-                    prog.ctrl.push(Ctrl::Epilogue {
+                    Ctrl::Epilogue {
                         idx: (prog.epilogues.len() - 1) as u32,
-                    });
+                    }
                 }
-            }
+                ReplayOp::ModMul(op) => {
+                    let shape = op.class_counts(ctl)?;
+                    let counts = intern(&mut prog.modmul_counts, |c| *c == shape, || shape);
+                    prog.modmuls.push(ModMulStep {
+                        op: *op,
+                        counts,
+                        fusable: op.fusable(),
+                    });
+                    Ctrl::ModMul {
+                        idx: (prog.modmuls.len() - 1) as u32,
+                    }
+                }
+            };
+            prog.ctrl.push(entry);
         }
-        prog.flush_segment(ctl, &mut segment, false)?;
-        prog.chain_pass();
         Ok(prog)
     }
-}
-
-// ---- superop pattern matching ---------------------------------------------
-
-fn distinct(rows: &[u16]) -> bool {
-    rows.iter()
-        .enumerate()
-        .all(|(i, a)| rows[i + 1..].iter().all(|b| a != b))
-}
-
-/// Matches the add-B half-adder pass emitted by Algorithm 2 lines 6–9,
-/// optionally led by the `Check` that latches its predicate from the
-/// multiplier row (`modmul_data`'s per-bit step). Returns the op and the
-/// number of instructions it covers.
-fn match_addb(w: &[Instruction]) -> Option<(AddBOp, usize)> {
-    if let Instruction::Check { src, bit } = *w.first()? {
-        let mut op = match_addb_core(&w[1..])?;
-        // The latch row is only read, but it must not be an accumulator
-        // row, whose value changes along a chain.
-        let latchable = op.pred == PredMode::IfSet
-            && ![op.sum, op.carry, op.t_sum, op.t_carry].contains(&src.0);
-        if !latchable {
-            return None;
-        }
-        op.latch = Some((src.0, bit));
-        return Some((op, 5));
-    }
-    match_addb_core(w).map(|op| (op, 4))
-}
-
-/// Matches the four add-B instructions themselves.
-fn match_addb_core(w: &[Instruction]) -> Option<AddBOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    let (tc, s, b, ts, pred) = match *w.first()? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::Xor)),
-            shift: None,
-            pred,
-        } => (dst.0, src0.0, src1.0, d2.0, pred),
-        _ => return None,
-    };
-    let c = match *w.get(1)? {
-        I::Shift {
-            dst,
-            src,
-            dir: ShiftDir::Left,
-            masked: false,
-            pred: p,
-        } if dst == src && p == pred => dst.0,
-        _ => return None,
-    };
-    match *w.get(2)? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::Xor)),
-            shift: None,
-            pred: p,
-        } if dst.0 == c && src0.0 == c && src1.0 == ts && d2.0 == s && p == pred => {}
-        _ => return None,
-    }
-    match *w.get(3)? {
-        I::Binary {
-            dst,
-            op: BitOp::Or,
-            src0,
-            src1,
-            dst2: None,
-            shift: None,
-            pred: p,
-        } if dst.0 == c && src0.0 == c && src1.0 == tc && p == pred => {}
-        _ => return None,
-    }
-    // The executor borrows all five rows disjointly: b must not alias
-    // any accumulator row.
-    if !distinct(&[s, c, ts, tc, b]) {
-        return None;
-    }
-    if matches!(pred, P::IfClear) {
-        // Emitted kernels never use IfClear here; keep the fused executor's
-        // tested surface small.
-        return None;
-    }
-    Some(AddBOp {
-        sum: s,
-        b,
-        carry: c,
-        t_sum: ts,
-        t_carry: tc,
-        pred,
-        latch: None,
-        fallback: (0, 0),
-    })
-}
-
-/// Matches the Montgomery halve step (Algorithm 2 lines 11–16).
-fn match_halve(w: &[Instruction]) -> Option<HalveOp> {
-    use crate::isa::PredMode as P;
-    use Instruction as I;
-    let s = match *w.first()? {
-        I::Check { src, bit: 0 } => src.0,
-        _ => return None,
-    };
-    let (tc, m) = match *w.get(1)? {
-        I::Unary {
-            dst,
-            src,
-            kind: UnaryKind::Copy,
-            pred: P::IfSet,
-        } => (dst.0, src.0),
-        _ => return None,
-    };
-    match *w.get(2)? {
-        I::Unary {
-            dst,
-            kind: UnaryKind::Zero,
-            pred: P::IfClear,
-            ..
-        } if dst.0 == tc => {}
-        _ => return None,
-    }
-    let ts = match *w.get(3)? {
-        I::Binary {
-            dst,
-            op: BitOp::Xor,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::And)),
-            shift: Some((ShiftDir::Right, true)),
-            pred: P::Always,
-        } if src0.0 == s && src1.0 == tc && d2.0 == tc => dst.0,
-        _ => return None,
-    };
-    match *w.get(4)? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::Xor)),
-            shift: None,
-            pred: P::Always,
-        } if dst.0 == tc && src0.0 == ts && src1.0 == tc && d2.0 == ts => {}
-        _ => return None,
-    }
-    let c = match *w.get(5)? {
-        I::Binary {
-            dst,
-            op: BitOp::And,
-            src0,
-            src1,
-            dst2: Some((d2, BitOp::Xor)),
-            shift: None,
-            pred: P::Always,
-        } if dst == src0 && src1.0 == ts && d2.0 == s => dst.0,
-        _ => return None,
-    };
-    match *w.get(6)? {
-        I::Binary {
-            dst,
-            op: BitOp::Or,
-            src0,
-            src1,
-            dst2: None,
-            shift: None,
-            pred: P::Always,
-        } if dst.0 == c && src0.0 == c && src1.0 == tc => {}
-        _ => return None,
-    }
-    if !distinct(&[s, c, ts, tc, m]) {
-        return None;
-    }
-    Some(HalveOp {
-        sum: s,
-        carry: c,
-        t_sum: ts,
-        t_carry: tc,
-        modulus: m,
-        fallback: (0, 0),
-    })
 }
 
 /// Records an instruction stream instead of executing it.
@@ -531,22 +368,18 @@ impl InstrSink for Recorder {
         self.ops.push(ReplayOp::Epilogue(op));
         Ok(())
     }
+
+    fn modmul(&mut self, op: ModMulOp) -> Result<(), SramError> {
+        self.ops.push(ReplayOp::ModMul(op));
+        Ok(())
+    }
 }
 
-/// Control-stream entry: one unit of replay execution.
-///
-/// Beyond generic instruction runs, the compiler recognizes the two
-/// instruction shapes of Algorithm 2's inner loop — the add-B step and
-/// the Montgomery halve step — and lowers each occurrence to a *fused
-/// superop*: one pass over the storage words computing the whole group's
-/// final row contents, with pre-aggregated class counts; runs of them over
-/// one accumulator merge into a multiplier chain. Butterfly epilogues
-/// arrive as typed ops and lower one-to-one. Fusion is a pure
-/// execution-strategy change: rows and [`crate::Stats`] are identical to
-/// per-instruction execution, and each superop keeps its original
-/// instruction range as a fallback (taken when a tile mask is active,
-/// where the general gating semantics apply); an epilogue falls back to
-/// its expansion.
+/// Control-stream entry: one unit of replay execution, one per recorded
+/// op. A typed op runs its word kernel, which leaves rows and
+/// [`crate::Stats`] identical to its expansion, and falls back to the
+/// expansion when a tile mask is active or its rows alias in a way the
+/// kernel does not model.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ctrl {
     /// Execute `len` consecutive instructions starting at `start`.
@@ -555,49 +388,23 @@ pub(crate) enum Ctrl {
     Loop { idx: u32 },
     /// Execute `loads[idx]` (a constant data-row load).
     Load { idx: u32 },
-    /// Fused Algorithm 2 add-B step (`addbs[idx]`).
-    AddB { idx: u32 },
-    /// Fused Montgomery halve step (`halves[idx]`).
-    Halve { idx: u32 },
-    /// Fused multiplier chain — a run of add-B/halve steps over one
-    /// accumulator row set, rows borrowed once (`chains[idx]`).
-    Chain { idx: u32 },
+    /// Typed Algorithm 2 multiply (`modmuls[idx]`), replayed as one
+    /// multiplier chain.
+    ModMul { idx: u32 },
     /// Typed butterfly epilogue (`epilogues[idx]`).
     Epilogue { idx: u32 },
 }
 
-/// One step of a fused multiplier chain.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ChainStep {
-    /// Add-B step with its write predication.
-    AddB(PredMode),
-    /// `IfSet` add-B step that first latches its predicate from bit `bit`
-    /// of the chain's multiplier row.
-    AddBIf { bit: u16 },
-    /// Montgomery halve step (predicate latched internally).
-    Halve,
-}
-
-/// A run of add-B/halve steps sharing one accumulator row set — the
-/// inner loop of Algorithm 2, executed with the rows borrowed once.
+/// A typed multiply lowered for replay. The chain's steps follow from the
+/// multiplier's bits, so none are stored.
 #[derive(Debug, Clone)]
-pub(crate) struct ChainOp {
-    pub sum: u16,
-    pub carry: u16,
-    pub t_sum: u16,
-    pub t_carry: u16,
-    pub b: u16,
-    pub modulus: u16,
-    /// The multiplier row [`ChainStep::AddBIf`] steps latch from.
-    pub pred_row: Option<u16>,
-    /// The chain starts by clearing `Sum` and `Carry` (Algorithm 2's
-    /// `P ← 0`).
-    pub clear: bool,
-    pub steps: Vec<ChainStep>,
-    /// Whole-chain class counts.
-    pub counts: InstrCounts,
-    /// The original control entries, for the masked-state fallback.
-    pub fallback_ops: Vec<Ctrl>,
+pub(crate) struct ModMulStep {
+    pub op: ModMulOp,
+    /// Index into `modmul_counts` of the expansion's class counts.
+    pub counts: u16,
+    /// Whether the chain kernel computes this op exactly
+    /// ([`ModMulOp::fusable`]).
+    pub fusable: bool,
 }
 
 /// A typed epilogue lowered for replay.
@@ -613,7 +420,7 @@ pub(crate) struct EpilogueStep {
     pub final_mask: Option<u16>,
 }
 
-/// A range into the flat instruction arrays.
+/// A range into the flat instruction array.
 type InstrRange = (u32, u32);
 
 /// An epilogue's class counts outside its resolution loops, and of one
@@ -630,40 +437,11 @@ fn intern<T>(table: &mut Vec<T>, found: impl Fn(&T) -> bool, make: impl FnOnce()
     idx as u16
 }
 
-/// Fused `P ← P + B` half-adder pass (4 instructions, or 5 with its
-/// leading predicate latch).
-#[derive(Debug, Clone)]
-pub(crate) struct AddBOp {
-    pub sum: u16,
-    pub b: u16,
-    pub carry: u16,
-    pub t_sum: u16,
-    pub t_carry: u16,
-    pub pred: PredMode,
-    /// `(row, bit)` of a leading `Check` that latches the predicate.
-    pub latch: Option<(u16, u16)>,
-    pub fallback: InstrRange,
-}
-
-/// Fused Montgomery halve step (Check + 6 instructions).
-#[derive(Debug, Clone)]
-pub(crate) struct HalveOp {
-    pub sum: u16,
-    pub carry: u16,
-    pub t_sum: u16,
-    pub t_carry: u16,
-    pub modulus: u16,
-    pub fallback: InstrRange,
-}
-
-/// A range into the lowered loop-body control stream.
-type CtrlRange = (u32, u32);
-
 #[derive(Debug, Clone)]
 struct LoopStep {
     src: RowAddr,
     max_checks: usize,
-    body: CtrlRange,
+    body: InstrRange,
 }
 
 #[derive(Debug, Clone)]
@@ -677,53 +455,38 @@ struct LoadStep {
 /// `Arc` and share across identically shaped controllers — the sharded
 /// batch engine replays one compiled program on every shard.
 ///
-/// Layout note: the instruction stream is a flat `instrs` array at
-/// 14 B/instruction. A 256-point NTT program is a few hundred thousand
-/// instructions; keeping the per-instruction footprint that small is what
-/// makes replay faster than re-emission — the replay loop is memory-bound
-/// on the program stream.
+/// Layout note: a typed op is one small control entry and one table row,
+/// so a 256-point NTT program holds a few thousand entries — one per
+/// multiply or epilogue — and only hand-written straight-line code
+/// occupies the flat `instrs` array.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     instrs: Vec<Instruction>,
     ctrl: Vec<Ctrl>,
-    /// Loop bodies are lowered like the top level, but into this separate
-    /// stream (a body never contains loops or loads).
-    body_ctrl: Vec<Ctrl>,
     loops: Vec<LoopStep>,
     loads: Vec<LoadStep>,
-    pub(crate) addbs: Vec<AddBOp>,
-    pub(crate) halves: Vec<HalveOp>,
-    pub(crate) chains: Vec<ChainOp>,
-    pub(crate) epilogues: Vec<EpilogueStep>,
+    modmuls: Vec<ModMulStep>,
+    epilogues: Vec<EpilogueStep>,
     /// Distinct final-write tile-mask images of the epilogues, keyed by
     /// their `MaskTiles` operands.
-    pub(crate) masks: Vec<((u8, bool), BitRow)>,
+    masks: Vec<((u8, bool), BitRow)>,
+    /// Distinct multiply class counts (one per multiplier popcount).
+    modmul_counts: Vec<InstrCounts>,
     /// Distinct epilogue class counts, `(outside the loops, one round)`
     /// (a handful of shapes shared by thousands of ops).
-    pub(crate) epilogue_counts: Vec<EpilogueCounts>,
-    /// Class counts of one occurrence of each fused pattern (zero until
-    /// the pattern is first fused).
-    pub(crate) addb_counts: InstrCounts,
-    /// An add-B step led by its predicate latch.
-    pub(crate) addb_if_counts: InstrCounts,
-    pub(crate) halve_counts: InstrCounts,
+    epilogue_counts: Vec<EpilogueCounts>,
     rows: usize,
     cols: usize,
     tile_width: usize,
-    /// The fused chain/loop execution strategy, decided once at compile
+    /// The chain/epilogue execution strategy, decided once at compile
     /// time from the padded row width ([`FastPathKind::for_words`]) so
-    /// replay never re-derives it per superop. Always equals the
-    /// controller's own kind when the geometry check passes.
+    /// replay never re-derives it per op. Always equals the controller's
+    /// own kind when the geometry check passes.
     fast_path: FastPathKind,
 }
 
 impl CompiledProgram {
-    fn push_instr(&mut self, ctl: &Controller, i: &Instruction) -> Result<(), SramError> {
-        ctl.validate_instr(i)?;
-        self.instrs.push(*i);
-        Ok(())
-    }
-
+    /// Validates and appends instructions, returning their range.
     fn push_range(
         &mut self,
         ctl: &Controller,
@@ -731,112 +494,10 @@ impl CompiledProgram {
     ) -> Result<InstrRange, SramError> {
         let start = self.instrs.len() as u32;
         for i in is {
-            self.push_instr(ctl, i)?;
+            ctl.validate_instr(i)?;
+            self.instrs.push(*i);
         }
         Ok((start, self.instrs.len() as u32))
-    }
-
-    fn push_ctrl(&mut self, c: Ctrl, into_body: bool) {
-        if into_body {
-            self.body_ctrl.push(c);
-        } else {
-            self.ctrl.push(c);
-        }
-    }
-
-    /// One fused group's class counts.
-    fn group_counts(instrs: &[Instruction]) -> InstrCounts {
-        let mut counts = InstrCounts::default();
-        for i in instrs {
-            counts.record(i);
-        }
-        counts
-    }
-
-    /// Lowers one straight-line instruction window into the (body or
-    /// top-level) control stream, fusing recognized superop patterns.
-    fn lower_into(
-        &mut self,
-        ctl: &Controller,
-        instrs: &[Instruction],
-        into_body: bool,
-    ) -> Result<(), SramError> {
-        // Straight-line runs may only merge within this lowering call:
-        // merging across a call boundary would fold one loop body's run
-        // into another's and corrupt both ranges.
-        let barrier = if into_body {
-            self.body_ctrl.len()
-        } else {
-            self.ctrl.len()
-        };
-        let mut i = 0usize;
-        while i < instrs.len() {
-            let w = &instrs[i..];
-            // On a match, intern the window as the fallback range, record
-            // the pattern's class counts (identical for every occurrence —
-            // they depend only on instruction shape) and emit the superop.
-            // Both patterns may lead with a `Check`; the halve is tried
-            // first.
-            if let Some(mut op) = match_halve(w) {
-                op.fallback = self.push_range(ctl, &w[..7])?;
-                self.halve_counts = Self::group_counts(&w[..7]);
-                self.halves.push(op);
-                let idx = (self.halves.len() - 1) as u32;
-                self.push_ctrl(Ctrl::Halve { idx }, into_body);
-                i += 7;
-                continue;
-            }
-            if let Some((mut op, len)) = match_addb(w) {
-                op.fallback = self.push_range(ctl, &w[..len])?;
-                let counts = Self::group_counts(&w[..len]);
-                if op.latch.is_some() {
-                    self.addb_if_counts = counts;
-                } else {
-                    self.addb_counts = counts;
-                }
-                self.addbs.push(op);
-                let idx = (self.addbs.len() - 1) as u32;
-                self.push_ctrl(Ctrl::AddB { idx }, into_body);
-                i += len;
-                continue;
-            }
-            // Generic: append to (or start) a straight-line run.
-            self.push_instr(ctl, &instrs[i])?;
-            let end = self.instrs.len() as u32;
-            let target = if into_body {
-                &mut self.body_ctrl
-            } else {
-                &mut self.ctrl
-            };
-            if target.len() > barrier {
-                if let Some(Ctrl::Run { start, len }) = target.last_mut() {
-                    if *start + *len == end - 1 {
-                        *len += 1;
-                        i += 1;
-                        continue;
-                    }
-                }
-            }
-            target.push(Ctrl::Run {
-                start: end - 1,
-                len: 1,
-            });
-            i += 1;
-        }
-        Ok(())
-    }
-
-    fn flush_segment(
-        &mut self,
-        ctl: &Controller,
-        segment: &mut Vec<Instruction>,
-        into_body: bool,
-    ) -> Result<(), SramError> {
-        if segment.is_empty() {
-            return Ok(());
-        }
-        let instrs = std::mem::take(segment);
-        self.lower_into(ctl, &instrs, into_body)
     }
 
     /// Validates one epilogue's expansion and lowers it to a replay step.
@@ -862,185 +523,39 @@ impl CompiledProgram {
         })
     }
 
-    fn lower_body(
-        &mut self,
-        ctl: &Controller,
-        instrs: &[Instruction],
-    ) -> Result<CtrlRange, SramError> {
-        let start = self.body_ctrl.len() as u32;
-        self.lower_into(ctl, instrs, true)?;
-        Ok((start, self.body_ctrl.len() as u32))
-    }
-
-    /// Merges top-level runs of add-B/halve superops sharing one
-    /// accumulator row set into multiplier chains, together with the
-    /// accumulator clears before them, so replay borrows the rows once per
-    /// modular multiplication instead of once per step.
-    fn chain_pass(&mut self) {
-        let old = std::mem::take(&mut self.ctrl);
-        let mut out: Vec<Ctrl> = Vec::with_capacity(old.len());
-        let mut i = 0usize;
-        while i < old.len() {
-            let Some((s, c, ts, tc)) = self.accumulator_rows(old[i]) else {
-                out.push(old[i]);
-                i += 1;
-                continue;
-            };
-            let (mut b, mut m, mut pred_row) = (None, None, None);
-            let mut steps: Vec<ChainStep> = Vec::new();
-            let mut j = i;
-            while j < old.len() {
-                match old[j] {
-                    Ctrl::AddB { idx } => {
-                        let op = &self.addbs[idx as usize];
-                        let latch_row = op.latch.map(|(row, _)| row);
-                        if (op.sum, op.carry, op.t_sum, op.t_carry) != (s, c, ts, tc)
-                            || b.is_some_and(|x| x != op.b)
-                            || latch_row.is_some_and(|r| pred_row.is_some_and(|x| x != r))
-                        {
-                            break;
-                        }
-                        b = Some(op.b);
-                        pred_row = pred_row.or(latch_row);
-                        steps.push(match op.latch {
-                            Some((_, bit)) => ChainStep::AddBIf { bit },
-                            None => ChainStep::AddB(op.pred),
-                        });
-                    }
-                    Ctrl::Halve { idx } => {
-                        let op = &self.halves[idx as usize];
-                        if (op.sum, op.carry, op.t_sum, op.t_carry) != (s, c, ts, tc)
-                            || m.is_some_and(|x| x != op.modulus)
-                        {
-                            break;
-                        }
-                        m = Some(op.modulus);
-                        steps.push(ChainStep::Halve);
-                    }
-                    _ => break,
-                }
-                j += 1;
-            }
-            let chainable = j - i >= 2
-                && b.is_some()
-                && m.is_some()
-                && distinct(&[s, c, ts, tc, b.unwrap(), m.unwrap()]);
-            if chainable {
-                let mut counts = InstrCounts::default();
-                for step in &steps {
-                    counts += match step {
-                        ChainStep::AddB(_) => self.addb_counts,
-                        ChainStep::AddBIf { .. } => self.addb_if_counts,
-                        ChainStep::Halve => self.halve_counts,
-                    };
-                }
-                let mut fallback_ops = old[i..j].to_vec();
-                let clears = self.split_clears(&mut out, s, c);
-                if let Some(Ctrl::Run { start, len }) = clears {
-                    let range = start as usize..(start + len) as usize;
-                    counts += Self::group_counts(&self.instrs[range]);
-                    fallback_ops.insert(0, Ctrl::Run { start, len });
-                }
-                self.chains.push(ChainOp {
-                    sum: s,
-                    carry: c,
-                    t_sum: ts,
-                    t_carry: tc,
-                    b: b.unwrap(),
-                    modulus: m.unwrap(),
-                    pred_row,
-                    clear: clears.is_some(),
-                    steps,
-                    counts,
-                    fallback_ops,
-                });
-                out.push(Ctrl::Chain {
-                    idx: (self.chains.len() - 1) as u32,
-                });
-                i = j;
-            } else {
-                out.push(old[i]);
-                i += 1;
-            }
-        }
-        self.ctrl = out;
-    }
-
-    /// Algorithm 2 opens with `Sum ← 0; Carry ← 0`. When the run just
-    /// emitted before a chain ends with exactly those two clears, splits
-    /// them off into their own two-instruction run and returns it, so the
-    /// chain can start from zero instead.
-    fn split_clears(&self, out: &mut Vec<Ctrl>, s: u16, c: u16) -> Option<Ctrl> {
-        let Some(&Ctrl::Run { start, len }) = out.last() else {
-            return None;
-        };
-        let end = (start + len) as usize;
-        let clears = |i: usize, row: u16| {
-            matches!(self.instrs[i], Instruction::Unary {
-                dst,
-                kind: UnaryKind::Zero,
-                pred: PredMode::Always,
-                ..
-            } if dst.0 == row)
-        };
-        if len < 2 || !clears(end - 2, s) || !clears(end - 1, c) {
-            return None;
-        }
-        out.pop();
-        if len > 2 {
-            out.push(Ctrl::Run {
-                start,
-                len: len - 2,
-            });
-        }
-        Some(Ctrl::Run {
-            start: start + len - 2,
-            len: 2,
-        })
-    }
-
-    /// The `(sum, carry, t_sum, t_carry)` rows of a chainable entry.
-    fn accumulator_rows(&self, c: Ctrl) -> Option<(u16, u16, u16, u16)> {
-        match c {
-            Ctrl::AddB { idx } => {
-                let op = &self.addbs[idx as usize];
-                Some((op.sum, op.carry, op.t_sum, op.t_carry))
-            }
-            Ctrl::Halve { idx } => {
-                let op = &self.halves[idx as usize];
-                Some((op.sum, op.carry, op.t_sum, op.t_carry))
-            }
-            _ => None,
-        }
-    }
-
     /// Number of top-level control entries replay dispatches (straight-line
-    /// runs, loops, loads, superops, chains and epilogues; loop bodies not
-    /// counted) — the per-call dispatch cost of the program.
+    /// runs, loops, loads, multiplies and epilogues) — the per-call
+    /// dispatch cost of the program.
     #[must_use]
     pub fn control_len(&self) -> usize {
         self.ctrl.len()
     }
 
-    /// Number of distinct static instructions in the program (loop bodies
-    /// and fused-group fallbacks counted once, plus one zero-check per
-    /// loop, one row image per load and one op per typed epilogue).
+    /// Number of distinct static entries in the program: straight-line
+    /// instructions and loop bodies counted once, plus one zero-check per
+    /// loop, one row image per load and one op per typed multiply or
+    /// epilogue.
     #[must_use]
     pub fn static_len(&self) -> usize {
-        self.instrs.len() + self.loads.len() + self.loops.len() + self.epilogues.len()
+        self.instrs.len()
+            + self.loads.len()
+            + self.loops.len()
+            + self.modmuls.len()
+            + self.epilogues.len()
     }
 
-    /// How many fused superops the program holds: add-B and halve steps
-    /// plus typed epilogues (a replay-speed diagnostic: higher is better).
+    /// How many typed ops the program holds: multiplies plus epilogues,
+    /// each replayed by one word kernel.
     #[must_use]
     pub fn fused_ops(&self) -> usize {
-        self.addbs.len() + self.halves.len() + self.epilogues.len()
+        self.modmuls.len() + self.epilogues.len()
     }
 
-    /// How many multiplier chains the second fusion level produced.
+    /// How many typed Algorithm 2 multiplies the program holds (each
+    /// replays as one multiplier chain).
     #[must_use]
-    pub fn fused_chains(&self) -> usize {
-        self.chains.len()
+    pub fn fused_modmuls(&self) -> usize {
+        self.modmuls.len()
     }
 
     /// How many typed butterfly epilogues the program holds.
@@ -1049,7 +564,7 @@ impl CompiledProgram {
         self.epilogues.len()
     }
 
-    /// The fused chain/loop execution strategy this program compiled to
+    /// The chain/epilogue execution strategy this program compiled to
     /// (decided once from the row width; see [`FastPathKind`]).
     #[must_use]
     pub fn fast_path_kind(&self) -> FastPathKind {
@@ -1079,19 +594,19 @@ impl Controller {
             });
         }
         // Implied by equal geometry; the compiled kind exists so the
-        // executors never re-derive it from slice lengths per superop.
+        // executors never re-derive it from slice lengths per op.
         debug_assert_eq!(prog.fast_path, self.fast_path_kind());
         for c in &prog.ctrl {
-            // Control entries are whole superops, so this boundary is
-            // never inside a resolution loop — the one place injected
-            // corruption could stall the zero-flag convergence bound.
+            // Control entries are whole ops, so this boundary is never
+            // inside a resolution loop — the one place injected corruption
+            // could stall the zero-flag convergence bound.
             self.fault_tick();
             self.exec_ctrl(prog, *c);
         }
         Ok(())
     }
 
-    /// Replays one generic instruction range.
+    /// Replays one instruction range.
     fn run_instr_range(&mut self, prog: &CompiledProgram, range: InstrRange) {
         for instr in &prog.instrs[range.0 as usize..range.1 as usize] {
             self.apply_instr(instr);
@@ -1099,36 +614,15 @@ impl Controller {
     }
 
     fn exec_ctrl(&mut self, prog: &CompiledProgram, c: Ctrl) {
+        const VALIDATED: &str = "typed-op rows are validated at compile time";
         match c {
             Ctrl::Run { start, len } => self.run_instr_range(prog, (start, start + len)),
-            Ctrl::AddB { idx } => {
-                let op = &prog.addbs[idx as usize];
-                if self.exec_addb(op) {
-                    self.add_counts(if op.latch.is_some() {
-                        &prog.addb_if_counts
-                    } else {
-                        &prog.addb_counts
-                    });
+            Ctrl::ModMul { idx } => {
+                let step = &prog.modmuls[idx as usize];
+                if self.exec_chain(step) {
+                    self.add_counts(&prog.modmul_counts[usize::from(step.counts)]);
                 } else {
-                    self.run_instr_range(prog, op.fallback);
-                }
-            }
-            Ctrl::Halve { idx } => {
-                let op = &prog.halves[idx as usize];
-                if self.exec_halve(op) {
-                    self.add_counts(&prog.halve_counts);
-                } else {
-                    self.run_instr_range(prog, op.fallback);
-                }
-            }
-            Ctrl::Chain { idx } => {
-                let op = &prog.chains[idx as usize];
-                if self.exec_chain(op) {
-                    self.add_counts(&op.counts);
-                } else {
-                    for c in &op.fallback_ops {
-                        self.exec_ctrl(prog, *c);
-                    }
+                    step.op.expand(&mut Untimed(self)).expect(VALIDATED);
                 }
             }
             Ctrl::Epilogue { idx } => {
@@ -1136,9 +630,7 @@ impl Controller {
                 let mask = step.final_mask.map(|m| &prog.masks[usize::from(m)].1);
                 let counts = &prog.epilogue_counts[usize::from(step.counts)];
                 if !self.exec_epilogue(step, counts, mask) {
-                    step.op
-                        .expand(&mut Untimed(self))
-                        .expect("epilogue rows are validated at compile time");
+                    step.op.expand(&mut Untimed(self)).expect(VALIDATED);
                 }
             }
             Ctrl::Load { idx } => {
@@ -1153,10 +645,7 @@ impl Controller {
                     if self.zero_flag() {
                         break;
                     }
-                    for bc in lp.body.0..lp.body.1 {
-                        // Loop bodies never contain loops or loads.
-                        self.exec_ctrl(prog, prog.body_ctrl[bc as usize]);
-                    }
+                    self.run_instr_range(prog, lp.body);
                 }
                 debug_assert!(
                     self.zero_flag(),
@@ -1293,6 +782,27 @@ mod tests {
         assert!(matches!(
             rec.finish().compile(&ctl),
             Err(SramError::CheckBitOutOfRange { .. })
+        ));
+        // A typed multiply is validated through its expansion.
+        let mut rec = Recorder::new();
+        let rows = crate::epilogue::ModRows {
+            sum: RowAddr(0),
+            carry: RowAddr(1),
+            t_sum: RowAddr(2),
+            t_carry: RowAddr(3),
+            modulus: RowAddr(99),
+            comp_modulus: RowAddr(5),
+            bitwidth: 16,
+        };
+        rec.modmul(ModMulOp {
+            rows,
+            b: RowAddr(6),
+            multiplier: crate::epilogue::Multiplier::Const(1),
+        })
+        .unwrap();
+        assert!(matches!(
+            rec.finish().compile(&ctl),
+            Err(SramError::RowOutOfRange { row: 99, .. })
         ));
     }
 

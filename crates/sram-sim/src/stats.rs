@@ -116,21 +116,22 @@ impl AddAssign for InstrCounts {
     }
 }
 
-/// Word-engine fast-path coverage counters: how the fused superops and
+/// Word-engine fast-path coverage counters: how the typed ops and their
 /// loops actually executed. Tracked separately from [`Stats`] — coverage
 /// is an *execution-strategy* diagnostic, deliberately excluded from the
 /// replay≡emission bit-identity contract (a generic emission run has zero
 /// fused executions yet identical [`Stats`]).
 ///
 /// Watch these to catch "the fast path silently stopped firing": a
-/// matcher or dispatch regression shows up here as `*_per_step` /
-/// `fallback` growth long before it is visible as a wall-clock mystery.
+/// dispatch regression shows up here as `*_per_step` / `fallback` growth
+/// long before it is visible as a wall-clock mystery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FastPathStats {
-    /// Multiplier chains executed register-resident (rows loaded once).
+    /// Typed Algorithm 2 multiplies executed as one register-resident
+    /// multiplier chain (rows loaded once).
     pub chains_resident: u64,
-    /// Multiplier chains executed through the per-step word kernels
-    /// (row wider than the resident window of four chunks).
+    /// Typed multiplies executed as one chain through the per-step word
+    /// kernels (row wider than the resident window of four chunks).
     pub chains_per_step: u64,
     /// Carry-resolution loops of typed epilogues executed
     /// register-resident (two per epilogue).
@@ -138,11 +139,11 @@ pub struct FastPathStats {
     /// Carry-resolution loops of typed epilogues executed over working
     /// rows in memory (row wider than the resident window).
     pub resolve_loops_per_step: u64,
-    /// Fused superop executions: add-B and halve steps outside a chain,
-    /// and typed butterfly epilogues (one each).
+    /// Typed butterfly epilogues executed through their word kernel (one
+    /// each; a multiply counts as a chain, never here).
     pub superops_fused: u64,
-    /// Fused-shape executions that fell back to generic per-instruction
-    /// execution (tile mask active, or aliasing rows).
+    /// Typed ops that fell back to their expansion, run instruction by
+    /// instruction (tile mask active, or aliasing rows).
     pub fallbacks: u64,
 }
 

@@ -36,7 +36,7 @@
 //!   epilogues with every live row held in local lane arrays (vector
 //!   registers on the AVX2 lane), the inter-chunk shift carries threaded
 //!   in-register; see [`FastPathKind`], which each geometry decides once
-//!   instead of re-testing row widths per superop.
+//!   instead of re-testing row widths per op.
 
 // SIMD intrinsics need raw-pointer loads/stores; this module owns the
 // crate's entire unsafe surface (see `#![deny(unsafe_code)]` in lib.rs).
@@ -46,8 +46,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::array::SramArray;
 use crate::epilogue::{Epilogue, EpilogueOp};
-use crate::isa::{PredMode, RowAddr};
-use crate::program::ChainStep;
+use crate::isa::RowAddr;
 
 pub(crate) use crate::bitrow::WORD_CHUNK as CHUNK;
 
@@ -248,8 +247,8 @@ fn put<L: Lane>(v: &[L], words: &mut [u64]) {
 // ---- multiplier steps --------------------------------------------------------
 //
 // The add-B and halve lane bodies serve both the per-step kernels (rows
-// in memory, any width: standalone superops and chains on rows too wide
-// to pin) and the register-resident chain. Shared contract: all rows of
+// in memory, any width: chains on rows too wide to pin) and the
+// register-resident chain. Shared contract: all rows of
 // one call have the same, CHUNK-multiple length; tile gating uses
 // `mask`/`pred` column images whose padding words are zero, which keeps
 // every output's padding zero as well.
@@ -345,14 +344,14 @@ impl Kernel for Halve<'_, '_> {
 /// One add-B step over whole rows `[Sum, Carry, t_sum, t_carry]` in
 /// memory (see [`addb_lane`]), gated per tile by `mask ∧ pred`: an
 /// `IfSet` step passes the predicate image, an unpredicated one `mask`.
-pub(crate) fn addb(acc: &mut [&mut [u64]; 4], b: &[u64], mask: &[u64], pred: &[u64]) {
+fn addb(acc: &mut [&mut [u64]; 4], b: &[u64], mask: &[u64], pred: &[u64]) {
     dispatch::<_, 0, 0>(AddB(acc, b, mask, pred));
 }
 
 /// One Montgomery halve step over whole rows in memory (see
 /// [`halve_lane`]). The predicate column mask must already reflect
 /// `Check(Sum, bit 0)` and every tile must be write-enabled.
-pub(crate) fn halve(acc: &mut [&mut [u64]; 4], m: &[u64], pred: &[u64], shr_keep: &[u64]) {
+fn halve(acc: &mut [&mut [u64]; 4], m: &[u64], pred: &[u64], shr_keep: &[u64]) {
     dispatch::<_, 0, 0>(Halve(acc, m, pred, shr_keep));
 }
 
@@ -377,7 +376,7 @@ pub(crate) const MAX_RESIDENT_CHUNKS: usize = 4;
 /// How a controller geometry executes fused multiplier chains and
 /// butterfly epilogues. Decided once per geometry (and recorded per
 /// [`CompiledProgram`](crate::CompiledProgram) at compile time), so replay
-/// never re-derives it from the row width per superop.
+/// never re-derives it from the row width per op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastPathKind {
     /// Row too wide: per-step kernels only.
@@ -450,26 +449,38 @@ pub(crate) fn latch_tile_bit(base_mask: &[u64], tile_width: usize, bit: usize, p
     }
 }
 
-/// One multiplier chain: a run of add-B / halve steps over one
-/// accumulator row set (see [`chain_resident`]).
+/// The multiplier a chain consumes, one bit per step.
+#[derive(Clone, Copy)]
+pub(crate) enum Factor<'a> {
+    /// A constant: each set bit adds `B` in every tile.
+    Const(u64),
+    /// A row image: each bit adds `B` in the tiles where that bit is set.
+    Row(&'a [u64]),
+}
+
+/// One Algorithm 2 multiplier chain over one accumulator row set: per
+/// multiplier bit an add-B step (when the bit asks for one) and a halve
+/// step, exactly the steps of `ModMulOp::expand` after its clears.
 pub(crate) struct Chain<'a, 'b> {
     /// Sum, Carry, t_sum, t_carry.
     pub acc: &'a mut [&'b mut [u64]; 4],
     pub b: &'a [u64],
     pub m: &'a [u64],
-    /// The multiplier row `AddBIf` steps latch from (empty when the chain
-    /// has none).
-    pub pred_row: &'a [u64],
+    pub factor: Factor<'a>,
+    /// Multiplier bits consumed (the word width `w`).
+    pub bits: usize,
     /// The predicate image: read at entry, left holding the last latch.
     pub pm: &'a mut [u64],
+    /// Every real column set: the all-tiles write mask the per-step
+    /// kernels gate with.
+    pub valid: &'a [u64],
     pub shr_keep: &'a [u64],
-    pub steps: &'a [ChainStep],
     pub base_mask: &'a [u64],
     pub tile_width: usize,
 }
 
 /// Each step is the per-step kernels' lane body over register-resident
-/// rows: `Always` add-B with an all-enabled mask loses its gating
+/// rows: a constant's add-B with an all-enabled mask loses its gating
 /// entirely, halve spills `Sum` once for its predicate latch.
 ///
 /// Register budget: only the four accumulator rows live in lane arrays
@@ -495,35 +506,32 @@ impl Kernel for Chain<'_, '_> {
         let mut pm = [0u64; MAX_RESIDENT_CHUNKS * CHUNK];
         let pm = &mut pm[..n];
         pm.copy_from_slice(self.pm);
-        for step in self.steps {
-            match *step {
-                ChainStep::AddB(PredMode::Always) => addb_lanes(&mut r, b, |_| L::splat(!0)),
-                ChainStep::AddB(_) | ChainStep::AddBIf { .. } => {
-                    // IfSet (IfClear is never matched into add-B ops),
-                    // latched first from the multiplier row when the step
-                    // carries its own `Check`.
-                    if let ChainStep::AddBIf { bit } = *step {
-                        pm.copy_from_slice(&self.pred_row[..n]);
-                        latch_tile_bit(base, width, usize::from(bit), pm);
-                    }
+        for bit in 0..self.bits {
+            match self.factor {
+                Factor::Const(a) if (a >> bit) & 1 == 1 => {
+                    addb_lanes(&mut r, b, |_| L::splat(!0));
+                }
+                Factor::Const(_) => {}
+                Factor::Row(row) => {
+                    // The step's own `Check` of the multiplier bit.
+                    pm.copy_from_slice(&row[..n]);
+                    latch_tile_bit(base, width, bit, pm);
                     addb_lanes(&mut r, b, |k| L::load(pm, k));
                 }
-                ChainStep::Halve => {
-                    // The Check(Sum, bit 0) latch, from Sum spilled into `pm`.
-                    for (k, lane) in r.iter().enumerate() {
-                        lane[0].store(pm, k);
-                    }
-                    latch_tile_bit(base, width, 0, pm);
-                    let mp = |k| L::load(m, k).and(L::load(pm, k));
-                    for k in 0..N {
-                        let next = if k + 1 < N {
-                            r[k + 1][0].xor(mp(k + 1))
-                        } else {
-                            L::splat(0)
-                        };
-                        r[k] = halve_lane(r[k][0], r[k][1], mp(k), next, L::load(keep, k));
-                    }
-                }
+            }
+            // The Check(Sum, bit 0) latch, from Sum spilled into `pm`.
+            for (k, lane) in r.iter().enumerate() {
+                lane[0].store(pm, k);
+            }
+            latch_tile_bit(base, width, 0, pm);
+            let mp = |k| L::load(m, k).and(L::load(pm, k));
+            for k in 0..N {
+                let next = if k + 1 < N {
+                    r[k + 1][0].xor(mp(k + 1))
+                } else {
+                    L::splat(0)
+                };
+                r[k] = halve_lane(r[k][0], r[k][1], mp(k), next, L::load(keep, k));
             }
         }
         for (k, lane) in r.into_iter().enumerate() {
@@ -544,13 +552,44 @@ fn addb_lanes<L: Lane>(r: &mut [[L; 4]], b: &[u64], g: impl Fn(usize) -> L) {
     }
 }
 
-/// Runs a whole multiplier chain register-resident over rows of `chunks`
-/// chunks (a [`FastPathKind::Resident`] geometry); memory is touched once
-/// on entry, once per halve-latch spill, and once on exit, and `pm` ends
-/// holding the last latch image — exactly the state per-step execution
-/// leaves. Caller must hold an all-enabled tile mask.
-pub(crate) fn chain_resident(chunks: u8, op: Chain<'_, '_>) {
-    resident(chunks, op);
+/// Runs one multiplier chain: register-resident over rows of `kind`'s
+/// 1–4 chunks, touching memory once on entry, once per halve-latch spill
+/// and once on exit; through the per-step kernels under one borrow on
+/// wider rows. Either way `pm` ends holding the last latch image — exactly
+/// the state the expansion leaves. Returns whether it ran resident.
+/// Caller must hold an all-enabled tile mask.
+pub(crate) fn chain(kind: FastPathKind, op: Chain<'_, '_>) -> bool {
+    if let FastPathKind::Resident(chunks) = kind {
+        resident(chunks, op);
+        return true;
+    }
+    let Chain {
+        acc,
+        b,
+        m,
+        factor,
+        bits,
+        pm,
+        valid,
+        shr_keep,
+        base_mask,
+        tile_width,
+    } = op;
+    for bit in 0..bits {
+        match factor {
+            Factor::Const(a) if (a >> bit) & 1 == 1 => addb(acc, b, valid, valid),
+            Factor::Const(_) => {}
+            Factor::Row(row) => {
+                pm.copy_from_slice(row);
+                latch_tile_bit(base_mask, tile_width, bit, pm);
+                addb(acc, b, valid, pm);
+            }
+        }
+        pm.copy_from_slice(acc[0]);
+        latch_tile_bit(base_mask, tile_width, 0, pm);
+        halve(acc, m, pm, shr_keep);
+    }
+    false
 }
 
 // ---- butterfly epilogue kernel ---------------------------------------------
@@ -1032,61 +1071,51 @@ mod tests {
             let mask: Vec<u64> = vec![u64::MAX; n];
             let shr: Vec<u64> = vec![!((1u64 << 31) | (1u64 << 63)); n];
             let shl: Vec<u64> = vec![!((1u64) | (1u64 << 32)); n];
-            let steps = [
-                ChainStep::AddB(PredMode::Always),
-                ChainStep::Halve,
-                ChainStep::AddB(PredMode::IfSet),
-                ChainStep::Halve,
-                ChainStep::AddBIf { bit: 5 },
-                ChainStep::Halve,
-                ChainStep::AddB(PredMode::IfSet),
-                ChainStep::Halve,
-                ChainStep::AddBIf { bit: 31 },
-            ];
-
-            // Per-step reference (the exec_chain path for wide rows).
-            let bw = rng_words(n, seed * 3 + 1);
-            let mw = rng_words(n, seed * 3 + 2);
+            let (bw, mw) = (rng_words(n, seed * 3 + 1), rng_words(n, seed * 3 + 2));
             let aw = rng_words(n, seed * 3 + 3);
-            let (mut want, mut p1) = (acc_words(n, seed * 7), rng_words(n, seed * 7 + 5));
-            let p_start = p1.clone();
-            for step in &steps {
-                let acc = &mut rows(&mut want);
-                let (b, mask) = (&bw, &mask);
-                match *step {
-                    ChainStep::AddB(PredMode::IfSet) => addb(acc, b, mask, &p1),
-                    ChainStep::AddB(_) => addb(acc, b, mask, mask),
-                    ChainStep::AddBIf { bit } => {
-                        p1.copy_from_slice(&aw);
-                        latch_tile_bit(&base_mask, TILE, usize::from(bit), &mut p1);
-                        addb(acc, b, mask, &p1);
+            let a = rng_words(1, seed * 3 + 4)[0];
+            for factor in [Factor::Const(a), Factor::Row(&aw)] {
+                // Step-by-step reference, written out from the expansion.
+                let (mut want, mut p1) = (acc_words(n, seed * 7), rng_words(n, seed * 7 + 5));
+                let p_start = p1.clone();
+                for bit in 0..TILE {
+                    let acc = &mut rows(&mut want);
+                    match factor {
+                        Factor::Const(a) if (a >> bit) & 1 == 1 => addb(acc, &bw, &mask, &mask),
+                        Factor::Const(_) => {}
+                        Factor::Row(row) => {
+                            p1.copy_from_slice(row);
+                            latch_tile_bit(&base_mask, TILE, bit, &mut p1);
+                            addb(acc, &bw, &mask, &p1);
+                        }
                     }
-                    ChainStep::Halve => {
-                        p1.copy_from_slice(acc[0]);
-                        latch_tile_bit(&base_mask, TILE, 0, &mut p1);
-                        halve(acc, &mw, &p1, &shr);
-                    }
+                    p1.copy_from_slice(acc[0]);
+                    latch_tile_bit(&base_mask, TILE, 0, &mut p1);
+                    halve(acc, &mw, &p1, &shr);
                 }
-            }
-            for simd in lanes() {
-                let (mut got, mut p2) = (acc_words(n, seed * 7), p_start.clone());
-                let op = Chain {
-                    acc: &mut rows(&mut got),
-                    b: &bw,
-                    m: &mw,
-                    pred_row: &aw,
-                    pm: &mut p2,
-                    shr_keep: &shr,
-                    steps: &steps,
-                    base_mask: &base_mask,
-                    tile_width: TILE,
-                };
-                run_lane::<_, K, W>(simd, op);
-                assert_eq!(
-                    (&got, &p2),
-                    (&want, &p1),
-                    "chain K={K} seed={seed} simd={simd}"
-                );
+                // The per-step path (`None`), then the resident one on
+                // every lane.
+                for path in std::iter::once(None).chain(lanes().into_iter().map(Some)) {
+                    let (mut got, mut p2) = (acc_words(n, seed * 7), p_start.clone());
+                    let op = Chain {
+                        acc: &mut rows(&mut got),
+                        b: &bw,
+                        m: &mw,
+                        factor,
+                        bits: TILE,
+                        pm: &mut p2,
+                        valid: &mask,
+                        shr_keep: &shr,
+                        base_mask: &base_mask,
+                        tile_width: TILE,
+                    };
+                    match path {
+                        None => assert!(!chain(FastPathKind::PerStep, op)),
+                        Some(simd) => run_lane::<_, K, W>(simd, op),
+                    }
+                    let what = format!("chain K={K} seed={seed} path={path:?}");
+                    assert_eq!((&got, &p2), (&want, &p1), "{what}");
+                }
             }
 
             // Each epilogue: the wide-row path against the resident one,
@@ -1112,6 +1141,7 @@ mod tests {
                 carry: RowAddr(1),
                 t_sum: RowAddr(2),
                 t_carry: RowAddr(3),
+                modulus: RowAddr(4),
                 comp_modulus: RowAddr(4),
                 bitwidth: TILE as u16,
             };
@@ -1216,6 +1246,7 @@ mod tests {
             carry: RowAddr(1),
             t_sum: RowAddr(2),
             t_carry: RowAddr(3),
+            modulus: RowAddr(7),
             comp_modulus: RowAddr(4),
             bitwidth: W as u16,
         };

@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut acc = BpNtt::new(cfg.clone())?;
     let plan = acc.compile_pipeline(&spec)?;
     println!(
-        "polymul spec: {} ops -> {} compiled segments, {} fused superops",
+        "polymul spec: {} ops -> {} compiled segments, {} typed ops",
         spec.ops().len(),
         plan.segments(),
         plan.fused_ops()

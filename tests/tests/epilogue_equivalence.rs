@@ -1,23 +1,25 @@
-//! Differential tests for the typed butterfly epilogues: every
-//! [`EpilogueOp`] replayed through its word kernel must leave every row,
+//! Differential tests for the typed ops: every [`EpilogueOp`] and
+//! [`ModMulOp`] replayed through its word kernel must leave every row,
 //! the predicate latch, the zero flag and the `Stats` (counts, cycles and
 //! energy bits) exactly as the `Generic` oracle — the controller running
 //! the op's canonical expansion instruction by instruction — leaves them.
 //!
-//! Coverage: `Finish` with and without a destination copy, `AddMod` and
-//! `SubMod` with and without a final tile mask, at the benchmark widths
-//! w ∈ {14, 24, 32} with the benchmark moduli and a modulus just below
-//! 2^(w−1); operands at 0 and q − 1 next to random residues; the row
-//! aliasing the butterflies use (`add_mod(lo, lo, sum)`, GS's
-//! `sub_mod(sum, lo, hi)`); both word-engine modes; and the two fallback
-//! triggers (rows the kernel does not model, an active tile mask), which
-//! must replay the expansion instead.
+//! Epilogue coverage: `Finish` with and without a destination copy,
+//! `AddMod` and `SubMod` with and without a final tile mask, at the
+//! benchmark widths w ∈ {14, 24, 32} with the benchmark moduli and a
+//! modulus just below 2^(w−1); operands at 0 and q − 1 next to random
+//! residues; the row aliasing the butterflies use (`add_mod(lo, lo,
+//! sum)`, GS's `sub_mod(sum, lo, hi)`). Multiply coverage: constant
+//! multipliers 0, 1, q − 1 and a random residue; a multiplier row, also
+//! one equal to `B` and one equal to `M`. Both word-engine modes, and the
+//! fallback triggers (rows the kernel does not model, an active tile
+//! mask), which must replay the expansion instead.
 
 use std::sync::{Mutex, MutexGuard};
 
 use bpntt_sram::{
-    BitRow, Controller, Epilogue, EpilogueOp, InstrSink, Instruction, ModRows, Recorder, RowAddr,
-    SramArray,
+    BitRow, Controller, Epilogue, EpilogueOp, InstrSink, Instruction, ModMulOp, ModRows,
+    Multiplier, Recorder, RowAddr, SramArray,
 };
 
 static DISPATCH: Mutex<()> = Mutex::new(());
@@ -38,6 +40,7 @@ const COMP: RowAddr = RowAddr(4);
 const LO: RowAddr = RowAddr(5);
 const HI: RowAddr = RowAddr(6);
 const OUT: RowAddr = RowAddr(7);
+const M: RowAddr = RowAddr(8);
 
 /// `(w, q)`: the benchmark moduli and a modulus just below 2^(w−1).
 const MODULI: [(usize, u64); 6] = [
@@ -63,7 +66,8 @@ impl Rng {
 /// A controller with about 256 columns of `w`-bit tiles: reduced operands
 /// in `LO`/`HI` (tile 0 holds 0 and tile 1 holds q − 1, against random
 /// residues elsewhere), an arbitrary carry-save pair in `SUM`/`CARRY`,
-/// garbage in the temporaries and the output row, and `2^w − q` in `COMP`.
+/// garbage in the temporaries and the output row, `q` in `M` and
+/// `2^w − q` in `COMP`.
 fn start(w: usize, q: u64, seed: u64) -> Controller {
     let tiles = 256 / w;
     let mut ctl = Controller::new(SramArray::new(ROWS, tiles * w).unwrap(), w).unwrap();
@@ -74,6 +78,7 @@ fn start(w: usize, q: u64, seed: u64) -> Controller {
         for t in 0..tiles {
             let v = match RowAddr(r as u16) {
                 COMP => (1u64 << w) - q,
+                M => q,
                 LO if t == 0 => 0,
                 LO if t == 1 => q - 1,
                 HI if t == 0 => q - 1,
@@ -89,17 +94,30 @@ fn start(w: usize, q: u64, seed: u64) -> Controller {
     ctl
 }
 
+fn rows(w: usize) -> ModRows {
+    ModRows {
+        sum: SUM,
+        carry: CARRY,
+        t_sum: T_SUM,
+        t_carry: T_CARRY,
+        modulus: M,
+        comp_modulus: COMP,
+        bitwidth: w as u16,
+    }
+}
+
 fn op(w: usize, kind: Epilogue) -> EpilogueOp {
     EpilogueOp {
-        rows: ModRows {
-            sum: SUM,
-            carry: CARRY,
-            t_sum: T_SUM,
-            t_carry: T_CARRY,
-            comp_modulus: COMP,
-            bitwidth: w as u16,
-        },
+        rows: rows(w),
         kind,
+    }
+}
+
+fn modmul(w: usize, b: RowAddr, multiplier: Multiplier) -> ModMulOp {
+    ModMulOp {
+        rows: rows(w),
+        b,
+        multiplier,
     }
 }
 
@@ -276,4 +294,75 @@ fn unmodelled_rows_and_active_masks_fall_back_to_the_expansion() {
     };
     let replayed = replay_like_generic(&ctl, &emit, "masked entry");
     assert_eq!(replayed.fastpath_stats().fallbacks, 1);
+}
+
+/// Every multiplier shape: constants 0, 1, q − 1 and a random residue,
+/// and multiplier rows, including one equal to `B` and one equal to `M`.
+fn modmuls(w: usize, q: u64, random: u64) -> Vec<(&'static str, ModMulOp)> {
+    vec![
+        ("const 0", modmul(w, HI, Multiplier::Const(0))),
+        ("const 1", modmul(w, HI, Multiplier::Const(1))),
+        ("const q-1", modmul(w, HI, Multiplier::Const(q - 1))),
+        ("const random", modmul(w, HI, Multiplier::Const(random % q))),
+        ("row", modmul(w, HI, Multiplier::Row(LO))),
+        ("row = b", modmul(w, HI, Multiplier::Row(HI))),
+        ("row = M", modmul(w, LO, Multiplier::Row(M))),
+    ]
+}
+
+#[test]
+fn typed_modmuls_replay_like_generic_in_both_engine_modes() {
+    for scalar in [false, true] {
+        let _guard = pin_dispatch(scalar);
+        for (i, (w, q)) in MODULI.into_iter().enumerate() {
+            let mut rng = Rng(q ^ 0x9e37_79b9);
+            for seed in 1..=2u64 {
+                let ctl = start(w, q, seed * 257 + i as u64);
+                for (name, op) in modmuls(w, q, rng.next()) {
+                    let what = format!("{name} w={w} q={q} seed={seed} scalar={scalar}");
+                    let emit = |s: &mut dyn InstrSink| s.modmul(op).unwrap();
+                    let replayed = replay_like_generic(&ctl, &emit, &what);
+                    let fp = replayed.fastpath_stats();
+                    assert_eq!(
+                        (fp.chains_resident + fp.chains_per_step, fp.superops_fused),
+                        (1, 0),
+                        "{what}: one chain, no superop"
+                    );
+                    assert_eq!(fp.fallbacks, 0, "{what}");
+                }
+            }
+        }
+        bpntt_sram::force_scalar(false);
+    }
+}
+
+/// A multiplicand row aliasing an accumulator row, and an active tile
+/// mask at entry, both replay the multiply's expansion.
+#[test]
+fn aliased_multiplicands_and_active_masks_fall_back_to_the_modmul_expansion() {
+    let _guard = pin_dispatch(false);
+    let (w, q) = (24, 8_380_417);
+    let ctl = start(w, q, 11);
+    let aliased = modmul(w, SUM, Multiplier::Const(q - 1));
+    let emit = |s: &mut dyn InstrSink| s.modmul(aliased).unwrap();
+    let replayed = replay_like_generic(&ctl, &emit, "b = Sum");
+    let fp = replayed.fastpath_stats();
+    assert_eq!((fp.fallbacks, fp.hits()), (1, 0), "b = Sum");
+
+    for multiplier in [Multiplier::Const(q - 1), Multiplier::Row(LO)] {
+        let plain = modmul(w, HI, multiplier);
+        let emit = |s: &mut dyn InstrSink| {
+            s.emit(Instruction::MaskTiles {
+                stride_log2: 0,
+                phase: true,
+            })
+            .unwrap();
+            s.modmul(plain).unwrap();
+            s.emit(Instruction::MaskAll).unwrap();
+        };
+        let what = format!("masked entry {multiplier:?}");
+        let replayed = replay_like_generic(&ctl, &emit, &what);
+        let fp = replayed.fastpath_stats();
+        assert_eq!((fp.fallbacks, fp.hits()), (1, 0), "{what}");
+    }
 }

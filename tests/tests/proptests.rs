@@ -246,6 +246,7 @@ fn replay_like_generic(start: &Controller, recorded: ReplayProgram, what: &str) 
                 })
                 .unwrap(),
             ReplayOp::Epilogue(op) => generic.epilogue(*op).unwrap(),
+            ReplayOp::ModMul(op) => generic.modmul(*op).unwrap(),
         }
     }
     let mut replayed = start.clone();

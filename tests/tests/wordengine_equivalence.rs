@@ -1,5 +1,5 @@
-//! Property tests for the vectorized word-engine and the epilogue superop
-//! fusion: replay through the fused superops — on the SIMD path *and* on
+//! Property tests for the vectorized word-engine and the typed-op word
+//! kernels: replay through the kernels — on the SIMD path *and* on
 //! the forced-scalar fallback — must be indistinguishable from strictly
 //! per-instruction emission (`ExecMode::Generic`, the oracle), and the
 //! two kernel paths must be bit-identical to each other. `Stats` are
@@ -10,7 +10,8 @@
 //! counts are *not* chunk-aligned (1, 2, 3, and 5 words before padding),
 //! and the wide HE-batch geometries (320/512/768/1024 columns — 2-, 3-,
 //! and 4-chunk rows), which exercises every register-resident chunk
-//! count of the multiplier-chain and resolution-loop fast paths.
+//! count of the multiplier-chain and resolution-loop fast paths, plus a
+//! 1280-column (5-chunk) row that runs their per-step paths.
 //!
 //! The kernel dispatch is process-wide, so every test that toggles it
 //! serializes on one mutex. Toggling is safe by construction — both paths
@@ -51,8 +52,10 @@ fn nonaligned_config(cols: usize) -> BpNttConfig {
 const NONALIGNED_COLS: [usize; 4] = [48, 96, 144, 312];
 
 /// Wide HE-batch geometries: 2-chunk (320 → padded, 512), 3-chunk (768),
-/// and 4-chunk (1024) rows — every multi-chunk register-resident variant.
-const WIDE_COLS: [usize; 4] = [320, 512, 768, 1024];
+/// and 4-chunk (1024) rows — every multi-chunk register-resident variant —
+/// and a 5-chunk (1280) row past the resident window, which runs the
+/// per-step chain and resolution-loop paths.
+const WIDE_COLS: [usize; 5] = [320, 512, 768, 1024, 1280];
 
 fn pseudo_batch(cfg: &BpNttConfig, lanes: usize, seed: u64) -> Vec<Vec<u64>> {
     let n = cfg.params().n();
@@ -129,8 +132,8 @@ fn replay_snapshot(cfg: &BpNttConfig, seed: u64) -> (Vec<bpntt_sram::BitRow>, bp
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
 
-    /// Fused epilogue superops + scalar kernels ≡ emission, all three
-    /// crypto parameter sets.
+    /// Typed-op kernels on the `u64` lane ≡ emission, all three crypto
+    /// parameter sets.
     #[test]
     fn scalar_replay_equivalent_on_crypto_sets(seed in any::<u64>()) {
         let _guard = pin_dispatch(true);
@@ -140,8 +143,8 @@ proptest! {
         bpntt_sram::force_scalar(false);
     }
 
-    /// Fused epilogue superops + SIMD kernels (where the host supports
-    /// them) ≡ emission, all three crypto parameter sets.
+    /// Typed-op kernels on the AVX2 lane (where the host supports it) ≡
+    /// emission, all three crypto parameter sets.
     #[test]
     fn simd_replay_equivalent_on_crypto_sets(seed in any::<u64>()) {
         let _guard = pin_dispatch(false);
@@ -164,16 +167,18 @@ proptest! {
         }
     }
 
-    /// Wide HE-batch geometries (2-/3-/4-chunk rows) stay equivalent on
-    /// both kernel paths — the multi-chunk register-resident chains and
-    /// loops against per-instruction emission, with `Stats` (counts,
-    /// cycles and energy bits) pinned.
+    /// Wide HE-batch geometries (2-/3-/4-chunk rows, and a 5-chunk row)
+    /// stay equivalent on both kernel paths — the multi-chunk
+    /// register-resident chains and loops, and the per-step ones past the
+    /// resident window, against per-instruction emission, with `Stats`
+    /// (counts, cycles and energy bits) pinned.
     #[test]
     fn wide_cols_replay_equivalent(seed in any::<u64>()) {
         for scalar in [false, true] {
             let _guard = pin_dispatch(scalar);
             for cols in WIDE_COLS {
-                assert_replay_equivalent(&nonaligned_config(cols), seed, cols == 512);
+                let inverse_too = cols == 512 || cols == 1280;
+                assert_replay_equivalent(&nonaligned_config(cols), seed, inverse_too);
             }
             bpntt_sram::force_scalar(false);
         }
@@ -182,15 +187,16 @@ proptest! {
 
 /// The register-resident fast paths actually fire under replay — on the
 /// paper geometry *and* the wide HE-batch geometries, on both word-engine
-/// legs (the `u64` lane runs the same resident kernels as AVX2) — and
-/// never under generic emission. This is the coverage telemetry's reason
-/// to exist: a dispatch or matcher regression turns these counters to
-/// zero long before anyone notices a wall-clock mystery.
+/// legs (the `u64` lane runs the same resident kernels as AVX2) — past
+/// the resident window the per-step paths do, never falling back, and
+/// generic emission fires none. This is the coverage telemetry's reason
+/// to exist: a dispatch regression turns these counters to zero long
+/// before anyone notices a wall-clock mystery.
 #[test]
 fn resident_fast_paths_fire_on_wide_geometries() {
     for scalar in [false, true] {
         let _guard = pin_dispatch(scalar);
-        for cols in [256usize, 512, 1024] {
+        for cols in [256usize, 512, 1024, 1280] {
             let cfg = nonaligned_config(cols);
             let polys = pseudo_batch(&cfg, 1, 42);
             let mut acc = BpNtt::new(cfg).unwrap();
@@ -200,8 +206,14 @@ fn resident_fast_paths_fire_on_wide_geometries() {
             acc.forward().unwrap();
             let replay = *acc.fastpath_stats();
             let what = format!("cols={cols} scalar={scalar}");
-            assert!(replay.chains_resident > 0, "{what}: replay chains");
-            assert!(replay.resolve_loops_resident > 0, "{what}: replay loops");
+            if cols > 1024 {
+                assert!(replay.chains_per_step > 0, "{what}: per-step chains");
+                assert!(replay.resolve_loops_per_step > 0, "{what}: per-step loops");
+            } else {
+                assert!(replay.chains_resident > 0, "{what}: replay chains");
+                assert!(replay.resolve_loops_resident > 0, "{what}: replay loops");
+            }
+            assert_eq!(replay.fallbacks, 0, "{what}: no fallback");
             assert!(replay.superops_fused > 0, "{what}: replay superops");
             acc.reset_stats();
             acc.forward_mode(ExecMode::Generic).unwrap();
