@@ -60,7 +60,9 @@ fn pseudo_batch(cfg: &BpNttConfig, lanes: usize, seed: u64) -> Vec<Vec<u64>> {
 /// Runs the canned polymul pipeline in every `ExecMode` against the
 /// retained legacy implementation on identical data and asserts
 /// indistinguishability: every physical row and the full `Stats`
-/// (counts, cycles and energy bits).
+/// (counts, cycles and energy bits). Replay must also run its typed
+/// multiplies and epilogues on the register-resident word kernels with
+/// no fallback, and `Generic` must stay strictly per-instruction.
 fn assert_pipeline_equivalent(cfg: &BpNttConfig, seed: u64) {
     let lanes = cfg.layout().lanes();
     let batch = 1 + (seed as usize) % lanes;
@@ -96,6 +98,20 @@ fn assert_pipeline_equivalent(cfg: &BpNttConfig, seed: u64) {
             ls.energy_pj.to_bits(),
             "{mode:?} energy"
         );
+        let fp = *piped.fastpath_stats();
+        match mode {
+            ExecMode::Replay => {
+                // Checked apart: a sum would hide multiplies that stopped
+                // running resident while the epilogues still do.
+                assert!(fp.chains_resident > 0, "no resident multiplier chain: {fp}");
+                assert!(
+                    fp.resolve_loops_resident > 0,
+                    "no resident resolve loop: {fp}"
+                );
+                assert_eq!(fp.fallbacks, 0, "replay fell back: {fp}");
+            }
+            ExecMode::Generic => assert_eq!(fp.hits(), 0, "generic ran a fast path: {fp}"),
+        }
     }
 }
 

@@ -117,18 +117,10 @@ proptest! {
 
 /// Fan-out and the sequential baseline agree bit-for-bit, and fan-out
 /// occupies strictly more of the shard budget in one wave.
-#[test]
-fn fanned_matches_sequential_and_raises_occupancy() {
-    let basis = Arc::new(RnsBasis::new(64, &P14).unwrap());
-    let mut ctx = RnsContext::new(
-        Arc::clone(&basis),
-        rows_for(64),
-        128,
-        16,
-        2 * basis.limbs(),
-        BackendKind::Sim,
-    )
-    .unwrap();
+fn assert_fanout_matches_sequential(n: usize, rows: usize, cols: usize, shards: usize) {
+    let basis = Arc::new(RnsBasis::new(n, &P14).unwrap());
+    let mut ctx =
+        RnsContext::new(Arc::clone(&basis), rows, cols, 16, shards, BackendKind::Sim).unwrap();
     let a = big_poly(&basis, 7);
     let b = big_poly(&basis, 8);
     let spec = PipelineSpec::polymul();
@@ -143,30 +135,46 @@ fn fanned_matches_sequential_and_raises_occupancy() {
         .unwrap();
     let sequential_wave = ctx.last_wave().clone();
 
-    assert_eq!(fanned, sequential, "fan-out must not change results");
-    assert_eq!(fanned[0], negacyclic_polymul_basis(&a, &b, &basis).unwrap());
+    assert_eq!(fanned, sequential, "n={n}: fan-out must not change results");
+    assert_eq!(
+        fanned[0],
+        negacyclic_polymul_basis(&a, &b, &basis).unwrap(),
+        "n={n}: reconstruction diverged"
+    );
     assert!(
         fanned_wave.participating > sequential_wave.participating,
-        "fan-out must occupy more shards per wave ({} vs {})",
+        "n={n}: fan-out must occupy more shards per wave ({} vs {})",
         fanned_wave.participating,
         sequential_wave.participating
     );
-    assert!(fanned_wave.occupancy > sequential_wave.occupancy);
+    assert!(
+        fanned_wave.occupancy > sequential_wave.occupancy,
+        "n={n}: occupancy {} fanned vs {} sequential",
+        fanned_wave.occupancy,
+        sequential_wave.occupancy
+    );
+}
+
+#[test]
+fn fanned_matches_sequential_and_raises_occupancy() {
+    assert_fanout_matches_sequential(64, rows_for(64), 128, 2 * P14.len());
+    // N = 256 on narrow 518×48 arrays (three 16-bit lanes), one shard
+    // per limb.
+    assert_fanout_matches_sequential(256, 518, 48, P14.len());
 }
 
 /// Sibling contexts over one shared artifact cache compile each limb
 /// prime once: the second context adds no entry and finds all `L` plans
 /// (hits ≥ L − 1 holds with margin).
-#[test]
-fn sibling_contexts_share_compiled_plans() {
-    let basis = Arc::new(RnsBasis::new(64, &P14).unwrap());
+fn assert_siblings_share_plans(n: usize, rows: usize, cols: usize) {
+    let basis = Arc::new(RnsBasis::new(n, &P14).unwrap());
     let cache = Arc::new(ArtifactCache::default());
     let spec = PipelineSpec::polymul();
     let mk = |cache: &Arc<ArtifactCache>| {
         RnsContext::with_plan_cache(
             Arc::clone(&basis),
-            rows_for(64),
-            128,
+            rows,
+            cols,
             16,
             basis.limbs(),
             BackendKind::Sim,
@@ -182,12 +190,12 @@ fn sibling_contexts_share_compiled_plans() {
     assert_eq!(
         cache.entries(),
         baseline_entries,
-        "the sibling context must compile nothing"
+        "n={n}: the sibling context must compile nothing"
     );
     let hits = cache.hits() - baseline_hits;
     assert!(
         hits >= (basis.limbs() - 1) as u64,
-        "expected ≥ L−1 plan-cache hits, got {hits}"
+        "n={n}: expected ≥ L−1 plan-cache hits, got {hits}"
     );
     // Shared plans execute correctly on the importing context.
     let a = big_poly(&basis, 9);
@@ -196,6 +204,12 @@ fn sibling_contexts_share_compiled_plans() {
         .run_rns(&spec, ExecMode::Replay, &[a.clone(), b.clone()])
         .unwrap();
     assert_eq!(got, negacyclic_polymul_basis(&a, &b, &basis).unwrap());
+}
+
+#[test]
+fn sibling_contexts_share_compiled_plans() {
+    assert_siblings_share_plans(64, rows_for(64), 128);
+    assert_siblings_share_plans(256, 518, 48);
 }
 
 /// Chaos drill: a dead row seeded on ONE limb's engine corrupts that
