@@ -373,6 +373,10 @@ delegate_backend!(NativeBackend, BackendKind::Native, |_: &BpNtt| None);
 mod tests {
     use super::*;
     use bpntt_ntt::NttParams;
+    use bpntt_sram::{
+        BitRow, Controller, Epilogue, EpilogueOp, InstrSink, Instruction, ModMulOp, RowAddr,
+        SramError, ZeroLoopSpec,
+    };
 
     fn pseudo(n: usize, q: u64, seed: u64) -> Vec<u64> {
         let mut x = seed | 1;
@@ -442,13 +446,64 @@ mod tests {
         assert_eq!(r1, polys);
     }
 
+    /// A generic-emission sink over a controller that notes the
+    /// instruction clock right after the first typed op writing `row`.
+    struct ClockAfterWrite<'a> {
+        ctl: &'a mut Controller,
+        row: RowAddr,
+        at: &'a mut Option<u64>,
+    }
+
+    impl InstrSink for ClockAfterWrite<'_> {
+        fn emit(&mut self, i: Instruction) -> Result<(), SramError> {
+            self.ctl.emit(i)
+        }
+
+        fn zero_loop(&mut self, spec: ZeroLoopSpec<'_>) -> Result<(), SramError> {
+            self.ctl.zero_loop(spec)
+        }
+
+        fn load_row(&mut self, row: RowAddr, data: &BitRow) -> Result<(), SramError> {
+            self.ctl.load_row(row, data)
+        }
+
+        fn modmul(&mut self, op: ModMulOp) -> Result<(), SramError> {
+            self.ctl.modmul(op)
+        }
+
+        fn epilogue(&mut self, op: EpilogueOp) -> Result<(), SramError> {
+            self.ctl.epilogue(op)?;
+            let dst = match op.kind {
+                Epilogue::Finish { dst } => dst,
+                Epilogue::AddMod { dst, .. } | Epilogue::SubMod { dst, .. } => Some(dst),
+            };
+            if dst == Some(self.row) && self.at.is_none() {
+                *self.at = Some(self.ctl.stats().counts.total());
+            }
+            Ok(())
+        }
+    }
+
     #[test]
     fn native_fault_clock_matches_sim() {
-        // A transient at a fixed instruction index corrupts both
-        // backends identically — the native instruction clock mirrors
-        // the costed count exactly.
+        // A transient corrupts both backends identically — the native
+        // instruction clock mirrors the costed count exactly. It fires
+        // right after the first-stage butterfly writes row 1, so it
+        // flips a live coefficient whatever the program's length.
         let spec = PipelineSpec::forward_ntt();
         let polys: Vec<Vec<u64>> = (0..2).map(|s| pseudo(8, 97, s + 70)).collect();
+        let mut at = None;
+        let mut probe = BpNtt::new(config()).unwrap();
+        probe.load_batch(&polys).unwrap();
+        let key = probe.forward_program_key();
+        probe
+            .emit_through(key, |ctl| ClockAfterWrite {
+                ctl,
+                row: RowAddr(1),
+                at: &mut at,
+            })
+            .unwrap();
+        let at = at.expect("the forward NTT writes row 1");
         let run = |kind: BackendKind, plan: Option<FaultPlan>| {
             let mut be = new_backend(kind, &config()).unwrap();
             let pipe = be.compile(&spec).unwrap();
@@ -458,7 +513,7 @@ mod tests {
             let (rows, _) = be.execute(&pipe, ExecMode::Replay, &[&polys]).unwrap();
             (rows, be.clear_fault_plan())
         };
-        let plan = || FaultPlan::seeded(11).transient_at(900, 1, 2);
+        let plan = || FaultPlan::seeded(11).transient_at(at, 1, 2);
         let (clean, _) = run(BackendKind::Sim, None);
         let (sim_rows, sim_faults) = run(BackendKind::Sim, Some(plan()));
         let (native_rows, native_faults) = run(BackendKind::Native, Some(plan()));

@@ -34,8 +34,7 @@
 //! Every schedule executes under an explicit [`ExecMode`]: `Replay`
 //! (compiled programs, the production path) or `Generic` (strictly
 //! per-instruction emission — the oracle the equivalence proptests pin
-//! replay against, and the denominator of the replay-speedup
-//! trajectory).
+//! replay against).
 //! The former `forward`/`forward_uncached`/`forward_uncached_generic`
 //! triplicate collapsed into [`BpNtt::forward_mode`] /
 //! [`BpNtt::inverse_mode`]; the deprecated `*_uncached` shim names were
@@ -257,23 +256,29 @@ impl<'a> Emitter<'a> {
             let mut len = 1;
             while len < n {
                 let k_base = n / (2 * len);
+                // The last stage folds the final scale into its butterflies:
+                // `hi` takes the scale with its twiddle in one multiply,
+                // and only `lo` needs its own (N/2 multiplies, not N).
+                let last = 2 * len == n;
                 let mut idx = 0;
                 let mut b = 0;
                 while idx < n {
-                    let zi = self.mont.to_mont(self.twiddles.inv_zetas()[k_base + b]);
+                    let mut zi = self.mont.to_mont(self.twiddles.inv_zetas()[k_base + b]);
+                    if last {
+                        zi = self.mont.mont_mul(zi, scale_mont);
+                    }
                     for j in idx..idx + len {
                         let lo = RowAddr((base + j) as u16);
                         let hi = RowAddr((base + j + len) as u16);
                         self.kernels.gs_butterfly_const(sink, lo, hi, zi)?;
+                        if last {
+                            self.kernels.scale_const(sink, lo, scale_mont)?;
+                        }
                     }
                     idx += 2 * len;
                     b += 1;
                 }
                 len *= 2;
-            }
-            for j in 0..n {
-                self.kernels
-                    .scale_const(sink, RowAddr((base + j) as u16), scale_mont)?;
             }
             return Ok(());
         }
@@ -927,6 +932,19 @@ impl BpNtt {
         }
     }
 
+    /// Runs `key`'s schedule by per-instruction emission into the sink
+    /// `wrap` builds around this engine's controller: a probe of the
+    /// generic path for tests that watch the instruction stream go by.
+    #[cfg(test)]
+    pub(crate) fn emit_through<'a, S: InstrSink>(
+        &'a mut self,
+        key: ProgramKey,
+        wrap: impl FnOnce(&'a mut Controller) -> S,
+    ) -> Result<(), BpNttError> {
+        let em = Emitter::of(&self.kernels, &self.config, &self.twiddles, &self.mont);
+        em.emit_key(&mut wrap(&mut self.ctl), key)
+    }
+
     /// Runs one compiled segment; replay uses the segment's own `Arc` so
     /// the hot path never touches the artifact cache.
     fn run_segment(&mut self, seg: &PipelineSegment, mode: ExecMode) -> Result<(), BpNttError> {
@@ -1117,9 +1135,8 @@ impl BpNtt {
     /// `n⁻¹·R²` inverse-scale constant that cancels the pointwise step's
     /// `R⁻¹`), and replays them back to back. Kept verbatim as the
     /// ground truth the pipeline≡legacy equivalence proptests pin
-    /// [`Self::run_pipeline`] against, and as the baseline of the
-    /// `pipeline_polymul_ms` bench column — not part of the supported
-    /// API surface.
+    /// [`Self::run_pipeline`] against — not part of the supported API
+    /// surface.
     ///
     /// # Errors
     ///
@@ -1597,8 +1614,9 @@ mod tests {
     /// Every recorded op lowers to one control entry that holds one
     /// static entry: at the 518×256/24 Dilithium geometry a forward NTT is
     /// 1024 butterflies of one multiply and three epilogues, an inverse
-    /// adds one copy per butterfly and a multiply plus finish per scaled
-    /// row.
+    /// adds one copy per butterfly, and its last stage scales each `lo`
+    /// row with one multiply plus finish (the `hi` rows take the scale
+    /// with their twiddle): 5 × 1024 + 2 × 128.
     #[test]
     fn compiled_programs_hold_one_static_entry_per_control_entry() {
         let params = NttParams::new(256, 8_380_417).unwrap();
@@ -1606,6 +1624,27 @@ mod tests {
         let forward = acc.compiled_forward().unwrap();
         let inverse = acc.compiled_inverse().unwrap();
         assert_eq!((forward.control_len(), forward.static_len()), (4096, 4096));
-        assert_eq!((inverse.control_len(), inverse.static_len()), (5632, 5632));
+        assert_eq!((inverse.control_len(), inverse.static_len()), (5376, 5376));
+    }
+
+    /// Only a multiplier row's add-B step spends an explicit `Shift`: at
+    /// the 518×256/24 Dilithium geometry the forward NTT (constant
+    /// twiddles) records none, and a polymul batch exactly `N·w`, from
+    /// the pointwise products' `N` row multiplies of `w` bits each.
+    #[test]
+    fn explicit_shifts_come_only_from_row_multipliers() {
+        let (n, q) = (256, 8_380_417);
+        let params = NttParams::new(n, q).unwrap();
+        let mut acc = BpNtt::new(BpNttConfig::new(518, 256, 24, params).unwrap()).unwrap();
+        let lanes = acc.config().layout().lanes();
+        let a: Vec<Vec<u64>> = (0..lanes).map(|s| pseudo(n, q, s as u64)).collect();
+        let b: Vec<Vec<u64>> = (0..lanes).map(|s| pseudo(n, q, 99 + s as u64)).collect();
+        acc.load_batch(&a).unwrap();
+        acc.reset_stats();
+        acc.forward().unwrap();
+        assert_eq!(acc.stats().counts.shift, 0, "forward NTT");
+        acc.reset_stats();
+        acc.polymul(&a, &b).unwrap();
+        assert_eq!(acc.stats().counts.shift, (n * 24) as u64, "polymul batch");
     }
 }

@@ -7,14 +7,18 @@
 //! through [`Controller::run_compiled`](bpntt_sram::Controller::run_compiled)).
 //! Generation uses only the row budget of the layout's [`RowMap`]: the
 //! carry-save accumulator (`Sum`, `Carry`), two half-adder temporaries, and
-//! the two constant rows (`M`, `2^w − M`). Shift discipline follows
-//! `DESIGN.md` D1/D2. Wherever an activation produces the value to be
-//! shifted, the shift is *costless* — fused onto its write-back:
+//! the two constant rows (`M`, `2^w − M`). Wherever an activation
+//! produces the value to be shifted, the shift is *costless* — fused onto
+//! its write-back:
 //!
-//! * the `Carry << 1` realignment of Algorithm 2 uses a **global** shift —
-//!   the end-of-iteration carry provably has a clear MSB in every tile
+//! * the `Carry << 1` realignment of Algorithm 2 is a **global** shift on
+//!   the write-back of a halve step's closing carry merge — the
+//!   end-of-iteration carry provably has a clear MSB in every tile
 //!   whenever `M < 2^(w−1)`, *independent of the data*, so nothing ever
-//!   crosses a tile boundary (the paper's Observation 1);
+//!   crosses a tile boundary (the paper's Observation 1). A constant
+//!   multiply therefore spends no explicit `Shift`; only a row
+//!   multiplier's predicated add-B step keeps one, for the tiles whose
+//!   bit is clear;
 //! * the Montgomery halving uses a **tile-masked** shift riding the first
 //!   half-adder's write-back, giving exact mod-`2^w` semantics per tile
 //!   even for tiles holding staging garbage during cross-tile SIMD.

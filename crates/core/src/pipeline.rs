@@ -111,7 +111,7 @@ pub enum ExecMode {
     #[default]
     Replay,
     /// Per-call code generation with strictly per-instruction execution —
-    /// the equivalence ground truth and historical bench baseline.
+    /// the oracle the replay-equivalence tests pin `Replay` against.
     Generic,
 }
 

@@ -34,6 +34,18 @@
 //! bits emit an add-B step. A multiplier row is consumed one `Check`
 //! per bit, so every bit emits a predicated add-B step.
 //!
+//! Inside a multiply the halve step works on an unaligned pair,
+//! `value = Sum + 2·Carry`, and the add-B step needs the carry aligned
+//! first (`Carry ≪ 1`). The realignment is costless: a halve step whose
+//! consumer is a constant's add-B step, or the multiply's last bit, writes
+//! its closing carry merge already shifted. The shift is global, and by
+//! Observation 1 loses nothing: after a halve step the carry's MSB is
+//! clear in every tile whenever `q < 2^(w−1)`, independent of the data.
+//! So a constant multiply emits no explicit `Shift`, and every multiply
+//! leaves an aligned pair (`value = Sum + Carry`) for [`Epilogue::Finish`].
+//! Only a row multiplier's add-B step keeps a predicated `Shift`: tiles
+//! whose bit is clear skip the step and need the carry unaligned.
+//!
 //! A carry-save pair `(s, c)` keeps its carry row pre-shifted, so each
 //! carry-resolution round is one activation,
 //! `c, s = (s ∧ c) ≪ 1, s ⊕ c`, with the tile-masked shift riding the
@@ -79,8 +91,9 @@ pub enum Multiplier {
     Row(RowAddr),
 }
 
-/// One Algorithm 2 multiply, `(Sum, Carry) ← a · B · R⁻¹` in carry-save
-/// form with `R = 2^w`: clobbers both temporaries, reads `B` and `M`.
+/// One Algorithm 2 multiply, `(Sum, Carry) ← a · B · R⁻¹` as an aligned
+/// carry-save pair (`value = Sum + Carry`) with `R = 2^w`: clobbers both
+/// temporaries, reads `B` and `M`.
 /// Follow with [`Epilogue::Finish`] to resolve and reduce the product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModMulOp {
@@ -95,7 +108,8 @@ pub struct ModMulOp {
 impl ModMulOp {
     /// Emits the canonical bit-level expansion into `sink`: `Sum ← 0;
     /// Carry ← 0`, then per multiplier bit an add-B step (led by its
-    /// `Check` for a row multiplier) and a Montgomery halve step.
+    /// `Check` for a row multiplier) and a Montgomery halve step. The
+    /// product is left as an aligned pair, `value = Sum + Carry`.
     ///
     /// # Errors
     ///
@@ -105,46 +119,63 @@ impl ModMulOp {
         let r = &self.rows;
         zero(sink, r.sum, PredMode::Always)?;
         zero(sink, r.carry, PredMode::Always)?;
+        let constant = match self.multiplier {
+            Multiplier::Const(a) => Some(a),
+            Multiplier::Row(_) => None,
+        };
+        let bits = usize::from(r.bitwidth);
         for bit in 0..r.bitwidth {
             match self.multiplier {
                 Multiplier::Const(a) if (a >> bit) & 1 == 1 => {
-                    self.add_b(sink, PredMode::Always)?
+                    self.add_b(sink, PredMode::Always, false)?
                 }
                 Multiplier::Const(_) => {}
                 Multiplier::Row(src) => {
                     sink.emit(Instruction::Check { src, bit })?;
-                    self.add_b(sink, PredMode::IfSet)?;
+                    self.add_b(sink, PredMode::IfSet, true)?;
                 }
             }
-            self.halve(sink)?;
+            self.halve(sink, halve_aligns(constant, usize::from(bit), bits))?;
         }
         Ok(())
     }
 
     /// Lines 6–9 of Algorithm 2, `P ← P + B`, as two half-adder passes in
-    /// the tiles `pred` selects.
-    fn add_b<S: InstrSink + ?Sized>(&self, sink: &mut S, pred: PredMode) -> Result<(), SramError> {
+    /// the tiles `pred` selects. The step leaves the carry unaligned
+    /// (`value = Sum + 2·Carry`). It finds the carry aligned after a
+    /// constant's halve step; a row multiplier's step (`shift_carry`) finds
+    /// it unaligned and aligns it itself, only in the tiles it adds in.
+    fn add_b<S: InstrSink + ?Sized>(
+        &self,
+        sink: &mut S,
+        pred: PredMode,
+        shift_carry: bool,
+    ) -> Result<(), SramError> {
         let r = &self.rows;
         half_add(sink, r.t_carry, r.t_sum, r.sum, self.b, pred)?;
-        // Carry ≪ 1 (Observation 1: a global shift is safe — the previous
-        // iteration's carry MSB is clear in every tile).
-        sink.emit(Instruction::Shift {
-            dst: r.carry,
-            src: r.carry,
-            dir: ShiftDir::Left,
-            masked: false,
-            pred,
-        })?;
+        if shift_carry {
+            // Carry ≪ 1 (Observation 1: a global shift is safe — the
+            // previous iteration's carry MSB is clear in every tile).
+            sink.emit(Instruction::Shift {
+                dst: r.carry,
+                src: r.carry,
+                dir: ShiftDir::Left,
+                masked: false,
+                pred,
+            })?;
+        }
         half_add(sink, r.carry, r.sum, r.carry, r.t_sum, pred)?;
-        or_carry(sink, r, pred)
+        or_carry(sink, r, pred, false)
     }
 
     /// Lines 11–16 of Algorithm 2: `m ← LSB(Sum) ? M : 0`, then
     /// `P ← (P + m) / 2`. `m` is selected by predication on `M` into
     /// `t_carry` — no extra row, which keeps the reserved-row budget at
     /// the paper's six — and the halving is one costless shift on the
-    /// first half-adder's write-back.
-    fn halve<S: InstrSink + ?Sized>(&self, sink: &mut S) -> Result<(), SramError> {
+    /// first half-adder's write-back. With `align`, the closing carry merge
+    /// also writes `Carry ≪ 1`, the realignment its consumer would
+    /// otherwise spend a `Shift` on.
+    fn halve<S: InstrSink + ?Sized>(&self, sink: &mut S, align: bool) -> Result<(), SramError> {
         let r = &self.rows;
         sink.emit(Instruction::Check { src: r.sum, bit: 0 })?;
         copy(sink, r.t_carry, r.modulus, PredMode::IfSet)?;
@@ -169,7 +200,7 @@ impl ModMulOp {
             PredMode::Always,
         )?;
         half_add(sink, r.carry, r.sum, r.carry, r.t_sum, PredMode::Always)?;
-        or_carry(sink, r, PredMode::Always)
+        or_carry(sink, r, PredMode::Always, align)
     }
 
     /// Validates the expansion against `ctl` and returns its class counts
@@ -192,9 +223,10 @@ impl ModMulOp {
 /// Which epilogue an [`EpilogueOp`] performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Epilogue {
-    /// Completes a modular multiplication: `Sum ← Sum + 2·Carry`, then one
-    /// conditional subtraction of `q`, leaving the product in `[0, q)` in
-    /// `Sum`; with `dst`, the product is also copied there.
+    /// Completes a modular multiplication: `Sum ← Sum + Carry` (the aligned
+    /// pair a [`ModMulOp`] leaves), then one conditional subtraction of
+    /// `q`, leaving the product in `[0, q)` in `Sum`; with `dst`, the
+    /// product is also copied there.
     Finish {
         /// Optional row that receives a copy of the reduced product.
         dst: Option<RowAddr>,
@@ -253,15 +285,6 @@ impl EpilogueOp {
         let msb = r.bitwidth.wrapping_sub(1);
         match self.kind {
             Epilogue::Finish { dst } => {
-                // Align Carry once: by Observation 1 its MSB is clear in
-                // every tile, so the tile-masked shift loses nothing.
-                sink.emit(Instruction::Shift {
-                    dst: r.carry,
-                    src: r.carry,
-                    dir: ShiftDir::Left,
-                    masked: true,
-                    pred: PredMode::Always,
-                })?;
                 self.resolve_pair(sink, r.sum, r.carry)?;
                 // D = (Sum + (2^w − q)) mod 2^w; MSB(D) = 0 ⇔ Sum ≥ q.
                 self.csa_init(
@@ -493,11 +516,15 @@ fn half_add<S: InstrSink + ?Sized>(
     })
 }
 
-/// `Carry ← Carry ∨ t_carry`, merging a step's two half-adder carries.
+/// `Carry ← Carry ∨ t_carry`, merging a step's two half-adder carries;
+/// with `align`, written `≪ 1` by a global shift on the write-back
+/// (Observation 1: after a halve step the merged carry's MSB is clear in
+/// every tile, so nothing crosses a tile boundary).
 fn or_carry<S: InstrSink + ?Sized>(
     sink: &mut S,
     r: &ModRows,
     pred: PredMode,
+    align: bool,
 ) -> Result<(), SramError> {
     sink.emit(Instruction::Binary {
         dst: r.carry,
@@ -505,9 +532,17 @@ fn or_carry<S: InstrSink + ?Sized>(
         src0: r.carry,
         src1: r.t_carry,
         dst2: None,
-        shift: None,
+        shift: align.then_some((ShiftDir::Left, false)),
         pred,
     })
+}
+
+/// Whether the halve step of multiplier bit `bit` (of `bits`) writes its
+/// carry aligned: when the next step is an add-B step of the constant
+/// multiplier (`constant`), which has no shift of its own, or when it is
+/// the last bit, whose consumer is [`Epilogue::Finish`].
+pub(crate) fn halve_aligns(constant: Option<u64>, bit: usize, bits: usize) -> bool {
+    bit + 1 == bits || constant.is_some_and(|a| (a >> (bit + 1)) & 1 == 1)
 }
 
 /// Runs `body` under `MaskTiles(stride_log2, phase)` when a mask is given,
@@ -602,10 +637,13 @@ mod tests {
     use crate::array::SramArray;
 
     /// Algorithm 2's closed form: a constant `a < 2^w` costs
-    /// `2 + 4·popcount(a) + 7w` instructions (the two clears, four per
-    /// add-B step, seven per halve step with its `Check`), a multiplier
-    /// row `2 + 12w` (every bit's `Check` leads a predicated add-B step).
-    /// At w = 24 and popcount 12 that is 218, 168 of them halving.
+    /// `2 + 3·popcount(a) + 7w` instructions (the two clears, three per
+    /// add-B step, seven per halve step with its `Check`) and no explicit
+    /// `Shift`; a multiplier row `2 + 12w` (every bit's `Check` leads a
+    /// predicated add-B step with its `Shift`). At w = 24 and popcount 12
+    /// that is 206, 168 of them halving. `Finish` runs two resolution
+    /// loops after a fixed part of three instructions (four with `dst`):
+    /// the carry-save initiator, the sign `Check` and the select.
     #[test]
     fn modmul_counts_follow_the_closed_form() {
         for w in [14u16, 24, 32] {
@@ -620,21 +658,33 @@ mod tests {
                 comp_modulus: RowAddr(5),
                 bitwidth: w,
             };
-            let total = |multiplier| {
+            let counts = |multiplier| {
                 let op = ModMulOp {
                     rows,
                     b: RowAddr(6),
                     multiplier,
                 };
-                op.class_counts(&ctl).unwrap().total()
+                op.class_counts(&ctl).unwrap()
             };
             let low = (1u64 << w) - 1;
             for a in [0, 1, 0x5a_5a5a & low, low] {
-                let expect = 2 + 4 * u64::from(a.count_ones()) + 7 * u64::from(w);
-                assert_eq!(total(Multiplier::Const(a)), expect, "w={w} a={a:#x}");
+                let counts = counts(Multiplier::Const(a));
+                let expect = 2 + 3 * u64::from(a.count_ones()) + 7 * u64::from(w);
+                assert_eq!(counts.total(), expect, "w={w} a={a:#x}");
+                assert_eq!(counts.shift, 0, "w={w} a={a:#x}");
             }
-            let row = Multiplier::Row(RowAddr(7));
-            assert_eq!(total(row), 2 + 12 * u64::from(w), "w={w}");
+            let row = counts(Multiplier::Row(RowAddr(7)));
+            assert_eq!(row.total(), 2 + 12 * u64::from(w), "w={w}");
+            assert_eq!(row.shift, u64::from(w), "w={w}");
+            for (dst, fixed) in [(None, 3), (Some(RowAddr(7)), 4)] {
+                let op = EpilogueOp {
+                    rows,
+                    kind: Epilogue::Finish { dst },
+                };
+                let (straight, round) = op.class_counts(&ctl).unwrap();
+                assert_eq!((straight.total(), straight.shift), (fixed, 0), "w={w}");
+                assert_eq!(round.total(), 1, "w={w}");
+            }
         }
     }
 }

@@ -470,7 +470,8 @@ pub struct CompiledProgram {
     /// Distinct final-write tile-mask images of the epilogues, keyed by
     /// their `MaskTiles` operands.
     masks: Vec<((u8, bool), BitRow)>,
-    /// Distinct multiply class counts (one per multiplier popcount).
+    /// Distinct multiply class counts (one per multiplier popcount and
+    /// low bit, which decide how many halve steps align the carry).
     modmul_counts: Vec<InstrCounts>,
     /// Distinct epilogue class counts, `(outside the loops, one round)`
     /// (a handful of shapes shared by thousands of ops).

@@ -45,7 +45,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::array::SramArray;
-use crate::epilogue::{Epilogue, EpilogueOp};
+use crate::epilogue::{halve_aligns, Epilogue, EpilogueOp};
 use crate::isa::RowAddr;
 
 pub(crate) use crate::bitrow::WORD_CHUNK as CHUNK;
@@ -253,17 +253,21 @@ fn put<L: Lane>(v: &[L], words: &mut [u64]) {
 // `mask`/`pred` column images whose padding words are zero, which keeps
 // every output's padding zero as well.
 
-/// One add-B step (`c1,s1 = Sum&B, Sum⊕B; Carry <<= 1 (global);
-/// c2,Sum = Carry&s1, Carry⊕s1; Carry = c1|c2`) on one lane of
+/// One add-B step (`c1,s1 = Sum&B, Sum⊕B; Carry <<= 1 (global, with
+/// `shift`); c2,Sum = Carry&s1, Carry⊕s1; Carry = c1|c2`) on one lane of
 /// `[Sum, Carry, t_sum, t_carry]`, gated per tile by `g`: disabled tiles
-/// keep their old row contents, exactly like four gated write-backs.
+/// keep their old row contents, exactly like the gated write-backs.
 /// `c_prev` is the previous lane of the *old* carry row (the shift
 /// crosses tile boundaries, exactly like emission).
 #[inline(always)]
-fn addb_lane<L: Lane>([s, c, ts, tc]: [L; 4], c_prev: L, b: L, g: L) -> [L; 4] {
+fn addb_lane<L: Lane>([s, c, ts, tc]: [L; 4], c_prev: L, b: L, g: L, shift: bool) -> [L; 4] {
     let c1 = s.and(b);
     let s1 = s.xor(b);
-    let c_eff = blend(g, c.shl1(c_prev), c);
+    let c_eff = if shift {
+        blend(g, c.shl1(c_prev), c)
+    } else {
+        c
+    };
     let ts = blend(g, s1, ts);
     let tc = blend(g, c1, tc);
     let s = blend(g, c_eff.xor(ts), s);
@@ -275,12 +279,24 @@ fn addb_lane<L: Lane>([s, c, ts, tc]: [L; 4], c_prev: L, b: L, g: L) -> [L; 4] {
 /// carry, then the tile-masked right shift of `tmp` and the two remaining
 /// half-adder layers. `next` is the next lane of `tmp` (zero past the
 /// row's end). The predicate must already reflect `Check(Sum, bit 0)`.
+/// The carry comes out unaligned; [`align_carry`] shifts it when the
+/// step's consumer wants it aligned.
 #[inline(always)]
 fn halve_lane<L: Lane>(s: L, c: L, mp: L, next: L, keep: L) -> [L; 4] {
     let ts1 = s.xor(mp).shr1(next).and(keep);
     let tc1 = s.and(mp);
     let (ts, tc) = (ts1.xor(tc1), ts1.and(tc1));
     [c.xor(ts), c.and(ts).or(tc), ts, tc]
+}
+
+/// `Carry ≪ 1` on a halve step's closing write-back, lane by lane: the
+/// global shift, with the bits past the last column cleared by `valid`.
+/// `c_prev` carries the previous lane's unshifted carry.
+#[inline(always)]
+fn align_carry<L: Lane>(out: &mut [L; 4], c_prev: &mut L, valid: L) {
+    let c = out[1];
+    out[1] = c.shl1(*c_prev).and(valid);
+    *c_prev = c;
 }
 
 /// Lane `i` of four rows.
@@ -299,35 +315,49 @@ fn put4<L: Lane>(rows: &mut [&mut [u64]; 4], i: usize, v: [L; 4]) {
 }
 
 /// The per-step add-B kernel over rows in memory: `(rows, B, mask,
-/// pred)`, gated by `mask ∧ pred`.
-struct AddB<'a, 'b>(&'a mut [&'b mut [u64]; 4], &'a [u64], &'a [u64], &'a [u64]);
+/// pred, shift)`, gated by `mask ∧ pred`.
+struct AddB<'a, 'b>(
+    &'a mut [&'b mut [u64]; 4],
+    &'a [u64],
+    &'a [u64],
+    &'a [u64],
+    bool,
+);
 
 impl Kernel for AddB<'_, '_> {
     type Out = ();
     #[inline(always)]
     fn run<L: Lane, const N: usize>(self) {
-        let AddB(acc, b, mask, pred) = self;
+        let AddB(acc, b, mask, pred, shift) = self;
         let mut c_prev = L::splat(0);
         for i in 0..acc[0].len() / L::WORDS {
             let g = L::load(mask, i).and(L::load(pred, i));
             let old = get4(acc, i);
-            put4(acc, i, addb_lane(old, c_prev, L::load(b, i), g));
+            put4(acc, i, addb_lane(old, c_prev, L::load(b, i), g, shift));
             c_prev = old[1];
         }
     }
 }
 
 /// The per-step halve kernel over rows in memory: `(rows, M, pred,
-/// shr_keep)`.
-struct Halve<'a, 'b>(&'a mut [&'b mut [u64]; 4], &'a [u64], &'a [u64], &'a [u64]);
+/// shr_keep, align)`, where `align` is the valid-column image when the
+/// carry is written aligned.
+struct Halve<'a, 'b>(
+    &'a mut [&'b mut [u64]; 4],
+    &'a [u64],
+    &'a [u64],
+    &'a [u64],
+    Option<&'a [u64]>,
+);
 
 impl Kernel for Halve<'_, '_> {
     type Out = ();
     #[inline(always)]
     fn run<L: Lane, const N: usize>(self) {
-        let Halve(acc, m, pred, keep) = self;
+        let Halve(acc, m, pred, keep, align) = self;
         let n = acc[0].len() / L::WORDS;
         let mp = |i| L::load(m, i).and(L::load(pred, i));
+        let mut c_prev = L::splat(0);
         for i in 0..n {
             // The lookahead reads the next lane of Sum, not yet overwritten.
             let next = if i + 1 < n {
@@ -336,7 +366,11 @@ impl Kernel for Halve<'_, '_> {
                 L::splat(0)
             };
             let (s, c) = (L::load(acc[0], i), L::load(acc[1], i));
-            put4(acc, i, halve_lane(s, c, mp(i), next, L::load(keep, i)));
+            let mut out = halve_lane(s, c, mp(i), next, L::load(keep, i));
+            if let Some(valid) = align {
+                align_carry(&mut out, &mut c_prev, L::load(valid, i));
+            }
+            put4(acc, i, out);
         }
     }
 }
@@ -344,15 +378,22 @@ impl Kernel for Halve<'_, '_> {
 /// One add-B step over whole rows `[Sum, Carry, t_sum, t_carry]` in
 /// memory (see [`addb_lane`]), gated per tile by `mask ∧ pred`: an
 /// `IfSet` step passes the predicate image, an unpredicated one `mask`.
-fn addb(acc: &mut [&mut [u64]; 4], b: &[u64], mask: &[u64], pred: &[u64]) {
-    dispatch::<_, 0, 0>(AddB(acc, b, mask, pred));
+fn addb(acc: &mut [&mut [u64]; 4], b: &[u64], mask: &[u64], pred: &[u64], shift: bool) {
+    dispatch::<_, 0, 0>(AddB(acc, b, mask, pred, shift));
 }
 
 /// One Montgomery halve step over whole rows in memory (see
-/// [`halve_lane`]). The predicate column mask must already reflect
+/// [`halve_lane`]), its carry written aligned under `align` (the
+/// valid-column image). The predicate column mask must already reflect
 /// `Check(Sum, bit 0)` and every tile must be write-enabled.
-fn halve(acc: &mut [&mut [u64]; 4], m: &[u64], pred: &[u64], shr_keep: &[u64]) {
-    dispatch::<_, 0, 0>(Halve(acc, m, pred, shr_keep));
+fn halve(
+    acc: &mut [&mut [u64]; 4],
+    m: &[u64],
+    pred: &[u64],
+    shr_keep: &[u64],
+    align: Option<&[u64]>,
+) {
+    dispatch::<_, 0, 0>(Halve(acc, m, pred, shr_keep, align));
 }
 
 // ---- register-resident multi-chunk execution -------------------------------
@@ -458,9 +499,24 @@ pub(crate) enum Factor<'a> {
     Row(&'a [u64]),
 }
 
+impl Factor<'_> {
+    /// Whether the halve step of bit `bit` (of `bits`) writes its carry
+    /// aligned, as [`halve_aligns`] decides for the expansion.
+    fn aligns_after(self, bit: usize, bits: usize) -> bool {
+        let constant = match self {
+            Factor::Const(a) => Some(a),
+            Factor::Row(_) => None,
+        };
+        halve_aligns(constant, bit, bits)
+    }
+}
+
 /// One Algorithm 2 multiplier chain over one accumulator row set: per
 /// multiplier bit an add-B step (when the bit asks for one) and a halve
-/// step, exactly the steps of `ModMulOp::expand` after its clears.
+/// step, exactly the steps of `ModMulOp::expand` after its clears. A
+/// constant's add-B step finds the carry aligned by the halve step
+/// before it; a row's aligns it itself. The chain stores its final carry
+/// aligned.
 pub(crate) struct Chain<'a, 'b> {
     /// Sum, Carry, t_sum, t_carry.
     pub acc: &'a mut [&'b mut [u64]; 4],
@@ -506,17 +562,18 @@ impl Kernel for Chain<'_, '_> {
         let mut pm = [0u64; MAX_RESIDENT_CHUNKS * CHUNK];
         let pm = &mut pm[..n];
         pm.copy_from_slice(self.pm);
+        let valid = &self.valid[..n];
         for bit in 0..self.bits {
             match self.factor {
                 Factor::Const(a) if (a >> bit) & 1 == 1 => {
-                    addb_lanes(&mut r, b, |_| L::splat(!0));
+                    addb_lanes(&mut r, b, |_| L::splat(!0), false);
                 }
                 Factor::Const(_) => {}
                 Factor::Row(row) => {
                     // The step's own `Check` of the multiplier bit.
                     pm.copy_from_slice(&row[..n]);
                     latch_tile_bit(base, width, bit, pm);
-                    addb_lanes(&mut r, b, |k| L::load(pm, k));
+                    addb_lanes(&mut r, b, |k| L::load(pm, k), true);
                 }
             }
             // The Check(Sum, bit 0) latch, from Sum spilled into `pm`.
@@ -525,6 +582,8 @@ impl Kernel for Chain<'_, '_> {
             }
             latch_tile_bit(base, width, 0, pm);
             let mp = |k| L::load(m, k).and(L::load(pm, k));
+            let align = self.factor.aligns_after(bit, self.bits);
+            let mut c_prev = L::splat(0);
             for k in 0..N {
                 let next = if k + 1 < N {
                     r[k + 1][0].xor(mp(k + 1))
@@ -532,6 +591,9 @@ impl Kernel for Chain<'_, '_> {
                     L::splat(0)
                 };
                 r[k] = halve_lane(r[k][0], r[k][1], mp(k), next, L::load(keep, k));
+                if align {
+                    align_carry(&mut r[k], &mut c_prev, L::load(valid, k));
+                }
             }
         }
         for (k, lane) in r.into_iter().enumerate() {
@@ -543,11 +605,11 @@ impl Kernel for Chain<'_, '_> {
 
 /// One add-B step over register-resident lanes, gated per lane by `g`.
 #[inline(always)]
-fn addb_lanes<L: Lane>(r: &mut [[L; 4]], b: &[u64], g: impl Fn(usize) -> L) {
+fn addb_lanes<L: Lane>(r: &mut [[L; 4]], b: &[u64], g: impl Fn(usize) -> L, shift: bool) {
     let mut c_prev = L::splat(0);
     for (k, lane) in r.iter_mut().enumerate() {
         let old = *lane;
-        *lane = addb_lane(old, c_prev, L::load(b, k), g(k));
+        *lane = addb_lane(old, c_prev, L::load(b, k), g(k), shift);
         c_prev = old[1];
     }
 }
@@ -577,17 +639,18 @@ pub(crate) fn chain(kind: FastPathKind, op: Chain<'_, '_>) -> bool {
     } = op;
     for bit in 0..bits {
         match factor {
-            Factor::Const(a) if (a >> bit) & 1 == 1 => addb(acc, b, valid, valid),
+            Factor::Const(a) if (a >> bit) & 1 == 1 => addb(acc, b, valid, valid, false),
             Factor::Const(_) => {}
             Factor::Row(row) => {
                 pm.copy_from_slice(row);
                 latch_tile_bit(base_mask, tile_width, bit, pm);
-                addb(acc, b, valid, pm);
+                addb(acc, b, valid, pm, true);
             }
         }
         pm.copy_from_slice(acc[0]);
         latch_tile_bit(base_mask, tile_width, 0, pm);
-        halve(acc, m, pm, shr_keep);
+        let align = factor.aligns_after(bit, bits).then_some(valid);
+        halve(acc, m, pm, shr_keep, align);
     }
     false
 }
@@ -730,11 +793,9 @@ fn epilogue_body<L: Lane>(
     let comp = row(r.comp_modulus);
     match op.kind {
         Epilogue::Finish { dst } => {
+            // The multiply left the pair aligned: resolve it as it stands.
             get(s, row(r.sum));
-            // Carry ≪ 1 (tile-masked): a carry-save round of Carry against
-            // all-ones, through the dst row this op does not use.
-            get(d, row(r.carry));
-            csa(d, c, keep, |_, _| L::splat(!0));
+            get(c, row(r.carry));
             resolve(s, c, keep, g.max_checks, &mut t);
             ts.copy_from_slice(s);
             csa(ts, tc, keep, |k, _| L::load(comp, k));
@@ -982,22 +1043,24 @@ mod tests {
                 let mask = keep_words(n, 0x8000_0001);
                 let pred = rng_words(n, seed * 13);
                 let shr = keep_words(n, 0x8000_0000_0000_0000);
-                for gate in [&mask, &pred] {
+                for (gate, shift) in [(&mask, false), (&mask, true), (&pred, true)] {
                     let outs = [false, true].map(|simd| {
                         let mut a = acc_words(n, seed);
                         let acc = &mut rows(&mut a);
-                        run_lane::<_, 0, 0>(simd, AddB(acc, &bw, &mask, gate));
+                        run_lane::<_, 0, 0>(simd, AddB(acc, &bw, &mask, gate, shift));
                         a
                     });
-                    assert_eq!(outs[0], outs[1], "addb n={n}");
+                    assert_eq!(outs[0], outs[1], "addb n={n} shift={shift}");
                 }
-                let outs = [false, true].map(|simd| {
-                    let mut a = acc_words(n, seed + 1);
-                    let acc = &mut rows(&mut a);
-                    run_lane::<_, 0, 0>(simd, Halve(acc, &bw, &pred, &shr));
-                    a
-                });
-                assert_eq!(outs[0], outs[1], "halve n={n}");
+                for align in [None, Some(&mask[..])] {
+                    let outs = [false, true].map(|simd| {
+                        let mut a = acc_words(n, seed + 1);
+                        let acc = &mut rows(&mut a);
+                        run_lane::<_, 0, 0>(simd, Halve(acc, &bw, &pred, &shr, align));
+                        a
+                    });
+                    assert_eq!(outs[0], outs[1], "halve n={n} align={}", align.is_some());
+                }
             }
         }
     }
@@ -1081,17 +1144,24 @@ mod tests {
                 for bit in 0..TILE {
                     let acc = &mut rows(&mut want);
                     match factor {
-                        Factor::Const(a) if (a >> bit) & 1 == 1 => addb(acc, &bw, &mask, &mask),
+                        Factor::Const(a) if (a >> bit) & 1 == 1 => {
+                            addb(acc, &bw, &mask, &mask, false);
+                        }
                         Factor::Const(_) => {}
                         Factor::Row(row) => {
                             p1.copy_from_slice(row);
                             latch_tile_bit(&base_mask, TILE, bit, &mut p1);
-                            addb(acc, &bw, &mask, &p1);
+                            addb(acc, &bw, &mask, &p1, true);
                         }
                     }
                     p1.copy_from_slice(acc[0]);
                     latch_tile_bit(&base_mask, TILE, 0, &mut p1);
-                    halve(acc, &mw, &p1, &shr);
+                    let last = bit + 1 == TILE;
+                    let align = match factor {
+                        Factor::Const(a) => last || (a >> (bit + 1)) & 1 == 1,
+                        Factor::Row(_) => last,
+                    };
+                    halve(acc, &mw, &p1, &shr, align.then_some(&mask[..]));
                 }
                 // The per-step path (`None`), then the resident one on
                 // every lane.

@@ -1,9 +1,10 @@
-//! Smoke tests over the evaluation harness: the cheap claims exactly, and
-//! one medium simulation per harness path.
+//! Smoke tests over the evaluation harness: the cheap claims exactly, one
+//! medium simulation per harness path, and every paper claim inside its
+//! reproduction band.
 
 use bpntt_baselines::{footprint, published};
 use bpntt_core::Layout;
-use bpntt_eval::{ablation, fig7, fig8, roofline, table1};
+use bpntt_eval::{ablation, claims, fig7, fig8, roofline, table1};
 use bpntt_ntt::NttParams;
 use bpntt_sram::geometry::{AreaModel, ArrayGeometry, FrequencyModel};
 
@@ -79,4 +80,27 @@ fn fig8a_small_sweep_monotonic() {
     let pts = fig8::fig8a(&[4, 8]).unwrap();
     assert!(pts[0].cycles < pts[1].cycles);
     assert!(pts[0].energy_per_ntt_nj < pts[1].energy_per_ntt_nj);
+}
+
+/// The claims CLI's gate: every quantitative claim of the paper falls
+/// inside its reproduction band.
+#[test]
+fn every_paper_claim_is_inside_its_band() {
+    let checks = claims::check_all().unwrap();
+    let outside: Vec<String> = checks
+        .iter()
+        .filter(|c| !c.pass)
+        .map(|c| {
+            format!(
+                "{} {}: paper {}, measured {}",
+                c.id, c.description, c.paper, c.measured
+            )
+        })
+        .collect();
+    assert!(
+        outside.is_empty(),
+        "claims outside their band:\n{}",
+        outside.join("\n")
+    );
+    assert_eq!(checks.len(), 18, "claims checked");
 }

@@ -366,3 +366,79 @@ fn aliased_multiplicands_and_active_masks_fall_back_to_the_modmul_expansion() {
         assert_eq!((fp.fallbacks, fp.hits()), (1, 0), "{what}");
     }
 }
+
+/// `a · B · 2^(−w) mod q`, the Montgomery product a multiply computes.
+fn mont_product(a: u64, b: u64, q: u64, w: usize) -> u64 {
+    let mul = |x: u64, y: u64| (u128::from(x) * u128::from(y) % u128::from(q)) as u64;
+    // 2⁻¹ ≡ (q + 1) / 2 for odd q.
+    let r_inv = (0..w).fold(1, |acc, _| mul(acc, q.div_ceil(2)));
+    mul(mul(a % q, b), r_inv)
+}
+
+/// Observation 1 at its edge: with the largest odd `q < 2^(w−1)`, the
+/// global `Carry ≪ 1` a halve step writes must never carry across a
+/// tile. A multiply plus `Finish` runs over every tile of the row, with
+/// `B ∈ {0, q − 1, random}` and row multipliers in
+/// `{0, 1, 2^w − 1, random}` interleaved tile by tile, against constants
+/// 0, 1, `2^w − 1` and a random one, generic and replayed, in both
+/// word-engine modes. Every tile must hold exactly `a · B · 2^(−w) mod q`
+/// whatever its neighbours hold, and every row outside the op's working
+/// rows must keep its contents.
+#[test]
+fn global_carry_shift_never_crosses_a_tile_at_the_largest_modulus() {
+    for scalar in [false, true] {
+        let _guard = pin_dispatch(scalar);
+        for w in [14usize, 16, 24, 32] {
+            let q = (1u64 << (w - 1)) - 1;
+            let top = (1u64 << w) - 1;
+            let mut rng = Rng(0x0b5e_0001 ^ w as u64);
+            let mut ctl = start(w, q, w as u64);
+            let tiles = ctl.n_tiles();
+            let cols = ctl.cols();
+            let (mut b_row, mut a_row) = (BitRow::zero(cols), BitRow::zero(cols));
+            for t in 0..tiles {
+                let b = [0, q - 1, rng.next() % q][t % 3];
+                let a = [0, 1, top, rng.next() & top][(t / 3 + t) % 4];
+                b_row.set_tile_word(t, w, b);
+                a_row.set_tile_word(t, w, a);
+            }
+            ctl.load_data_row(HI.index(), b_row.clone());
+            ctl.load_data_row(LO.index(), a_row.clone());
+            ctl.reset_stats();
+            let multipliers = [0, 1, top, rng.next() & top]
+                .map(Multiplier::Const)
+                .into_iter()
+                .chain([Multiplier::Row(LO)]);
+            for multiplier in multipliers {
+                let what = format!("{multiplier:?} w={w} q={q} scalar={scalar}");
+                let mul = modmul(w, HI, multiplier);
+                let finish = op(w, Epilogue::Finish { dst: Some(OUT) });
+                let emit = |s: &mut dyn InstrSink| {
+                    s.modmul(mul).unwrap();
+                    s.epilogue(finish).unwrap();
+                };
+                let replayed = replay_like_generic(&ctl, &emit, &what);
+                assert_eq!(replayed.fastpath_stats().fallbacks, 0, "{what}");
+                for t in 0..tiles {
+                    let a = match multiplier {
+                        Multiplier::Const(a) => a,
+                        Multiplier::Row(_) => a_row.tile_word(t, w),
+                    };
+                    let want = mont_product(a, b_row.tile_word(t, w), q, w);
+                    for row in [SUM, OUT] {
+                        let got = replayed.peek_row(row.index()).tile_word(t, w);
+                        assert_eq!(got, want, "{what}: tile {t} of {row:?}");
+                    }
+                }
+                for r in [COMP, LO, HI, M] {
+                    assert_eq!(
+                        replayed.peek_row(r.index()),
+                        ctl.peek_row(r.index()),
+                        "{what}: row {r:?} untouched"
+                    );
+                }
+            }
+        }
+        bpntt_sram::force_scalar(false);
+    }
+}
