@@ -21,7 +21,7 @@
 //!
 //! Options (defaults in parentheses):
 //!
-//! * `--shards N` — arrays per tenant engine (2).
+//! * `--shards N` — arrays per configuration engine (2).
 //! * `--tenants N` — tenant count; tenant 0 is the hot one (4).
 //! * `--hot-conns N` — connections driving the hot tenant; each cold
 //!   tenant gets one, so this is the offered-load skew (10).
@@ -434,7 +434,8 @@ fn main() {
         .unwrap(),
     );
     // Tenant 0 is the service default; the cold tenants get their own
-    // engines (and fair-queue lanes) via add_tenant.
+    // fair-queue lanes via add_tenant. All share one configuration, so
+    // they share its engine and fill lanes of the same waves.
     let mut tenant_raws: Vec<Option<u32>> = vec![None];
     for _ in 1..opts.tenants {
         tenant_raws.push(Some(service.add_tenant(&cfg).unwrap().raw()));

@@ -208,13 +208,14 @@ pub struct ServiceMetrics {
     pub pipeline_compile_ms: f64,
     /// Chunk attempts the recovery ladder failed on detection
     /// (verification mismatch, simulator error, or contained panic),
-    /// summed across tenant engines.
+    /// summed across engines.
     pub faults_detected: u64,
     /// Chunk re-executions the ladder performed (same shard or
     /// re-dispatched after quarantine).
     pub retries: u64,
     /// High-water mark of simultaneously quarantined shards on any one
-    /// tenant engine.
+    /// engine. Tenants of one `(backend, configuration)` share an
+    /// engine, so a quarantined shard is benched for all of them.
     pub quarantined_shards: u64,
     /// Polynomials answered by the software reference fallback (the
     /// ladder's last rung).
@@ -244,19 +245,22 @@ pub struct ServiceMetrics {
     /// Mean occupancy of those rounds: busy lanes across every engine of
     /// the round over the round's total lane capacity.
     pub rns_fanout_occupancy: f64,
-    /// Healing-ladder counters summed across tenant engines: scrubber
+    /// Healing-ladder counters summed across engines: scrubber
     /// and patrol probes, reintegrations, canary demotions, patrol
     /// quarantines. They keep counting across a watchdog respawn.
     pub health: HealthCounters,
     /// Dispatcher or scrubber threads the watchdog respawned after a
     /// panic.
     pub respawns: u64,
-    /// Per-shard health state of the default tenant's engine
-    /// (0 healthy, 1 canary, 2 probing, 3 quarantined), refreshed by
+    /// Per-shard health state of the default tenant's engine — shared
+    /// by every tenant of its configuration (0 healthy, 1 canary, 2 probing, 3 quarantined), refreshed by
     /// waves and scrub passes. Empty until the first wave or scrub.
     pub shard_health: Vec<u8>,
     /// Registered tenants.
     pub tenants: usize,
+    /// Sharded engines the dispatcher holds: one per distinct
+    /// `(backend, configuration)` among the registered tenants.
+    pub engines: usize,
     /// Per-tenant counter slices, sorted by tenant id. Tenants with no
     /// traffic yet still appear (zeroed) once registered.
     pub per_tenant: Vec<TenantMetrics>,
@@ -389,6 +393,9 @@ const SERVICE: &[Metric<ServiceMetrics>] = &[
              help: "Mean lane occupancy of RNS fan-out rounds", get: |s| s.rns_fanout_occupancy },
     Metric { json: "tenants", prom: "tenants", kind: Gauge,
              help: "Registered tenants", get: |s| s.tenants as f64 },
+    Metric { json: "engines", prom: "engines", kind: Gauge,
+             help: "Sharded engines, one per (backend, configuration)",
+             get: |s| s.engines as f64 },
 ];
 
 /// The JSON `health` block (flat `bpntt_health_*` / `bpntt_respawns_*`
@@ -588,6 +595,7 @@ mod tests {
             respawns: 1,
             shard_health: vec![0, 1, 3],
             tenants: 3,
+            engines: 2,
             per_tenant: vec![
                 TenantMetrics {
                     tenant: 0,
@@ -645,6 +653,7 @@ mod tests {
             "\"respawns\": 1",
             "\"shard_states\": [0, 1, 3]",
             "\"tenants\": 3",
+            "\"engines\": 2",
             "\"per_tenant\": [{\"tenant\": 0,",
             "\"bytes\": 15360",
             "{\"tenant\": 7, \"submitted\": 10,",

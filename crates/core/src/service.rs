@@ -28,13 +28,14 @@
 //!   request was admitted (or, while the requesters the last wave just
 //!   answered are not yet back, one window from now), then executes one
 //!   [`ShardedBpNtt::run_pipeline_batch`] call per
-//!   `(tenant, spec, mode)` group — the whole op-graph runs per lane
-//!   with no intermediate load/read round-trips. Groups of distinct
-//!   tenants own disjoint engines, so they run **concurrently**: one on
-//!   the dispatcher thread, the rest on scoped threads; a tenant's own
-//!   groups run one after another in submission order. Inside the
-//!   engine the chunks are **work-stolen** across shards, so a slow
-//!   shard claims fewer chunks instead of stalling the wave.
+//!   `(engine, spec, mode)` group — the whole op-graph runs per lane
+//!   with no intermediate load/read round-trips, and requests of every
+//!   tenant on that engine's configuration fill lanes of the same call.
+//!   Groups on distinct engines run **concurrently**: one on the
+//!   dispatcher thread, the rest on scoped threads; one engine's groups
+//!   run one after another in submission order. Inside the engine the
+//!   chunks are **work-stolen** across shards, so a slow shard claims
+//!   fewer chunks instead of stalling the wave.
 //! * **Backpressure** — the queue is bounded; when it is full,
 //!   submission fails fast with [`BpNttError::Overloaded`] instead of
 //!   buffering without limit.
@@ -55,13 +56,21 @@
 //!   (`faults_detected`, `retries`, `quarantined_shards`,
 //!   `fallback_polys`, `verify_ms`).
 //! * **Tenants and the cache** — each tenant registers a
-//!   [`BpNttConfig`]; the dispatcher keeps one sharded engine per tenant,
-//!   and every engine compiles through the service's one
-//!   [`ArtifactCache`], keyed by `(backend, configuration, spec)`. A
-//!   second tenant with an identical configuration compiles nothing, a
-//!   novel spec compiles once per configuration, not once per tenant,
-//!   and a dispatcher the watchdog respawns rebuilds its engines without
-//!   recompiling.
+//!   [`BpNttConfig`]; the dispatcher keeps one sharded engine per
+//!   `(backend, configuration)` — the key of the service's one
+//!   [`ArtifactCache`], which adds the spec. A second tenant with an
+//!   identical configuration builds no engine and compiles nothing; its
+//!   requests share waves with every other tenant of that configuration.
+//!   A novel spec compiles once per configuration, not once per tenant,
+//!   and a dispatcher the watchdog respawns rebuilds one engine per
+//!   configuration without recompiling. Admission (fair queue, rate
+//!   limits, shedding, deadlines) and every reply and per-tenant counter
+//!   stay per tenant. Two consequences of sharing: a shard the recovery
+//!   ladder quarantines is benched for every tenant of its
+//!   configuration, and a wave's resolve-round count — so its duration
+//!   — depends on every lane in it, across tenants (the same data
+//!   dependence one tenant's coalesced requests already have; a
+//!   constant-time flavour is future work).
 //! * **Metrics** — [`NttService::metrics`] snapshots queue depth, wave
 //!   occupancy, throughput, and per-shard wall-clock percentiles as a
 //!   [`ServiceMetrics`], exportable as JSON.
@@ -83,6 +92,7 @@
 //! # Ok::<(), bpntt_core::BpNttError>(())
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -96,7 +106,7 @@ use crate::error::BpNttError;
 use crate::health::{HealthCounters, HealthOptions};
 use crate::layout::Layout;
 use crate::metrics::{percentile, ServiceMetrics, TenantMetrics};
-use crate::pipeline::{ExecMode, PipelineSpec};
+use crate::pipeline::{ConfigFingerprint, ExecMode, PipelineSpec};
 use crate::sharded::{RecoveryOptions, ShardedBpNtt};
 use crate::verify::VerifyPolicy;
 use bpntt_rns::{BigUint, RnsBasis};
@@ -125,7 +135,8 @@ pub struct RateLimit {
 /// Tuning knobs for [`NttService::start`].
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
-    /// Arrays provisioned per tenant engine.
+    /// Arrays provisioned per configuration engine: every tenant
+    /// registered on one `(backend, configuration)` shares them.
     pub shards: usize,
     /// Bounded queue capacity; a full queue rejects submissions with
     /// [`BpNttError::Overloaded`].
@@ -134,7 +145,7 @@ pub struct ServiceOptions {
     /// partially filled wave. Zero dispatches immediately (lowest
     /// latency, worst occupancy).
     pub coalesce_window: Duration,
-    /// Output verification applied by every tenant engine to every
+    /// Output verification applied by every engine to every
     /// chunk ([`VerifyPolicy::Off`] by default). An active policy also
     /// arms the software-reference fallback, so a verified service never
     /// returns a corrupted polynomial: a chunk that cannot be recovered
@@ -148,7 +159,7 @@ pub struct ServiceOptions {
     /// its deadline passes fails typed with
     /// [`BpNttError::DeadlineExpired`] instead of occupying a wave.
     pub default_deadline: Option<Duration>,
-    /// Chaos knob: a fault plan installed on every tenant engine
+    /// Chaos knob: a fault plan installed on every configuration engine
     /// (reseeded per shard). Combine with an active [`Self::verify`]
     /// policy so injected corruption is detected and recovered rather
     /// than returned.
@@ -214,8 +225,11 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Identifies one registered tenant (a `(params, layout)` configuration
-/// with its own sharded engine).
+/// Identifies one registered tenant: a `(params, layout)` configuration
+/// with its own admission state (fair-queue lane, rate-limit bucket,
+/// metrics slice). Its requests run on the engine of its
+/// `(backend, configuration)`, which every tenant of that configuration
+/// shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantId(u32);
 
@@ -701,7 +715,7 @@ enum Control {
         backend: BackendKind,
         reply: Reply<TenantId>,
     },
-    /// Scrubber tick: run one scrub pass over every tenant engine and
+    /// Scrubber tick: run one scrub pass over every engine and
     /// publish the harvested health counters. At most one is queued at
     /// a time — ticks never pile up behind a slow wave.
     Scrub,
@@ -998,14 +1012,14 @@ struct Shared {
     shed_threshold: f64,
     /// Backend kind for tenants registered without an explicit one.
     backend: BackendKind,
-    /// The compiled-artifact cache every tenant engine compiles through.
+    /// The compiled-artifact cache every engine compiles through.
     /// It lives here, not on the dispatcher's stack, so a respawned
     /// dispatcher rebuilds its engines without recompiling.
     artifacts: Arc<ArtifactCache>,
     /// Self-healing knobs; `Some` arms the scrubber and watchdog.
     health: Option<HealthOptions>,
-    /// Shards per tenant engine (the dispatcher needs it to rebuild
-    /// engines after a watchdog respawn).
+    /// Shards per configuration engine (the dispatcher needs it to
+    /// rebuild engines after a watchdog respawn).
     shards: usize,
     /// The dispatcher's join handle, held shared so the watchdog can
     /// detect its death and replace it.
@@ -1013,8 +1027,9 @@ struct Shared {
     /// The scrubber's join handle, supervised the same way.
     scrubber: Mutex<Option<JoinHandle<()>>>,
     /// Every registered tenant's full configuration, in registration
-    /// order — what a respawned dispatcher needs to rebuild each engine
-    /// under its original id.
+    /// order — what a respawned dispatcher needs to rebuild one engine
+    /// per configuration and route each tenant to it under its original
+    /// id.
     registry: Mutex<Vec<(TenantId, BpNttConfig, BackendKind)>>,
     /// Test-only: a barrier every group reaches before its engine call,
     /// proving groups of one round overlap.
@@ -1032,7 +1047,7 @@ impl Shared {
     }
 }
 
-/// The async-capable request-queue service over per-tenant
+/// The async-capable request-queue service over per-configuration
 /// [`ShardedBpNtt`] engines. See the [module docs](self) for the design
 /// and an example.
 ///
@@ -1134,9 +1149,11 @@ impl NttService {
     }
 
     /// Registers another tenant configuration on the service's default
-    /// backend ([`ServiceOptions::backend`]), building its sharded
-    /// engine and warming its canned pipelines (a cache lookup when an
-    /// identical `(backend, configuration)` is already registered).
+    /// backend ([`ServiceOptions::backend`]) and resolves its canned
+    /// pipelines. The first tenant of a `(backend, configuration)`
+    /// builds that configuration's sharded engine and compiles; a later
+    /// one shares the engine, builds nothing and only looks the
+    /// pipelines up.
     ///
     /// # Errors
     ///
@@ -1147,9 +1164,9 @@ impl NttService {
     }
 
     /// Registers a tenant on an explicit execution backend — tenants on
-    /// different backends coexist in one service (each tenant's sharded
-    /// engine is homogeneous; the artifact cache is keyed by backend
-    /// kind, so kinds never share cache entries).
+    /// different backends coexist in one service (engines and artifact
+    /// cache entries are keyed by backend kind, so tenants of one
+    /// configuration on two kinds share neither).
     ///
     /// # Errors
     ///
@@ -1244,9 +1261,10 @@ impl NttService {
     /// input slots, and every polynomial's length (`params.n`) and
     /// coefficient reduction — so a malformed request fails here with a
     /// typed error instead of poisoning the coalesced wave it would have
-    /// joined. Requests coalesce into waves per `(tenant, spec, mode)`
-    /// group; identical specs from different clients batch into one
-    /// sharded pipeline call.
+    /// joined. Requests coalesce into waves per `(engine, spec, mode)`
+    /// group; identical specs from different clients — and from
+    /// different tenants of one configuration — batch into one sharded
+    /// pipeline call.
     ///
     /// # Errors
     ///
@@ -1318,9 +1336,10 @@ impl NttService {
     /// Registers an RNS tenant group on the service's default backend:
     /// one limb tenant per residue prime of `basis`, all with the same
     /// array geometry (`rows × cols`, `bitwidth`-bit words). Limb
-    /// tenants share compiled artifacts through the service's artifact
-    /// cache when their `(backend, configuration)` keys collide (e.g.
-    /// two RNS groups over the same basis).
+    /// tenants whose `(backend, configuration)` keys collide (e.g. two
+    /// RNS groups over the same basis) share one engine per limb, not
+    /// just compiled artifacts: the groups' limb requests fill lanes of
+    /// the same limb waves.
     ///
     /// # Errors
     ///
@@ -1369,11 +1388,11 @@ impl NttService {
     /// reduction mod `Q`); the limb requests enqueue **atomically** as
     /// one wave-coherent group, so the dispatcher picks them up in the
     /// same wave and fans them out concurrently across the limb
-    /// tenants' engines. The returned [`RnsTicket`] resolves to the
-    /// per-limb outputs plus their CRT reconstruction.
+    /// configurations' engines. The returned [`RnsTicket`] resolves to
+    /// the per-limb outputs plus their CRT reconstruction.
     ///
     /// Fault tolerance is per limb: a corrupted limb walks the ordinary
-    /// detect → retry → quarantine → degrade ladder on its own engine
+    /// detect → retry → quarantine → degrade ladder on its limb's engine
     /// and heals (or fails) before reconstruction ever sees it.
     ///
     /// # Errors
@@ -1769,15 +1788,18 @@ fn tenant_info_of(config: &BpNttConfig) -> TenantInfo {
     }
 }
 
-/// One `(tenant, spec, mode)` group of a drained wave, executed as a
+/// One `(engine, spec, mode)` group of a drained wave, executed as a
 /// single sharded pipeline call. `slots` is slot-major: one batch per
 /// input slot the spec declares.
 struct WaveGroup {
-    tenant: TenantId,
+    engine: EngineKey,
     spec: PipelineSpec,
     mode: ExecMode,
     slots: Vec<Vec<Vec<u64>>>,
-    replies: Vec<TicketSender>,
+    /// One `(tenant, reply)` per lane, in lane order: tenants of one
+    /// configuration share the group, and each result and counter goes
+    /// to its request's own tenant.
+    replies: Vec<(TenantId, TicketSender)>,
     /// Any member request was an RNS limb: a round holding such a group
     /// counts toward the `rns_fanout_*` metrics.
     rns: bool,
@@ -1842,7 +1864,7 @@ fn spawn_dispatcher(shared: &Arc<Shared>) -> JoinHandle<()> {
 }
 
 /// The scrubber thread: on every tick, enqueue one [`Control::Scrub`]
-/// for the dispatcher (which owns the tenant engines) and wake it. The
+/// for the dispatcher (which owns the engines) and wake it. The
 /// tick is the finer of the probe and patrol intervals; a deadline (not
 /// a plain `wait_timeout` restart) keeps submission-notify traffic from
 /// starving the tick.
@@ -1964,23 +1986,37 @@ fn revive(
     true
 }
 
-/// Adds what every tenant engine's health counters grew by since the
-/// previous harvest (`seen`, this dispatcher's last reading) to the
-/// metrics snapshot, and refreshes the default tenant's per-shard health
-/// states. A respawned dispatcher rebuilds its engines with counters at
-/// zero and starts from a zero `seen`, so the published counters never
-/// go backwards.
-fn harvest_health(
-    shared: &Shared,
-    engines: &HashMap<TenantId, ShardedBpNtt>,
-    seen: &mut HealthCounters,
-) {
+/// What selects a dispatcher engine: the [`ArtifactCache`] key without
+/// its spec. Tenants with equal keys share one engine.
+type EngineKey = (BackendKind, ConfigFingerprint);
+
+fn engine_key(config: &BpNttConfig, backend: BackendKind) -> EngineKey {
+    (backend, ConfigFingerprint::of(config))
+}
+
+/// The dispatcher's engines — one per [`EngineKey`] — and each tenant's
+/// route to its key.
+#[derive(Default)]
+struct Engines {
+    by_key: HashMap<EngineKey, ShardedBpNtt>,
+    route: HashMap<TenantId, EngineKey>,
+}
+
+/// Adds what every engine's health counters grew by since the previous
+/// harvest (`seen`, this dispatcher's last reading) to the metrics
+/// snapshot, and refreshes the per-shard health states of the default
+/// tenant's engine. A respawned dispatcher rebuilds its engines with
+/// counters at zero and starts from a zero `seen`, so the published
+/// counters never go backwards.
+fn harvest_health(shared: &Shared, engines: &Engines, seen: &mut HealthCounters) {
     let mut now = HealthCounters::default();
-    for engine in engines.values() {
+    for engine in engines.by_key.values() {
         now.accumulate(engine.health_counters());
     }
     let shard_health: Vec<u8> = engines
+        .route
         .get(&TenantId(0))
+        .and_then(|key| engines.by_key.get(key))
         .map(|engine| engine.shard_health().iter().map(|s| s.as_code()).collect())
         .unwrap_or_default();
     let mut m = shared.metrics.lock().expect("metrics poisoned");
@@ -1991,22 +2027,32 @@ fn harvest_health(
 
 fn dispatcher_loop(shared: &Shared) {
     let _guard = QueueDrainGuard(shared);
-    let mut engines: HashMap<TenantId, ShardedBpNtt> = HashMap::new();
-    // Rebuild every registered tenant's engine under its original id —
-    // a no-op on first spawn (empty registry), the recovery path after
-    // a watchdog respawn (every artifact is already in the shared
-    // cache, so nothing recompiles). A tenant whose engine fails to
-    // rebuild stays registered; its waves fail typed with
-    // `UnknownTenant`.
+    let mut engines = Engines::default();
+    // Rebuild one engine per distinct key in the registry and route
+    // every tenant to it under its original id — a no-op on first
+    // spawn (empty registry), the recovery path after a watchdog
+    // respawn (every artifact is already in the shared cache, so
+    // nothing recompiles). A tenant whose engine fails to rebuild stays
+    // registered; its waves fail typed with `UnknownTenant`.
     let mut next_tenant: u32 = 0;
     let registry: Vec<(TenantId, BpNttConfig, BackendKind)> =
         shared.registry.lock().expect("registry poisoned").clone();
     for (id, config, backend) in &registry {
         next_tenant = next_tenant.max(id.0 + 1);
-        if let Ok(engine) = build_engine(shared, config, *backend) {
-            engines.insert(*id, engine);
+        let key = engine_key(config, *backend);
+        engines.route.insert(*id, key);
+        if let Entry::Vacant(slot) = engines.by_key.entry(key) {
+            if let Ok(engine) = build_engine(shared, config, *backend) {
+                slot.insert(engine);
+            }
         }
     }
+    shared
+        .metrics
+        .lock()
+        .expect("metrics poisoned")
+        .snap
+        .engines = engines.by_key.len();
     // Requests per tenant in the last executed wave.
     let mut last_wave: HashMap<TenantId, usize> = HashMap::new();
     // These engines' health counters as last harvested.
@@ -2049,7 +2095,7 @@ fn dispatcher_loop(shared: &Shared) {
                 let _ = reply.send(result);
             }
             Action::Control(Control::Scrub) => {
-                for engine in engines.values_mut() {
+                for engine in engines.by_key.values_mut() {
                     let _ = engine.scrub_pass();
                 }
                 harvest_health(shared, &engines, &mut health_seen);
@@ -2060,11 +2106,12 @@ fn dispatcher_loop(shared: &Shared) {
             }
             Action::Work => {
                 // Coalesce: wait (bounded) until the queue could fill
-                // every lane of the widest tenant engine, then drain one
-                // fair round of at most that many requests — a wave's
-                // worth, deficit-round-robin across tenants, so a deep
+                // every lane of the widest engine, then drain one fair
+                // round of at most that many requests — a wave's worth,
+                // deficit-round-robin across tenants, so a deep
                 // hot-tenant backlog cannot monopolize the next wave.
                 let target = engines
+                    .by_key
                     .values()
                     .map(ShardedBpNtt::lanes_total)
                     .max()
@@ -2158,20 +2205,31 @@ fn register_tenant(
     shared: &Shared,
     config: &BpNttConfig,
     backend: BackendKind,
-    engines: &mut HashMap<TenantId, ShardedBpNtt>,
+    engines: &mut Engines,
     next_tenant: &mut u32,
 ) -> Result<TenantId, BpNttError> {
     let info = tenant_info_of(config);
-    let engine = build_engine(shared, config, backend)?;
+    let key = engine_key(config, backend);
+    match engines.by_key.get_mut(&key) {
+        // The configuration has an engine: build none. Resolving the
+        // canned pipelines is all cache hits, the same registration
+        // lookups a fresh engine's warm-up makes.
+        Some(engine) => warm_canned(engine, config)?,
+        None => {
+            let engine = build_engine(shared, config, backend)?;
+            engines.by_key.insert(key, engine);
+        }
+    }
     let id = TenantId(*next_tenant);
     *next_tenant += 1;
+    engines.route.insert(id, key);
     shared
         .tenants
         .lock()
         .expect("tenant map poisoned")
         .insert(id, info);
     // Record the full configuration so a watchdog-respawned dispatcher
-    // can rebuild this engine under the same id.
+    // can rebuild its engine and route this id to it.
     shared
         .registry
         .lock()
@@ -2181,14 +2239,14 @@ fn register_tenant(
     // registered-but-idle tenant appears (zeroed) in every snapshot.
     let mut m = shared.metrics.lock().expect("metrics poisoned");
     m.snap.tenants += 1;
+    m.snap.engines = engines.by_key.len();
     let _ = m.tenant(id);
-    engines.insert(id, engine);
     Ok(id)
 }
 
-/// Builds one tenant's sharded engine on the shared artifact cache:
-/// recovery ladder, fault plan, and health options applied, canned
-/// pipelines warmed.
+/// Builds one configuration's sharded engine on the shared artifact
+/// cache: recovery ladder, fault plan, and health options applied,
+/// canned pipelines warmed.
 fn build_engine(
     shared: &Shared,
     config: &BpNttConfig,
@@ -2209,10 +2267,15 @@ fn build_engine(
     if let Some(h) = shared.health {
         engine.set_health_options(h);
     }
-    // Warm the canned specs every tenant is expected to run, so
-    // registration, not the first request, pays any compile; polymul
-    // only when two operand slots fit the layout. An identical
-    // configuration registered before makes these lookups.
+    warm_canned(&mut engine, config)?;
+    Ok(engine)
+}
+
+/// Resolves the canned specs every tenant is expected to run, so
+/// registration, not the first request, pays any compile; polymul only
+/// when two operand slots fit the layout. A configuration compiled
+/// before makes these lookups.
+fn warm_canned(engine: &mut ShardedBpNtt, config: &BpNttConfig) -> Result<(), BpNttError> {
     engine.compile(&PipelineSpec::forward_ntt())?;
     engine.compile(&PipelineSpec::roundtrip())?;
     if PipelineSpec::polymul()
@@ -2221,24 +2284,21 @@ fn build_engine(
     {
         engine.compile(&PipelineSpec::polymul())?;
     }
-    Ok(engine)
+    Ok(())
 }
 
 /// Executes one drained wave: requests are grouped by
-/// `(tenant, spec, mode)` preserving submission order inside each group,
-/// each group runs as **one** sharded pipeline call (the whole op-graph
-/// per lane, operands loaded once, one read-back), groups of distinct
-/// tenants run concurrently, and every ticket receives its own result
-/// (or the group's error). Every group's pipeline is resolved through
-/// the shared artifact cache before the timed rounds, so a novel spec's
-/// compile never counts toward `busy_secs`.
-fn execute_wave(
-    shared: &Shared,
-    engines: &mut HashMap<TenantId, ShardedBpNtt>,
-    drained: Vec<Request>,
-) {
+/// `(engine, spec, mode)` preserving submission order inside each group
+/// (tenants of one configuration share a group), each group runs as
+/// **one** sharded pipeline call (the whole op-graph per lane, operands
+/// loaded once, one read-back), groups on distinct engines run
+/// concurrently, and every ticket receives its own result (or the
+/// group's error). Every group's pipeline is resolved through the shared
+/// artifact cache before the timed rounds, so a novel spec's compile
+/// never counts toward `busy_secs`.
+fn execute_wave(shared: &Shared, engines: &mut Engines, drained: Vec<Request>) {
     let mut groups: Vec<WaveGroup> = Vec::new();
-    let mut index: HashMap<(TenantId, PipelineSpec, ExecMode), usize> = HashMap::new();
+    let mut index: HashMap<(EngineKey, PipelineSpec, ExecMode), usize> = HashMap::new();
     let now = Instant::now();
     for req in drained {
         let Request {
@@ -2281,11 +2341,15 @@ fn execute_wave(
             reply.send(Err(BpNttError::Cancelled));
             continue;
         }
+        let Some(&engine) = engines.route.get(&tenant) else {
+            fail_replies(shared, vec![(tenant, reply)], unknown_tenant);
+            continue;
+        };
         let slot = *index
-            .entry((tenant, spec.clone(), mode))
+            .entry((engine, spec.clone(), mode))
             .or_insert_with(|| {
                 groups.push(WaveGroup {
-                    tenant,
+                    engine,
                     slots: vec![Vec::new(); spec.input_slots().len()],
                     spec,
                     mode,
@@ -2300,49 +2364,49 @@ fn execute_wave(
         for (slot_batch, poly) in g.slots.iter_mut().zip(inputs) {
             slot_batch.push(poly);
         }
-        g.replies.push(reply);
+        g.replies.push((tenant, reply));
     }
     // Resolve every group's pipeline first (compiling a novel spec
     // here keeps it out of the timed rounds), then execute rounds of
-    // groups with pairwise distinct tenants: distinct tenants own
-    // disjoint engines, so one group runs on this thread and the rest on
-    // scoped threads, sharing the wall-clock window instead of queueing
-    // behind each other. A tenant's later groups land in later rounds,
-    // in submission order.
+    // groups on pairwise distinct engines: one group runs on this thread
+    // and the rest on scoped threads, sharing the wall-clock window
+    // instead of queueing behind each other. An engine's later groups
+    // land in later rounds, in submission order.
     let mut ready: Vec<WaveGroup> = Vec::new();
     for group in groups {
-        let Some(engine) = engines.get_mut(&group.tenant) else {
-            fail_unknown_tenant(shared, group);
+        let Some(engine) = engines.by_key.get_mut(&group.engine) else {
+            fail_replies(shared, group.replies, unknown_tenant);
             continue;
         };
         match engine.compile(&group.spec) {
             Ok(_) => ready.push(group),
-            Err(e) => fail_group(shared, group, &e),
+            Err(e) => fail_replies(shared, group.replies, |_| e.clone()),
         }
     }
     while !ready.is_empty() {
-        let mut seen: HashSet<TenantId> = HashSet::new();
+        let mut seen: HashSet<EngineKey> = HashSet::new();
         let mut round: Vec<WaveGroup> = Vec::new();
         let mut rest: Vec<WaveGroup> = Vec::new();
         for g in ready {
-            if seen.insert(g.tenant) {
+            if seen.insert(g.engine) {
                 round.push(g);
             } else {
                 rest.push(g);
             }
         }
         ready = rest;
-        // Pair each group with its engine in one mutable pass — tenants
+        // Pair each group with its engine in one mutable pass — engines
         // in a round are distinct, so the borrows are disjoint.
-        let mut by_tenant: HashMap<TenantId, &mut ShardedBpNtt> = engines
+        let mut by_key: HashMap<EngineKey, &mut ShardedBpNtt> = engines
+            .by_key
             .iter_mut()
-            .filter(|(id, _)| seen.contains(id))
-            .map(|(id, engine)| (*id, engine))
+            .filter(|(key, _)| seen.contains(key))
+            .map(|(key, engine)| (*key, engine))
             .collect();
         let pairs: Vec<(&mut ShardedBpNtt, WaveGroup)> = round
             .into_iter()
             .map(|g| {
-                let engine = by_tenant.remove(&g.tenant).expect("engine resolved above");
+                let engine = by_key.remove(&g.engine).expect("engine resolved above");
                 (engine, g)
             })
             .collect();
@@ -2380,29 +2444,30 @@ fn execute_wave(
     }
 }
 
-/// Fails every ticket of a group whose tenant has no engine.
-/// Unreachable in practice — submission validates tenants — but still
-/// counted as failures so `submitted == completed + failed` holds.
-fn fail_unknown_tenant(shared: &Shared, group: WaveGroup) {
-    {
-        let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.snap.failed += group.replies.len() as u64;
-    }
-    for reply in group.replies {
-        reply.send(Err(BpNttError::UnknownTenant {
-            tenant: group.tenant.0,
-        }));
-    }
+/// The error of a request whose tenant has no engine. Unreachable in
+/// practice — submission validates tenants, and only a failed rebuild
+/// after a respawn leaves a tenant without one — but still counted as a
+/// failure so `submitted == completed + failed` holds.
+fn unknown_tenant(tenant: TenantId) -> BpNttError {
+    BpNttError::UnknownTenant { tenant: tenant.0 }
 }
 
-/// Fails every ticket of a group with one shared (pre-execution) error.
-fn fail_group(shared: &Shared, group: WaveGroup, e: &BpNttError) {
+/// Fails tickets before execution, each with `err` of its own tenant,
+/// counted against that tenant.
+fn fail_replies(
+    shared: &Shared,
+    replies: Vec<(TenantId, TicketSender)>,
+    err: impl Fn(TenantId) -> BpNttError,
+) {
     {
         let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.snap.failed += group.replies.len() as u64;
+        m.snap.failed += replies.len() as u64;
+        for (tenant, _) in &replies {
+            m.tenant(*tenant).failed += 1;
+        }
     }
-    for reply in group.replies {
-        reply.send(Err(e.clone()));
+    for (tenant, reply) in replies {
+        reply.send(Err(err(tenant)));
     }
 }
 
@@ -2438,7 +2503,7 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) -> In
     // A group whose every waiter disconnects mid-wave aborts: the
     // workers stop claiming chunks and the call returns `Cancelled`.
     let replies = &group.replies;
-    let all_cancelled = move || replies.iter().all(TicketSender::is_cancelled);
+    let all_cancelled = move || replies.iter().all(|(_, reply)| reply.is_cancelled());
     let result =
         engine.run_pipeline_batch_cancellable(&group.spec, group.mode, &slot_refs, &all_cancelled);
     {
@@ -2459,20 +2524,19 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) -> In
         m.snap.fallback_polys += rep.fallback_polys;
         m.snap.verify_ms += rep.verify_secs * 1e3;
         // Quarantine is a level, not a count: report the high-water
-        // mark across waves and tenant engines.
+        // mark across waves and engines.
         m.snap.quarantined_shards = m.snap.quarantined_shards.max(rep.quarantined_shards);
         match &result {
-            Ok(_) => {
-                m.snap.completed += batch as u64;
-                m.tenant(group.tenant).completed += batch as u64;
-            }
-            Err(BpNttError::Cancelled) => {
-                m.snap.cancelled += batch as u64;
-                m.tenant(group.tenant).cancelled += batch as u64;
-            }
-            Err(_) => {
-                m.snap.failed += batch as u64;
-                m.tenant(group.tenant).failed += batch as u64;
+            Ok(_) => m.snap.completed += batch as u64,
+            Err(BpNttError::Cancelled) => m.snap.cancelled += batch as u64,
+            Err(_) => m.snap.failed += batch as u64,
+        }
+        for (tenant, _) in &group.replies {
+            let tc = m.tenant(*tenant);
+            match &result {
+                Ok(_) => tc.completed += 1,
+                Err(BpNttError::Cancelled) => tc.cancelled += 1,
+                Err(_) => tc.failed += 1,
             }
         }
     }
@@ -2480,12 +2544,12 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) -> In
     match result {
         Ok(outs) => {
             debug_assert_eq!(outs.len(), group.replies.len());
-            for (reply, out) in group.replies.into_iter().zip(outs) {
+            for ((_, reply), out) in group.replies.into_iter().zip(outs) {
                 reply.send(Ok(out));
             }
         }
         Err(e) => {
-            for reply in group.replies {
+            for (_, reply) in group.replies {
                 reply.send(Err(e.clone()));
             }
         }
@@ -3106,6 +3170,35 @@ mod tests {
         assert_eq!(m.failed, 1, "the queued request failed typed, once");
     }
 
+    #[test]
+    fn respawn_rebuilds_one_engine_per_configuration() {
+        let service = NttService::start(
+            &config8(),
+            ServiceOptions {
+                health: Some(HealthOptions::aggressive()),
+                ..ServiceOptions::default()
+            },
+        )
+        .unwrap();
+        let q17 = BpNttConfig::new(32, 32, 8, NttParams::new(8, 17).unwrap()).unwrap();
+        let twin = service.add_tenant(&config8()).unwrap();
+        let other = service.add_tenant(&q17).unwrap();
+        assert_eq!(service.metrics().engines, 2);
+        service.crash_dispatcher();
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while service.metrics().respawns == 0 {
+            assert!(Instant::now() < give_up, "watchdog never respawned");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // Every tenant is routed to its configuration's rebuilt engine.
+        let a = service.submit_forward_as(twin, pseudo(8, 97, 3)).unwrap();
+        let b = service.submit_forward_as(other, pseudo(8, 17, 4)).unwrap();
+        assert_eq!(a.wait().unwrap(), reference_forward(97, &pseudo(8, 97, 3)));
+        assert_eq!(b.wait().unwrap(), reference_forward(17, &pseudo(8, 17, 4)));
+        let m = service.shutdown();
+        assert_eq!(m.engines, 2, "three tenants, two configurations");
+    }
+
     /// A respawned dispatcher rebuilds its engines with fresh health
     /// monitors; the published counters must keep counting from where
     /// they were instead of restarting near zero.
@@ -3199,17 +3292,19 @@ mod tests {
         assert_eq!(result.unwrap().len(), 8);
     }
 
-    /// Runs one round of two single-poly groups on two tenants, each
-    /// group parked at a shared `Barrier(2)` until the other arrives —
-    /// which only happens when the round runs them concurrently. Returns
-    /// the wall time from first submission to both results.
+    /// Runs one round of two single-poly groups on two tenants of
+    /// distinct configurations (so two engines), each group parked at a
+    /// shared `Barrier(2)` until the other arrives — which only happens
+    /// when the round runs them concurrently. Returns the wall time from
+    /// first submission to both results.
     fn two_tenant_round(service: &NttService) -> Duration {
-        let other = service.add_tenant(&config8()).unwrap();
+        let q17 = BpNttConfig::new(32, 32, 8, NttParams::new(8, 17).unwrap()).unwrap();
+        let other = service.add_tenant(&q17).unwrap();
         let barrier = Arc::new(std::sync::Barrier::new(2));
         *service.shared.group_hook.lock().unwrap() = Some(Arc::clone(&barrier));
         let t0 = Instant::now();
         let a = service.submit_forward(pseudo(8, 97, 1)).unwrap();
-        let b = service.submit_forward_as(other, pseudo(8, 97, 2)).unwrap();
+        let b = service.submit_forward_as(other, pseudo(8, 17, 2)).unwrap();
         let timeout = Duration::from_secs(30);
         let (ra, rb) = (a.wait_timeout(timeout), b.wait_timeout(timeout));
         let wall = t0.elapsed();
@@ -3220,8 +3315,14 @@ mod tests {
             barrier.wait();
             panic!("the two tenants' groups never overlapped");
         }
-        assert_eq!(ra.unwrap().unwrap(), reference_forward(&pseudo(8, 97, 1)));
-        assert_eq!(rb.unwrap().unwrap(), reference_forward(&pseudo(8, 97, 2)));
+        assert_eq!(
+            ra.unwrap().unwrap(),
+            reference_forward(97, &pseudo(8, 97, 1))
+        );
+        assert_eq!(
+            rb.unwrap().unwrap(),
+            reference_forward(17, &pseudo(8, 17, 2))
+        );
         wall
     }
 
@@ -3235,8 +3336,8 @@ mod tests {
         }
     }
 
-    fn reference_forward(p: &[u64]) -> Vec<u64> {
-        let params = NttParams::new(8, 97).unwrap();
+    fn reference_forward(q: u64, p: &[u64]) -> Vec<u64> {
+        let params = NttParams::new(p.len(), q).unwrap();
         let mut v = p.to_vec();
         ntt_in_place(&params, &TwiddleTable::new(&params), &mut v).unwrap();
         v
@@ -3277,6 +3378,24 @@ mod tests {
     }
 
     #[test]
+    fn same_configuration_tenants_share_one_wave() {
+        let service = NttService::start(&config8(), one_wave_options()).unwrap();
+        let other = service.add_tenant(&config8()).unwrap();
+        let a = service.submit_forward(pseudo(8, 97, 1)).unwrap();
+        let b = service.submit_forward_as(other, pseudo(8, 97, 2)).unwrap();
+        assert_eq!(a.wait().unwrap(), reference_forward(97, &pseudo(8, 97, 1)));
+        assert_eq!(b.wait().unwrap(), reference_forward(97, &pseudo(8, 97, 2)));
+        let m = service.shutdown();
+        assert_eq!(m.engines, 1, "the second tenant built no engine");
+        assert_eq!(m.waves, 1, "both tenants' requests filled one wave");
+        assert_eq!(m.wave_polys, 2);
+        assert_eq!(m.per_tenant.len(), 2);
+        for (pt, id) in m.per_tenant.iter().zip([0, other.raw()]) {
+            assert_eq!((pt.tenant, pt.submitted, pt.completed), (id, 1, 1));
+        }
+    }
+
+    #[test]
     fn coalescing_window_runs_from_oldest_admission() {
         let window = Duration::from_secs(60);
         let service = NttService::start(
@@ -3314,7 +3433,7 @@ mod tests {
         assert_eq!(
             got.expect("the window restarted instead of running from admission")
                 .unwrap(),
-            reference_forward(&pseudo(8, 97, 5))
+            reference_forward(97, &pseudo(8, 97, 5))
         );
     }
 
@@ -3600,6 +3719,58 @@ mod tests {
             assert_eq!(got.coefficients, expect);
         }
         let _ = service.shutdown();
+    }
+
+    #[test]
+    fn rns_groups_over_one_basis_share_limb_waves() {
+        // Two groups over one basis register six limb tenants on three
+        // limb configurations: three engines, not six. Submitted
+        // together (the queue cap makes their six limbs the coalescing
+        // target), they run as three limb waves of two lanes each.
+        let service = NttService::start(
+            &config8(),
+            ServiceOptions {
+                max_queue: 6,
+                coalesce_window: Duration::from_secs(30),
+                ..ServiceOptions::default()
+            },
+        )
+        .unwrap();
+        let basis = rns_basis64();
+        let h1 = service.add_rns_tenant(140, 128, 16, &basis).unwrap();
+        let h2 = service.add_rns_tenant(140, 128, 16, &basis).unwrap();
+        let (a1, b1) = (big_poly(&basis, 21), big_poly(&basis, 22));
+        let (a2, b2) = (big_poly(&basis, 23), big_poly(&basis, 24));
+        let expect1 = bpntt_rns::reference::negacyclic_polymul_basis(&a1, &b1, &basis).unwrap();
+        let expect2 = bpntt_rns::reference::negacyclic_polymul_basis(&a2, &b2, &basis).unwrap();
+        let t1 = service
+            .submit_rns(&h1, RnsRequest::polymul(a1, b1))
+            .unwrap();
+        let t2 = service
+            .submit_rns(&h2, RnsRequest::polymul(a2, b2))
+            .unwrap();
+        assert_eq!(t1.wait().unwrap().coefficients, expect1);
+        assert_eq!(t2.wait().unwrap().coefficients, expect2);
+        let m = service.shutdown();
+        assert_eq!(
+            m.engines,
+            1 + basis.limbs(),
+            "default + one engine per limb"
+        );
+        assert_eq!(
+            m.waves,
+            basis.limbs() as u64,
+            "one wave per limb, not per limb tenant"
+        );
+        assert_eq!(m.wave_polys, 2 * basis.limbs() as u64);
+        assert_eq!(
+            m.rns_fanout_waves, 1,
+            "the three limb waves share one round"
+        );
+        for &limb in h1.limb_tenants().iter().chain(h2.limb_tenants()) {
+            let pt = &m.per_tenant[limb.raw() as usize];
+            assert_eq!((pt.tenant, pt.completed), (limb.raw(), 1));
+        }
     }
 
     #[test]

@@ -242,8 +242,8 @@ impl ShardedBpNtt {
 
     /// Provisions `shards` engines of the requested backend kind. Every
     /// shard runs the same kind — heterogeneous waves are a service-layer
-    /// concern (one sharded engine per tenant, tenants on different
-    /// backends).
+    /// concern (one sharded engine per `(backend, configuration)`, so
+    /// tenants on different backends run on different engines).
     ///
     /// # Errors
     ///
@@ -653,11 +653,12 @@ impl ShardedBpNtt {
     /// **the** single timed execution path of every batch operation. The
     /// batch is cut into chunks of `lanes_per_shard` polynomials, one
     /// worker thread spawns per participating shard
-    /// (`min(shards, chunks)`; a lone worker runs on the calling thread
-    /// instead, under the same panic containment), and workers **steal**
-    /// the next unclaimed
-    /// chunk from a shared counter — a slow shard never stalls the wave,
-    /// it just claims fewer chunks. Each claimed chunk runs the *whole*
+    /// (`min(shards, chunks)`, canary shards chosen first; a lone worker
+    /// runs on the calling thread instead, under the same panic
+    /// containment), each canary worker claims one reserved chunk, and
+    /// workers **steal** the next unclaimed chunk from a shared counter
+    /// — a slow shard never stalls the wave, it just claims fewer
+    /// chunks. Each claimed chunk runs the *whole*
     /// op-graph on-array (operands loaded once, one read-back at the
     /// end — no intermediate `read_batch`/`load_batch` round-trips
     /// between ops). Output order matches input order (chunks are
@@ -682,13 +683,21 @@ impl ShardedBpNtt {
             .map(|i| self.health.is_canary(i))
             .collect();
         let wave_policy = self.recovery.verify;
-        let next = AtomicUsize::new(0);
+        // One worker per chunk at most, canaries first: a canary returns
+        // to duty only by serving clean waves, so it must never be the
+        // shard a short wave leaves idle, and each canary's first chunk
+        // is reserved for it — work stealing alone gives it no claim.
+        let mut chosen: Vec<usize> = (0..self.shards.len()).filter(|&i| !benched[i]).collect();
+        chosen.sort_by_key(|&i| !canary[i]);
+        chosen.truncate(n_chunks);
+        let reserved = chosen.iter().filter(|&&i| canary[i]).count();
+        let next = AtomicUsize::new(reserved);
         let requeue: Requeue = Mutex::new(Vec::new());
         let mut workers: Vec<(usize, WorkerCtx<'_, '_>)> = Vec::new();
         for (sid, shard) in self.shards.iter_mut().enumerate() {
-            if benched[sid] || workers.len() == n_chunks {
+            let Some(rank) = chosen.iter().position(|&c| c == sid) else {
                 continue;
-            }
+            };
             if canary[sid] {
                 // Canary leash: every chunk this shard touches is
                 // fully verified, whatever the wave's policy.
@@ -705,6 +714,7 @@ impl ShardedBpNtt {
                     batch,
                     lanes,
                     n_chunks,
+                    reserved: (rank < reserved).then_some(rank),
                     next: &next,
                     requeue: &requeue,
                     ladder,
@@ -1001,6 +1011,9 @@ struct WorkerCtx<'scope, 'env> {
     batch: usize,
     lanes: usize,
     n_chunks: usize,
+    /// A chunk claimed for this worker before the shared counter runs
+    /// (a canary's guaranteed share of the wave).
+    reserved: Option<usize>,
     next: &'scope AtomicUsize,
     requeue: &'scope Requeue,
     ladder: bool,
@@ -1021,6 +1034,7 @@ fn run_worker(ctx: WorkerCtx<'_, '_>) -> ShardOutcome {
         batch,
         lanes,
         n_chunks,
+        mut reserved,
         next,
         requeue,
         ladder,
@@ -1041,10 +1055,14 @@ fn run_worker(ctx: WorkerCtx<'_, '_>) -> ShardOutcome {
         if cancel.is_some_and(|c| c()) {
             break;
         }
-        // Chunks orphaned by a quarantined shard take priority over new
-        // work: they are the wave's critical path.
-        let requeued = requeue.lock().expect("requeue lock").pop();
-        let (i, hops) = match requeued {
+        // A reserved chunk first; then chunks orphaned by a quarantined
+        // shard take priority over new work: they are the wave's
+        // critical path.
+        let claimed = reserved
+            .take()
+            .map(|i| (i, 0))
+            .or_else(|| requeue.lock().expect("requeue lock").pop());
+        let (i, hops) = match claimed {
             Some(c) => c,
             None => {
                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -1525,6 +1543,61 @@ mod tests {
         let got = sharded.forward_batch(&batch).unwrap();
         assert_eq!(got, expect);
         assert!(!sharded.last_recovery().degraded);
+    }
+
+    #[test]
+    fn canary_claims_a_chunk_of_every_wave_it_may_serve() {
+        // Shard 1 is a canary next to a healthy shard 0. A one-chunk
+        // wave needs one worker: the canary serves it (and is
+        // reintegrated by it) instead of idling behind shard 0. In a
+        // two-chunk wave it claims its reserved chunk.
+        let params = NttParams::new(8, 97).unwrap();
+        let t = TwiddleTable::new(&params);
+        let mut opts = HealthOptions::aggressive();
+        opts.canary_waves_to_healthy = 2;
+        opts.patrol = false;
+        let canary_next_to_healthy = || {
+            let mut sharded = ShardedBpNtt::new(&config(), 2).unwrap();
+            sharded.set_recovery(RecoveryOptions::resilient());
+            sharded.set_health_options(opts);
+            sharded.quarantine(1);
+            for _ in 0..100 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                if sharded.scrub_pass().entered_canary == 1 {
+                    break;
+                }
+            }
+            assert_eq!(
+                sharded.shard_health(),
+                vec![ShardHealthState::Healthy, ShardHealthState::Canary]
+            );
+            sharded
+        };
+        for chunks in [1, 2] {
+            let mut sharded = canary_next_to_healthy();
+            let batch: Vec<Vec<u64>> = (0..4 * chunks as u64 - 1)
+                .map(|s| pseudo(8, 97, s + 730))
+                .collect();
+            for wave in 1..=2 {
+                let got = sharded.forward_batch(&batch).unwrap();
+                for (p, g) in batch.iter().zip(&got) {
+                    let mut e = p.clone();
+                    ntt_in_place(&params, &t, &mut e).unwrap();
+                    assert_eq!(g, &e);
+                }
+                let want = if wave == 2 {
+                    ShardHealthState::Healthy
+                } else {
+                    ShardHealthState::Canary
+                };
+                assert_eq!(
+                    sharded.shard_health()[1],
+                    want,
+                    "{chunks} chunk(s), wave {wave}"
+                );
+            }
+            assert_eq!(sharded.health_counters().reintegrations, 1);
+        }
     }
 
     #[test]
