@@ -8,8 +8,6 @@
 //!   throughput-per-area and throughput-per-power;
 //! * [`published`] — the seven baseline design points at 45 nm (MeNTT,
 //!   CryptoPIM, RM-NTT, LEIA, Sapphire, an FPGA implementation, and a CPU);
-//! * [`projection`] — first-order technology-node scaling used to justify
-//!   the 45 nm projections;
 //! * [`footprint`] — the memory-footprint models behind Fig. 7 (BP-NTT vs
 //!   MeNTT vs RM-NTT for a 32-bit, 128-point NTT);
 //! * [`bitserial`] — a *measured* bit-serial (Neural-Cache-style,
@@ -22,9 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod bitserial;
-pub mod cpu_baseline;
 pub mod footprint;
-pub mod projection;
 pub mod published;
 pub mod spec;
 

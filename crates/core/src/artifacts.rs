@@ -4,10 +4,10 @@
 //! The paper's bank (Fig. 4) gives its compute subarrays one CTRL/CMD
 //! subarray holding one encoded instruction stream, and banks running
 //! the same operations share it. [`ArtifactCache`] is that sharing in
-//! software: a compiled artifact depends only on the backend kind and
-//! the configuration's `ConfigFingerprint` (rows, cols, bitwidth, `n`,
-//! `q` — the fast-path kind follows from `cols`), so it is keyed by
-//! exactly that plus the [`ProgramKey`] or [`PipelineSpec`].
+//! software: a compiled artifact depends only on the configuration's
+//! `ConfigFingerprint` (rows, cols, bitwidth, `n`, `q` — the fast-path
+//! kind follows from `cols`), so it is keyed by exactly that plus the
+//! [`ProgramKey`] or [`PipelineSpec`].
 //!
 //! One cache is shared by `Arc` between everything that should compile
 //! once: every shard of a [`ShardedBpNtt`](crate::ShardedBpNtt), every
@@ -17,17 +17,13 @@
 //! deliberately no process-global cache: cold-compile measurements and
 //! unrelated tests must not see each other's artifacts.
 //!
-//! The [`BackendKind`] stays in the key although today's two backends
-//! compile identical artifacts, so a backend whose compilation diverges
-//! (a GPU lowering, a cost-model experiment) can never poison another
-//! backend's entries. The lock is never held while compiling; when two
-//! threads race on one key, the first insert wins and both get its `Arc`.
+//! The lock is never held while compiling; when two threads race on one
+//! key, the first insert wins and both get its `Arc`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use crate::backend::BackendKind;
 use crate::engine::ProgramKey;
 use crate::error::BpNttError;
 use crate::pipeline::{CompiledPipeline, ConfigFingerprint, PipelineSpec};
@@ -43,14 +39,14 @@ pub struct ArtifactCache {
 
 #[derive(Debug, Default)]
 struct Inner {
-    programs: HashMap<(BackendKind, ConfigFingerprint, ProgramKey), Arc<CompiledProgram>>,
-    pipelines: HashMap<(BackendKind, ConfigFingerprint, PipelineSpec), Arc<CompiledPipeline>>,
+    programs: HashMap<(ConfigFingerprint, ProgramKey), Arc<CompiledProgram>>,
+    pipelines: HashMap<(ConfigFingerprint, PipelineSpec), Arc<CompiledPipeline>>,
     hits: u64,
     compile_secs: f64,
 }
 
 impl ArtifactCache {
-    /// Compiled pipelines held, across every backend and configuration.
+    /// Compiled pipelines held, across every configuration.
     #[must_use]
     pub fn entries(&self) -> usize {
         self.lock().pipelines.len()
@@ -77,15 +73,14 @@ impl ArtifactCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The program for `key` on `(kind, fp)`, running `compile` on a miss.
+    /// The program for `key` on `fp`, running `compile` on a miss.
     pub(crate) fn program(
         &self,
-        kind: BackendKind,
         fp: ConfigFingerprint,
         key: ProgramKey,
         compile: impl FnOnce() -> Result<CompiledProgram, BpNttError>,
     ) -> Result<Arc<CompiledProgram>, BpNttError> {
-        let id = (kind, fp, key);
+        let id = (fp, key);
         if let Some(p) = self.lock().programs.get(&id) {
             return Ok(Arc::clone(p));
         }
@@ -96,16 +91,15 @@ impl ArtifactCache {
         Ok(Arc::clone(inner.programs.entry(id).or_insert(fresh)))
     }
 
-    /// The pipeline for `spec` on `(kind, fp)`, running `compile` on a
-    /// miss (which fetches its segments through [`Self::program`]).
+    /// The pipeline for `spec` on `fp`, running `compile` on a miss
+    /// (which fetches its segments through [`Self::program`]).
     pub(crate) fn pipeline(
         &self,
-        kind: BackendKind,
         fp: ConfigFingerprint,
         spec: &PipelineSpec,
         compile: impl FnOnce() -> Result<CompiledPipeline, BpNttError>,
     ) -> Result<Arc<CompiledPipeline>, BpNttError> {
-        let id = (kind, fp, spec.clone());
+        let id = (fp, spec.clone());
         {
             let mut inner = self.lock();
             if let Some(p) = inner.pipelines.get(&id).cloned() {
@@ -117,26 +111,22 @@ impl ArtifactCache {
         Ok(Arc::clone(self.lock().pipelines.entry(id).or_insert(fresh)))
     }
 
-    /// The programs held for one `(kind, fp)`.
-    pub(crate) fn programs_of(
-        &self,
-        kind: BackendKind,
-        fp: ConfigFingerprint,
-    ) -> Vec<Arc<CompiledProgram>> {
+    /// The programs held for one configuration.
+    pub(crate) fn programs_of(&self, fp: ConfigFingerprint) -> Vec<Arc<CompiledProgram>> {
         self.lock()
             .programs
             .iter()
-            .filter(|((k, f, _), _)| (*k, *f) == (kind, fp))
+            .filter(|((f, _), _)| *f == fp)
             .map(|(_, p)| Arc::clone(p))
             .collect()
     }
 
-    /// Number of pipelines held for one `(kind, fp)`.
-    pub(crate) fn pipelines_of(&self, kind: BackendKind, fp: ConfigFingerprint) -> usize {
+    /// Number of pipelines held for one configuration.
+    pub(crate) fn pipelines_of(&self, fp: ConfigFingerprint) -> usize {
         self.lock()
             .pipelines
             .keys()
-            .filter(|(k, f, _)| (*k, *f) == (kind, fp))
+            .filter(|(f, _)| *f == fp)
             .count()
     }
 }
@@ -153,8 +143,8 @@ mod tests {
         BpNttConfig::new(32, cols, 8, NttParams::new(8, q).unwrap()).unwrap()
     }
 
-    fn engine(cfg: &BpNttConfig, kind: BackendKind, cache: &Arc<ArtifactCache>) -> BpNtt {
-        BpNtt::with_artifacts(cfg.clone(), kind, Arc::clone(cache)).unwrap()
+    fn engine(cfg: &BpNttConfig, cache: &Arc<ArtifactCache>) -> BpNtt {
+        BpNtt::with_artifacts(cfg.clone(), Arc::clone(cache)).unwrap()
     }
 
     #[test]
@@ -166,7 +156,7 @@ mod tests {
         let pipes: Vec<Arc<CompiledPipeline>> = std::thread::scope(|s| {
             let legs: Vec<_> = (0..THREADS)
                 .map(|_| {
-                    let mut e = engine(&cfg, BackendKind::Sim, &cache);
+                    let mut e = engine(&cfg, &cache);
                     let barrier = &barrier;
                     s.spawn(move || {
                         barrier.wait();
@@ -187,16 +177,11 @@ mod tests {
     fn configurations_differing_in_one_field_never_share() {
         let cache = Arc::new(ArtifactCache::default());
         let spec = PipelineSpec::forward_ntt();
-        let pipes: Vec<Arc<CompiledPipeline>> = [
-            (config(32, 97), BackendKind::Sim),
-            (config(32, 113), BackendKind::Sim),
-            (config(64, 97), BackendKind::Sim),
-            (config(32, 97), BackendKind::Native),
-        ]
-        .iter()
-        .map(|(cfg, kind)| engine(cfg, *kind, &cache).compile_pipeline(&spec).unwrap())
-        .collect();
-        assert_eq!(cache.entries(), 4, "q, cols and backend each key apart");
+        let pipes: Vec<Arc<CompiledPipeline>> = [config(32, 97), config(32, 113), config(64, 97)]
+            .iter()
+            .map(|cfg| engine(cfg, &cache).compile_pipeline(&spec).unwrap())
+            .collect();
+        assert_eq!(cache.entries(), 3, "q and cols each key apart");
         assert_eq!(cache.hits(), 0);
         for (i, a) in pipes.iter().enumerate() {
             for b in &pipes[i + 1..] {
@@ -204,26 +189,26 @@ mod tests {
             }
         }
         // A second engine of the first configuration compiles nothing.
-        let again = engine(&config(32, 97), BackendKind::Sim, &cache)
+        let again = engine(&config(32, 97), &cache)
             .compile_pipeline(&spec)
             .unwrap();
         assert!(Arc::ptr_eq(&again, &pipes[0]));
-        assert_eq!((cache.entries(), cache.hits()), (4, 1));
+        assert_eq!((cache.entries(), cache.hits()), (3, 1));
     }
 
     #[test]
     fn cached_pipelines_keep_the_fingerprint_check() {
         let cache = Arc::new(ArtifactCache::default());
         let cfg = config(32, 97);
-        let pipe = engine(&cfg, BackendKind::Sim, &cache)
+        let pipe = engine(&cfg, &cache)
             .compile_pipeline(&PipelineSpec::forward_ntt())
             .unwrap();
         let polys = vec![vec![1u64, 2, 3, 4, 5, 6, 7, 8]];
-        let mut matching = engine(&cfg, BackendKind::Sim, &cache);
+        let mut matching = engine(&cfg, &cache);
         assert!(matching
             .run_compiled_pipeline(&pipe, ExecMode::Replay, &[&polys])
             .is_ok());
-        let mut other = engine(&config(32, 113), BackendKind::Sim, &cache);
+        let mut other = engine(&config(32, 113), &cache);
         assert!(matches!(
             other.run_compiled_pipeline(&pipe, ExecMode::Replay, &[&polys]),
             Err(BpNttError::InvalidPipeline { .. })

@@ -37,20 +37,16 @@
 //! replay against).
 //! The former `forward`/`forward_uncached`/`forward_uncached_generic`
 //! triplicate collapsed into [`BpNtt::forward_mode`] /
-//! [`BpNtt::inverse_mode`]; the deprecated `*_uncached` shim names were
-//! removed with the backend HAL (see the README migration notes).
+//! [`BpNtt::inverse_mode`]; the deprecated `*_uncached` shim names are
+//! gone (see the README migration notes).
 //! [`BpNtt::fastpath_stats`] reports which strategy actually executed.
 //!
-//! # Backends
+//! # One engine
 //!
-//! `BpNtt` is the execution core of both [`crate::backend`]
-//! implementations: [`SimBackend`](crate::backend::SimBackend) runs it
-//! with full per-instruction cost accounting (the paper's simulated
-//! accelerator), while [`NativeBackend`](crate::backend::NativeBackend)
-//! runs the *same* compiled programs with accounting disabled in the
-//! controller — rows, fault injection, and verification behave
-//! identically, [`Stats`] stays frozen, and the only honest metric is
-//! wall clock.
+//! `BpNtt` is the only execution engine: the sharded engine, the service
+//! and the RNS engine all run it. Its controller always counts every
+//! instruction by class, so [`Stats`] (the paper's simulated cycles and
+//! energy) are live on every run.
 //!
 //! # Pipelines
 //!
@@ -66,7 +62,6 @@
 use std::sync::Arc;
 
 use crate::artifacts::ArtifactCache;
-use crate::backend::BackendKind;
 use crate::config::BpNttConfig;
 use crate::error::BpNttError;
 use crate::kernels::Kernels;
@@ -84,7 +79,7 @@ use bpntt_sram::{
 };
 
 /// Cache key for one compiled schedule within one configuration (the
-/// [`ArtifactCache`] adds the backend kind and configuration).
+/// [`ArtifactCache`] adds the configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramKey {
     /// Forward NTT over the coefficient region based at `base`.
@@ -143,9 +138,6 @@ pub struct BpNtt {
     mont: MontCtx,
     kernels: Kernels,
     ctl: Controller,
-    /// Which backend this engine serves (cost accounting on for
-    /// [`BackendKind::Sim`]); part of every artifact cache key.
-    kind: BackendKind,
     artifacts: Arc<ArtifactCache>,
     /// How pipeline outputs are checked before being returned (the
     /// *detect* rung of the recovery ladder; default [`VerifyPolicy::Off`]).
@@ -498,17 +490,12 @@ impl BpNtt {
     ///
     /// Propagates configuration and simulator construction failures.
     pub fn new(config: BpNttConfig) -> Result<Self, BpNttError> {
-        Self::with_artifacts(config, BackendKind::Sim, Arc::default())
+        Self::with_artifacts(config, Arc::default())
     }
 
-    /// Builds an engine for one backend kind that compiles through
-    /// `artifacts`. [`BackendKind::Native`] disables cost accounting in
-    /// the controller: rows, fault hooks, and verification behave
-    /// identically, while [`Stats`] stays zero for the engine's whole
-    /// lifetime (including the constant-row setup below).
+    /// Builds an engine that compiles through `artifacts`.
     pub(crate) fn with_artifacts(
         config: BpNttConfig,
-        kind: BackendKind,
         artifacts: Arc<ArtifactCache>,
     ) -> Result<Self, BpNttError> {
         let layout = config.layout().clone();
@@ -516,7 +503,6 @@ impl BpNtt {
         let bw = config.bitwidth();
         let array = SramArray::new(config.rows(), layout.active_cols())?;
         let mut ctl = Controller::new(array, bw)?;
-        ctl.set_cost_accounting(kind == BackendKind::Sim);
         let mont = MontCtx::new(q, bw as u32)?;
         let kernels = Kernels::new(*layout.rowmap(), q, bw);
         let twiddles = TwiddleTable::new(config.params());
@@ -538,7 +524,6 @@ impl BpNtt {
             mont,
             kernels,
             ctl,
-            kind,
             artifacts,
             verify: VerifyPolicy::Off,
             verifier: None,
@@ -606,19 +591,10 @@ impl BpNtt {
         &self.config
     }
 
-    /// Accumulated simulator statistics. With cost accounting disabled
-    /// (the native backend), this stays frozen at zero.
+    /// Accumulated simulator statistics.
     #[must_use]
     pub fn stats(&self) -> Stats {
         self.ctl.stats()
-    }
-
-    /// Whether the underlying controller runs with cost accounting
-    /// (`true` for the simulated backend, `false` for native direct
-    /// execution).
-    #[must_use]
-    pub fn cost_accounting(&self) -> bool {
-        self.ctl.cost_accounting()
     }
 
     /// Resets the statistics (array contents are untouched). Also clears
@@ -644,20 +620,18 @@ impl BpNtt {
         self.ctl.set_timing_model(t);
     }
 
-    /// Number of schedules compiled and cached for this engine's backend
-    /// and configuration.
+    /// Number of schedules compiled and cached for this engine's
+    /// configuration.
     #[must_use]
     pub fn cached_programs(&self) -> usize {
-        self.artifacts
-            .programs_of(self.kind, self.fingerprint())
-            .len()
+        self.artifacts.programs_of(self.fingerprint()).len()
     }
 
-    /// Number of pipelines compiled and cached for this engine's backend
-    /// and configuration.
+    /// Number of pipelines compiled and cached for this engine's
+    /// configuration.
     #[must_use]
     pub fn cached_pipelines(&self) -> usize {
-        self.artifacts.pipelines_of(self.kind, self.fingerprint())
+        self.artifacts.pipelines_of(self.fingerprint())
     }
 
     fn fingerprint(&self) -> ConfigFingerprint {
@@ -687,13 +661,12 @@ impl BpNtt {
     /// Returns the compiled program for `key`, tracing and compiling it on
     /// first use by any engine sharing this one's artifact cache.
     pub(crate) fn program(&self, key: ProgramKey) -> Result<Arc<CompiledProgram>, BpNttError> {
-        self.artifacts
-            .program(self.kind, self.fingerprint(), key, || {
-                let mut rec = Recorder::new();
-                Emitter::of(&self.kernels, &self.config, &self.twiddles, &self.mont)
-                    .emit_key(&mut rec, key)?;
-                Ok(rec.finish().compile(&self.ctl)?)
-            })
+        self.artifacts.program(self.fingerprint(), key, || {
+            let mut rec = Recorder::new();
+            Emitter::of(&self.kernels, &self.config, &self.twiddles, &self.mont)
+                .emit_key(&mut rec, key)?;
+            Ok(rec.finish().compile(&self.ctl)?)
+        })
     }
 
     /// The key of the standalone forward-NTT program (coefficient region
@@ -852,7 +825,7 @@ impl BpNtt {
         spec: &PipelineSpec,
     ) -> Result<Arc<CompiledPipeline>, BpNttError> {
         self.artifacts
-            .pipeline(self.kind, self.fingerprint(), spec, || self.lower(spec))
+            .pipeline(self.fingerprint(), spec, || self.lower(spec))
     }
 
     /// Lowers `spec` to its compiled segments (the cache-miss half of
@@ -930,19 +903,6 @@ impl BpNtt {
                 em.emit_key(&mut self.ctl, key)
             }
         }
-    }
-
-    /// Runs `key`'s schedule by per-instruction emission into the sink
-    /// `wrap` builds around this engine's controller: a probe of the
-    /// generic path for tests that watch the instruction stream go by.
-    #[cfg(test)]
-    pub(crate) fn emit_through<'a, S: InstrSink>(
-        &'a mut self,
-        key: ProgramKey,
-        wrap: impl FnOnce(&'a mut Controller) -> S,
-    ) -> Result<(), BpNttError> {
-        let em = Emitter::of(&self.kernels, &self.config, &self.twiddles, &self.mont);
-        em.emit_key(&mut wrap(&mut self.ctl), key)
     }
 
     /// Runs one compiled segment; replay uses the segment's own `Arc` so

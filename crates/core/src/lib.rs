@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
-pub mod backend;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -57,7 +56,6 @@ pub mod sharded;
 pub mod verify;
 
 pub use artifacts::ArtifactCache;
-pub use backend::{new_backend, BackendKind, BackendStats, NativeBackend, NttBackend, SimBackend};
 pub use config::BpNttConfig;
 pub use engine::BpNtt;
 pub use error::BpNttError;
@@ -68,7 +66,7 @@ pub use kernels::Kernels;
 pub use layout::{Layout, RowMap};
 pub use metrics::{PerfReport, ServiceMetrics, TenantMetrics};
 pub use pipeline::{CompiledPipeline, ExecMode, PipeOp, PipelineSpec};
-pub use rns::{RnsContext, RnsWaveReport};
+pub use rns::{BackendKind, RnsContext, RnsWaveReport};
 pub use service::{
     NttService, PipelineRequest, RateLimit, RnsHandle, RnsRequest, RnsResult, RnsTicket,
     ServiceOptions, TenantId, Ticket,

@@ -198,7 +198,7 @@ pub struct ServiceMetrics {
     /// Maximum of the recent per-shard samples (seconds).
     pub shard_secs_max: f64,
     /// Compiled pipelines in the service's artifact cache, one per
-    /// distinct `(backend, configuration, spec)`.
+    /// distinct `(configuration, spec)`.
     pub pipeline_cache_entries: usize,
     /// Pipeline lookups the artifact cache served without compiling:
     /// tenant registrations, per-wave resolutions and scrub probes.
@@ -214,8 +214,7 @@ pub struct ServiceMetrics {
     /// re-dispatched after quarantine).
     pub retries: u64,
     /// High-water mark of simultaneously quarantined shards on any one
-    /// engine. Tenants of one `(backend, configuration)` share an
-    /// engine, so a quarantined shard is benched for all of them.
+    /// engine. Tenants of one configuration share an engine, so a quarantined shard is benched for all of them.
     pub quarantined_shards: u64,
     /// Polynomials answered by the software reference fallback (the
     /// ladder's last rung).
@@ -259,7 +258,7 @@ pub struct ServiceMetrics {
     /// Registered tenants.
     pub tenants: usize,
     /// Sharded engines the dispatcher holds: one per distinct
-    /// `(backend, configuration)` among the registered tenants.
+    /// configuration among the registered tenants.
     pub engines: usize,
     /// Per-tenant counter slices, sorted by tenant id. Tenants with no
     /// traffic yet still appear (zeroed) once registered.
@@ -394,7 +393,7 @@ const SERVICE: &[Metric<ServiceMetrics>] = &[
     Metric { json: "tenants", prom: "tenants", kind: Gauge,
              help: "Registered tenants", get: |s| s.tenants as f64 },
     Metric { json: "engines", prom: "engines", kind: Gauge,
-             help: "Sharded engines, one per (backend, configuration)",
+             help: "Sharded engines, one per configuration",
              get: |s| s.engines as f64 },
 ];
 

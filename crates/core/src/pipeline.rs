@@ -48,8 +48,7 @@
 //! integer class counts; `cost.rs` prices cycles and energy from them on
 //! read. Segments and pipelines live in one
 //! [`ArtifactCache`](crate::ArtifactCache) keyed by
-//! `(backend, configuration, ProgramKey)` and
-//! `(backend, configuration, spec)`: segments are shared between
+//! `(configuration, ProgramKey)` and `(configuration, spec)`: segments are shared between
 //! pipelines and the legacy entry points, and the cache itself is shared
 //! by `Arc` across [`ShardedBpNtt`](crate::ShardedBpNtt) shards and
 //! [`NttService`](crate::NttService) tenants.
@@ -71,13 +70,12 @@
 //! * [`ExecMode::Generic`] — strictly per-instruction emission, the
 //!   oracle the equivalence proptests pin replay against.
 //!
-//! # Backends
+//! # Sharing
 //!
-//! Compiled pipelines are backend-independent: a [`CompiledPipeline`]
-//! produced on one [`NttBackend`](crate::backend::NttBackend) executes
-//! unchanged on another (fingerprint-checked), so the cost-accounted
-//! simulator and the native direct-execution backend can replay one
-//! plan. See the [`backend`](crate::backend) module.
+//! A [`CompiledPipeline`] produced on one engine executes unchanged on
+//! any other engine of the same configuration (fingerprint-checked), so
+//! every shard and tenant replays one plan from the shared
+//! [`ArtifactCache`](crate::ArtifactCache).
 //!
 //! # Example
 //!
@@ -169,7 +167,7 @@ impl PipeOp {
 /// A described computation: which slots are loaded from caller batches,
 /// the ordered op-graph, and which slot is read back. The spec is the
 /// cache key: the [`ArtifactCache`](crate::ArtifactCache) holds one
-/// [`CompiledPipeline`] per `(backend, configuration, spec)`.
+/// [`CompiledPipeline`] per `(configuration, spec)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct PipelineSpec {
     ops: Vec<PipeOp>,

@@ -24,7 +24,7 @@
 //!
 //! Every limb engine of a context compiles through one
 //! [`ArtifactCache`], which keys each compiled pipeline by
-//! `(backend, configuration, spec)` — the limb prime is part of the
+//! `(configuration, spec)` — the limb prime is part of the
 //! configuration. Hand the same cache to sibling contexts
 //! ([`RnsContext::with_plan_cache`]) and a basis (or overlapping bases)
 //! compiles each limb's plan once; later contexts look the `Arc` up.
@@ -37,11 +37,23 @@ use bpntt_rns::{BigUint, RnsBasis, RnsError};
 use bpntt_sram::FaultPlan;
 
 use crate::artifacts::ArtifactCache;
-use crate::backend::BackendKind;
 use crate::config::BpNttConfig;
 use crate::error::BpNttError;
 use crate::pipeline::{ExecMode, PipelineSpec};
 use crate::sharded::{RecoveryOptions, RecoveryReport, ShardedBpNtt};
+
+/// The execution engine an [`RnsContext`] runs on. [`BpNtt`](crate::BpNtt)
+/// is the only one, so the value is ignored. The type survives only
+/// because the `perfbench` harness, which changes only together with the
+/// benchmark definition, passes [`BackendKind::Sim`] to
+/// [`RnsContext::new`]; it goes, with that argument, when `perfbench` is
+/// next edited.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum BackendKind {
+    /// The cost-accounted SRAM simulator (the paper's accelerator model).
+    #[default]
+    Sim,
+}
 
 /// What one RNS wave looked like: how full the shard budget was and
 /// where the time went.
@@ -62,15 +74,14 @@ pub struct RnsWaveReport {
 
 /// Executes big-modulus polynomial pipelines by RNS limb fan-out.
 ///
-/// One sharded engine per limb prime, all sharing a geometry and a
-/// backend; [`run_rns_batch`](Self::run_rns_batch) decomposes
+/// One sharded engine per limb prime, all sharing a geometry;
+/// [`run_rns_batch`](Self::run_rns_batch) decomposes
 /// big-integer inputs, runs every limb concurrently, and CRT-recombines
 /// the outputs. See the module docs for the design rationale.
 #[derive(Debug)]
 pub struct RnsContext {
     basis: Arc<RnsBasis>,
     engines: Vec<ShardedBpNtt>,
-    backend: BackendKind,
     cache: Arc<ArtifactCache>,
     last_wave: RnsWaveReport,
 }
@@ -78,7 +89,7 @@ pub struct RnsContext {
 impl RnsContext {
     /// Builds a context with a private artifact cache. `shards_total` is the
     /// whole budget; each of the `L` limbs gets `max(1, shards_total/L)`
-    /// shards.
+    /// shards. `backend` is ignored (see [`BackendKind`]).
     ///
     /// # Errors
     ///
@@ -91,17 +102,9 @@ impl RnsContext {
         cols: usize,
         bitwidth: usize,
         shards_total: usize,
-        backend: BackendKind,
+        _backend: BackendKind,
     ) -> Result<Self, BpNttError> {
-        Self::with_plan_cache(
-            basis,
-            rows,
-            cols,
-            bitwidth,
-            shards_total,
-            backend,
-            Arc::default(),
-        )
+        Self::with_plan_cache(basis, rows, cols, bitwidth, shards_total, Arc::default())
     }
 
     /// As [`new`](Self::new), but compiling through `cache`, shared with
@@ -117,7 +120,6 @@ impl RnsContext {
         cols: usize,
         bitwidth: usize,
         shards_total: usize,
-        backend: BackendKind,
         cache: Arc<ArtifactCache>,
     ) -> Result<Self, BpNttError> {
         let limbs = basis.limbs();
@@ -127,13 +129,12 @@ impl RnsContext {
             .iter()
             .map(|p| {
                 let cfg = BpNttConfig::new(rows, cols, bitwidth, p.clone())?;
-                ShardedBpNtt::with_artifacts(&cfg, shards_per_limb, backend, Arc::clone(&cache))
+                ShardedBpNtt::with_artifacts(&cfg, shards_per_limb, Arc::clone(&cache))
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(RnsContext {
             basis,
             engines,
-            backend,
             cache,
             last_wave: RnsWaveReport::default(),
         })
@@ -161,12 +162,6 @@ impl RnsContext {
     #[must_use]
     pub fn shards_total(&self) -> usize {
         self.engines.iter().map(ShardedBpNtt::shards).sum()
-    }
-
-    /// The backend kind every limb runs on.
-    #[must_use]
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend
     }
 
     /// The artifact cache every limb engine compiles through (hand it to
@@ -488,7 +483,6 @@ mod tests {
             128,
             16,
             3,
-            BackendKind::Sim,
             first.plan_cache(),
         )
         .unwrap();

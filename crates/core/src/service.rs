@@ -57,10 +57,10 @@
 //!   `fallback_polys`, `verify_ms`).
 //! * **Tenants and the cache** — each tenant registers a
 //!   [`BpNttConfig`]; the dispatcher keeps one sharded engine per
-//!   `(backend, configuration)` — the key of the service's one
-//!   [`ArtifactCache`], which adds the spec. A second tenant with an
-//!   identical configuration builds no engine and compiles nothing; its
-//!   requests share waves with every other tenant of that configuration.
+//!   configuration — the key of the service's one [`ArtifactCache`],
+//!   which adds the spec. A second tenant with an identical
+//!   configuration builds no engine and compiles nothing; its requests
+//!   share waves with every other tenant of that configuration.
 //!   A novel spec compiles once per configuration, not once per tenant,
 //!   and a dispatcher the watchdog respawns rebuilds one engine per
 //!   configuration without recompiling. Admission (fair queue, rate
@@ -100,7 +100,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::artifacts::ArtifactCache;
-use crate::backend::BackendKind;
 use crate::config::BpNttConfig;
 use crate::error::BpNttError;
 use crate::health::{HealthCounters, HealthOptions};
@@ -136,7 +135,7 @@ pub struct RateLimit {
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
     /// Arrays provisioned per configuration engine: every tenant
-    /// registered on one `(backend, configuration)` shares them.
+    /// registered on one configuration shares them.
     pub shards: usize,
     /// Bounded queue capacity; a full queue rejects submissions with
     /// [`BpNttError::Overloaded`].
@@ -185,13 +184,6 @@ pub struct ServiceOptions {
     /// one typical request (`8 × n × input_slots` bytes) or a tenant
     /// needs several rounds to release its head request.
     pub drr_quantum: u64,
-    /// Execution backend for tenants registered without an explicit
-    /// kind ([`NttService::start`]'s default tenant and
-    /// [`NttService::add_tenant`]): the cost-accounted simulator by
-    /// default. Individual tenants override it through
-    /// [`NttService::add_tenant_with_backend`] — one process can serve
-    /// simulated and native tenants side by side.
-    pub backend: BackendKind,
     /// Arms the self-healing subsystem: a background **scrubber** thread
     /// that runs known-answer probes against quarantined shards (and
     /// patrols idle healthy ones) so a shard whose fault burst has
@@ -219,7 +211,6 @@ impl Default for ServiceOptions {
             rate_limit: None,
             shed_threshold: 1.0,
             drr_quantum: 4096,
-            backend: BackendKind::Sim,
             health: None,
         }
     }
@@ -228,8 +219,7 @@ impl Default for ServiceOptions {
 /// Identifies one registered tenant: a `(params, layout)` configuration
 /// with its own admission state (fair-queue lane, rate-limit bucket,
 /// metrics slice). Its requests run on the engine of its
-/// `(backend, configuration)`, which every tenant of that configuration
-/// shares.
+/// configuration, which every tenant of that configuration shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantId(u32);
 
@@ -712,7 +702,6 @@ struct Request {
 enum Control {
     AddTenant {
         config: Box<BpNttConfig>,
-        backend: BackendKind,
         reply: Reply<TenantId>,
     },
     /// Scrubber tick: run one scrub pass over every engine and
@@ -1010,8 +999,6 @@ struct Shared {
     fault_plan: Option<FaultPlan>,
     rate_limit: Option<RateLimit>,
     shed_threshold: f64,
-    /// Backend kind for tenants registered without an explicit one.
-    backend: BackendKind,
     /// The compiled-artifact cache every engine compiles through.
     /// It lives here, not on the dispatcher's stack, so a respawned
     /// dispatcher rebuilds its engines without recompiling.
@@ -1030,7 +1017,7 @@ struct Shared {
     /// order — what a respawned dispatcher needs to rebuild one engine
     /// per configuration and route each tenant to it under its original
     /// id.
-    registry: Mutex<Vec<(TenantId, BpNttConfig, BackendKind)>>,
+    registry: Mutex<Vec<(TenantId, BpNttConfig)>>,
     /// Test-only: a barrier every group reaches before its engine call,
     /// proving groups of one round overlap.
     #[cfg(test)]
@@ -1119,7 +1106,6 @@ impl NttService {
             fault_plan: opts.fault_plan.clone(),
             rate_limit: opts.rate_limit,
             shed_threshold: opts.shed_threshold,
-            backend: opts.backend,
             artifacts: Arc::default(),
             health: opts.health,
             shards: opts.shards,
@@ -1148,34 +1134,16 @@ impl NttService {
         Ok(service)
     }
 
-    /// Registers another tenant configuration on the service's default
-    /// backend ([`ServiceOptions::backend`]) and resolves its canned
-    /// pipelines. The first tenant of a `(backend, configuration)`
-    /// builds that configuration's sharded engine and compiles; a later
-    /// one shares the engine, builds nothing and only looks the
-    /// pipelines up.
+    /// Registers another tenant configuration and resolves its canned
+    /// pipelines. The first tenant of a configuration builds that
+    /// configuration's sharded engine and compiles; a later one shares
+    /// the engine, builds nothing and only looks the pipelines up.
     ///
     /// # Errors
     ///
     /// Engine construction / program compilation failures, or
     /// [`BpNttError::ServiceShutdown`] after shutdown.
     pub fn add_tenant(&self, config: &BpNttConfig) -> Result<TenantId, BpNttError> {
-        self.add_tenant_with_backend(config, self.shared.backend)
-    }
-
-    /// Registers a tenant on an explicit execution backend — tenants on
-    /// different backends coexist in one service (engines and artifact
-    /// cache entries are keyed by backend kind, so tenants of one
-    /// configuration on two kinds share neither).
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::add_tenant`].
-    pub fn add_tenant_with_backend(
-        &self,
-        config: &BpNttConfig,
-        backend: BackendKind,
-    ) -> Result<TenantId, BpNttError> {
         let (tx, rx) = mpsc::channel();
         {
             let mut st = self.shared.state.lock().expect("service state poisoned");
@@ -1184,7 +1152,6 @@ impl NttService {
             }
             st.control.push_back(Control::AddTenant {
                 config: Box::new(config.clone()),
-                backend,
                 reply: tx,
             });
         }
@@ -1333,13 +1300,12 @@ impl NttService {
         Ok(ticket)
     }
 
-    /// Registers an RNS tenant group on the service's default backend:
-    /// one limb tenant per residue prime of `basis`, all with the same
-    /// array geometry (`rows × cols`, `bitwidth`-bit words). Limb
-    /// tenants whose `(backend, configuration)` keys collide (e.g. two
-    /// RNS groups over the same basis) share one engine per limb, not
-    /// just compiled artifacts: the groups' limb requests fill lanes of
-    /// the same limb waves.
+    /// Registers an RNS tenant group: one limb tenant per residue prime
+    /// of `basis`, all with the same array geometry (`rows × cols`,
+    /// `bitwidth`-bit words). Limb tenants whose configurations collide
+    /// (e.g. two RNS groups over the same basis) share one engine per
+    /// limb, not just compiled artifacts: the groups' limb requests fill
+    /// lanes of the same limb waves.
     ///
     /// # Errors
     ///
@@ -1354,27 +1320,10 @@ impl NttService {
         bitwidth: usize,
         basis: &Arc<RnsBasis>,
     ) -> Result<RnsHandle, BpNttError> {
-        self.add_rns_tenant_with_backend(rows, cols, bitwidth, basis, self.shared.backend)
-    }
-
-    /// Registers an RNS tenant group on an explicit execution backend —
-    /// see [`Self::add_rns_tenant`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::add_rns_tenant`].
-    pub fn add_rns_tenant_with_backend(
-        &self,
-        rows: usize,
-        cols: usize,
-        bitwidth: usize,
-        basis: &Arc<RnsBasis>,
-        backend: BackendKind,
-    ) -> Result<RnsHandle, BpNttError> {
         let mut limbs = Vec::with_capacity(basis.limbs());
         for params in basis.params() {
             let config = BpNttConfig::new(rows, cols, bitwidth, params.clone())?;
-            limbs.push(self.add_tenant_with_backend(&config, backend)?);
+            limbs.push(self.add_tenant(&config)?);
         }
         Ok(RnsHandle {
             basis: Arc::clone(basis),
@@ -1792,7 +1741,7 @@ fn tenant_info_of(config: &BpNttConfig) -> TenantInfo {
 /// single sharded pipeline call. `slots` is slot-major: one batch per
 /// input slot the spec declares.
 struct WaveGroup {
-    engine: EngineKey,
+    engine: ConfigFingerprint,
     spec: PipelineSpec,
     mode: ExecMode,
     slots: Vec<Vec<Vec<u64>>>,
@@ -1986,20 +1935,13 @@ fn revive(
     true
 }
 
-/// What selects a dispatcher engine: the [`ArtifactCache`] key without
-/// its spec. Tenants with equal keys share one engine.
-type EngineKey = (BackendKind, ConfigFingerprint);
-
-fn engine_key(config: &BpNttConfig, backend: BackendKind) -> EngineKey {
-    (backend, ConfigFingerprint::of(config))
-}
-
-/// The dispatcher's engines — one per [`EngineKey`] — and each tenant's
-/// route to its key.
+/// The dispatcher's engines — one per configuration, keyed like the
+/// [`ArtifactCache`] without its spec — and each tenant's route to its
+/// configuration. Tenants of one configuration share one engine.
 #[derive(Default)]
 struct Engines {
-    by_key: HashMap<EngineKey, ShardedBpNtt>,
-    route: HashMap<TenantId, EngineKey>,
+    by_key: HashMap<ConfigFingerprint, ShardedBpNtt>,
+    route: HashMap<TenantId, ConfigFingerprint>,
 }
 
 /// Adds what every engine's health counters grew by since the previous
@@ -2035,14 +1977,14 @@ fn dispatcher_loop(shared: &Shared) {
     // nothing recompiles). A tenant whose engine fails to rebuild stays
     // registered; its waves fail typed with `UnknownTenant`.
     let mut next_tenant: u32 = 0;
-    let registry: Vec<(TenantId, BpNttConfig, BackendKind)> =
+    let registry: Vec<(TenantId, BpNttConfig)> =
         shared.registry.lock().expect("registry poisoned").clone();
-    for (id, config, backend) in &registry {
+    for (id, config) in &registry {
         next_tenant = next_tenant.max(id.0 + 1);
-        let key = engine_key(config, *backend);
+        let key = ConfigFingerprint::of(config);
         engines.route.insert(*id, key);
         if let Entry::Vacant(slot) = engines.by_key.entry(key) {
-            if let Ok(engine) = build_engine(shared, config, *backend) {
+            if let Ok(engine) = build_engine(shared, config) {
                 slot.insert(engine);
             }
         }
@@ -2085,13 +2027,8 @@ fn dispatcher_loop(shared: &Shared) {
         };
         match action {
             Action::Exit => break,
-            Action::Control(Control::AddTenant {
-                config,
-                backend,
-                reply,
-            }) => {
-                let result =
-                    register_tenant(shared, &config, backend, &mut engines, &mut next_tenant);
+            Action::Control(Control::AddTenant { config, reply }) => {
+                let result = register_tenant(shared, &config, &mut engines, &mut next_tenant);
                 let _ = reply.send(result);
             }
             Action::Control(Control::Scrub) => {
@@ -2204,19 +2141,18 @@ fn resolve_dead(shared: &Shared, dead: Vec<Request>) {
 fn register_tenant(
     shared: &Shared,
     config: &BpNttConfig,
-    backend: BackendKind,
     engines: &mut Engines,
     next_tenant: &mut u32,
 ) -> Result<TenantId, BpNttError> {
     let info = tenant_info_of(config);
-    let key = engine_key(config, backend);
+    let key = ConfigFingerprint::of(config);
     match engines.by_key.get_mut(&key) {
         // The configuration has an engine: build none. Resolving the
         // canned pipelines is all cache hits, the same registration
         // lookups a fresh engine's warm-up makes.
         Some(engine) => warm_canned(engine, config)?,
         None => {
-            let engine = build_engine(shared, config, backend)?;
+            let engine = build_engine(shared, config)?;
             engines.by_key.insert(key, engine);
         }
     }
@@ -2234,7 +2170,7 @@ fn register_tenant(
         .registry
         .lock()
         .expect("registry poisoned")
-        .push((id, config.clone(), backend));
+        .push((id, config.clone()));
     // Count the tenant and seed its metrics slice, so a
     // registered-but-idle tenant appears (zeroed) in every snapshot.
     let mut m = shared.metrics.lock().expect("metrics poisoned");
@@ -2247,17 +2183,9 @@ fn register_tenant(
 /// Builds one configuration's sharded engine on the shared artifact
 /// cache: recovery ladder, fault plan, and health options applied,
 /// canned pipelines warmed.
-fn build_engine(
-    shared: &Shared,
-    config: &BpNttConfig,
-    backend: BackendKind,
-) -> Result<ShardedBpNtt, BpNttError> {
-    let mut engine = ShardedBpNtt::with_artifacts(
-        config,
-        shared.shards,
-        backend,
-        Arc::clone(&shared.artifacts),
-    )?;
+fn build_engine(shared: &Shared, config: &BpNttConfig) -> Result<ShardedBpNtt, BpNttError> {
+    let mut engine =
+        ShardedBpNtt::with_artifacts(config, shared.shards, Arc::clone(&shared.artifacts))?;
     if shared.recovery.is_active() {
         engine.set_recovery(shared.recovery);
     }
@@ -2298,7 +2226,7 @@ fn warm_canned(engine: &mut ShardedBpNtt, config: &BpNttConfig) -> Result<(), Bp
 /// never counts toward `busy_secs`.
 fn execute_wave(shared: &Shared, engines: &mut Engines, drained: Vec<Request>) {
     let mut groups: Vec<WaveGroup> = Vec::new();
-    let mut index: HashMap<(EngineKey, PipelineSpec, ExecMode), usize> = HashMap::new();
+    let mut index: HashMap<(ConfigFingerprint, PipelineSpec, ExecMode), usize> = HashMap::new();
     let now = Instant::now();
     for req in drained {
         let Request {
@@ -2384,7 +2312,7 @@ fn execute_wave(shared: &Shared, engines: &mut Engines, drained: Vec<Request>) {
         }
     }
     while !ready.is_empty() {
-        let mut seen: HashSet<EngineKey> = HashSet::new();
+        let mut seen: HashSet<ConfigFingerprint> = HashSet::new();
         let mut round: Vec<WaveGroup> = Vec::new();
         let mut rest: Vec<WaveGroup> = Vec::new();
         for g in ready {
@@ -2397,7 +2325,7 @@ fn execute_wave(shared: &Shared, engines: &mut Engines, drained: Vec<Request>) {
         ready = rest;
         // Pair each group with its engine in one mutable pass — engines
         // in a round are distinct, so the borrows are disjoint.
-        let mut by_key: HashMap<EngineKey, &mut ShardedBpNtt> = engines
+        let mut by_key: HashMap<ConfigFingerprint, &mut ShardedBpNtt> = engines
             .by_key
             .iter_mut()
             .filter(|(key, _)| seen.contains(key))
@@ -3039,7 +2967,7 @@ mod tests {
             })
             .collect();
         // Calibrate the burst window to one chunk's worth of
-        // instructions (the clock is mode- and backend-independent).
+        // instructions (the clock is mode-independent).
         let mut probe = ShardedBpNtt::new(&config8(), 1).unwrap();
         probe.forward_batch(&polys[..4]).unwrap();
         let chunk_instrs = probe.stats().counts.total();

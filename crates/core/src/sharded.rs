@@ -3,10 +3,8 @@
 //! A single BP-NTT array processes `lanes` polynomials per batch. Real
 //! workloads (HE ciphertext limbs, server-side signature verification)
 //! arrive in batches of hundreds to thousands — far beyond one array. A
-//! [`ShardedBpNtt`] provisions `K` identically configured engines behind
-//! the [`NttBackend`] seam (the cost-accounted simulator by default, the
-//! native direct-execution backend via [`ShardedBpNtt::with_backend`] — see
-//! [`crate::backend`]), compiles each schedule **once** into one
+//! [`ShardedBpNtt`] provisions `K` identically configured [`BpNtt`]
+//! engines, compiles each schedule **once** into one
 //! [`ArtifactCache`] every shard reads, and replays it on
 //! all shards in parallel (one OS thread per shard, via
 //! `std::thread::scope` — the dependency-free equivalent of a rayon
@@ -43,8 +41,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::artifacts::ArtifactCache;
-use crate::backend::{new_backend_in, BackendKind, NttBackend};
 use crate::config::BpNttConfig;
+use crate::engine::BpNtt;
 use crate::error::BpNttError;
 use crate::health::{HealthCounters, HealthMonitor, HealthOptions, ShardHealthState};
 use crate::pipeline::{CompiledPipeline, ConfigFingerprint, ExecMode, PipelineSpec};
@@ -154,8 +152,7 @@ impl RecoveryReport {
 /// programs over partitioned batches.
 #[derive(Debug)]
 pub struct ShardedBpNtt {
-    shards: Vec<Box<dyn NttBackend>>,
-    backend: BackendKind,
+    shards: Vec<BpNtt>,
     /// The cache every shard compiles through.
     artifacts: Arc<ArtifactCache>,
     lanes_per_shard: usize,
@@ -229,53 +226,34 @@ struct ShardOutcome {
 type Requeue = Mutex<Vec<(usize, u8)>>;
 
 impl ShardedBpNtt {
-    /// Provisions `shards` arrays with the given configuration on the
-    /// default [`BackendKind::Sim`] backend.
+    /// Provisions `shards` arrays with the given configuration and a
+    /// private artifact cache.
     ///
     /// # Errors
     ///
     /// [`BpNttError::InvalidShardCount`] for zero shards; otherwise
     /// propagates per-array construction failures.
     pub fn new(config: &BpNttConfig, shards: usize) -> Result<Self, BpNttError> {
-        Self::with_backend(config, shards, BackendKind::Sim)
+        Self::with_artifacts(config, shards, Arc::default())
     }
 
-    /// Provisions `shards` engines of the requested backend kind. Every
-    /// shard runs the same kind — heterogeneous waves are a service-layer
-    /// concern (one sharded engine per `(backend, configuration)`, so
-    /// tenants on different backends run on different engines).
-    ///
-    /// # Errors
-    ///
-    /// [`BpNttError::InvalidShardCount`] for zero shards; otherwise
-    /// propagates per-engine construction failures.
-    pub fn with_backend(
-        config: &BpNttConfig,
-        shards: usize,
-        backend: BackendKind,
-    ) -> Result<Self, BpNttError> {
-        Self::with_artifacts(config, shards, backend, Arc::default())
-    }
-
-    /// As [`Self::with_backend`], compiling through `artifacts` (the
-    /// service and RNS layers share one cache across engines).
+    /// As [`Self::new`], compiling through `artifacts` (the service and
+    /// RNS layers share one cache across engines).
     pub(crate) fn with_artifacts(
         config: &BpNttConfig,
         shards: usize,
-        backend: BackendKind,
         artifacts: Arc<ArtifactCache>,
     ) -> Result<Self, BpNttError> {
         if shards == 0 {
             return Err(BpNttError::InvalidShardCount { shards });
         }
-        let shards: Vec<Box<dyn NttBackend>> = (0..shards)
-            .map(|_| new_backend_in(backend, config, &artifacts))
+        let shards: Vec<BpNtt> = (0..shards)
+            .map(|_| BpNtt::with_artifacts(config.clone(), Arc::clone(&artifacts)))
             .collect::<Result<_, _>>()?;
         let lanes_per_shard = config.layout().lanes();
         let n_shards = shards.len();
         Ok(ShardedBpNtt {
             shards,
-            backend,
             artifacts,
             lanes_per_shard,
             last_shard_secs: Vec::new(),
@@ -298,12 +276,6 @@ impl ShardedBpNtt {
     #[must_use]
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Which backend kind every shard runs on.
-    #[must_use]
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend
     }
 
     /// Configures the detect→retry→quarantine→degrade ladder (see
@@ -425,7 +397,7 @@ impl ShardedBpNtt {
     }
 
     /// Number of compiled programs the shards' shared cache holds for
-    /// this engine's backend and configuration.
+    /// this engine's configuration.
     #[must_use]
     pub fn cached_programs(&self) -> usize {
         self.programs().len()
@@ -457,7 +429,7 @@ impl ShardedBpNtt {
 
     fn programs(&self) -> Vec<Arc<CompiledProgram>> {
         let fp = ConfigFingerprint::of(self.shards[0].config());
-        self.artifacts.programs_of(self.backend, fp)
+        self.artifacts.programs_of(fp)
     }
 
     /// One scrubber pass: runs seeded known-answer probes against every
@@ -518,15 +490,13 @@ impl ShardedBpNtt {
         let shard = &mut self.shards[shard_idx];
         // Compile-or-cache-hit: probes of a warmed engine never
         // recompile, a cold engine pays the compile once.
-        let pipe = match shard.compile(&spec) {
+        let pipe = match shard.compile_pipeline(&spec) {
             Ok(p) => p,
             Err(_) => return false,
         };
         let chunk: Vec<&[Vec<u64>]> = inputs.iter().map(|slot| slot.as_slice()).collect();
         let res = catch_unwind(AssertUnwindSafe(|| {
-            shard
-                .execute(&pipe, ExecMode::Replay, &chunk)
-                .map(|(rows, _)| rows)
+            shard.run_compiled_pipeline(&pipe, ExecMode::Replay, &chunk)
         }));
         // Probe verification time must not pollute the next wave's
         // recovery report.
@@ -604,15 +574,11 @@ impl ShardedBpNtt {
     /// hosts. The identical-`Stats` discipline (replay ≡ emit, SIMD ≡
     /// scalar) is a *per-engine* invariant and is unaffected — don't
     /// compare sharded aggregate energy bit-for-bit across runs.
-    ///
-    /// On the [`BackendKind::Native`] backend no shard models cost, so
-    /// the aggregate is all zeros — wall clock
-    /// ([`Self::last_wave_shard_secs`]) is the native metric.
     #[must_use]
     pub fn stats(&self) -> Stats {
-        self.shards.iter().fold(Stats::default(), |acc, s| {
-            acc + s.sim_stats().unwrap_or_default()
-        })
+        self.shards
+            .iter()
+            .fold(Stats::default(), |acc, s| acc + s.stats())
     }
 
     /// Resets every shard's statistics.
@@ -646,7 +612,7 @@ impl ShardedBpNtt {
         &mut self,
         spec: &PipelineSpec,
     ) -> Result<Arc<CompiledPipeline>, BpNttError> {
-        self.shards[0].compile(spec)
+        self.shards[0].compile_pipeline(spec)
     }
 
     /// Executes one compiled pipeline over an arbitrarily large batch —
@@ -706,7 +672,7 @@ impl ShardedBpNtt {
             workers.push((
                 sid,
                 WorkerCtx {
-                    shard: shard.as_mut(),
+                    shard,
                     sid,
                     pipe,
                     mode,
@@ -1003,7 +969,7 @@ impl ShardedBpNtt {
 /// Everything one wave worker needs (bundled so the spawn site stays
 /// readable).
 struct WorkerCtx<'scope, 'env> {
-    shard: &'scope mut dyn NttBackend,
+    shard: &'scope mut BpNtt,
     sid: usize,
     pipe: &'scope CompiledPipeline,
     mode: ExecMode,
@@ -1086,7 +1052,7 @@ fn run_worker(ctx: WorkerCtx<'_, '_>) -> ShardOutcome {
             // never the process. The engine reloads all inputs on the
             // next attempt, so mid-pipeline array state is not a hazard.
             let res = catch_unwind(AssertUnwindSafe(|| {
-                shard.execute(pipe, mode, &chunk).map(|(rows, _)| rows)
+                shard.run_compiled_pipeline(pipe, mode, &chunk)
             }));
             out.report.verify_secs += shard.take_verify_secs();
             match res {
@@ -1469,7 +1435,7 @@ mod tests {
             .collect();
 
         // Calibrate the burst window: instructions one shard spends on
-        // one chunk (the clock is mode- and backend-independent).
+        // one chunk (the clock is mode-independent).
         let mut probe = ShardedBpNtt::new(&config(), 1).unwrap();
         probe.forward_batch(&batch[..4]).unwrap();
         let chunk_instrs = probe.stats().counts.total();

@@ -58,7 +58,7 @@ pub struct Controller {
     zero_flag: bool,
     timing: TimingModel,
     energy: EnergyModel,
-    /// Executed instructions by class (the costed instruction clock is
+    /// Executed instructions by class (the instruction clock is
     /// `counts.total()`).
     counts: InstrCounts,
     /// Data rows loaded through the normal SRAM port.
@@ -101,16 +101,6 @@ pub struct Controller {
     /// Installed fault-injection state ([`crate::fault`]); `None` in
     /// normal operation, where the per-batch hook is one pointer test.
     fault: Option<Box<FaultState>>,
-    /// When `false` every cost primitive — instruction counts and row-I/O
-    /// stats — is skipped and [`Self::native_clock`]
-    /// advances instead. This is the native direct-execution backend's
-    /// mode: same rows, same fault hooks, no cost model. Default `true`.
-    costed: bool,
-    /// The uncosted instruction clock: advanced by exactly the amounts
-    /// `counts.total()` would grow under cost accounting, so an
-    /// installed [`FaultPlan`] fires at identical instruction clocks in
-    /// both modes (the clock the fault module addresses campaigns by).
-    native_clock: u64,
 }
 
 impl Controller {
@@ -170,40 +160,16 @@ impl Controller {
             tile_base_mask,
             epi_buf: vec![0; 5 * n_words],
             fault: None,
-            costed: true,
-            native_clock: 0,
         })
-    }
-
-    /// Enables or disables cost accounting. With accounting off, row
-    /// contents, predicate latches, the zero flag, and fault injection
-    /// behave identically, but [`Stats`] stays frozen and the
-    /// [`Self::native_clock`] carries the instruction clock instead —
-    /// the contract the native direct-execution backend runs under.
-    pub fn set_cost_accounting(&mut self, costed: bool) {
-        self.costed = costed;
-    }
-
-    /// Whether cost accounting is currently enabled.
-    #[must_use]
-    pub fn cost_accounting(&self) -> bool {
-        self.costed
-    }
-
-    /// The uncosted instruction clock (always 0 while cost accounting is
-    /// enabled — the costed clock is `stats().counts.total()`).
-    #[must_use]
-    pub fn native_clock(&self) -> u64 {
-        self.native_clock
     }
 
     /// Installs a [`FaultPlan`], replacing any existing one. Faults are
     /// applied at instruction-batch boundaries on both execution paths
-    /// (replay and generic emission) and at every costed
-    /// data-row load/read; see the [`crate::fault`] module docs for the
-    /// fault model and determinism guarantees. Installing an empty plan
-    /// still routes execution through the hook, which is the cheap way
-    /// to check the hook itself is cost-neutral.
+    /// (replay and generic emission) and at every data-row load/read;
+    /// see the [`crate::fault`] module docs for the fault model and
+    /// determinism guarantees. Installing an empty plan still routes
+    /// execution through the hook, which is the cheap way to check the
+    /// hook itself is cost-neutral.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.fault = Some(Box::new(FaultState::new(plan)));
     }
@@ -232,15 +198,12 @@ impl Controller {
 
     /// Applies every fault due at the current instruction clock
     /// (`Stats::counts.total()`, which the bit-identity contract makes
-    /// mode-independent; with cost accounting off, the `native_clock`
-    /// mirror of the same count): fires due transients as live
-    /// bit-flips, re-imposes stuck cells and dead rows, and trips a
-    /// scheduled hard fault as a controller panic.
+    /// mode-independent): fires due transients as live bit-flips,
+    /// re-imposes stuck cells and dead rows, and trips a scheduled hard
+    /// fault as a controller panic.
     #[cold]
     fn fault_tick_slow(&mut self) {
-        // Exactly one addend is ever nonzero: the two clocks advance by
-        // the same increments, but only the active mode's clock moves.
-        let now = self.counts.total() + self.native_clock;
+        let now = self.counts.total();
         let rows = self.array.rows();
         let cols = self.array.cols();
         let Some(state) = self.fault.as_mut() else {
@@ -354,14 +317,12 @@ impl Controller {
     }
 
     /// Resets the statistics to zero (array contents are untouched). Also
-    /// clears the fast-path coverage counters and rewinds the uncosted
-    /// instruction clock (mirroring the costed clock's reset).
+    /// clears the fast-path coverage counters.
     pub fn reset_stats(&mut self) {
         self.counts = InstrCounts::default();
         self.row_loads = 0;
         self.row_stores = 0;
         self.fastpath = FastPathStats::default();
-        self.native_clock = 0;
     }
 
     /// Fast-path coverage telemetry accumulated since the last reset.
@@ -394,9 +355,7 @@ impl Controller {
     /// Panics if `r` is out of range or the row width mismatches.
     pub fn load_data_row(&mut self, r: usize, data: BitRow) {
         self.array.write_row(r, data);
-        if self.costed {
-            self.row_loads += 1;
-        }
+        self.row_loads += 1;
         self.fault_tick();
     }
 
@@ -407,9 +366,7 @@ impl Controller {
     /// Panics if `r` is out of range.
     #[must_use]
     pub fn read_data_row(&mut self, r: usize) -> BitRow {
-        if self.costed {
-            self.row_stores += 1;
-        }
+        self.row_stores += 1;
         self.fault_tick();
         self.array.row(r).clone()
     }
@@ -522,13 +479,7 @@ impl Controller {
     /// [`Self::execute`] (which validates per call) and compiled-program
     /// replay (which validated at compile time).
     pub(crate) fn apply_instr(&mut self, instr: &Instruction) {
-        if self.costed {
-            self.counts.record(instr);
-        } else {
-            // Every instruction records exactly one primary class, so
-            // the costed clock (`counts.total()`) grows by one here.
-            self.native_clock += 1;
-        }
+        self.counts.record(instr);
         match *instr {
             Instruction::Check { src, bit } => {
                 self.latch_preds(src.index(), usize::from(bit));
@@ -641,15 +592,10 @@ impl Controller {
         }
     }
 
-    /// Adds a typed op's instruction-class counts, or advances the
-    /// native clock by their total when cost accounting is off.
+    /// Adds a typed op's instruction-class counts.
     #[inline]
     pub(crate) fn add_counts(&mut self, counts: &InstrCounts) {
-        if self.costed {
-            self.counts += *counts;
-        } else {
-            self.native_clock += counts.total();
-        }
+        self.counts += *counts;
     }
 
     // ---- typed-op word kernels -----------------------------------------------
@@ -781,9 +727,7 @@ impl Controller {
     /// without allocating (costed identically to [`Self::load_data_row`]).
     pub(crate) fn load_data_row_ref(&mut self, r: usize, data: &BitRow) {
         self.array.row_mut(r).copy_from(data);
-        if self.costed {
-            self.row_loads += 1;
-        }
+        self.row_loads += 1;
     }
 
     /// Executes one instruction.

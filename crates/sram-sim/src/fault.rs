@@ -30,7 +30,7 @@
 //! Faults are applied by `Controller::fault_tick`, a single hook called
 //! once per *instruction batch boundary* on both execution paths —
 //! compiled-program replay and strictly per-instruction generic
-//! emission — plus every costed data-row load/read. The
+//! emission — plus every data-row load/read. The
 //! instruction clock is `Stats::counts.total()`, which the bit-identity
 //! contract guarantees is mode-independent, so an addressed fault at
 //! instruction `i` lands at the first batch boundary where the clock has

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         62,
         31,
         basis.limbs(),
-        BackendKind::Native,
+        BackendKind::Sim,
     )?;
     let product = ctx.run_rns(
         &PipelineSpec::polymul(),
@@ -101,10 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- service layer: an RNS tenant group over the same basis ----------
     let service = NttService::start(
         &bpntt_core::BpNttConfig::paper_256pt_16bit()?,
-        ServiceOptions {
-            backend: BackendKind::Native,
-            ..ServiceOptions::default()
-        },
+        ServiceOptions::default(),
     )?;
     let handle = service.add_rns_tenant(2 * n + 6, 62, 31, &basis)?;
     let result = service

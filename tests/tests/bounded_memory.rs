@@ -11,17 +11,19 @@
 //! fills between the two readings is the dispatcher's per-shard
 //! wall-clock ring (4096 `f64` samples, 32 KiB at most; measured growth
 //! 16 KiB, one doubling). The slack is that ring's full size, so 3K
-//! requests leaking even 12 bytes each exceed it.
+//! requests leaking even 12 bytes each exceed it. A second test drives
+//! a bare two-shard `ShardedBpNtt` with K and then 4K polymul waves, and
+//! pins the engine layer alone the same way.
 //!
-//! Keep this file to one `#[test]`: the count is process-wide, so a
-//! second test running concurrently would move it.
+//! The count is process-wide, so every test here holds [`SERIAL`]: a
+//! test running concurrently would move another's readings.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use bpntt_core::{BpNttConfig, ExecMode, NttService, PipelineSpec, ServiceOptions};
+use bpntt_core::{BpNttConfig, ExecMode, NttService, PipelineSpec, ServiceOptions, ShardedBpNtt};
 use bpntt_net::{NetClient, NetOptions, NetServer, SubmitRequest};
 use bpntt_ntt::forward::ntt_in_place;
 use bpntt_ntt::polymul::polymul_schoolbook;
@@ -71,12 +73,27 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// Held by every test for its whole run, so one test's readings never
+/// see another's allocations.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Requests per client before the first reading (warm-up: engines,
 /// caches, connection buffers), and per client in the K phase.
 const WARMUP: usize = 100;
 const K: usize = 500;
 /// Allowed growth of live bytes from K to 4K requests.
 const SLACK_BYTES: isize = 32 * 1024;
+/// Allowed growth of live bytes from K to 4K waves of a bare
+/// `ShardedBpNtt`. The engine holds no growing structure: a wave reuses
+/// the shard-time vector's capacity and frees its outputs, claim queues
+/// and worker threads before returning (measured growth 0 B). The slack
+/// stays under one byte per wave of the 3K, so any per-wave retention
+/// exceeds it.
+const ENGINE_SLACK_BYTES: isize = 1024;
 
 const N: usize = 8;
 const Q: u64 = 97;
@@ -138,6 +155,7 @@ fn phase(clients: &mut [(NetClient, Vec<Case>)], per_client: usize) -> isize {
 
 #[test]
 fn live_bytes_plateau_under_sustained_wire_load() {
+    let _serial = serial();
     let cfg = BpNttConfig::new(32, 32, 8, NttParams::new(N, Q).unwrap()).unwrap();
     let service = Arc::new(
         NttService::start(
@@ -186,4 +204,41 @@ fn live_bytes_plateau_under_sustained_wire_load() {
         .shutdown();
     assert_eq!(m.completed, (WARMUP + 4 * K) as u64 * 2);
     assert_eq!(m.failed, 0);
+}
+
+#[test]
+fn live_bytes_plateau_under_sustained_sharded_waves() {
+    let _serial = serial();
+    let params = NttParams::new(N, Q).unwrap();
+    let cfg = BpNttConfig::new(32, 32, 8, params.clone()).unwrap();
+    let mut sharded = ShardedBpNtt::new(&cfg, 2).unwrap();
+    // Full waves: one chunk per shard, so every wave runs two workers.
+    let pairs = sharded.lanes_total() as u64;
+    let poly = |seed| Polynomial::pseudo_random(&params, seed).into_coeffs();
+    let a: Vec<Vec<u64>> = (0..pairs).map(|i| poly(2 * i + 1)).collect();
+    let b: Vec<Vec<u64>> = (0..pairs).map(|i| poly(2 * i + 2)).collect();
+    let expect: Vec<Vec<u64>> = a
+        .iter()
+        .zip(&b)
+        .map(|(x, y)| polymul_schoolbook(&params, x, y).unwrap())
+        .collect();
+    let mut waves = |count: usize| {
+        for w in 0..count {
+            let got = sharded.polymul_batch(&a, &b).unwrap();
+            assert_eq!(got, expect, "wave {w} diverged from the reference");
+        }
+        LIVE.load(Ordering::Relaxed)
+    };
+
+    waves(WARMUP);
+    let at_k = waves(K);
+    let at_4k = waves(3 * K);
+    let grown = at_4k - at_k;
+    eprintln!("live bytes: {at_k} after K waves, {at_4k} after 4K (grew {grown})");
+    assert!(
+        grown <= ENGINE_SLACK_BYTES,
+        "live bytes grew by {grown} B over {} waves ({at_k} -> {at_4k}): \
+         the sharded engine holds per-wave state",
+        3 * K
+    );
 }

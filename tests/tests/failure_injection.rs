@@ -439,6 +439,97 @@ fn fault_drill_hard_fault_on_inline_service_wave_is_contained() {
     assert_eq!(m.fallback_polys, 0, "a retry, not the fallback, absorbs it");
 }
 
+/// The Kyber-class set (q = 7681, 14-bit tiles) on a polymul-capable
+/// 140×128 geometry: 9 lanes of a 64-point transform.
+fn kyber_config() -> BpNttConfig {
+    BpNttConfig::new(140, 128, 14, NttParams::new(64, 7681).unwrap()).unwrap()
+}
+
+/// `lanes` seeded xorshift polynomials reduced mod `cfg`'s modulus.
+fn pseudo_batch(cfg: &BpNttConfig, lanes: usize, seed: u64) -> Vec<Vec<u64>> {
+    let n = cfg.params().n();
+    let q = cfg.params().modulus();
+    let mut x = seed | 1;
+    (0..lanes)
+        .map(|_| {
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x % q
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The recovery ladder end to end through the service: a persistent
+/// dead row corrupts every chunk, verification detects it, retries burn
+/// out, shards quarantine, and the software fallback still returns the
+/// correct answer for every polynomial.
+#[test]
+fn fault_drill_service_dead_row_quarantines_and_falls_back() {
+    let cfg = kyber_config();
+    let params = cfg.params().clone();
+    let t = TwiddleTable::new(&params);
+    let service = NttService::start(
+        &cfg,
+        ServiceOptions {
+            shards: 2,
+            verify: VerifyPolicy::Full,
+            retry_budget: 1,
+            fault_plan: Some(FaultPlan::seeded(17).dead_row(2)),
+            ..ServiceOptions::default()
+        },
+    )
+    .unwrap();
+    let polys = pseudo_batch(&cfg, 6, 400);
+    let tickets: Vec<_> = polys
+        .iter()
+        .map(|p| service.submit_forward(p.clone()).unwrap())
+        .collect();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let got = ticket.wait().unwrap();
+        let mut expect = polys[i].clone();
+        ntt_in_place(&params, &t, &mut expect).unwrap();
+        assert_eq!(got, expect, "poly {i} must be correct via the ladder");
+    }
+    let m = service.shutdown();
+    assert!(m.faults_detected > 0, "detection fired");
+    assert!(m.fallback_polys > 0, "degrade rung answered");
+    assert!(m.quarantined_shards > 0, "quarantine engaged");
+}
+
+/// The retry rung without the service: a transient at instruction 500
+/// corrupts the first attempt of one chunk and is consumed by it, so
+/// the same-shard retry succeeds.
+#[test]
+fn fault_drill_sharded_retry_consumes_transient() {
+    let cfg = kyber_config();
+    let params = cfg.params().clone();
+    let t = TwiddleTable::new(&params);
+    let mut sharded = ShardedBpNtt::new(&cfg, 2).unwrap();
+    sharded.set_recovery(RecoveryOptions {
+        verify: VerifyPolicy::Full,
+        retry_budget: 2,
+        software_fallback: true,
+    });
+    sharded.install_fault_plan(&FaultPlan::seeded(23).transient_at(500, 1, 3));
+    let batch = pseudo_batch(&cfg, 5, 510);
+    let got = sharded.forward_batch(&batch).unwrap();
+    for (i, p) in batch.iter().enumerate() {
+        let mut expect = p.clone();
+        ntt_in_place(&params, &t, &mut expect).unwrap();
+        assert_eq!(got[i], expect, "poly {i}");
+    }
+    let r = sharded.recovery_totals();
+    assert!(
+        r.faults_detected > 0 && r.retries > 0,
+        "the transient was detected and retried (report: {r:?})"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -4,8 +4,8 @@
 //! tenant groups, a chaos drill (a dead row on one limb must heal
 //! through that limb's own recovery ladder without ever corrupting the
 //! CRT reconstruction), and the headline acceptance point: a 3-limb
-//! ~90-bit negacyclic polymul at N = 256, bit-exact in **all three**
-//! [`ExecMode`]s on **both** backends.
+//! ~90-bit negacyclic polymul at N = 256, bit-exact in **every**
+//! [`ExecMode`].
 
 use std::sync::Arc;
 
@@ -47,14 +47,7 @@ fn rows_for(n: usize) -> usize {
 
 /// Runs one negacyclic polymul through an [`RnsContext`] and checks it
 /// against the bigint reference.
-fn check_polymul(
-    n: usize,
-    primes: &[u64],
-    bitwidth: usize,
-    backend: BackendKind,
-    mode: ExecMode,
-    seed: u64,
-) {
+fn check_polymul(n: usize, primes: &[u64], bitwidth: usize, mode: ExecMode, seed: u64) {
     let basis = Arc::new(RnsBasis::new(n, primes).unwrap());
     let mut ctx = RnsContext::new(
         Arc::clone(&basis),
@@ -62,7 +55,7 @@ fn check_polymul(
         128,
         bitwidth,
         basis.limbs(),
-        backend,
+        BackendKind::Sim,
     )
     .unwrap();
     let a = big_poly(&basis, seed);
@@ -71,7 +64,7 @@ fn check_polymul(
         .run_rns(&PipelineSpec::polymul(), mode, &[a.clone(), b.clone()])
         .unwrap();
     let expect = negacyclic_polymul_basis(&a, &b, &basis).unwrap();
-    assert_eq!(got, expect, "n={n} primes={primes:?} {backend:?} {mode:?}");
+    assert_eq!(got, expect, "n={n} primes={primes:?} {mode:?}");
 }
 
 proptest! {
@@ -80,13 +73,13 @@ proptest! {
     /// 2-limb (~28-bit Q) polymul ≡ bigint reference.
     #[test]
     fn two_limb_polymul_matches_reference(seed in any::<u64>()) {
-        check_polymul(64, &P14[..2], 16, BackendKind::Sim, ExecMode::Replay, seed);
+        check_polymul(64, &P14[..2], 16, ExecMode::Replay, seed);
     }
 
     /// 3-limb (~42-bit Q) polymul ≡ bigint reference at n = 128.
     #[test]
     fn three_limb_polymul_matches_reference(seed in any::<u64>()) {
-        check_polymul(128, &P14, 16, BackendKind::Sim, ExecMode::Replay, seed);
+        check_polymul(128, &P14, 16, ExecMode::Replay, seed);
     }
 
     /// 5-limb (~70-bit Q) polymul ≡ bigint reference; the basis comes
@@ -95,14 +88,14 @@ proptest! {
     #[test]
     fn five_limb_polymul_matches_reference(seed in any::<u64>()) {
         let primes = find_ntt_primes(14, 64, 5).unwrap();
-        check_polymul(64, &primes, 16, BackendKind::Sim, ExecMode::Replay, seed);
+        check_polymul(64, &primes, 16, ExecMode::Replay, seed);
     }
 
     /// Mixed scheme primes (Kyber's 3329 beside two 14-bit limbs) at the
     /// largest degree 3329 supports (n = 128 ⇒ 2n | 3328).
     #[test]
     fn mixed_scheme_basis_matches_reference(seed in any::<u64>()) {
-        check_polymul(128, &[3329, 12289, 7681], 16, BackendKind::Sim, ExecMode::Replay, seed);
+        check_polymul(128, &[3329, 12289, 7681], 16, ExecMode::Replay, seed);
     }
 
     /// Decompose → reconstruct is the identity on random big polys.
@@ -177,7 +170,6 @@ fn assert_siblings_share_plans(n: usize, rows: usize, cols: usize) {
             cols,
             16,
             basis.limbs(),
-            BackendKind::Sim,
             Arc::clone(cache),
         )
         .unwrap()
@@ -266,10 +258,10 @@ fn dead_row_on_one_limb_heals_without_corrupting_reconstruction() {
 }
 
 /// The acceptance point: a 3-limb (~90-bit `Q`) negacyclic polymul at
-/// N = 256, bit-exact against the bigint reference in all three
-/// [`ExecMode`]s on both backends.
+/// N = 256, bit-exact against the bigint reference in every
+/// [`ExecMode`].
 #[test]
-fn ninety_bit_acceptance_all_modes_both_backends() {
+fn ninety_bit_acceptance_all_modes() {
     let primes = find_ntt_primes(30, 256, 3).unwrap();
     let basis = Arc::new(RnsBasis::new(256, &primes).unwrap());
     assert!(
@@ -280,22 +272,20 @@ fn ninety_bit_acceptance_all_modes_both_backends() {
     let a = big_poly(&basis, 21);
     let b = big_poly(&basis, 22);
     let expect = negacyclic_polymul_basis(&a, &b, &basis).unwrap();
-    for backend in [BackendKind::Sim, BackendKind::Native] {
-        let mut ctx = RnsContext::new(
-            Arc::clone(&basis),
-            rows_for(256),
-            62,
-            31,
-            basis.limbs(),
-            backend,
-        )
-        .unwrap();
-        for mode in ExecMode::ALL {
-            let got = ctx
-                .run_rns(&PipelineSpec::polymul(), mode, &[a.clone(), b.clone()])
-                .unwrap();
-            assert_eq!(got, expect, "{backend:?} {mode:?}");
-        }
+    let mut ctx = RnsContext::new(
+        Arc::clone(&basis),
+        rows_for(256),
+        62,
+        31,
+        basis.limbs(),
+        BackendKind::Sim,
+    )
+    .unwrap();
+    for mode in ExecMode::ALL {
+        let got = ctx
+            .run_rns(&PipelineSpec::polymul(), mode, &[a.clone(), b.clone()])
+            .unwrap();
+        assert_eq!(got, expect, "{mode:?}");
     }
 }
 
