@@ -428,7 +428,6 @@ fn main() {
                     burst: rps,
                 }),
                 health,
-                ..ServiceOptions::default()
             },
         )
         .unwrap(),

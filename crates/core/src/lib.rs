@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod artifacts;
 pub mod config;
 pub mod engine;

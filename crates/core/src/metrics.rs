@@ -168,9 +168,13 @@ pub struct ServiceMetrics {
     pub peak_queue_depth: usize,
     /// The bounded queue's capacity (backpressure threshold).
     pub queue_capacity: usize,
-    /// Requests accepted into the queue.
+    /// Requests accepted into the queue. This and the other request
+    /// outcome totals are sums of the [`Self::per_tenant`] slices.
     pub submitted: u64,
-    /// Requests rejected with [`Overloaded`](crate::BpNttError::Overloaded).
+    /// Requests shed at admission, typed
+    /// [`Overloaded`](crate::BpNttError::Overloaded) or
+    /// [`RateLimited`](crate::BpNttError::RateLimited): the sum of the
+    /// tenants' `shed`.
     pub rejected: u64,
     /// Requests completed successfully.
     pub completed: u64,

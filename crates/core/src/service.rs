@@ -38,10 +38,12 @@
 //!   fewer chunks instead of stalling the wave.
 //! * **Backpressure** — the queue is bounded; when it is full,
 //!   submission fails fast with [`BpNttError::Overloaded`] instead of
-//!   buffering without limit.
+//!   buffering without limit. Every submission, a single-prime request
+//!   or an RNS limb group, passes the same admission (the crate's
+//!   `admission` module): one rate-limit token per group, tenant-fair
+//!   shedding, and all-or-nothing entry into the fair queue.
 //! * **Deadlines** — each request may carry a queueing deadline
-//!   ([`PipelineRequest::with_deadline`], or
-//!   [`ServiceOptions::default_deadline`] for all). The dispatcher never
+//!   ([`PipelineRequest::with_deadline`]). The dispatcher never
 //!   coalesces past the earliest queued deadline, and a request that
 //!   expires before dispatch resolves its ticket to
 //!   [`BpNttError::DeadlineExpired`] — it fails typed, it never blocks a
@@ -99,6 +101,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::admission::{admit, FairQueue, TokenBucket, DRR_QUANTUM};
 use crate::artifacts::ArtifactCache;
 use crate::config::BpNttConfig;
 use crate::error::BpNttError;
@@ -153,11 +156,6 @@ pub struct ServiceOptions {
     /// Extra attempts a shard gives a failing chunk before quarantining
     /// itself (the recovery ladder's retry rung).
     pub retry_budget: usize,
-    /// Deadline applied to every request that does not carry its own
-    /// ([`PipelineRequest::with_deadline`]). A request still queued when
-    /// its deadline passes fails typed with
-    /// [`BpNttError::DeadlineExpired`] instead of occupying a wave.
-    pub default_deadline: Option<Duration>,
     /// Chaos knob: a fault plan installed on every configuration engine
     /// (reseeded per shard). Combine with an active [`Self::verify`]
     /// policy so injected corruption is detected and recovered rather
@@ -178,12 +176,6 @@ pub struct ServiceOptions {
     /// `shed_at..max_queue` headroom — so set `shed_threshold < 1.0`
     /// whenever multi-tenant admission fairness matters.
     pub shed_threshold: f64,
-    /// Deficit-round-robin quantum in bytes: how much operand payload
-    /// each tenant with queued work may drain per round. Smaller quanta
-    /// interleave tenants more finely; the quantum should cover at least
-    /// one typical request (`8 × n × input_slots` bytes) or a tenant
-    /// needs several rounds to release its head request.
-    pub drr_quantum: u64,
     /// Arms the self-healing subsystem: a background **scrubber** thread
     /// that runs known-answer probes against quarantined shards (and
     /// patrols idle healthy ones) so a shard whose fault burst has
@@ -206,11 +198,9 @@ impl Default for ServiceOptions {
             coalesce_window: Duration::from_millis(2),
             verify: VerifyPolicy::Off,
             retry_budget: 0,
-            default_deadline: None,
             fault_plan: None,
             rate_limit: None,
             shed_threshold: 1.0,
-            drr_quantum: 4096,
             health: None,
         }
     }
@@ -290,7 +280,7 @@ impl CompletionState {
 /// [`TicketSender::send`] (dispatcher exit) resolves the ticket to
 /// [`BpNttError::ServiceShutdown`].
 #[derive(Debug)]
-struct TicketSender(Arc<Completion>);
+pub(crate) struct TicketSender(Arc<Completion>);
 
 impl TicketSender {
     fn send(self, r: Result<Vec<u64>, BpNttError>) {
@@ -300,7 +290,7 @@ impl TicketSender {
 
     /// Whether the receiving ticket was cancelled (dropped, explicitly
     /// cancelled, or locally expired) — the dispatcher's shed probe.
-    fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0
             .state
             .lock()
@@ -492,8 +482,8 @@ pub struct PipelineRequest {
     pub mode: ExecMode,
     /// One polynomial per input slot the spec declares.
     pub inputs: Vec<Vec<u64>>,
-    /// Per-request deadline, measured from submission. `None` inherits
-    /// [`ServiceOptions::default_deadline`]. A request still queued when
+    /// Per-request deadline, measured from submission; `None` waits
+    /// without one. A request still queued when
     /// the deadline passes resolves its ticket to
     /// [`BpNttError::DeadlineExpired`] instead of joining a wave.
     pub deadline: Option<Duration>,
@@ -678,25 +668,58 @@ pub struct RnsResult {
 /// One queued (validated) request. Control requests (tenant
 /// registration) travel on a separate lane so data-plane coalescing
 /// never delays them.
-struct Request {
-    tenant: TenantId,
+pub(crate) struct Request {
+    pub(crate) tenant: TenantId,
     spec: PipelineSpec,
     mode: ExecMode,
     inputs: Vec<Vec<u64>>,
-    reply: TicketSender,
+    pub(crate) reply: TicketSender,
     /// Absolute expiry instant (resolved at submission from the
-    /// request's own deadline or the service default).
-    deadline: Option<Instant>,
+    /// request's own deadline).
+    pub(crate) deadline: Option<Instant>,
     /// Deficit-round-robin cost: operand payload bytes (8 per
     /// coefficient, floored so even tiny requests spend deficit).
-    cost: u64,
+    pub(crate) cost: u64,
     /// When the request entered the queue: the coalescing window runs
     /// from the oldest queued admission
     /// ([`FairQueue::coalesce_deadline`]).
-    admitted: Instant,
-    /// Part of an RNS limb group ([`NttService::submit_rns`]); only the
-    /// `rns_fanout_*` counters read it — scheduling does not.
-    rns: bool,
+    pub(crate) admitted: Instant,
+    /// Part of an RNS limb group ([`NttService::submit_rns`]): admission
+    /// counts the group in the `rns_*` counters, and a wave round holding
+    /// it in the `rns_fanout_*` ones — scheduling does not read it.
+    pub(crate) rns: bool,
+}
+
+impl Request {
+    /// A request entering admission now, and the ticket its result
+    /// resolves.
+    fn new(
+        tenant: TenantId,
+        spec: PipelineSpec,
+        mode: ExecMode,
+        inputs: Vec<Vec<u64>>,
+        deadline: Option<Instant>,
+        rns: bool,
+    ) -> (Ticket, Request) {
+        let (ticket, reply) = Ticket::channel(deadline);
+        let cost = inputs
+            .iter()
+            .map(|p| p.len() as u64 * 8)
+            .sum::<u64>()
+            .max(64);
+        let request = Request {
+            tenant,
+            spec,
+            mode,
+            inputs,
+            reply,
+            deadline,
+            cost,
+            admitted: Instant::now(),
+            rns,
+        };
+        (ticket, request)
+    }
 }
 
 enum Control {
@@ -718,230 +741,31 @@ enum Control {
 /// touching the dispatcher-owned engine: the NTT parameters and the
 /// layout every spec is checked against.
 #[derive(Debug, Clone)]
-struct TenantInfo {
+pub(crate) struct TenantInfo {
     n: usize,
     q: u64,
     layout: Layout,
 }
 
-/// Deficit-round-robin fair queue keyed by tenant: one sub-queue per
-/// tenant with pending work, a ring of those tenants in round order, and
-/// a byte-weighted deficit per tenant. Each round the tenant at the ring
-/// head gains `quantum` bytes of deficit and releases queued requests
-/// while its deficit covers their operand cost; an exhausted deficit
-/// rotates the ring. A zipf-hot tenant therefore drains at the same
-/// byte rate as everyone else once the queue contends — it can saturate
-/// idle capacity, never starve a peer.
-struct FairQueue {
-    sub: HashMap<TenantId, VecDeque<Request>>,
-    /// Tenants with queued requests, in round order.
-    ring: VecDeque<TenantId>,
-    deficit: HashMap<TenantId, u64>,
-    quantum: u64,
-    len: usize,
-}
-
-impl FairQueue {
-    fn new(quantum: u64) -> Self {
-        FairQueue {
-            sub: HashMap::new(),
-            ring: VecDeque::new(),
-            deficit: HashMap::new(),
-            quantum: quantum.max(1),
-            len: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn push(&mut self, req: Request) {
-        let q = self.sub.entry(req.tenant).or_default();
-        if q.is_empty() {
-            // (Re-)entering the ring starts from a clean deficit: credit
-            // does not accrue while a tenant has nothing queued.
-            self.ring.push_back(req.tenant);
-            self.deficit.insert(req.tenant, 0);
-        }
-        q.push_back(req);
-        self.len += 1;
-    }
-
-    fn earliest_deadline(&self) -> Option<Instant> {
-        self.sub.values().flatten().filter_map(|r| r.deadline).min()
-    }
-
-    /// When the dispatcher, coalescing since `started`, stops waiting for
-    /// company: one `window` after the oldest queued admission, so a
-    /// request that already waited behind a wave does not wait a second
-    /// window. The exception is the requesters the last wave answered
-    /// (`last_wave`: requests per tenant): closed-loop clients about to
-    /// resubmit are awaited for up to one window from `started`, so they
-    /// share a concurrent round instead of alternating rounds.
-    fn coalesce_deadline(
-        &self,
-        last_wave: &HashMap<TenantId, usize>,
-        started: Instant,
-        window: Duration,
-    ) -> Instant {
-        if !last_wave.iter().all(|(t, &n)| self.depth_of(*t) >= n) {
-            return started + window;
-        }
-        // Sub-queues are FIFO: the oldest admission is at some head.
-        let oldest = self
-            .sub
-            .values()
-            .filter_map(VecDeque::front)
-            .map(|r| r.admitted)
-            .min();
-        oldest.unwrap_or(started) + window
-    }
-
-    /// Per-tenant queued depths, for the metrics snapshot.
-    fn depths(&self) -> HashMap<TenantId, usize> {
-        self.sub.iter().map(|(t, q)| (*t, q.len())).collect()
-    }
-
-    /// One tenant's queued depth, for fair-share admission.
-    fn depth_of(&self, tenant: TenantId) -> usize {
-        self.sub.get(&tenant).map_or(0, VecDeque::len)
-    }
-
-    /// One DRR drain of up to `max` requests into `out`. The ring head
-    /// gains `quantum` deficit per visit and releases requests while the
-    /// deficit covers their cost; an emptied tenant leaves the ring, an
-    /// exhausted one rotates behind its peers.
-    fn drain_round(&mut self, max: usize, out: &mut Vec<Request>) {
-        while out.len() < max && self.len > 0 {
-            let Some(&tenant) = self.ring.front() else {
-                break;
-            };
-            let deficit = self.deficit.entry(tenant).or_insert(0);
-            *deficit = deficit.saturating_add(self.quantum);
-            let q = self
-                .sub
-                .get_mut(&tenant)
-                .expect("ring tenant has a sub-queue");
-            while out.len() < max {
-                let Some(head) = q.front() else { break };
-                if head.cost > *deficit {
-                    break;
-                }
-                *deficit -= head.cost;
-                out.push(q.pop_front().expect("front() was Some"));
-                self.len -= 1;
-            }
-            if q.is_empty() {
-                self.ring.pop_front();
-                self.sub.remove(&tenant);
-                self.deficit.remove(&tenant);
-            } else if out.len() < max {
-                // Deficit exhausted with work left: next tenant's turn.
-                self.ring.rotate_left(1);
-            }
-        }
-    }
-
-    /// Removes every queued request that already expired or whose ticket
-    /// was cancelled, so dead work sheds typed before it costs a wave
-    /// lane (or blocks a live request behind it in the sub-queue).
-    fn remove_dead(&mut self, now: Instant) -> Vec<Request> {
-        let mut dead = Vec::new();
-        for q in self.sub.values_mut() {
-            let mut keep = VecDeque::with_capacity(q.len());
-            while let Some(r) = q.pop_front() {
-                let expired = r.deadline.is_some_and(|d| d <= now);
-                if expired || r.reply.is_cancelled() {
-                    dead.push(r);
-                } else {
-                    keep.push_back(r);
-                }
-            }
-            *q = keep;
-        }
-        if !dead.is_empty() {
-            self.len -= dead.len();
-            let emptied: Vec<TenantId> = self
-                .sub
-                .iter()
-                .filter(|(_, q)| q.is_empty())
-                .map(|(t, _)| *t)
-                .collect();
-            for t in &emptied {
-                self.sub.remove(t);
-                self.deficit.remove(t);
-            }
-            self.ring.retain(|t| !emptied.contains(t));
-        }
-        dead
-    }
-
-    /// Empties the whole queue (shutdown paths; fairness no longer
-    /// matters when every drained request fails typed).
-    fn drain_all(&mut self) -> Vec<Request> {
-        let mut out = Vec::with_capacity(self.len);
-        for (_, q) in self.sub.drain() {
-            out.extend(q);
-        }
-        self.ring.clear();
-        self.deficit.clear();
-        self.len = 0;
-        out
-    }
-}
-
 /// Queue state guarded by the service mutex.
-struct QueueState {
-    queue: FairQueue,
+pub(crate) struct QueueState {
+    pub(crate) queue: FairQueue,
     control: VecDeque<Control>,
-    shutdown: bool,
+    pub(crate) shutdown: bool,
     /// With `shutdown`: fail queued requests typed instead of draining
     /// them through waves ([`NttService::shutdown_now`]).
     abort: bool,
-}
-
-/// One tenant's token bucket ([`RateLimit`] admission state).
-struct TokenBucket {
-    tokens: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    /// Refills for elapsed time, then takes one token — or reports how
-    /// many milliseconds until one is available.
-    fn admit(&mut self, limit: RateLimit, now: Instant) -> Result<(), u64> {
-        let dt = now.saturating_duration_since(self.last).as_secs_f64();
-        self.last = now;
-        self.tokens = (self.tokens + dt * limit.requests_per_sec).min(limit.burst.max(1.0));
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            return Ok(());
-        }
-        let need = 1.0 - self.tokens;
-        let ms = if limit.requests_per_sec > 0.0 {
-            (need / limit.requests_per_sec * 1e3).ceil() as u64
-        } else {
-            // A zero-rate limit never refills; report a long, finite
-            // back-off instead of dividing by zero.
-            60_000
-        };
-        Err(ms.max(1))
-    }
 }
 
 /// Dispatcher-side counters behind their own lock (snapshots never block
 /// the queue): the reported snapshot itself, counted into directly, and
 /// the accumulators its derived fields are computed from.
 #[derive(Default)]
-struct MetricsState {
+pub(crate) struct MetricsState {
     /// Every reported counter; [`NttService::metrics`] clones it and
-    /// fills in the derived fields.
-    snap: ServiceMetrics,
+    /// fills in the derived fields. Request outcomes are counted only in
+    /// the tenant slices; the service-wide totals are their sums.
+    pub(crate) snap: ServiceMetrics,
     /// Sum of per-wave fill ratios (`wave_occupancy` = sum / waves).
     occupancy_sum: f64,
     /// Recent per-shard wall-clock samples (the `shard_secs_*`
@@ -952,13 +776,13 @@ struct MetricsState {
     rns_fanout_occupancy_sum: f64,
     /// EWMA of the dispatcher's recent drain rate (requests per second),
     /// the basis of the `retry_after_ms` back-off hints.
-    drain_rate: f64,
+    pub(crate) drain_rate: f64,
 }
 
 impl MetricsState {
     /// The tenant's counter slice, inserted zeroed on first use (the
     /// snapshot's `per_tenant` stays sorted by id).
-    fn tenant(&mut self, t: TenantId) -> &mut TenantMetrics {
+    pub(crate) fn tenant(&mut self, t: TenantId) -> &mut TenantMetrics {
         let slices = &mut self.snap.per_tenant;
         let i = slices
             .binary_search_by_key(&t.0, |m| m.tenant)
@@ -974,31 +798,19 @@ impl MetricsState {
     }
 }
 
-/// `retry_after_ms` hint: how long until the dispatcher has likely
-/// drained `depth` requests at its recent rate. Never zero; clamped so a
-/// cold or stalled estimate cannot tell clients "never retry".
-fn retry_hint(drain_rate: f64, depth: usize) -> u64 {
-    if drain_rate > 1e-9 {
-        ((((depth + 1) as f64) / drain_rate * 1e3).ceil() as u64).clamp(1, 30_000)
-    } else {
-        50
-    }
-}
-
-struct Shared {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-    tenants: Mutex<HashMap<TenantId, TenantInfo>>,
-    metrics: Mutex<MetricsState>,
+pub(crate) struct Shared {
+    pub(crate) state: Mutex<QueueState>,
+    pub(crate) cv: Condvar,
+    pub(crate) tenants: Mutex<HashMap<TenantId, TenantInfo>>,
+    pub(crate) metrics: Mutex<MetricsState>,
     /// Per-tenant token buckets (populated lazily on first submission).
-    buckets: Mutex<HashMap<TenantId, TokenBucket>>,
-    max_queue: usize,
+    pub(crate) buckets: Mutex<HashMap<TenantId, TokenBucket>>,
+    pub(crate) max_queue: usize,
     coalesce_window: Duration,
-    default_deadline: Option<Duration>,
     recovery: RecoveryOptions,
     fault_plan: Option<FaultPlan>,
-    rate_limit: Option<RateLimit>,
-    shed_threshold: f64,
+    pub(crate) rate_limit: Option<RateLimit>,
+    pub(crate) shed_threshold: f64,
     /// The compiled-artifact cache every engine compiles through.
     /// It lives here, not on the dispatcher's stack, so a respawned
     /// dispatcher rebuilds its engines without recompiling.
@@ -1076,7 +888,7 @@ impl NttService {
         }
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
-                queue: FairQueue::new(opts.drr_quantum),
+                queue: FairQueue::new(DRR_QUANTUM),
                 control: VecDeque::new(),
                 shutdown: false,
                 abort: false,
@@ -1093,7 +905,6 @@ impl NttService {
             buckets: Mutex::new(HashMap::new()),
             max_queue: opts.max_queue,
             coalesce_window: opts.coalesce_window,
-            default_deadline: opts.default_deadline,
             recovery: RecoveryOptions {
                 verify: opts.verify,
                 retry_budget: opts.retry_budget,
@@ -1250,53 +1061,13 @@ impl NttService {
             deadline,
         } = req;
         let tenant = tenant.unwrap_or(self.default_tenant);
-        let info = self.tenant_info(tenant)?;
-        spec.check(&info.layout, info.q)?;
-        if spec.output_slot().is_none() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: "service pipelines must declare an output slot".into(),
-            });
-        }
-        if spec.input_slots().is_empty() {
-            // Resident (no-input) graphs are an engine-level feature; the
-            // sharded work-stealing dispatcher has no stable chunk→shard
-            // assignment for on-array state to survive between requests.
-            return Err(BpNttError::InvalidPipeline {
-                reason: "service pipelines must declare at least one input slot".into(),
-            });
-        }
-        if inputs.len() != spec.input_slots().len() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: format!(
-                    "spec declares {} input slot(s) but {} polynomial(s) were supplied",
-                    spec.input_slots().len(),
-                    inputs.len()
-                ),
-            });
-        }
+        let info = self.validate(&spec, inputs.len(), &[tenant])?;
         for poly in &inputs {
             validate_poly(&info, poly)?;
         }
-        let deadline = deadline
-            .or(self.shared.default_deadline)
-            .map(|d| Instant::now() + d);
-        let (ticket, reply) = Ticket::channel(deadline);
-        let cost = inputs
-            .iter()
-            .map(|p| p.len() as u64 * 8)
-            .sum::<u64>()
-            .max(64);
-        self.enqueue(Request {
-            tenant,
-            spec,
-            mode,
-            inputs,
-            reply,
-            deadline,
-            cost,
-            admitted: Instant::now(),
-            rns: false,
-        })?;
+        let deadline = deadline.map(|d| Instant::now() + d);
+        let (ticket, request) = Request::new(tenant, spec, mode, inputs, deadline, false);
+        admit(&self.shared, [request])?;
         Ok(ticket)
     }
 
@@ -1360,70 +1131,31 @@ impl NttService {
             inputs,
             deadline,
         } = req;
-        let basis = &handle.basis;
-        if spec.output_slot().is_none() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: "service pipelines must declare an output slot".into(),
-            });
-        }
-        if spec.input_slots().is_empty() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: "service pipelines must declare at least one input slot".into(),
-            });
-        }
-        if inputs.len() != spec.input_slots().len() {
-            return Err(BpNttError::InvalidPipeline {
-                reason: format!(
-                    "spec declares {} input slot(s) but {} polynomial(s) were supplied",
-                    spec.input_slots().len(),
-                    inputs.len()
-                ),
-            });
-        }
         // The spec must hold under every limb modulus (scale factors
         // etc. are checked against each q_i) and the shared layout.
-        for &tenant in &handle.limbs {
-            let info = self.tenant_info(tenant)?;
-            spec.check(&info.layout, info.q)?;
-        }
+        self.validate(&spec, inputs.len(), &handle.limbs)?;
         // Decompose slot-by-slot into limb-major residues; this is also
         // where degree and mod-Q reduction are enforced.
         let mut limb_inputs: Vec<Vec<Vec<u64>>> =
             vec![Vec::with_capacity(inputs.len()); handle.limbs.len()];
         for poly in &inputs {
-            for (limb, residues) in basis.decompose_poly(poly)?.into_iter().enumerate() {
+            for (limb, residues) in handle.basis.decompose_poly(poly)?.into_iter().enumerate() {
                 limb_inputs[limb].push(residues);
             }
         }
-        let deadline = deadline
-            .or(self.shared.default_deadline)
-            .map(|d| Instant::now() + d);
-        let mut tickets = Vec::with_capacity(handle.limbs.len());
-        let mut requests = Vec::with_capacity(handle.limbs.len());
-        for (&tenant, inputs) in handle.limbs.iter().zip(limb_inputs) {
-            let (ticket, reply) = Ticket::channel(deadline);
-            let cost = inputs
-                .iter()
-                .map(|p| p.len() as u64 * 8)
-                .sum::<u64>()
-                .max(64);
-            requests.push(Request {
-                tenant,
-                spec: spec.clone(),
-                mode,
-                inputs,
-                reply,
-                deadline,
-                cost,
-                admitted: Instant::now(),
-                rns: true,
-            });
-            tickets.push(ticket);
-        }
-        self.enqueue_rns_group(requests)?;
+        let deadline = deadline.map(|d| Instant::now() + d);
+        let (tickets, requests): (Vec<Ticket>, Vec<Request>) = handle
+            .limbs
+            .iter()
+            .zip(limb_inputs)
+            .map(|(&tenant, inputs)| {
+                Request::new(tenant, spec.clone(), mode, inputs, deadline, true)
+            })
+            .unzip();
+        admit(&self.shared, requests)?;
         Ok(RnsTicket {
             tickets,
-            basis: Arc::clone(basis),
+            basis: Arc::clone(&handle.basis),
         })
     }
 
@@ -1454,8 +1186,16 @@ impl NttService {
         out.pipeline_cache_hits = artifacts.hits();
         out.pipeline_compile_ms = artifacts.compile_secs() * 1e3;
         out.rns_fanout_occupancy = mean(m.rns_fanout_occupancy_sum, out.rns_fanout_waves);
+        // Outcome totals are sums of the tenant slices, taken under the
+        // metrics lock, so they agree with the slices in every snapshot.
         for t in &mut out.per_tenant {
             t.queued = tenant_depths.get(&TenantId(t.tenant)).copied().unwrap_or(0);
+            out.submitted += t.submitted;
+            out.rejected += t.shed;
+            out.completed += t.completed;
+            out.failed += t.failed;
+            out.deadline_expired += t.deadline_expired;
+            out.cancelled += t.cancelled;
         }
         out
     }
@@ -1545,161 +1285,45 @@ impl NttService {
             .ok_or(BpNttError::UnknownTenant { tenant: tenant.0 })
     }
 
-    fn enqueue(&self, req: Request) -> Result<(), BpNttError> {
-        let tenant = req.tenant;
-        let cost = req.cost;
-        // Token-bucket admission runs before queue-depth shedding: a
-        // rate-limited tenant is told to back off even when the queue has
-        // room, so its burst cannot crowd the shared queue.
-        if let Some(limit) = self.shared.rate_limit {
-            let now = Instant::now();
-            let verdict = {
-                let mut buckets = self.shared.buckets.lock().expect("rate buckets poisoned");
-                buckets
-                    .entry(tenant)
-                    .or_insert_with(|| TokenBucket {
-                        tokens: limit.burst.max(1.0),
-                        last: now,
-                    })
-                    .admit(limit, now)
-            };
-            if let Err(retry_after_ms) = verdict {
-                let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-                m.snap.rejected += 1;
-                m.snap.rate_limited += 1;
-                m.tenant(tenant).shed += 1;
-                return Err(BpNttError::RateLimited {
-                    tenant: tenant.0,
-                    retry_after_ms,
-                });
-            }
+    /// The checks every submission passes before admission: the spec
+    /// declares an output slot and at least one input slot, `inputs`
+    /// polynomials fill those slots, and the spec holds under each target
+    /// tenant's layout and modulus ([`PipelineSpec::check`]). Returns the
+    /// first tenant's parameters.
+    fn validate(
+        &self,
+        spec: &PipelineSpec,
+        inputs: usize,
+        tenants: &[TenantId],
+    ) -> Result<TenantInfo, BpNttError> {
+        if spec.output_slot().is_none() {
+            return Err(BpNttError::InvalidPipeline {
+                reason: "service pipelines must declare an output slot".into(),
+            });
         }
-        let registered = self.shared.tenants.lock().expect("tenants poisoned").len();
-        {
-            let mut st = self.shared.state.lock().expect("service state poisoned");
-            if st.shutdown {
-                return Err(BpNttError::ServiceShutdown);
-            }
-            // Load shedding: the configured threshold of the bounded
-            // queue (1.0 = the historical full-queue backpressure).
-            // Admission is *tenant-fair*: past the threshold, only
-            // tenants at or above their fair share of the congested
-            // queue shed; a below-share tenant may still use the
-            // `shed_at..max_queue` headroom, so a flooding hot tenant
-            // cannot crowd everyone else out of admission (it can still
-            // starve itself — its own slots are the ones full).
-            let shed_at = ((self.shared.shed_threshold * self.shared.max_queue as f64).floor()
-                as usize)
-                .min(self.shared.max_queue);
-            let fair_share = (shed_at / registered.max(1)).max(1);
-            let depth = st.queue.len();
-            if depth >= self.shared.max_queue
-                || (depth >= shed_at && st.queue.depth_of(tenant) >= fair_share)
-            {
-                drop(st);
-                let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-                let retry_after_ms = retry_hint(m.drain_rate, depth);
-                m.snap.rejected += 1;
-                m.tenant(tenant).shed += 1;
-                return Err(BpNttError::Overloaded {
-                    depth,
-                    capacity: self.shared.max_queue,
-                    retry_after_ms,
-                });
-            }
-            st.queue.push(req);
-            // Count the submission before the state lock drops: once it
-            // does, the dispatcher may complete the request, and a
-            // snapshot must never show completed > submitted. (Metrics
-            // nests inside state here; nothing locks them the other way
-            // round.)
-            let depth = st.queue.len();
-            let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-            m.snap.submitted += 1;
-            m.snap.peak_queue_depth = m.snap.peak_queue_depth.max(depth);
-            let tc = m.tenant(tenant);
-            tc.submitted += 1;
-            tc.bytes += cost;
+        if spec.input_slots().is_empty() {
+            // Resident (no-input) graphs are an engine-level feature; the
+            // sharded work-stealing dispatcher has no stable chunk→shard
+            // assignment for on-array state to survive between requests.
+            return Err(BpNttError::InvalidPipeline {
+                reason: "service pipelines must declare at least one input slot".into(),
+            });
         }
-        self.shared.cv.notify_all();
-        Ok(())
-    }
-
-    /// Enqueues an RNS limb group atomically: every limb request is
-    /// admitted or the whole group is shed — a partially-admitted group
-    /// would leave the client's [`RnsTicket`] waiting on limbs that
-    /// never ran. The group spends **one** rate-limit token (on the
-    /// lead limb's bucket): an RNS submission is one logical request,
-    /// however many limbs it fans into.
-    fn enqueue_rns_group(&self, reqs: Vec<Request>) -> Result<(), BpNttError> {
-        let limbs = reqs.len();
-        let lead = reqs[0].tenant;
-        if let Some(limit) = self.shared.rate_limit {
-            let now = Instant::now();
-            let verdict = {
-                let mut buckets = self.shared.buckets.lock().expect("rate buckets poisoned");
-                buckets
-                    .entry(lead)
-                    .or_insert_with(|| TokenBucket {
-                        tokens: limit.burst.max(1.0),
-                        last: now,
-                    })
-                    .admit(limit, now)
-            };
-            if let Err(retry_after_ms) = verdict {
-                let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-                m.snap.rejected += 1;
-                m.snap.rate_limited += 1;
-                m.tenant(lead).shed += 1;
-                return Err(BpNttError::RateLimited {
-                    tenant: lead.0,
-                    retry_after_ms,
-                });
-            }
+        if inputs != spec.input_slots().len() {
+            return Err(BpNttError::InvalidPipeline {
+                reason: format!(
+                    "spec declares {} input slot(s) but {inputs} polynomial(s) were supplied",
+                    spec.input_slots().len(),
+                ),
+            });
         }
-        let registered = self.shared.tenants.lock().expect("tenants poisoned").len();
-        {
-            let mut st = self.shared.state.lock().expect("service state poisoned");
-            if st.shutdown {
-                return Err(BpNttError::ServiceShutdown);
-            }
-            let shed_at = ((self.shared.shed_threshold * self.shared.max_queue as f64).floor()
-                as usize)
-                .min(self.shared.max_queue);
-            let fair_share = (shed_at / registered.max(1)).max(1);
-            let depth = st.queue.len();
-            if depth + limbs > self.shared.max_queue
-                || (depth >= shed_at && st.queue.depth_of(lead) >= fair_share)
-            {
-                drop(st);
-                let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-                let retry_after_ms = retry_hint(m.drain_rate, depth);
-                m.snap.rejected += 1;
-                m.tenant(lead).shed += 1;
-                return Err(BpNttError::Overloaded {
-                    depth,
-                    capacity: self.shared.max_queue,
-                    retry_after_ms,
-                });
-            }
-            let costs: Vec<(TenantId, u64)> = reqs.iter().map(|r| (r.tenant, r.cost)).collect();
-            for req in reqs {
-                st.queue.push(req);
-            }
-            let depth = st.queue.len();
-            let mut m = self.shared.metrics.lock().expect("metrics poisoned");
-            m.snap.submitted += limbs as u64;
-            m.snap.rns_requests += 1;
-            m.snap.rns_limbs += limbs as u64;
-            m.snap.peak_queue_depth = m.snap.peak_queue_depth.max(depth);
-            for (tenant, cost) in costs {
-                let tc = m.tenant(tenant);
-                tc.submitted += 1;
-                tc.bytes += cost;
-            }
+        let mut lead = None;
+        for &tenant in tenants {
+            let info = self.tenant_info(tenant)?;
+            spec.check(&info.layout, info.q)?;
+            lead.get_or_insert(info);
         }
-        self.shared.cv.notify_all();
-        Ok(())
+        Ok(lead.expect("a submission targets at least one tenant"))
     }
 }
 
@@ -1788,7 +1412,6 @@ impl Drop for QueueDrainGuard<'_> {
             return;
         }
         if let Ok(mut m) = self.0.metrics.lock() {
-            m.snap.failed += drained.len() as u64;
             for r in &drained {
                 m.tenant(r.tenant).failed += 1;
             }
@@ -2060,8 +1683,14 @@ fn dispatcher_loop(shared: &Shared) {
                     // tickets) from the whole queue first, so it neither
                     // joins this wave nor blocks live requests behind it.
                     let started = Instant::now();
-                    let dead = st.queue.remove_dead(started);
-                    while !st.shutdown && st.control.is_empty() && st.queue.len() < target {
+                    let mut dead = st.queue.remove_dead(started);
+                    // Dead work resolves before any coalescing wait, not
+                    // one window later; the queue is then looked at anew.
+                    while dead.is_empty()
+                        && !st.shutdown
+                        && st.control.is_empty()
+                        && st.queue.len() < target
+                    {
                         let deadline =
                             st.queue
                                 .coalesce_deadline(&last_wave, started, shared.coalesce_window);
@@ -2083,7 +1712,11 @@ fn dispatcher_loop(shared: &Shared) {
                         st = guard;
                     }
                     let mut drained = Vec::new();
-                    if !st.abort {
+                    if dead.is_empty() && !st.abort {
+                        // Work that died while the dispatcher coalesced
+                        // sheds here too, so a wave holds live requests
+                        // only.
+                        dead = st.queue.remove_dead(Instant::now());
                         st.queue.drain_round(target.max(1), &mut drained);
                     }
                     (dead, drained)
@@ -2117,15 +1750,12 @@ fn resolve_dead(shared: &Shared, dead: Vec<Request>) {
         let expired = req.deadline.filter(|&d| d <= now);
         {
             let mut m = shared.metrics.lock().expect("metrics poisoned");
+            let tc = m.tenant(req.tenant);
             if expired.is_some() {
-                m.snap.failed += 1;
-                m.snap.deadline_expired += 1;
-                let tc = m.tenant(req.tenant);
                 tc.failed += 1;
                 tc.deadline_expired += 1;
             } else {
-                m.snap.cancelled += 1;
-                m.tenant(req.tenant).cancelled += 1;
+                tc.cancelled += 1;
             }
         }
         match expired {
@@ -2227,7 +1857,6 @@ fn warm_canned(engine: &mut ShardedBpNtt, config: &BpNttConfig) -> Result<(), Bp
 fn execute_wave(shared: &Shared, engines: &mut Engines, drained: Vec<Request>) {
     let mut groups: Vec<WaveGroup> = Vec::new();
     let mut index: HashMap<(ConfigFingerprint, PipelineSpec, ExecMode), usize> = HashMap::new();
-    let now = Instant::now();
     for req in drained {
         let Request {
             tenant,
@@ -2235,40 +1864,11 @@ fn execute_wave(shared: &Shared, engines: &mut Engines, drained: Vec<Request>) {
             mode,
             inputs,
             reply,
-            deadline,
+            deadline: _,
             cost: _,
             admitted: _,
             rns,
         } = req;
-        if let Some(d) = deadline {
-            // Expired in the queue: fail typed before the request costs
-            // a lane. Deadlines bound queueing, not execution — only
-            // cancellation (below) can abort a running wave.
-            if d <= now {
-                let late_ms = now.saturating_duration_since(d).as_millis() as u64;
-                {
-                    let mut m = shared.metrics.lock().expect("metrics poisoned");
-                    m.snap.failed += 1;
-                    m.snap.deadline_expired += 1;
-                    let tc = m.tenant(tenant);
-                    tc.failed += 1;
-                    tc.deadline_expired += 1;
-                }
-                reply.send(Err(BpNttError::DeadlineExpired { late_ms }));
-                continue;
-            }
-        }
-        if reply.is_cancelled() {
-            // The waiter disconnected between drain and execution: shed
-            // instead of spending a lane on an unread result.
-            {
-                let mut m = shared.metrics.lock().expect("metrics poisoned");
-                m.snap.cancelled += 1;
-                m.tenant(tenant).cancelled += 1;
-            }
-            reply.send(Err(BpNttError::Cancelled));
-            continue;
-        }
         let Some(&engine) = engines.route.get(&tenant) else {
             fail_replies(shared, vec![(tenant, reply)], unknown_tenant);
             continue;
@@ -2389,7 +1989,6 @@ fn fail_replies(
 ) {
     {
         let mut m = shared.metrics.lock().expect("metrics poisoned");
-        m.snap.failed += replies.len() as u64;
         for (tenant, _) in &replies {
             m.tenant(*tenant).failed += 1;
         }
@@ -2454,11 +2053,6 @@ fn run_group(shared: &Shared, engine: &mut ShardedBpNtt, group: WaveGroup) -> In
         // Quarantine is a level, not a count: report the high-water
         // mark across waves and engines.
         m.snap.quarantined_shards = m.snap.quarantined_shards.max(rep.quarantined_shards);
-        match &result {
-            Ok(_) => m.snap.completed += batch as u64,
-            Err(BpNttError::Cancelled) => m.snap.cancelled += batch as u64,
-            Err(_) => m.snap.failed += batch as u64,
-        }
         for (tenant, _) in &group.replies {
             let tc = m.tenant(*tenant);
             match &result {
@@ -2778,6 +2372,8 @@ mod tests {
             },
         )
         .unwrap();
+        let basis = rns_basis64();
+        let handle = service.add_rns_tenant(140, 128, 16, &basis).unwrap();
         let doomed = service
             .submit_pipeline(
                 PipelineRequest::new(PipelineSpec::forward_ntt(), vec![pseudo(8, 97, 1)])
@@ -2791,15 +2387,106 @@ mod tests {
                     .with_deadline(Duration::from_secs(30)),
             )
             .unwrap();
+        // The deadline of an RNS group applies to every limb.
+        let doomed_group = service
+            .submit_rns(
+                &handle,
+                RnsRequest::polymul(big_poly(&basis, 1), big_poly(&basis, 2))
+                    .with_deadline(Duration::ZERO),
+            )
+            .unwrap();
         assert!(matches!(
             doomed.wait(),
             Err(BpNttError::DeadlineExpired { .. })
         ));
         assert_eq!(fine.wait().unwrap().len(), 8);
+        assert!(matches!(
+            doomed_group.wait(),
+            Err(BpNttError::DeadlineExpired { .. })
+        ));
         let m = service.shutdown();
-        assert_eq!(m.deadline_expired, 1);
-        assert_eq!(m.failed, 1);
+        assert_eq!(m.deadline_expired, 1 + basis.limbs() as u64);
+        assert_eq!(m.failed, 1 + basis.limbs() as u64);
         assert_eq!(m.completed, 1);
+    }
+
+    #[test]
+    fn request_accounting_closes_over_every_outcome() {
+        // Shedding starts at 4 queued requests, one slot per tenant (5
+        // tenants), and each tenant's bucket holds 2 tokens. Four shards
+        // make the coalescing target wider than anything queued here, and
+        // the window outlasts the test, so before shutdown only the
+        // zero-deadline request can end a coalescing wait.
+        let service = NttService::start(
+            &config8(),
+            ServiceOptions {
+                shards: 4,
+                max_queue: 64,
+                shed_threshold: 4.0 / 64.0,
+                coalesce_window: Duration::from_secs(30),
+                rate_limit: Some(RateLimit {
+                    requests_per_sec: 0.001,
+                    burst: 2.0,
+                }),
+                ..ServiceOptions::default()
+            },
+        )
+        .unwrap();
+        let t0 = service.default_tenant();
+        let t1 = service.add_tenant(&config8()).unwrap();
+        let basis = rns_basis64();
+        let handle = service.add_rns_tenant(140, 128, 16, &basis).unwrap();
+        let group = |seed| RnsRequest::polymul(big_poly(&basis, seed), big_poly(&basis, seed + 1));
+
+        let b = service.submit_forward_as(t1, pseudo(8, 97, 1)).unwrap();
+        drop(service.submit_forward_as(t1, pseudo(8, 97, 2)).unwrap());
+        let t = Instant::now();
+        let doomed = service
+            .submit_pipeline(
+                PipelineRequest::new(PipelineSpec::forward_ntt(), vec![pseudo(8, 97, 3)])
+                    .with_deadline(Duration::ZERO),
+            )
+            .unwrap();
+        assert!(matches!(
+            doomed.wait(),
+            Err(BpNttError::DeadlineExpired { .. })
+        ));
+        // Dead work resolves at once, not when the window ends, and the
+        // dropped request goes with it. At most `b` stays queued.
+        assert!(t.elapsed() < Duration::from_secs(10));
+        let limbs = service.submit_rns(&handle, group(4)).unwrap();
+        // t0 holds nothing queued, so it is admitted even past the
+        // threshold.
+        let a = service.submit_forward(pseudo(8, 97, 6)).unwrap();
+        // 4 or 5 queued, and the lead limb holds its share: the next
+        // group sheds whole, then finds the lead limb's bucket empty.
+        assert!(matches!(
+            service.submit_rns(&handle, group(7)),
+            Err(BpNttError::Overloaded { .. })
+        ));
+        assert!(matches!(
+            service.submit_rns(&handle, group(9)),
+            Err(BpNttError::RateLimited { .. })
+        ));
+
+        let m = service.shutdown();
+        assert!(b.wait().is_ok());
+        assert!(limbs.wait().is_ok());
+        assert!(a.wait().is_ok());
+        assert_eq!(m.submitted, m.completed + m.failed + m.cancelled);
+        let per = &m.per_tenant;
+        let sum = |f: fn(&TenantMetrics) -> u64| per.iter().map(f).sum::<u64>();
+        assert_eq!(m.rejected, sum(|t| t.shed));
+        assert_eq!(m.submitted, sum(|t| t.submitted));
+        assert_eq!(m.completed, sum(|t| t.completed));
+        assert_eq!(m.failed, sum(|t| t.failed));
+        assert_eq!(m.deadline_expired, sum(|t| t.deadline_expired));
+        assert_eq!(m.cancelled, sum(|t| t.cancelled));
+        assert_eq!((m.rns_requests, m.rns_limbs), (1, 3));
+        assert_eq!((m.submitted, m.completed), (7, 5));
+        assert_eq!((m.deadline_expired, m.cancelled), (1, 1));
+        assert_eq!((m.rejected, m.rate_limited), (2, 1));
+        assert_eq!(per[t0.raw() as usize].submitted, 2);
     }
 
     #[test]

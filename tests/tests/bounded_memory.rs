@@ -11,14 +11,20 @@
 //! fills between the two readings is the dispatcher's per-shard
 //! wall-clock ring (4096 `f64` samples, 32 KiB at most; measured growth
 //! 16 KiB, one doubling). The slack is that ring's full size, so 3K
-//! requests leaking even 12 bytes each exceed it. A second test drives
-//! a bare two-shard `ShardedBpNtt` with K and then 4K polymul waves, and
-//! pins the engine layer alone the same way.
+//! requests leaking even 12 bytes each exceed it. A second test runs
+//! the same load over clients that reconnect every 10 requests, 600
+//! connections between the readings: connection threads exit with
+//! their peers, and `NetServer`'s accept loop reaps their handles, so
+//! the same slack holds (measured growth 16–24 KiB). Without the reaping
+//! each connection keeps about 47 bytes and the growth measured 42–43 KiB.
+//! A third test drives a bare two-shard `ShardedBpNtt` with K and then
+//! 4K polymul waves, and pins the engine layer alone the same way.
 //!
 //! The count is process-wide, so every test here holds [`SERIAL`]: a
 //! test running concurrently would move another's readings.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -87,6 +93,9 @@ const WARMUP: usize = 100;
 const K: usize = 500;
 /// Allowed growth of live bytes from K to 4K requests.
 const SLACK_BYTES: isize = 32 * 1024;
+/// Requests per connection under churn: often enough that a handle
+/// kept per connection outgrows the slack.
+const RECONNECT_EVERY: usize = 10;
 /// Allowed growth of live bytes from K to 4K waves of a bare
 /// `ShardedBpNtt`. The engine holds no growing structure: a wave reuses
 /// the shard-time vector's capacity and frees its outputs, claim queues
@@ -138,11 +147,20 @@ fn cases(tenant: Option<u32>, salt: u64) -> Vec<Case> {
 
 /// Runs `per_client` requests on every client concurrently, checking
 /// each answer, and returns the live bytes once all have been answered.
-fn phase(clients: &mut [(NetClient, Vec<Case>)], per_client: usize) -> isize {
+/// With `reconnect`, each client drops its connection and opens a fresh
+/// one to that address every [`RECONNECT_EVERY`] requests.
+fn phase(
+    clients: &mut [(NetClient, Vec<Case>)],
+    per_client: usize,
+    reconnect: Option<SocketAddr>,
+) -> isize {
     std::thread::scope(|s| {
         for (client, cases) in clients.iter_mut() {
             s.spawn(move || {
                 for r in 0..per_client {
+                    if let Some(addr) = reconnect.filter(|_| r % RECONNECT_EVERY == 0) {
+                        *client = NetClient::connect(addr).expect("reconnect failed");
+                    }
                     let case = &cases[r % cases.len()];
                     let got = client.submit(case.sub.clone()).expect("request failed");
                     assert_eq!(got, case.expect, "request {r} diverged from the reference");
@@ -155,6 +173,18 @@ fn phase(clients: &mut [(NetClient, Vec<Case>)], per_client: usize) -> isize {
 
 #[test]
 fn live_bytes_plateau_under_sustained_wire_load() {
+    wire_load_plateau(false);
+}
+
+#[test]
+fn live_bytes_plateau_under_connection_churn() {
+    wire_load_plateau(true);
+}
+
+/// Two closed-loop clients on two tenants of one configuration, over
+/// one connection each or (`churn`) a fresh connection every
+/// [`RECONNECT_EVERY`] requests.
+fn wire_load_plateau(churn: bool) {
     let _serial = serial();
     let cfg = BpNttConfig::new(32, 32, 8, NttParams::new(N, Q).unwrap()).unwrap();
     let service = Arc::new(
@@ -185,11 +215,12 @@ fn live_bytes_plateau_under_sustained_wire_load() {
         })
         .collect();
 
-    phase(&mut clients, WARMUP);
-    let at_k = phase(&mut clients, K);
-    let at_4k = phase(&mut clients, 3 * K);
+    let reconnect = churn.then(|| server.local_addr());
+    phase(&mut clients, WARMUP, reconnect);
+    let at_k = phase(&mut clients, K, reconnect);
+    let at_4k = phase(&mut clients, 3 * K, reconnect);
     let grown = at_4k - at_k;
-    eprintln!("live bytes: {at_k} after K, {at_4k} after 4K (grew {grown})");
+    eprintln!("live bytes (churn: {churn}): {at_k} after K, {at_4k} after 4K (grew {grown})");
     assert!(
         grown <= SLACK_BYTES,
         "live bytes grew by {grown} B over {} requests ({at_k} -> {at_4k}): \
